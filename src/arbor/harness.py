@@ -415,7 +415,8 @@ def run_tail_sweep(stats: DegreeStatistics,
 
 def _poissonized_taus(stats: DegreeStatistics, seed: int,
                       replications: int) -> np.ndarray:
-    # chunked so the per-row interval bitmap stays small at n ~ 1000
+    # drawn in chunks of _POISSON_CHUNK rows, each from its own substream;
+    # the chunk size keys the substreams, so changing it changes every draw
     base = RngStream(seed, 2)
     parts = []
     done = 0

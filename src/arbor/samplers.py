@@ -2,11 +2,14 @@
 
 Three families live here:
 
-* size-biased degree machinery: draw the degree multiset in size-biased
+* size-biased threshold walks: draw the degree multiset in size-biased
   order and stop at accept/reject thresholds.  `sample_mark_height` returns
   the depth of a uniform mark in a uniform tree without ever building the
   tree; `sample_stopping_index` is the strict-threshold variant whose tail
-  dominates the mark height.
+  dominates the mark height.  Every one of them, `sample_size_biased_order`
+  included, runs on one step-synchronous walk that draws a step for all
+  replications at once and retires each row at its first accepted index;
+  the single-draw functions are that walk with one row.
 * a Poisson-process reformulation of the stopping index
   (`sample_stopping_index_poissonized`): degrees become subintervals of
   [0, 1), arrivals of a rate-one process hit them, and the index is read off
@@ -16,14 +19,12 @@ Three families live here:
   on the degree sum.
 
 Each sampler has an exact-law oracle in `enumeration` (or a closed form) and
-the tests compare the two; the `_batch` variants are vectorised re-
-implementations used for large Monte Carlo runs and are tested against both
-the sequential versions and the exact laws.
+the tests compare the two; the Poisson route is a second, independent
+sampler of the stopping-index law and is tested against the walk as well.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,28 +43,55 @@ _STRETCHED_CUTOFF = 20_000  # exp(-sqrt(k)) is below 1e-60 past this
 # size-biased degree order and threshold samplers
 # ---------------------------------------------------------------------------
 
-class _Urn:
-    """Degree buckets drawn with probability proportional to degree * count."""
+def _size_biased_walk(stats: DegreeStatistics, gen: np.random.Generator,
+                      reps: int, lead: int | None, last: int,
+                      record: list | None = None) -> np.ndarray:
+    """First accepted index of `reps` independent size-biased threshold walks.
 
-    def __init__(self, stats: DegreeStatistics):
-        self.buckets = [[c, k] for c, k in stats.sorted_items() if c > 0]
-        self.weight = sum(c * k for c, k in self.buckets)
+    Each row draws the degrees D_1, D_2, ... in size-biased order: degree c
+    with probability c * (remaining count of c) over the remaining edge
+    total, and 0 once that total is used up.  Step i = 1..last first draws a
+    uniform U and accepts when U <= (lead + S) / (last + 1 - i), with
+    S = sum_{j<i} (D_j - 1); ties count as accepted.  Returns each row's
+    accepted index, or last + 1 where no step accepted.  With lead None no
+    step accepts, and `record`, when given, receives each step's degrees.
 
-    def draw(self, gen: np.random.Generator) -> int:
-        """Next size-biased degree; 0 once every positive degree is used."""
-        if self.weight == 0:
-            return 0
-        u = gen.uniform(0.0, self.weight)
-        acc = 0.0
-        for bucket in self.buckets:
-            acc += bucket[0] * bucket[1]
-            if u < acc or bucket is self.buckets[-1]:
-                if bucket[1] == 0:
-                    continue
-                bucket[1] -= 1
-                self.weight -= bucket[0]
-                return bucket[0]
-        raise AssertionError("unreachable")
+    The state is kept for live rows only: a reps x B table of remaining
+    counts over the B distinct positive degrees, so memory is O(reps * B)
+    and a row costs only the steps it takes before accepting.
+    """
+    items = [(c, k) for c, k in stats.sorted_items() if c > 0]
+    deg = np.array([c for c, _ in items], dtype=np.int64)
+    rem = np.tile(np.array([k for _, k in items], dtype=np.int64), (reps, 1))
+    weight = np.full(reps, sum(c * k for c, k in items), dtype=np.int64)
+    s = np.zeros(reps, dtype=np.int64)
+    live = np.arange(reps)
+    out = np.full(reps, last + 1, dtype=np.int64)
+    for i in range(1, last + 1):
+        if lead is not None:
+            accept = gen.random(live.size) <= (lead + s) / (last + 1 - i)
+            if accept.any():
+                out[live[accept]] = i
+                keep = ~accept
+                live, s, rem, weight = live[keep], s[keep], rem[keep], weight[keep]
+        if not live.size:
+            break
+        d = np.zeros(live.size, dtype=np.int64)
+        on = np.flatnonzero(weight)
+        if on.size:
+            w = weight[on]
+            # an integer point in [0, w) picks the bucket by its cumulative
+            # weight; the clip guards the float product rounding up to w
+            v = np.minimum((gen.random(on.size) * w).astype(np.int64), w - 1)
+            b = np.count_nonzero(np.cumsum(rem[on] * deg, axis=1) <= v[:, None],
+                                 axis=1)
+            rem[on, b] -= 1
+            d[on] = deg[b]
+            weight -= d
+        s += d - 1
+        if record is not None:
+            record.append(d)
+    return out
 
 
 def sample_size_biased_order(stats: DegreeStatistics, rng: RngStream) -> tuple[int, ...]:
@@ -73,13 +101,9 @@ def sample_size_biased_order(stats: DegreeStatistics, rng: RngStream) -> tuple[i
     by the remaining edge total; once that total hits zero only zeroes are
     left and they are appended in place.
     """
-    urn = _Urn(stats)
-    n = stats.n
-    out: list[int] = []
-    while len(out) < n and urn.weight > 0:
-        out.append(urn.draw(rng.gen))
-    out.extend([0] * (n - len(out)))
-    return tuple(out)
+    steps: list[np.ndarray] = []
+    _size_biased_walk(stats, rng.gen, 1, None, stats.n, steps)
+    return tuple(int(d[0]) for d in steps)
 
 
 def sample_mark_height(stats: DegreeStatistics, rng: RngStream) -> int:
@@ -90,17 +114,7 @@ def sample_mark_height(stats: DegreeStatistics, rng: RngStream) -> int:
     is one less than the first accepted index.  Ties (U equal to the
     threshold) count as accepted.
     """
-    if stats.a != 1:
-        raise InvalidStatistics("mark height needs single-tree statistics")
-    gen = rng.gen
-    urn = _Urn(stats)
-    n = stats.n
-    s = 0
-    for i in range(1, n + 1):
-        if gen.uniform() <= (1 + s) / (n + 1 - i):
-            return i - 1
-        s += urn.draw(gen) - 1
-    return n - 1  # unreachable: the threshold at i = n equals one
+    return int(sample_mark_height_batch(stats, rng, 1)[0])
 
 
 def sample_stopping_index(stats: DegreeStatistics, rng: RngStream) -> int:
@@ -110,96 +124,25 @@ def sample_stopping_index(stats: DegreeStatistics, rng: RngStream) -> int:
     i = 1..n-1.  For path statistics no threshold can ever fire and the
     sentinel value n is returned (the distributional point at infinity).
     """
-    if stats.a != 1:
-        raise InvalidStatistics("stopping index needs single-tree statistics")
-    gen = rng.gen
-    urn = _Urn(stats)
-    n = stats.n
-    s = 0
-    for i in range(1, n):
-        if gen.uniform() <= s / (n - i):
-            return i
-        s += urn.draw(gen) - 1
-    return n
-
-
-def _positive_degree_items(stats: DegreeStatistics) -> np.ndarray:
-    items = []
-    for c, k in stats.sorted_items():
-        if c > 0:
-            items.extend([c] * k)
-    return np.array(items, dtype=np.int64)
-
-
-def _size_biased_matrix(stats: DegreeStatistics, gen: np.random.Generator,
-                        rows: int) -> np.ndarray:
-    """rows x n matrix of independent size-biased degree orders.
-
-    Size-biased sampling without replacement is an exponential race: item i
-    finishes at Exp(1) / weight_i and the finish order is the sample order.
-    Zero-weight items never finish, matching the all-zeroes suffix.
-    """
-    n = stats.n
-    pos = _positive_degree_items(stats)
-    m = len(pos)
-    out = np.zeros((rows, n), dtype=np.int64)
-    if m:
-        keys = gen.exponential(size=(rows, m)) / pos
-        order = np.argsort(keys, axis=1)
-        out[:, :m] = pos[order]
-    return out
-
-
-def _batch_rows(n: int) -> int:
-    return max(1, 2_000_000 // max(n, 1))
+    return int(sample_stopping_index_batch(stats, rng, 1)[0])
 
 
 def sample_mark_height_batch(stats: DegreeStatistics, rng: RngStream,
                              reps: int) -> np.ndarray:
-    """Vectorised `sample_mark_height`; returns an int array of length reps."""
+    """`reps` independent `sample_mark_height` draws as an int array."""
     if stats.a != 1:
         raise InvalidStatistics("mark height needs single-tree statistics")
-    gen = rng.gen
-    n = stats.n
-    idx = np.arange(1, n + 1)
-    out = np.empty(reps, dtype=np.int64)
-    done = 0
-    while done < reps:
-        rows = min(_batch_rows(n), reps - done)
-        d = _size_biased_matrix(stats, gen, rows)
-        prev = np.cumsum(d - 1, axis=1) - (d - 1)  # sum over j < i
-        thr = (1.0 + prev) / (n + 1 - idx)
-        accept = gen.uniform(size=(rows, n)) <= thr
-        out[done:done + rows] = accept.argmax(axis=1)  # first accept, minus 1
-        done += rows
-    return out
+    # the threshold at i = n equals one, so every row accepts by then
+    return _size_biased_walk(stats, rng.gen, reps, 1, stats.n) - 1
 
 
 def sample_stopping_index_batch(stats: DegreeStatistics, rng: RngStream,
                                 reps: int) -> np.ndarray:
-    """Vectorised `sample_stopping_index` (sentinel n when nothing fires)."""
+    """`reps` independent `sample_stopping_index` draws (sentinel n when
+    nothing fires) as an int array."""
     if stats.a != 1:
         raise InvalidStatistics("stopping index needs single-tree statistics")
-    gen = rng.gen
-    n = stats.n
-    out = np.full(reps, n, dtype=np.int64)
-    if n == 1:
-        return out
-    idx = np.arange(1, n)
-    done = 0
-    while done < reps:
-        rows = min(_batch_rows(n), reps - done)
-        d = _size_biased_matrix(stats, gen, rows)[:, :n - 1]
-        prev = np.cumsum(d - 1, axis=1) - (d - 1)
-        thr = prev / (n - idx)
-        fired = gen.uniform(size=(rows, n - 1)) <= thr
-        any_fire = fired.any(axis=1)
-        first = fired.argmax(axis=1) + 1
-        chunk = np.full(rows, n, dtype=np.int64)
-        chunk[any_fire] = first[any_fire]
-        out[done:done + rows] = chunk
-        done += rows
-    return out
+    return _size_biased_walk(stats, rng.gen, reps, 0, stats.n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -294,38 +237,40 @@ def sample_stopping_index_poissonized_batch(
 
     Returns (sigma, tau) arrays; tau is np.inf where no repeat arrival can
     occur.  Only the uniform positions matter for these two functionals, so
-    no arrival times are generated.
+    no arrival times are generated.  Each live row keeps the ids of the
+    intervals it has hit, about sqrt(n) of them before its repeat, in a
+    table widened on demand.  Path statistics have no left parts, so no
+    repeat can fire and every row ends with sigma = n and no walk is run.
     """
     if stats.a != 1:
         raise InvalidStatistics("stopping index needs single-tree statistics")
     gen = rng.gen
     d, bounds, left_end = _interval_layout(stats)
-    n = len(d)
-    m = int(np.count_nonzero(d))
-    no_left_parts = stats.max_degree <= 1
-    sigma = np.zeros(reps, dtype=np.int64)
     tau = np.full(reps, np.inf)
-    hit = np.zeros((reps, n + 1), dtype=bool)
+    if stats.max_degree <= 1:
+        return np.full(reps, len(d), dtype=np.int64), tau
+    sigma = np.zeros(reps, dtype=np.int64)
+    hits = np.zeros((reps, 16), dtype=np.int32)  # ids are 1-based; 0 = empty
     nrec = np.zeros(reps, dtype=np.int64)
-    alive = np.arange(reps)
+    live = np.arange(reps)
     for step in range(1, 1_000_001):
-        if alive.size == 0:
+        if live.size == 0:
             return sigma, tau
-        u = gen.uniform(size=alive.size)
-        j = np.searchsorted(bounds, u, side="right")
-        was_hit = hit[alive, j]
+        u = gen.uniform(size=live.size)
+        j = np.searchsorted(bounds, u, side="right").astype(np.int32)
+        width = int(nrec.max())
+        was_hit = (hits[:, :width] == j[:, None]).any(axis=1)
         fires = was_hit & (u < left_end[j - 1])
-        new = ~was_hit
-        hit[alive[new], j[new]] = True
-        nrec[alive[new]] += 1
-        sigma[alive[fires]] = nrec[alive[fires]] + 1
-        tau[alive[fires]] = step
-        retire = fires
-        if no_left_parts:
-            full = nrec[alive] == m
-            sigma[alive[full]] = m + 1
-            retire = retire | full
-        alive = alive[~retire]
+        sigma[live[fires]] = nrec[fires] + 1
+        tau[live[fires]] = step
+        if width == hits.shape[1]:
+            hits = np.concatenate([hits, np.zeros_like(hits)], axis=1)
+        new = np.flatnonzero(~was_hit)
+        hits[new, nrec[new]] = j[new]
+        nrec[new] += 1
+        if fires.any():
+            keep = ~fires
+            live, hits, nrec = live[keep], hits[keep], nrec[keep]
     raise RuntimeError("poisson walk failed to terminate")
 
 

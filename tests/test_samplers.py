@@ -6,6 +6,7 @@ come from the enumeration module, which has its own independent oracles.
 """
 
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -71,10 +72,12 @@ class TestMarkHeightSampler:
         exact = float_pmf(exact_threshold_sampler_distribution(STATS))
         assert chi_square_gof(draws, exact) > P_FLOOR
 
-    def test_batch_chunking_is_seamless(self):
-        # force several internal chunks and check the law still holds
+    def test_rows_retire_at_different_steps(self):
+        # a third of the rows accept at step 1 and the rest at step 2; the
+        # law must survive rows leaving the walk while others keep going
         stats = DegreeStatistics({0: 2, 2: 1})
         draws = sample_mark_height_batch(stats, RngStream(5, 0), 10_000)
+        assert set(draws.tolist()) == {0, 1}
         exact = float_pmf(exact_threshold_sampler_distribution(stats))
         assert chi_square_gof(draws, exact) > P_FLOOR
 
@@ -84,6 +87,28 @@ class TestMarkHeightSampler:
     def test_rejects_forests(self):
         with pytest.raises(InvalidStatistics):
             sample_mark_height(DegreeStatistics({0: 2}), RngStream(0, 0))
+
+
+SINGLE_DRAW_CLASSES = (STATS, DegreeStatistics({0: 1, 1: 4}),
+                       DegreeStatistics({0: 1}))
+
+
+class TestSingleDrawWrappers:
+    """The single-draw samplers are the batch walk with one row."""
+
+    @pytest.mark.parametrize("stats", SINGLE_DRAW_CLASSES)
+    def test_mark_height_is_one_row_of_the_batch(self, stats):
+        for stream in range(5):
+            one = sample_mark_height(stats, RngStream(30, stream))
+            batch = sample_mark_height_batch(stats, RngStream(30, stream), 1)
+            assert one == batch[0]
+
+    @pytest.mark.parametrize("stats", SINGLE_DRAW_CLASSES)
+    def test_stopping_index_is_one_row_of_the_batch(self, stats):
+        for stream in range(5):
+            one = sample_stopping_index(stats, RngStream(31, stream))
+            batch = sample_stopping_index_batch(stats, RngStream(31, stream), 1)
+            assert one == batch[0]
 
 
 class TestStoppingIndexSampler:
@@ -146,11 +171,46 @@ class TestPoissonized:
         assert np.all(sigmas == 4)
         assert np.all(np.isinf(taus))
 
+    def test_batch_draws_are_pinned(self):
+        # recorded from a dense reps x (n + 1) hit bitmap: tracking hit ids
+        # sparsely must reproduce those draws exactly
+        sigmas, taus = sample_stopping_index_poissonized_batch(
+            DegreeStatistics({0: 512, 2: 511}), RngStream(21, 0), 2000)
+        finite = np.isfinite(taus)
+        assert int(sigmas.sum()) == 80131
+        assert int(finite.sum()) == 2000
+        assert int(taus[finite].sum()) == 82125
+
     def test_batch_agrees_with_interval_route(self):
         a = sample_stopping_index_batch(STATS, RngStream(12, 0), 20_000)
         b, _ = sample_stopping_index_poissonized_batch(STATS, RngStream(12, 1),
                                                        20_000)
         assert chi_square_two_sample(a, b) > P_FLOOR
+
+
+class TestBatchScale:
+    """Sizes where an n-wide row per replication would cost O(n) time and
+    memory per draw."""
+
+    def test_walk_agrees_with_poisson_route_at_n16383(self):
+        stats = DegreeStatistics({0: 8192, 2: 8191})
+        a = sample_stopping_index_batch(stats, RngStream(32, 0), 5000)
+        b, _ = sample_stopping_index_poissonized_batch(stats, RngStream(32, 1),
+                                                       5000)
+        assert chi_square_two_sample(a, b) > P_FLOOR
+
+    @pytest.mark.parametrize("sampler", [
+        sample_mark_height_batch, sample_stopping_index_batch,
+        sample_stopping_index_poissonized_batch])
+    def test_memory_stays_small_at_n65535(self, sampler):
+        stats = DegreeStatistics({0: 32768, 2: 32767})
+        tracemalloc.start()
+        try:
+            sampler(stats, RngStream(33, 0), 2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 internal_parts = st.lists(st.integers(1, 4), min_size=0, max_size=5)
