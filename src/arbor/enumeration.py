@@ -13,12 +13,14 @@ Counting facts used throughout (a = number of trees, n = number of nodes):
       prod_i d_i * multinomial(n - k; n(.) - usage(d))
   where usage(d, c) counts occurrences of c in d.
 
-The law of the threshold sampler index admits a closed form: the probability
-that the first k size-biased degrees are all accepted is
-    k! * [z^k] prod_{c>=1} (1 + c z)^{n(c)} / falling(n, k),
-which is the usage-vector recursion summed in closed form (each usage vector
-w contributes multinomial(k; w) * prod c^{w(c)} * prod falling(n(c), w(c)),
-i.e. the z^k coefficient of the product of binomials).
+The law of the threshold sampler index admits a closed form: with q_k the
+z^k coefficient of prod_{c>=1} (1 + c z)^{n(c)}, the probability that the
+first k size-biased draws from m candidates are all rejected is
+    q_k / C(m, k) = k! q_k / falling(m, k)
+(m = n for the mark height, n - 1 for the stopping index).  This is the
+usage-vector recursion summed in closed form (each usage vector w contributes
+multinomial(k; w) * prod c^{w(c)} * prod falling(n(c), w(c)), i.e. the z^k
+coefficient of the product of binomials).
 """
 
 from __future__ import annotations
@@ -133,9 +135,16 @@ def count_marked_first_tree(stats: DegreeStatistics) -> int:
     return multinomial(stats.n, [k for _, k in stats.sorted_items()])
 
 
-def usage_vector(degrees: Sequence[int]) -> Counter:
-    """How many times each degree value appears in a spine prefix."""
-    return Counter(int(d) for d in degrees)
+def usage_vector(stats: DegreeStatistics, degrees: Sequence[int]) -> Counter:
+    """How many times each degree value appears in a spine prefix; raises
+    UsageExceeded when a value appears more often than `stats` allows."""
+    usage = Counter(int(d) for d in degrees)
+    for c, used in usage.items():
+        if used > stats.count(c):
+            raise UsageExceeded(
+                f"degree {c} used {used} times, statistics allow {stats.count(c)}"
+            )
+    return usage
 
 
 def count_spine_class(stats: DegreeStatistics, degrees: Sequence[int]) -> int:
@@ -146,16 +155,9 @@ def count_spine_class(stats: DegreeStatistics, degrees: Sequence[int]) -> int:
     """
     if stats.a != 1:
         raise InvalidStatistics("spine counting needs single-tree statistics")
-    usage = usage_vector(degrees)
-    for c, used in usage.items():
-        if used > stats.count(c):
-            raise UsageExceeded(
-                f"degree {c} used {used} times, statistics allow {stats.count(c)}"
-            )
+    usage = usage_vector(stats, degrees)
     k = len(degrees)
-    prod = 1
-    for d in degrees:
-        prod *= d
+    prod = math.prod(degrees)
     if prod == 0:
         return 0
     remaining = [stats.count(c) - usage.get(c, 0)
@@ -171,16 +173,9 @@ def spine_probability(stats: DegreeStatistics, degrees: Sequence[int]) -> Fracti
     """
     if stats.a != 1:
         raise InvalidStatistics("spine probability needs single-tree statistics")
-    usage = usage_vector(degrees)
-    for c, used in usage.items():
-        if used > stats.count(c):
-            raise UsageExceeded(
-                f"degree {c} used {used} times, statistics allow {stats.count(c)}"
-            )
+    usage = usage_vector(stats, degrees)
     k = len(degrees)
-    num = 1
-    for d in degrees:
-        num *= d
+    num = math.prod(degrees)
     for c, used in usage.items():
         num *= falling(stats.count(c), used)
     return Fraction(num, falling(stats.n, k))
@@ -272,49 +267,72 @@ def exact_mark_height_distribution(stats: DegreeStatistics,
     )
 
 
+def poly_mul(a: list, b: list, trunc: int | None = None) -> list:
+    """Schoolbook product of two coefficient lists, skipping zero terms
+    and dropping every power above `trunc`.  Terms are added in a fixed
+    order, so float products are reproducible."""
+    size = len(a) + len(b) - 1
+    if trunc is not None:
+        size = min(size, trunc + 1)
+    out = [0] * size
+    for i, ai in enumerate(a[:size]):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b[:size - i]):
+            if bj:
+                out[i + j] += ai * bj
+    return out
+
+
 def _degree_polynomial(stats: DegreeStatistics) -> list[int]:
-    """Coefficients of prod_{c>=1} (1 + c z)^{n(c)} as exact integers."""
-    poly = [1]
+    """Coefficients of prod_{c>=1} (1 + c z)^{n(c)} as exact integers: a
+    balanced product of the binomial rows sum_j C(n(c), j) c^j z^j."""
+    rows = []
     for c, k in stats.sorted_items():
         if c == 0:
             continue
-        for _ in range(k):
-            nxt = [0] * (len(poly) + 1)
-            for i, coef in enumerate(poly):
-                nxt[i] += coef
-                nxt[i + 1] += coef * c
-            poly = nxt
-    return poly
+        row = [1]
+        for j in range(k):
+            row.append(row[-1] * (k - j) * c // (j + 1))
+        rows.append(row)
+    while len(rows) > 1:
+        rows = [poly_mul(*rows[i:i + 2]) if i + 1 < len(rows) else rows[i]
+                for i in range(0, len(rows), 2)]
+    return rows[0] if rows else [1]
+
+
+def _survival(poly: list[int], m: int) -> list[Fraction]:
+    """[q_k / C(m, k) for k = 0..m] with q_k = poly[k] (zero past its end),
+    equal to k! q_k / falling(m, k); the binomial is updated in place."""
+    out = []
+    binom = 1
+    for k in range(m + 1):
+        out.append(Fraction(poly[k] if k < len(poly) else 0, binom))
+        binom = binom * (m - k) // (k + 1)
+    return out
 
 
 def exact_threshold_sampler_distribution(stats: DegreeStatistics) -> ExactDistribution:
     """Law of the mark height produced by the accept-threshold sampler.
 
-    Survival form: P(first k degrees all rejected) = k! q_k / falling(n, k)
-    with q_k the z^k coefficient of prod (1 + c z)^{n(c)}.  Differencing the
-    survival sequence gives the pmf of the returned height (index - 1).
+    Survival form: P(first k degrees all rejected) = q_k / C(n, k), which
+    equals k! q_k / falling(n, k), with q_k the z^k coefficient of
+    prod (1 + c z)^{n(c)}.  Differencing the survival sequence gives the
+    pmf of the returned height (index - 1).
     """
     if stats.a != 1:
         raise InvalidStatistics("threshold sampler law needs a single tree")
     n = stats.n
-    poly = _degree_polynomial(stats)
-    survival = []
-    for k in range(n + 1):
-        q_k = poly[k] if k < len(poly) else 0
-        survival.append(Fraction(math.factorial(k) * q_k, falling(n, k)))
-    pmf = {}
-    for k in range(n):
-        mass = survival[k] - survival[k + 1]
-        if mass:
-            pmf[k] = mass
-    return ExactDistribution.from_pmf(pmf)
+    survival = _survival(_degree_polynomial(stats), n)
+    return ExactDistribution.from_pmf(
+        {k: survival[k] - survival[k + 1] for k in range(n)})
 
 
 def exact_stopping_index_distribution(stats: DegreeStatistics) -> ExactDistribution:
     """Law of the strict-threshold stopping index.
 
-    Same polynomial as the mark-height law but with denominators
-    falling(n - 1, k): P(index >= k + 1) = k! q_k / falling(n - 1, k).
+    Same polynomial as the mark-height law over n - 1 candidates:
+    P(index >= k + 1) = q_k / C(n - 1, k) = k! q_k / falling(n - 1, k).
     The per-step survival factor (n - 1 - sum of drawn degrees) cancels the
     size-biasing denominator, which is what makes the closed form exact.
     When no threshold ever fires the index is reported as n (path statistics).
@@ -322,16 +340,7 @@ def exact_stopping_index_distribution(stats: DegreeStatistics) -> ExactDistribut
     if stats.a != 1:
         raise InvalidStatistics("stopping index law needs a single tree")
     n = stats.n
-    poly = _degree_polynomial(stats)
-    survival = []  # survival[k] = P(index >= k + 1)
-    for k in range(n):
-        q_k = poly[k] if k < len(poly) else 0
-        survival.append(Fraction(math.factorial(k) * q_k, falling(n - 1, k)))
-    pmf = {}
-    for k in range(n - 1):
-        mass = survival[k] - survival[k + 1]
-        if mass:
-            pmf[k + 1] = mass
-    if survival[n - 1]:
-        pmf[n] = survival[n - 1]
+    survival = _survival(_degree_polynomial(stats), n - 1)
+    pmf = {k + 1: survival[k] - survival[k + 1] for k in range(n - 1)}
+    pmf[n] = survival[n - 1]
     return ExactDistribution.from_pmf(pmf)

@@ -21,7 +21,7 @@ from numbers import Rational
 from typing import Callable, Sequence
 
 from .enumeration import (ENUMERATION_CAP, count_forests,
-                          enumerate_degree_statistics)
+                          enumerate_degree_statistics, poly_mul)
 from .errors import (Diverged, InvalidStatistics, OutOfDomain, PhiDiverges,
                      RhoUnknown, TooLarge, BadParameters, ZeroPartition)
 from .rng import RngStream
@@ -241,12 +241,6 @@ def psi(w: WeightSequence, t):
     return num / den
 
 
-def phi_psi(w: WeightSequence, t) -> tuple[float, float]:
-    if t == 0:
-        return w.weight(0), 0.0
-    return phi(w, t), psi(w, t)
-
-
 def nu_sigma_sq(w: WeightSequence) -> tuple[float, float]:
     """(nu, sigma_sq): the criticality parameter Psi at rho, and the
     variance of the limit degree law.
@@ -332,45 +326,36 @@ def tilted_law(w: WeightSequence, t, top: int) -> OffspringDistribution:
 # partition numbers
 # ---------------------------------------------------------------------------
 
-def _poly_mul(a: list, b: list, trunc: int) -> list:
-    out = [0] * min(trunc + 1, len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        top = min(len(b), len(out) - i)
-        for j in range(top):
-            if b[j]:
-                out[i + j] += ai * b[j]
-    return out
-
-
 def partition_function(w: WeightSequence, n: int):
     """Z_n, the total weight of all n-node plane trees.
 
     Computed as (1/n) [z^{n-1}] Phi(z)^n with the series truncated at
-    degree n - 1 (Lagrange inversion); exact Fractions for rational
-    weights, floating point otherwise.  Cross-checked against direct tree
-    enumeration for small n in the tests.
+    degree n - 1 (Lagrange inversion).  Rational weights are scaled once by
+    the lcm D of their denominators, the integer series is powered, and the
+    result is the exact coef / (D^n n); other weights run in floating point.
+    Cross-checked against direct tree enumeration for small n in the tests.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     exact = w.is_rational()
-    coeffs = []
-    for k in range(n):
-        v = w.weight(k)
-        coeffs.append(Fraction(v) if exact else float(v))
-    result = [Fraction(1)] if exact else [1.0]
-    base = coeffs
+    if exact:
+        coeffs = [Fraction(w.weight(k)) for k in range(n)]
+        scale = math.lcm(*(v.denominator for v in coeffs))
+        base = [v.numerator * (scale // v.denominator) for v in coeffs]
+        result = [1]
+    else:
+        base = [float(w.weight(k)) for k in range(n)]
+        result = [1.0]
     e = n
     while e:
         if e & 1:
-            result = _poly_mul(result, base, n - 1)
+            result = poly_mul(result, base, n - 1)
         e >>= 1
         if e:
-            base = _poly_mul(base, base, n - 1)
-    coef = result[n - 1] if len(result) > n - 1 else (Fraction(0) if exact else 0.0)
+            base = poly_mul(base, base, n - 1)
+    coef = result[n - 1] if len(result) > n - 1 else 0
     if exact:
-        out = Fraction(coef, n)
+        out = Fraction(coef, scale ** n * n)
         return int(out) if out.denominator == 1 else out
     return coef / n
 

@@ -175,7 +175,8 @@ def test_tail_bounds_never_violated(acceptance):
         violations += b
     large = [full_binary_statistics(127), full_binary_statistics(1023),
              heavy_tailed_statistics(127), heavy_tailed_statistics(1023)]
-    for stats in large:
+    exact_only = [full_binary_statistics(4095), heavy_tailed_statistics(4095)]
+    for stats in large + exact_only:
         c, b = _exact_bound_violations(stats)
         checks += c
         violations += b
@@ -187,7 +188,8 @@ def test_tail_bounds_never_violated(acceptance):
         mc_cells += len(report.cells)
     ok = violations == 0 and mc_ok
     acceptance("tail-bounds-never-violated", ok,
-               f"{checks} exact checks over {small} small + 4 large classes, "
+               f"{checks} exact checks over {small} small + "
+               f"{len(large) + len(exact_only)} large classes, "
                f"{violations} violations; {mc_cells} Monte Carlo cells at "
                f"100000 reps all inside bound")
 

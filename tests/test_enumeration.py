@@ -1,9 +1,10 @@
 """Unit tests for exact counting, enumeration, and closed-form laws.
 
 The key cross-checks run three independent routes against each other:
-brute-force tree enumeration, the falling-factorial closed forms, and a
-direct probabilistic recursion over the size-biased degree process that
-shares no code with either.
+brute-force tree enumeration, the binomial closed forms, and a direct
+probabilistic recursion over the size-biased degree process that shares no
+code with either.  A frozen copy of the earlier per-factor, falling-factorial
+law code pins the closed forms bit for bit at sizes enumeration cannot reach.
 """
 
 import math
@@ -21,8 +22,9 @@ from arbor.enumeration import (ENUMERATION_CAP, ExactDistribution,
                                exact_mark_height_distribution,
                                exact_stopping_index_distribution,
                                exact_threshold_sampler_distribution, falling,
-                               multinomial, spine_probability)
+                               multinomial, poly_mul, spine_probability)
 from arbor.errors import InvalidStatistics, TooLarge, UsageExceeded
+from arbor.harness import full_binary_statistics, heavy_tailed_statistics
 from arbor.trees import DegreeStatistics, MarkedTree
 
 
@@ -92,6 +94,45 @@ def stopping_index_by_recursion(stats):
         on_accept=lambda i: i,
         final_value=n,
     )
+
+
+# ---------------------------------------------------------------------------
+# frozen oracle: the per-linear-factor, falling-factorial law code that the
+# binomial engine replaced; its output is the bit-identity reference
+# ---------------------------------------------------------------------------
+
+def _per_factor_polynomial(stats):
+    poly = [1]
+    for c, k in stats.sorted_items():
+        if c == 0:
+            continue
+        for _ in range(k):
+            nxt = [0] * (len(poly) + 1)
+            for i, coef in enumerate(poly):
+                nxt[i] += coef
+                nxt[i + 1] += coef * c
+            poly = nxt
+    return poly
+
+
+def _falling_survival(poly, m):
+    return [Fraction(math.factorial(k) * (poly[k] if k < len(poly) else 0),
+                     falling(m, k)) for k in range(m + 1)]
+
+
+def threshold_law_by_falling(stats):
+    n = stats.n
+    survival = _falling_survival(_per_factor_polynomial(stats), n)
+    pmf = {k: survival[k] - survival[k + 1] for k in range(n)}
+    return ExactDistribution.from_pmf(pmf)
+
+
+def stopping_law_by_falling(stats):
+    n = stats.n
+    survival = _falling_survival(_per_factor_polynomial(stats), n - 1)
+    pmf = {k + 1: survival[k] - survival[k + 1] for k in range(n - 1)}
+    pmf[n] = survival[n - 1]
+    return ExactDistribution.from_pmf(pmf)
 
 
 # ---------------------------------------------------------------------------
@@ -304,3 +345,29 @@ class TestHeightAndStoppingLaws:
         total = sum(sum(t.depths) for t in trees)
         law = exact_threshold_sampler_distribution(stats)
         assert law.mean() == Fraction(total, len(trees) * stats.n)
+
+    def test_bit_identical_to_falling_factorial_code(self):
+        """Both laws serialise exactly as the frozen per-factor code does:
+        every class with <= 9 nodes, the binary and heavy censuses at
+        n = 127 and 255, the single node and a path."""
+        battery = all_stats_upto(9) + [DegreeStatistics({0: 1}),
+                                       DegreeStatistics({0: 1, 1: 40})]
+        for n in (127, 255):
+            battery += [full_binary_statistics(n), heavy_tailed_statistics(n)]
+        for stats in battery:
+            assert (exact_threshold_sampler_distribution(stats).to_json()
+                    == threshold_law_by_falling(stats).to_json())
+            assert (exact_stopping_index_distribution(stats).to_json()
+                    == stopping_law_by_falling(stats).to_json())
+
+
+class TestPolyMul:
+    def test_product_and_truncation(self):
+        assert poly_mul([1, 2], [3, 0, 4]) == [3, 6, 4, 8]
+        assert poly_mul([1, 2], [3, 0, 4], trunc=1) == [3, 6]
+        assert poly_mul([Fraction(1, 2)], [2, 4]) == [1, 2]
+
+    def test_terms_past_the_truncation_are_dropped(self):
+        # a's high terms lie wholly above trunc and must not wrap around
+        assert poly_mul([1, 0, 0, 5], [1, 1], trunc=1) == [1, 1]
+        assert poly_mul([0, 0, 7], [1], trunc=0) == [0]

@@ -177,6 +177,40 @@ class TestLimitDegreeLaw:
             tilted_law(BINARY, 0.0, 3)
 
 
+def _fraction_poly_mul(a, b, trunc):
+    out = [0] * min(trunc + 1, len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        top = min(len(b), len(out) - i)
+        for j in range(top):
+            if b[j]:
+                out[i + j] += ai * b[j]
+    return out
+
+
+def partition_by_fractions(w, n):
+    """Frozen copy of the earlier Z_n code: Fraction (or float) series
+    powered term by term, no denominator clearing."""
+    exact = w.is_rational()
+    coeffs = [Fraction(w.weight(k)) if exact else float(w.weight(k))
+              for k in range(n)]
+    result = [Fraction(1)] if exact else [1.0]
+    base = coeffs
+    e = n
+    while e:
+        if e & 1:
+            result = _fraction_poly_mul(result, base, n - 1)
+        e >>= 1
+        if e:
+            base = _fraction_poly_mul(base, base, n - 1)
+    coef = result[n - 1] if len(result) > n - 1 else (Fraction(0) if exact else 0.0)
+    if exact:
+        out = Fraction(coef, n)
+        return int(out) if out.denominator == 1 else out
+    return coef / n
+
+
 class TestPartitionFunction:
     def test_all_ones_gives_catalan(self):
         for n in range(1, 10):
@@ -203,6 +237,24 @@ class TestPartitionFunction:
         z = partition_function(WeightSequence.from_list([1.0, 0.5]), 4)
         assert isinstance(z, float)
         assert z == pytest.approx(0.125)
+
+    @pytest.mark.parametrize("weights, top", [
+        ([1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)], 60),
+        ([2, 1, 0, 1, 3], 80),
+    ])
+    def test_exact_values_match_fraction_route(self, weights, top):
+        """Clearing denominators once gives the same value and type as
+        powering the Fraction series."""
+        w = WeightSequence.from_list(weights)
+        for n in range(1, top + 1):
+            z, want = partition_function(w, n), partition_by_fractions(w, n)
+            assert type(z) is type(want) and z == want
+
+    def test_float_values_match_earlier_code_exactly(self):
+        for w in (WeightSequence.from_list([1.0, 0.5]), census_weights()):
+            for n in range(1, 41):
+                z, want = partition_function(w, n), partition_by_fractions(w, n)
+                assert isinstance(z, float) and z == want
 
     def test_statistics_weight(self):
         w = WeightSequence.from_list([2, 3, 5])
