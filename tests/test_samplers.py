@@ -21,8 +21,9 @@ from arbor.enumeration import (enumerate_trees, enumerate_trees_of_size,
 from arbor.errors import (AttemptsExhausted, InvalidDistribution,
                           InvalidStatistics, ZeroPartition)
 from arbor.rng import RngStream
-from arbor.samplers import (OffspringDistribution, conditional_sum_table,
-                            rotate_to_valid_word, sample_conditioned_bienayme,
+from arbor.samplers import (OffspringDistribution, block_sizes,
+                            conditional_sum_table, rotate_to_valid_word,
+                            sample_conditioned_bienayme,
                             sample_conditioned_bienayme_sequential,
                             sample_mark_height, sample_mark_height_batch,
                             sample_size_biased_order, sample_stopping_index,
@@ -32,6 +33,7 @@ from arbor.samplers import (OffspringDistribution, conditional_sum_table,
                             sample_uniform_marked_tree, sample_uniform_tree)
 from arbor.stats import chi_square_gof, chi_square_two_sample
 from arbor.trees import DegreeStatistics, build_tree
+from arbor.weights import WeightSequence, solve_critical_tilt, tilted_law
 
 STATS = DegreeStatistics({0: 3, 1: 1, 2: 2})  # n = 6, ten trees
 P_FLOOR = 1e-3
@@ -39,6 +41,22 @@ P_FLOOR = 1e-3
 
 def float_pmf(law):
     return {k: float(v) for k, v in law.pmf().items()}
+
+
+def census_law(n):
+    """The k^-3 census weights tilted to their critical law on 0..n-1."""
+    w = WeightSequence.from_generator(
+        lambda k: 1.0 if k == 0 else float(k) ** -3.0, rho_hint=1.0)
+    return tilted_law(w, solve_critical_tilt(w), n - 1)
+
+
+def conditioned_law(mu, n):
+    """Exact law prod mu(d_i) / Z over the n-node trees, keyed by word."""
+    masses = mu.masses_upto(n - 1)
+    weight = {t.luka: float(np.prod(masses[list(t.luka)]))
+              for t in enumerate_trees_of_size(n)}
+    z = sum(weight.values())
+    return {word: v / z for word, v in weight.items() if v > 0}
 
 
 class TestSizeBiasedOrder:
@@ -365,6 +383,25 @@ class TestConditionedBienayme:
              for _ in range(3000)]
         assert chi_square_two_sample(a, b) > P_FLOOR
 
+    @pytest.mark.parametrize("family", ["census", "sparse"])
+    @pytest.mark.parametrize("route", ["rejection", "sequential"])
+    def test_matches_exact_law(self, family, route):
+        """Both samplers against prod mu(d_i) / Z over all 7-node trees."""
+        mu = (census_law(7) if family == "census" else
+              OffspringDistribution.from_masses({0: 0.5, 1: 0.2, 3: 0.3}))
+        law = conditioned_law(mu, 7)
+        index = {w: i for i, w in enumerate(law)}
+        rng = RngStream(24, 0)
+        if route == "rejection":
+            draws = [index[sample_conditioned_bienayme(mu, 7, rng).luka]
+                     for _ in range(20_000)]
+        else:
+            table = conditional_sum_table(mu, 7)
+            draws = [index[sample_conditioned_bienayme_sequential(
+                mu, 7, rng, table).luka] for _ in range(20_000)]
+        assert chi_square_gof(draws, {index[w]: p for w, p in law.items()}) \
+            > P_FLOOR
+
     def test_size_is_exact(self):
         mu = OffspringDistribution.power_law(2.5, 0.95)
         rng = RngStream(20, 0)
@@ -389,15 +426,18 @@ class TestConditionedBienayme:
 
 class TestConditionalSumTable:
     def test_matches_exact_convolution(self):
-        """Float table rows equal the exact truncated convolution, computed
-        in rationals: clipping cannot leak mass back below the cut because
-        degree draws are nonnegative."""
+        """Each float row equals the exact truncated convolution power for
+        its block size, computed in rationals: clipping cannot leak mass
+        back below the cut because degree draws are nonnegative."""
         mu = OffspringDistribution.from_masses({0: 0.5, 1: 0.25, 2: 0.25})
         n = 9
         table = conditional_sum_table(mu, n)
+        sizes = block_sizes(n)
+        assert sizes == [1, 2, 3, 4, 5, 9]
+        assert table.shape == (len(sizes), n)
         base = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]
         row = [Fraction(1)] + [Fraction(0)] * (n - 1)
-        for m in range(1, n):
+        for m in range(1, n + 1):
             nxt = [Fraction(0)] * n
             for s, mass in enumerate(row):
                 if mass == 0:
@@ -406,14 +446,36 @@ class TestConditionalSumTable:
                     if s + d < n:
                         nxt[s + d] += mass * q
             row = nxt
-            total = sum(row)
-            expect = [float(x / total) for x in row]
-            np.testing.assert_allclose(table[m], expect, atol=1e-13)
+            if m in sizes:
+                total = sum(row)
+                expect = [float(x / total) for x in row]
+                np.testing.assert_allclose(table[sizes.index(m)], expect,
+                                           atol=1e-13)
 
     def test_truncation_drops_unreachable_degrees(self):
         # degrees >= n cannot occur in an n-node tree; after truncation the
         # remaining law here is the point mass at zero
         mu = OffspringDistribution.from_masses({0: 0.01, 60: 0.99})
         table = conditional_sum_table(mu, 5)
-        assert table[1][0] == 1.0
-        assert table[4][0] == 1.0
+        assert len(table) == len(block_sizes(5))
+        assert (table[:, 0] == 1.0).all()
+        assert (table[:, 1:] == 0.0).all()
+
+    def test_census_tree_at_n10000(self):
+        """A size the n x n table could not reach (800 MB at n = 10,000):
+        the halving table has one row per visited block size and a census
+        tree is drawn well inside 32 MB."""
+        n = 10_000
+        law = census_law(n)
+        tracemalloc.start()
+        try:
+            table = conditional_sum_table(law, n)
+            tree = sample_conditioned_bienayme_sequential(
+                law, n, RngStream(23, 0), table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (len(block_sizes(n)), n) == (22, n)
+        assert tree.n == n
+        assert sum(tree.luka) == n - 1
+        assert peak < 32 * 2**20
