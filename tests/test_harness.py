@@ -6,6 +6,7 @@ validation, and byte-level determinism.
 """
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -84,6 +85,32 @@ class TestReportPlumbing:
         assert json_path.endswith("report.json")
         assert csv_path.endswith("report.csv")
         assert (tmp_path / "report.csv").exists()
+
+
+class TestReportSerialisation:
+    """Reports serialise their cells field by field; the output must match
+    the `dataclasses.asdict` route byte for byte."""
+
+    @staticmethod
+    def asdict_json(report):
+        doc = {"config": report.config.to_jsonable(),
+               "cells": [asdict(c) for c in report.cells],
+               "passed": report.passed,
+               "version": report.version,
+               "wall_clock_seconds": report.wall_clock_seconds}
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("make", [
+        lambda: run_tail_sweep(full_binary_statistics(127), replications=500,
+                               seed=3),
+        lambda: run_equivalence_suite(max_n=6)])
+    def test_matches_asdict_route(self, make):
+        report = make()
+        assert len(report.cells) > 10
+        assert report.to_json() == self.asdict_json(report)
+        rows = [",".join(CSV_COLUMNS)] + [
+            ",".join(Cell(**asdict(c)).csv_row()) for c in report.cells]
+        assert report.csv_text() == "\n".join(rows) + "\n"
 
 
 class TestReferenceStatistics:

@@ -20,8 +20,10 @@ from arbor.enumeration import (enumerate_trees, enumerate_trees_of_size,
                                exact_threshold_sampler_distribution)
 from arbor.errors import (AttemptsExhausted, InvalidDistribution,
                           InvalidStatistics, ZeroPartition)
+from arbor.harness import full_binary_statistics, heavy_tailed_statistics
 from arbor.rng import RngStream
-from arbor.samplers import (OffspringDistribution, block_sizes,
+from arbor.samplers import (OffspringDistribution, _interval_cells,
+                            _interval_ids, _interval_layout, block_sizes,
                             conditional_sum_table, rotate_to_valid_word,
                             sample_conditioned_bienayme,
                             sample_conditioned_bienayme_sequential,
@@ -204,6 +206,117 @@ class TestPoissonized:
         b, _ = sample_stopping_index_poissonized_batch(STATS, RngStream(12, 1),
                                                        20_000)
         assert chi_square_two_sample(a, b) > P_FLOOR
+
+
+def frozen_poissonized_batch(stats, rng, reps):
+    """The Poisson batch as it was before the cell table and the membership
+    filter: `searchsorted` over the interval bounds and a scan of every live
+    row's whole hit table at each step.  Kept as the oracle the rewrite must
+    match draw for draw."""
+    degrees = sorted(c for c, k in stats.sorted_items() for _ in range(k))
+    d = np.array(degrees, dtype=np.int64)
+    n = len(d)
+    cums = np.concatenate([[0], np.cumsum(d)])
+    bounds = cums / (n - 1)
+    left_end = (cums[:-1] + np.maximum(d - 1, 0)) / (n - 1)
+    gen = rng.gen
+    tau = np.full(reps, np.inf)
+    if stats.max_degree <= 1:
+        return np.full(reps, n, dtype=np.int64), tau
+    sigma = np.zeros(reps, dtype=np.int64)
+    hits = np.zeros((reps, 16), dtype=np.int32)
+    nrec = np.zeros(reps, dtype=np.int64)
+    live = np.arange(reps)
+    for step in range(1, 1_000_001):
+        if live.size == 0:
+            return sigma, tau
+        u = gen.uniform(size=live.size)
+        j = np.searchsorted(bounds, u, side="right").astype(np.int32)
+        width = int(nrec.max())
+        was_hit = (hits[:, :width] == j[:, None]).any(axis=1)
+        fires = was_hit & (u < left_end[j - 1])
+        sigma[live[fires]] = nrec[fires] + 1
+        tau[live[fires]] = step
+        if width == hits.shape[1]:
+            hits = np.concatenate([hits, np.zeros_like(hits)], axis=1)
+        new = np.flatnonzero(~was_hit)
+        hits[new, nrec[new]] = j[new]
+        nrec[new] += 1
+        if fires.any():
+            keep = ~fires
+            live, hits, nrec = live[keep], hits[keep], nrec[keep]
+    raise RuntimeError("poisson walk failed to terminate")
+
+
+def assert_same_poisson_draws(stats, seed, reps):
+    sigma, tau = sample_stopping_index_poissonized_batch(
+        stats, RngStream(seed, 0), reps)
+    old_sigma, old_tau = frozen_poissonized_batch(stats, RngStream(seed, 0),
+                                                  reps)
+    assert sigma.dtype == old_sigma.dtype and tau.dtype == old_tau.dtype
+    assert np.array_equal(sigma, old_sigma)
+    assert np.array_equal(tau, old_tau)
+
+
+@st.composite
+def single_tree_classes(draw):
+    """Small single-tree classes: internal degrees plus the leaves they
+    force, so every class has zero-length (leaf) intervals."""
+    parts = draw(st.lists(st.integers(1, 6), min_size=1, max_size=12))
+    counts = Counter(parts)
+    counts[0] += sum(parts) + 1 - len(parts)
+    return DegreeStatistics(dict(counts))
+
+
+class TestPoissonBatchOracle:
+    """The batch draws one uniform per live row per step, in row order, so
+    any exact membership test and interval lookup must reproduce the
+    frozen batch's sigma and tau arrays exactly."""
+
+    @pytest.mark.parametrize("n,reps", [(127, 5000), (1023, 5000),
+                                        (4095, 20_000)])
+    @pytest.mark.parametrize("census", [full_binary_statistics,
+                                        heavy_tailed_statistics])
+    def test_censuses(self, census, n, reps):
+        assert_same_poisson_draws(census(n), 41, reps)
+
+    def test_one_row(self):
+        for seed in range(20):
+            assert_same_poisson_draws(STATS, seed, 1)
+
+    def test_path_class(self):
+        assert_same_poisson_draws(DegreeStatistics({0: 1, 1: 9}), 42, 50)
+
+    @settings(max_examples=60, deadline=None)
+    @given(single_tree_classes(), st.integers(0, 2**16), st.integers(1, 300))
+    def test_small_classes(self, stats, seed, reps):
+        assert_same_poisson_draws(stats, seed, reps)
+
+    @pytest.mark.parametrize("stats", [
+        STATS, DegreeStatistics({0: 1, 1: 9}), full_binary_statistics(4095),
+        heavy_tailed_statistics(1023), DegreeStatistics({0: 5, 1: 3, 5: 1})])
+    def test_cell_lookup_is_searchsorted(self, stats):
+        _, bounds, _ = _interval_layout(stats)
+        cells = _interval_cells(bounds)
+        g = len(cells[0])
+        edges = np.concatenate([bounds[:-1], np.arange(g) / g])
+        u = np.concatenate([edges, np.nextafter(edges, 1.0),
+                            np.nextafter(edges[edges > 0], 0.0),
+                            [np.nextafter(1.0, 0.0)],
+                            RngStream(43, 0).gen.uniform(size=20_000)])
+        assert np.array_equal(_interval_ids(u, cells),
+                              np.searchsorted(bounds, u, side="right"))
+
+    def test_memory_at_n4095(self):
+        stats = full_binary_statistics(4095)
+        tracemalloc.start()
+        try:
+            sample_stopping_index_poissonized_batch(stats, RngStream(44, 0),
+                                                    20_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestBatchScale:

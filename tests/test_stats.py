@@ -1,9 +1,12 @@
 """Unit tests for the shared statistical utilities."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import stats as sps
 
 from arbor.rng import RngStream
 from arbor.stats import (chi_square_gof, chi_square_two_sample,
@@ -41,6 +44,35 @@ class TestWilsonInterval:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             wilson_interval(0, 0)
+
+    @pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99])
+    def test_matches_uncached_formula(self, confidence):
+        # the quantile is cached per confidence; every interval must equal
+        # the formula with scipy's quantile recomputed, bit for bit
+        def uncached(k, n):
+            z = sps.norm.ppf(0.5 + confidence / 2.0)
+            phat = k / n
+            denom = 1.0 + z * z / n
+            centre = (phat + z * z / (2 * n)) / denom
+            half = (z / denom) * math.sqrt(
+                phat * (1 - phat) / n + z * z / (4 * n * n))
+            lo = 0.0 if k == 0 else float(max(0.0, centre - half))
+            hi = 1.0 if k == n else float(min(1.0, centre + half))
+            return lo, hi
+
+        for n in (1, 7, 100, 20_000, 100_000):
+            for k in sorted({0, 1, n // 3, n // 2, n - 1, n}):
+                assert wilson_interval(k, n, confidence) == uncached(k, n)
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.2, math.nan])
+    def test_rejects_confidence_outside_unit_interval(self, confidence):
+        with pytest.raises(ValueError, match="confidence"):
+            wilson_interval(3, 10, confidence)
+
+    @pytest.mark.parametrize("successes", [-1, 11])
+    def test_rejects_successes_outside_trials(self, successes):
+        with pytest.raises(ValueError, match="successes"):
+            wilson_interval(successes, 10)
 
 
 class TestChiSquareGof:
