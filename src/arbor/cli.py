@@ -48,17 +48,13 @@ def _load_weights(path: str) -> WeightSequence:
     return WeightSequence.from_json(json.loads(_read_text(path)))
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    vals = tuple(float(tok) for tok in text.replace(",", " ").split())
+def _parse_list(text: str | None, kind, empty: str) -> tuple | None:
+    """Comma- or space-separated `kind` values, None for no text."""
+    if not text:
+        return None
+    vals = tuple(kind(tok) for tok in text.replace(",", " ").split())
     if not vals:
-        raise SystemExit("empty grid")
-    return vals
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    vals = tuple(int(tok) for tok in text.replace(",", " ").split())
-    if not vals:
-        raise SystemExit("empty size list")
+        raise SystemExit(empty)
     return vals
 
 
@@ -145,14 +141,14 @@ def main(argv=None) -> int:
             return _emit(run_equivalence_suite(args.max_n, seed=args.seed),
                          args.out)
         if args.command == "tails":
-            grid = _parse_floats(args.grid) if args.grid else DEFAULT_BETAS
+            grid = _parse_list(args.grid, float, "empty grid") or DEFAULT_BETAS
             report = run_tail_sweep(_load_stats(args.stats), betas=grid,
                                     replications=args.reps, seed=args.seed)
             return _emit(report, args.out)
         if args.command == "converge":
             mu = _load_mu(args.mu) if args.mu else None
-            sizes = _parse_ints(args.sizes) if args.sizes else None
-            grid = _parse_floats(args.grid) if args.grid else None
+            sizes = _parse_list(args.sizes, int, "empty size list")
+            grid = _parse_list(args.grid, float, "empty grid")
             report = run_convergence(mu=mu, sizes=sizes,
                                      replications=args.reps, seed=args.seed,
                                      family=args.family, grid=grid)

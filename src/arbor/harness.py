@@ -3,9 +3,10 @@ concentration batteries, reported as JSON plus a flat CSV of verdict cells.
 
 Every runner returns an ExperimentReport whose JSON form depends only on the
 configuration and seed: replications draw from RNG substreams keyed by
-replication index, so ARBOR_THREADS changes wall-clock time and nothing
-else, and rerunning a report reproduces it byte for byte apart from the
-wall_clock_seconds field.
+replication index, so rerunning a report reproduces it byte for byte apart
+from the wall_clock_seconds field.  run_convergence and run_concentration
+alone spread their tree draws over min(ARBOR_THREADS, replications) worker
+processes, which changes wall-clock time and nothing else.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .samplers import (OffspringDistribution, conditional_sum_table,
                        sample_mark_height_batch, sample_stopping_index_batch,
                        sample_stopping_index_poissonized_batch)
 from .stats import wilson_interval
-from .trees import DegreeStatistics, MarkedTree
+from .trees import DegreeStatistics, MarkedTree, PlaneTree
 from .weights import (WeightSequence, exact_tree_law, limit_degree_law,
                       solve_critical_tilt, tilted_law)
 
@@ -67,9 +68,10 @@ def thread_count() -> int:
 
 def _run_tasks(worker, tasks):
     # Results are collected in task order, never completion order, so the
-    # report is identical at any worker count.
-    workers = thread_count()
-    if workers == 1 or len(tasks) < 2:
+    # report is identical at any worker count.  The pool forks all of its
+    # workers at once, so it never gets more of them than there are tasks.
+    workers = min(thread_count(), len(tasks))
+    if workers < 2:
         return [worker(t) for t in tasks]
     chunk = max(1, len(tasks) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -169,16 +171,17 @@ class ExperimentReport:
         return json_path, csv_path
 
 
-def _finish(config: ExperimentConfig, cells: list[Cell],
-            start: float) -> ExperimentReport:
-    return ExperimentReport(config=config, cells=cells, version=__version__,
+def _finish(cells: list[Cell], start: float, **config) -> ExperimentReport:
+    return ExperimentReport(config=ExperimentConfig(**config), cells=cells,
+                            version=__version__,
                             wall_clock_seconds=time.perf_counter() - start)
 
 
-def _tail_cell(experiment: str, n: int, label: str, hits: int, reps: int,
-               bound: float) -> Cell:
-    lo, hi = wilson_interval(hits, reps)
-    return Cell(experiment, n, label, hits / reps, lo, hi, bound,
+def _tail_cell(n: int, label: str, hit: np.ndarray, bound: float) -> Cell:
+    """A tail-sweep cell for the replications whose `hit` entry is set."""
+    hits = int(np.count_nonzero(hit))
+    lo, hi = wilson_interval(hits, hit.size)
+    return Cell("tail_sweep", n, label, hits / hit.size, lo, hi, bound,
                 hi <= bound + 1e-12)
 
 
@@ -186,6 +189,11 @@ def _value_cell(experiment: str, n: int, label: str, value: float,
                 se: float = 0.0) -> Cell:
     return Cell(experiment, n, label, value, value - 1.96 * se,
                 value + 1.96 * se, None, True)
+
+
+def _verdict_cell(experiment: str, n: int, label: str, value: float,
+                  bound: float, verdict: bool) -> Cell:
+    return Cell(experiment, n, label, value, value, value, bound, verdict)
 
 
 def _num(x: float) -> str:
@@ -289,9 +297,8 @@ def run_equivalence_suite(max_n: int = 8, seed: int = 0) -> ExperimentReport:
         cells.append(_discrepancy_cell(n, f"histogram-vs-height {label}", tv2))
         cells.append(_discrepancy_cell(n, f"spine {label}",
                                        _spine_discrepancy(stats, trees)))
-    config = ExperimentConfig(kind="equivalence", seed=seed, replications=1,
-                              sizes=(max_n,))
-    return _finish(config, cells, start)
+    return _finish(cells, start, kind="equivalence", seed=seed,
+                   replications=1, sizes=(max_n,))
 
 
 def _stats_label(stats: DegreeStatistics) -> str:
@@ -306,8 +313,7 @@ def _total_variation(a: dict, b: dict) -> Fraction:
 
 
 def _discrepancy_cell(n: int, label: str, disc: Fraction) -> Cell:
-    v = float(disc)
-    return Cell("equivalence", n, label, v, v, v, 0.0, disc == 0)
+    return _verdict_cell("equivalence", n, label, float(disc), 0.0, disc == 0)
 
 
 def _spine_discrepancy(stats: DegreeStatistics, trees) -> Fraction:
@@ -381,10 +387,8 @@ def run_tail_sweep(stats: DegreeStatistics,
     heights = sample_mark_height_batch(stats, RngStream(seed, 0), replications)
     sigmas = sample_stopping_index_batch(stats, RngStream(seed, 1), replications)
     for beta in betas:
-        thr = height_threshold(inp, beta)
-        hits = int(np.count_nonzero(heights > thr))
-        cells.append(_tail_cell("tail_sweep", n, f"height>beta={_num(beta)}",
-                                hits, replications,
+        cells.append(_tail_cell(n, f"height>beta={_num(beta)}",
+                                heights > height_threshold(inp, beta),
                                 height_tail_bound(inp, beta)))
     floor = 10.0 * wilson_interval(0, replications)[1]
     if norms.n1 == 0 and n >= 2:
@@ -392,29 +396,24 @@ def run_tail_sweep(stats: DegreeStatistics,
             bound = height_tail_bound_no_ones(inp, ell)
             if bound < floor:
                 break
-            hits = int(np.count_nonzero(heights >= ell))
-            cells.append(_tail_cell("tail_sweep", n, f"height>=ell={ell}",
-                                    hits, replications, bound))
+            cells.append(_tail_cell(n, f"height>=ell={ell}", heights >= ell,
+                                    bound))
         for ell in range(1, n + 1):
             bound = stopping_tail_bound_no_ones(inp, ell)
             if bound < floor:
                 break
-            hits = int(np.count_nonzero(sigmas > ell))
-            cells.append(_tail_cell("tail_sweep", n, f"sigma>ell={ell}",
-                                    hits, replications, bound))
+            cells.append(_tail_cell(n, f"sigma>ell={ell}", sigmas > ell,
+                                    bound))
     if stats.max_degree >= 2:
         taus = _poissonized_taus(stats, seed, replications)
         for beta in betas:
-            thr = repeat_threshold(inp, beta)
-            hits = int(np.count_nonzero(taus > thr))
-            cells.append(_tail_cell("tail_sweep", n, f"tau>beta={_num(beta)}",
-                                    hits, replications,
+            cells.append(_tail_cell(n, f"tau>beta={_num(beta)}",
+                                    taus > repeat_threshold(inp, beta),
                                     repeat_time_tail_bound(inp, beta)))
-    config = ExperimentConfig(kind="tail_sweep", seed=seed,
-                              replications=replications, sizes=(n,),
-                              grid=tuple(float(b) for b in betas),
-                              target=json.loads(stats.to_json()))
-    return _finish(config, cells, start)
+    return _finish(cells, start, kind="tail_sweep", seed=seed,
+                   replications=replications, sizes=(n,),
+                   grid=tuple(float(b) for b in betas),
+                   target=json.loads(stats.to_json()))
 
 
 def _poissonized_taus(stats: DegreeStatistics, seed: int,
@@ -422,28 +421,47 @@ def _poissonized_taus(stats: DegreeStatistics, seed: int,
     # drawn in chunks of _POISSON_CHUNK rows, each from its own substream;
     # the chunk size keys the substreams, so changing it changes every draw
     base = RngStream(seed, 2)
-    parts = []
-    done = 0
-    idx = 0
-    while done < replications:
-        m = min(_POISSON_CHUNK, replications - done)
-        _, taus = sample_stopping_index_poissonized_batch(
-            stats, base.substream(idx), m)
-        parts.append(taus)
-        done += m
-        idx += 1
-    return np.concatenate(parts)
+    starts = range(0, replications, _POISSON_CHUNK)
+    return np.concatenate([sample_stopping_index_poissonized_batch(
+        stats, base.substream(i), min(_POISSON_CHUNK, replications - s))[1]
+        for i, s in enumerate(starts)])
 
 
 # ---------------------------------------------------------------------------
-# convergence ladders
+# conditioned trees: convergence ladders and concentration batteries
 # ---------------------------------------------------------------------------
 
-def _ladder_worker(task):
-    mu, n, seed, cell_stream, rep = task
-    rng = RngStream(seed, cell_stream).substream(rep)
-    tree = sample_conditioned_bienayme(mu, n, rng)
+def _tree_worker(task):
+    measure, law, n, seed, cell, rep, table = task
+    rng = RngStream(seed, cell).substream(rep)
+    return measure(sample_conditioned_bienayme(law, n, rng) if table is None
+                   else sample_conditioned_bienayme_sequential(law, n, rng,
+                                                               table))
+
+
+def _draw_trees(measure, law: OffspringDistribution, n: int, seed: int,
+                cell: int, reps: int, table: np.ndarray | None = None) -> list:
+    """measure(tree r) for r < reps, tree r drawn on n nodes from substream r
+    of RngStream(seed, cell) by rejection, or given `table` by halving."""
+    return _run_tasks(_tree_worker, [(measure, law, n, seed, cell, r, table)
+                                     for r in range(reps)])
+
+
+def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    return (float(values.mean()),
+            float(values.std(ddof=1) / math.sqrt(len(values))))
+
+
+def _ladder_measure(tree: PlaneTree) -> tuple[int, int, float]:
     return (tree.height, tree.width, float(np.mean(tree.depths)))
+
+
+_LADDERS = {  # family -> (default law, default sizes)
+    "heavy": (lambda: OffspringDistribution.power_law(2.5, 0.95),
+              (200, 800, 3200)),
+    "control": (lambda: OffspringDistribution.from_masses({0: 0.5, 2: 0.5}),
+                (201, 801, 3201)),
+}
 
 
 def run_convergence(mu: OffspringDistribution | None = None,
@@ -471,109 +489,88 @@ def run_convergence(mu: OffspringDistribution | None = None,
                   2000).  Reports Chat = mean_depth * sqrt(eps) / sqrt(n)
                   per eps and passes when max/min < 2.
 
-    Per size, mean cells carry a normal-approximation 95% interval and
-    median cells a degenerate one; trend cells compare the means.
+    Rung j (a size, or an eps) draws from stream j.  Per size, mean cells
+    carry a normal-approximation 95% interval and median cells a degenerate
+    one; trend cells compare the means.  Near-path refuses a mu or several
+    sizes, the other families a grid.
     """
     if replications < 2:
         raise BadParameters("ladder needs at least two replications")
-    start = time.perf_counter()
-    cells: list[Cell] = []
     if family == "near-path":
-        eps_grid = tuple(float(e) for e in (grid or (0.5, 0.2, 0.1)))
-        n = int(sizes[0]) if sizes else 2000
-        chats = []
-        for j, eps in enumerate(eps_grid):
-            law = OffspringDistribution.near_path(eps)
-            tasks = [(law, n, seed, j, r) for r in range(replications)]
-            res = _run_tasks(_ladder_worker, tasks)
-            deps = np.array([r[2] for r in res], dtype=float)
-            scale = math.sqrt(eps) / math.sqrt(n)
-            chat = float(deps.mean()) * scale
-            se = float(deps.std(ddof=1) / math.sqrt(len(deps))) * scale
-            chats.append(chat)
-            cells.append(_value_cell("convergence", n,
-                                     f"chat eps={_num(eps)}", chat, se))
-        spread = max(chats) / min(chats)
-        cells.append(Cell("convergence", n, "chat-spread", spread, spread,
-                          spread, 2.0, spread < 2.0))
-        config = ExperimentConfig(kind="convergence", seed=seed,
-                                  replications=replications, sizes=(n,),
-                                  grid=eps_grid, family=family)
-        return _finish(config, cells, start)
-    if family == "heavy":
-        mu = mu or OffspringDistribution.power_law(2.5, 0.95)
-        sizes = tuple(int(s) for s in (sizes or (200, 800, 3200)))
-    elif family == "control":
-        mu = mu or OffspringDistribution.from_masses({0: 0.5, 2: 0.5})
-        sizes = tuple(int(s) for s in (sizes or (201, 801, 3201)))
+        if mu is not None or (sizes and len(sizes) > 1):
+            raise BadParameters("near-path fixes its laws and takes one size")
+        grid = tuple(float(e) for e in (grid or (0.5, 0.2, 0.1)))
+        sizes = (int(sizes[0]) if sizes else 2000,)
+        rungs = [(OffspringDistribution.near_path(eps), sizes[0])
+                 for eps in grid]
+    elif family in _LADDERS:
+        if grid is not None:
+            raise BadParameters(f"the {family} ladder takes no grid")
+        default_law, default_sizes = _LADDERS[family]
+        mu = mu or default_law()
+        sizes = tuple(int(s) for s in (sizes or default_sizes))
+        if len(sizes) < 2:
+            raise BadParameters("a ladder needs at least two sizes")
+        grid, rungs = (), [(mu, n) for n in sizes]
     else:
         raise BadParameters(f"unknown convergence family {family!r}")
-    if len(sizes) < 2:
-        raise BadParameters("a ladder needs at least two sizes")
-    wid_means, ht_means = [], []
-    for j, n in enumerate(sizes):
-        tasks = [(mu, n, seed, j, r) for r in range(replications)]
-        res = _run_tasks(_ladder_worker, tasks)
-        hts = np.array([r[0] for r in res], dtype=float)
-        wids = np.array([r[1] for r in res], dtype=float)
-        deps = np.array([r[2] for r in res], dtype=float)
+    start = time.perf_counter()
+    cells: list[Cell] = []
+    trend = []  # per rung: Chat, or the (wid, ht) means
+    for j, (law, n) in enumerate(rungs):
+        hts, wids, deps = (np.array(col, dtype=float) for col in zip(
+            *_draw_trees(_ladder_measure, law, n, seed, j, replications)))
+        if family == "near-path":
+            scale = math.sqrt(grid[j]) / math.sqrt(n)
+            mean, se = _mean_se(deps)
+            trend.append(mean * scale)
+            cells.append(_value_cell("convergence", n,
+                                     f"chat eps={_num(grid[j])}",
+                                     mean * scale, se * scale))
+            continue
         root = math.sqrt(n)
         log3 = math.log(n) ** 3
+        means = []
         for name, arr in (("wid/sqrt(n)", wids / root),
                           ("ht/(sqrt(n)log^3n)", hts / (root * log3)),
                           ("depth/sqrt(n)", deps / root)):
-            mean = float(arr.mean())
-            se = float(arr.std(ddof=1) / math.sqrt(len(arr)))
+            mean, se = _mean_se(arr)
+            means.append(mean)
             cells.append(_value_cell("convergence", n, name + " mean",
                                      mean, se))
             cells.append(_value_cell("convergence", n, name + " median",
                                      float(np.median(arr))))
-        wid_means.append(float((wids / root).mean()))
-        ht_means.append(float((hts / (root * log3)).mean()))
+        trend.append(tuple(means[:2]))
     last = sizes[-1]
-    if family == "heavy":
-        ratio_min = min(b / a for a, b in zip(wid_means, wid_means[1:]))
-        cells.append(Cell("convergence", last, "wid-trend-min-ratio",
-                          ratio_min, ratio_min, ratio_min, 1.0,
-                          ratio_min > 1.0))
-        ratio_max = max(b / a for a, b in zip(ht_means, ht_means[1:]))
-        cells.append(Cell("convergence", last, "ht-trend-max-ratio",
-                          ratio_max, ratio_max, ratio_max, 1.0,
-                          ratio_max < 1.0))
+    if family == "near-path":
+        spread = max(trend) / min(trend)
+        cells.append(_verdict_cell("convergence", last, "chat-spread",
+                                   spread, 2.0, spread < 2.0))
+    elif family == "heavy":
+        wid, ht = zip(*trend)
+        ratio_min = min(b / a for a, b in zip(wid, wid[1:]))
+        cells.append(_verdict_cell("convergence", last, "wid-trend-min-ratio",
+                                   ratio_min, 1.0, ratio_min > 1.0))
+        ratio_max = max(b / a for a, b in zip(ht, ht[1:]))
+        cells.append(_verdict_cell("convergence", last, "ht-trend-max-ratio",
+                                   ratio_max, 1.0, ratio_max < 1.0))
     else:
-        span = wid_means[-1] / wid_means[0]
-        cells.append(Cell("convergence", last, "wid-span-ratio", span, span,
-                          span, 2.0, span < 2.0))
-    config = ExperimentConfig(kind="convergence", seed=seed,
-                              replications=replications, sizes=sizes,
-                              target=mu.to_jsonable(), family=family)
-    return _finish(config, cells, start)
+        span = trend[-1][0] / trend[0][0]
+        cells.append(_verdict_cell("convergence", last, "wid-span-ratio",
+                                   span, 2.0, span < 2.0))
+    return _finish(cells, start, kind="convergence", seed=seed,
+                   replications=replications, sizes=sizes, grid=grid,
+                   target=None if mu is None else mu.to_jsonable(),
+                   family=family)
 
 
-# ---------------------------------------------------------------------------
-# concentration batteries
-# ---------------------------------------------------------------------------
-
-def _concentration_worker(task):
-    check, mu, n, seed, cell_stream, rep, params = task
-    rng = RngStream(seed, cell_stream).substream(rep)
-    tree = sample_conditioned_bienayme(mu, n, rng)
-    norms = tree.degree_statistics().norms()
-    if check == "second-moment":
-        return norms.p2sq >= params["factor"] * norms.p1
-    if check == "branching":
-        return norms.p2sq - norms.n1 >= params["floor"] * norms.p1
-    raise BadParameters(f"unknown concentration check {check!r}")
-
-
-def _census_weights() -> WeightSequence:
-    return WeightSequence.from_generator(
-        lambda k: 1.0 if k == 0 else float(k) ** -3.0, rho_hint=1.0)
-
-
-def _factorial_squared_weights() -> WeightSequence:
-    return WeightSequence.from_generator(
-        lambda k: Fraction(math.factorial(k)) ** 2, rho_hint=0.0)
+_CLASS_LAWS = {  # default law of each class drawn by rejection
+    "second-moment": lambda: OffspringDistribution.anchored_heavy(
+        18, 0.05, 40, 0.1),
+    "stretched": lambda: OffspringDistribution.stretched_exp(0.95),
+    "branching": lambda: OffspringDistribution.from_masses(
+        {0: 0.4, 1: 0.2, 2: 0.4}),
+}
 
 
 def run_concentration(class_name: str,
@@ -608,20 +605,26 @@ def run_concentration(class_name: str,
           fraction strictly increasing over n = 6..12.  Deterministic, no
           Monte Carlo, replications ignored.
 
-    The degenerate case mu(0) + mu(1) = 1 is rejected for the branching
-    class: the event's floor would be vacuous and the class hypothesis
-    requires genuine branching.
+    The census and leaf classes fix their weights and refuse a mu.  The
+    degenerate case mu(0) + mu(1) = 1 is rejected for the branching class:
+    the event's floor would be vacuous and the class hypothesis requires
+    genuine branching.
     """
     if class_name not in CONCENTRATION_CLASSES:
         raise BadParameters(f"unknown concentration class {class_name!r}; "
                             f"choices: {', '.join(CONCENTRATION_CLASSES)}")
+    if mu is not None and class_name not in _CLASS_LAWS:
+        raise BadParameters(f"the {class_name} class fixes its weights "
+                            "and takes no mu")
     start = time.perf_counter()
     cells: list[Cell] = []
     if class_name == "leaf":
-        ladder = range(6, 13)
+        weights = WeightSequence.from_generator(
+            lambda k: Fraction(math.factorial(k)) ** 2, rho_hint=0.0)
+        ladder = tuple(range(6, 13))
         fractions = []
         for size in ladder:
-            law = exact_tree_law(_factorial_squared_weights(), size)
+            law = exact_tree_law(weights, size)
             frac = sum((p * Fraction(s.count(0), size)
                         for s, p in law.items()), Fraction(0))
             fractions.append(frac)
@@ -629,62 +632,50 @@ def run_concentration(class_name: str,
                                      "leaf-fraction", float(frac)))
         increasing = all(b > a for a, b in zip(fractions, fractions[1:]))
         worst = min(float(b - a) for a, b in zip(fractions, fractions[1:]))
-        cells.append(Cell("concentration", max(ladder), "leaf-trend-min-step",
-                          worst, worst, worst, 0.0, increasing))
-        config = ExperimentConfig(kind="concentration", seed=seed,
-                                  replications=1,
-                                  sizes=tuple(ladder),
-                                  target={"weights": "(k!)^2"},
-                                  family=class_name, threshold=threshold)
-        return _finish(config, cells, start)
+        cells.append(_verdict_cell("concentration", ladder[-1],
+                                   "leaf-trend-min-step", worst, 0.0,
+                                   increasing))
+        return _finish(cells, start, kind="concentration", seed=seed,
+                       replications=1, sizes=ladder,
+                       target={"weights": "(k!)^2"}, family=class_name,
+                       threshold=threshold)
     if replications < 1:
         raise BadParameters("need at least one replication")
     if class_name == "census":
-        weights = _census_weights()
-        tilt = solve_critical_tilt(weights)
-        law = tilted_law(weights, tilt, n - 1)
+        weights = WeightSequence.from_generator(
+            lambda k: 1.0 if k == 0 else float(k) ** -3.0, rho_hint=1.0)
+        law = tilted_law(weights, solve_critical_tilt(weights), n - 1)
         pi = limit_degree_law(weights)
         pis = [pi.mass(k) for k in range(4)]
-        table = conditional_sum_table(law, n)
-        base = RngStream(seed, 0)
-        hits = 0
-        for rep in range(replications):
-            tree = sample_conditioned_bienayme_sequential(
-                law, n, base.substream(rep), table)
-            stats = tree.degree_statistics()
-            if max(abs(stats.count(k) / n - pis[k]) for k in range(4)) < tolerance:
-                hits += 1
+        profiles = _draw_trees(PlaneTree.degree_statistics, law, n, seed, 0,
+                               replications, conditional_sum_table(law, n))
+        hits = sum(max(abs(s.count(k) / n - pis[k]) for k in range(4))
+                   < tolerance for s in profiles)
         target = {"weights": "k^-3", "pi": pis, "tolerance": tolerance}
     else:
-        if class_name == "second-moment":
-            mu = mu or OffspringDistribution.anchored_heavy(18, 0.05, 40, 0.1)
-            params = {"factor": factor}
-            check = "second-moment"
-        elif class_name == "stretched":
-            mu = mu or OffspringDistribution.stretched_exp(0.95)
-            params = {"factor": factor}
-            check = "second-moment"
-        else:
-            mu = mu or OffspringDistribution.from_masses({0: 0.4, 1: 0.2, 2: 0.4})
+        mu = mu or _CLASS_LAWS[class_name]()
+        if class_name == "branching":
             mu0, mu1 = mu.mass(0), mu.mass(1)
             if mu0 + mu1 >= 1.0 - 1e-12:
                 raise BadParameters("branching class requires mu(0) + mu(1) < 1")
-            params = {"floor": 4.0 * (1.0 - mu0 - mu1 - eps)}
-            check = "branching"
+            event = {"floor": 4.0 * (1.0 - mu0 - mu1 - eps)}
+        else:
+            event = {"factor": factor}
         if mu.mean() > 1.0 + 1e-9:
             raise BadParameters("concentration classes are subcritical or "
                                 f"critical; mean is {mu.mean():.4f}")
-        tasks = [(check, mu, n, seed, 0, rep, params)
-                 for rep in range(replications)]
-        hits = sum(bool(ok) for ok in _run_tasks(_concentration_worker, tasks))
+        norms = [s.norms() for s in _draw_trees(
+            PlaneTree.degree_statistics, mu, n, seed, 0, replications)]
+        if class_name == "branching":
+            hits = sum(x.p2sq - x.n1 >= event["floor"] * x.p1 for x in norms)
+        else:
+            hits = sum(x.p2sq >= factor * x.p1 for x in norms)
         target = mu.to_jsonable()
-        target["event"] = dict(params)
+        target["event"] = event
     frac = hits / replications
     lo, hi = wilson_interval(hits, replications)
     cells.append(Cell("concentration", n, f"{class_name} pass-fraction",
                       frac, lo, hi, threshold, frac >= threshold))
-    config = ExperimentConfig(kind="concentration", seed=seed,
-                              replications=replications, sizes=(n,),
-                              target=target, family=class_name,
-                              threshold=threshold)
-    return _finish(config, cells, start)
+    return _finish(cells, start, kind="concentration", seed=seed,
+                   replications=replications, sizes=(n,), target=target,
+                   family=class_name, threshold=threshold)

@@ -25,11 +25,12 @@ class RngStream:
         self.gen = np.random.Generator(np.random.PCG64(ss))
 
     def substream(self, index: int) -> "RngStream":
-        """Independent stream derived from the same seed.
+        """A further stream derived from the same seed.
 
-        Uses a flat indexing convention: substream(i) of stream s is stream
-        s * OFFSET + i + 1, so distinct (stream, index) pairs never collide
-        for the stream counts used here.
+        substream(i) of stream s is stream s * 1,000,003 + i + 1, so pairs
+        can collide: RngStream(seed, 0).substream(0) is RngStream(seed, 1).
+        Collision-free spawn keys (stream, index) would move every
+        substream draw, so they are left to a change that moves them anyway.
         """
         return RngStream(self.seed, self.stream * 1_000_003 + index + 1)
 

@@ -561,6 +561,17 @@ class OffspringDistribution:
         raise InvalidDistribution(f"unknown offspring family {family!r}")
 
 
+def _truncated_masses(mu: OffspringDistribution, n: int) -> np.ndarray:
+    """mu(0..n-1) renormalised: no node of an n-node tree has more children."""
+    if n < 1:
+        raise ValueError("need at least one node")
+    p = mu.masses_upto(n - 1)
+    total = p.sum()
+    if total <= 0 or p[0] <= 0:
+        raise InvalidDistribution("offspring law has no usable mass below n")
+    return p / total
+
+
 def sample_conditioned_bienayme(mu: OffspringDistribution, n: int,
                                 rng: RngStream,
                                 max_attempts: int = 10_000_000) -> PlaneTree:
@@ -575,13 +586,7 @@ def sample_conditioned_bienayme(mu: OffspringDistribution, n: int,
     chunks of 16 doubling to max(16, 65536 // n); `max_attempts` caps them.
     The heavy law at n = 3,200 takes about 1,600 rows, 27 ms per tree.
     """
-    if n < 1:
-        raise ValueError("need at least one node")
-    p = mu.masses_upto(n - 1)
-    total = p.sum()
-    if total <= 0 or p[0] <= 0:
-        raise InvalidDistribution("offspring law has no usable mass below n")
-    q = p / total
+    q = _truncated_masses(mu, n)
     gen = rng.gen
     degrees = np.arange(n)
     attempts = 0
@@ -621,15 +626,10 @@ def conditional_sum_table(mu: OffspringDistribution, n: int) -> np.ndarray:
     because the sequential sampler only ever uses within-row ratios.  At
     n = 10,000 the 22 rows take 0.6 s and 1.8 MB.
     """
-    if n < 1:
-        raise ValueError("need at least one node")
-    masses = mu.masses_upto(n - 1)
-    total = masses.sum()
-    if total <= 0 or masses[0] <= 0:
-        raise InvalidDistribution("offspring law has no usable mass below n")
+    first = _truncated_masses(mu, n)
     sizes = block_sizes(n)
     table = np.zeros((len(sizes), n))
-    table[0] = masses / total  # sizes[0] == 1
+    table[0] = first  # sizes[0] == 1
     for i, m in enumerate(sizes[1:], 1):
         row = np.convolve(table[sizes.index(m // 2)],
                           table[sizes.index(m - m // 2)])[:n]

@@ -472,31 +472,33 @@ def sample_simply_generated(w: WeightSequence, n: int, rng: RngStream,
     return sample_conditioned_bienayme(mu, n, rng, max_attempts=max_attempts)
 
 
-def _sample_by_enumeration(w: WeightSequence, n: int, rng: RngStream,
-                           cap: int) -> PlaneTree:
-    if n > cap:
-        raise TooLarge(f"zero-radius sampling is exact enumeration, capped at {cap}")
-    classes = []
-    weights = []
+def _class_weights(w: WeightSequence, n: int) -> dict:
+    """Each n-node statistics class of positive weight -> its tree count
+    times the common weight prod_c w_c^{n(c)} of its trees."""
+    table = {}
     for stats in enumerate_degree_statistics(n):
         if stats.n != n:
             continue
         wt = count_forests(stats) * statistics_weight(w, stats)
         if wt > 0:
-            classes.append(stats)
-            weights.append(wt)
-    if not classes:
+            table[stats] = wt
+    if not table:
         raise ZeroPartition(f"Z_{n} = 0 for these weights")
-    total = sum(weights)
-    u = rng.gen.uniform() * float(total)
+    return table
+
+
+def _sample_by_enumeration(w: WeightSequence, n: int, rng: RngStream,
+                           cap: int) -> PlaneTree:
+    if n > cap:
+        raise TooLarge(f"zero-radius sampling is exact enumeration, capped at {cap}")
+    table = _class_weights(w, n)
+    u = rng.gen.uniform() * float(sum(table.values()))
     acc = 0.0
-    choice = classes[-1]
-    for stats, wt in zip(classes, weights):
+    for stats, wt in table.items():  # the last class if rounding runs out
         acc += float(wt)
         if u < acc:
-            choice = stats
             break
-    return sample_uniform_tree(choice, rng)
+    return sample_uniform_tree(stats, rng)
 
 
 def exact_tree_law(w: WeightSequence, n: int) -> dict[DegreeStatistics, Fraction]:
@@ -507,16 +509,8 @@ def exact_tree_law(w: WeightSequence, n: int) -> dict[DegreeStatistics, Fraction
     if not all(_is_exact(w.weight(k)) or isinstance(w.weight(k), int)
                for k in range(n)):
         raise OutOfDomain("exact law needs rational weights")
-    table = {}
-    for stats in enumerate_degree_statistics(n):
-        if stats.n != n:
-            continue
-        wt = count_forests(stats) * Fraction(statistics_weight(w, stats))
-        if wt:
-            table[stats] = wt
-    total = sum(table.values())
-    if not total:
-        raise ZeroPartition(f"Z_{n} = 0 for these weights")
+    table = _class_weights(w, n)
+    total = Fraction(sum(table.values()))
     return {s: v / total for s, v in table.items()}
 
 
@@ -527,27 +521,15 @@ def tilt_invariance_check(w: WeightSequence, t1, t2, n: int) -> bool:
     The class weight under tilt t is count * prod (w_c t^c)^{n(c)} =
     (count * prod w_c^{n(c)}) * t^{n-1}, so the laws agree identically;
     this check exists to guard the sampling shortcut against regressions.
+    It never uses that identity: each side is the exact law of w_c t^c.
     """
     if n > ENUMERATION_CAP:
         raise TooLarge(f"tilt invariance check needs n <= {ENUMERATION_CAP}")
     if t1 <= 0 or t2 <= 0:
         raise OutOfDomain("tilts must be positive")
-    t1, t2 = Fraction(t1), Fraction(t2)
-    laws = []
-    for t in (t1, t2):
-        table = {}
-        for stats in enumerate_degree_statistics(n):
-            if stats.n != n:
-                continue
-            wt = count_forests(stats) * Fraction(1)
-            for c, k in stats.sorted_items():
-                wt *= (Fraction(w.weight(c)) * t ** c) ** k
-            if wt:
-                table[stats] = wt
-        total = sum(table.values())
-        if not total:
-            raise ZeroPartition(f"Z_{n} = 0 for these weights")
-        laws.append({s: v / total for s, v in table.items()})
+    laws = [exact_tree_law(WeightSequence.from_list(
+        [Fraction(w.weight(k)) * Fraction(t) ** k for k in range(n)]), n)
+        for t in (t1, t2)]
     return laws[0] == laws[1]
 
 

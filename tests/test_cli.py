@@ -116,6 +116,32 @@ def test_concentrate_census_smoke(capsys):
     assert doc["config"]["family"] == "census"
 
 
+@pytest.mark.parametrize("argv", [
+    ["converge", "--family", "near-path", "--mu", "MU", "--reps", "4"],
+    ["converge", "--family", "near-path", "--sizes", "40,60", "--reps", "4"],
+    ["converge", "--family", "heavy", "--grid", "0.5", "--reps", "4"],
+    ["converge", "--family", "control", "--grid", "0.5", "--reps", "4"],
+    ["concentrate", "--class", "census", "--mu", "MU", "--reps", "4"],
+    ["concentrate", "--class", "leaf", "--mu", "MU"]])
+def test_inputs_a_runner_would_ignore_exit_2(argv, tmp_path, capsys):
+    mu_path = tmp_path / "mu.json"
+    mu_path.write_text(json.dumps({"0": 0.5, "2": 0.5}))
+    code = main([str(mu_path) if a == "MU" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["converge", "--sizes", ","], "empty size list"),
+    (["converge", "--family", "near-path", "--grid", " "], "empty grid")])
+def test_empty_lists_exit_with_their_message(argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == message
+
+
 def test_concentrate_rejects_unknown_class(capsys):
     with pytest.raises(SystemExit):
         main(["concentrate", "--class", "misc"])

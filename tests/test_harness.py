@@ -10,6 +10,7 @@ from dataclasses import asdict
 
 import pytest
 
+from arbor import harness
 from arbor.errors import BadParameters, PathDegenerate
 from arbor.harness import (CONCENTRATION_CLASSES, CSV_COLUMNS, Cell,
                            ExperimentConfig, ExperimentReport,
@@ -44,6 +45,56 @@ class TestThreadCount:
         monkeypatch.setenv("ARBOR_THREADS", "many")
         with pytest.raises(BadParameters):
             thread_count()
+
+
+class TestWorkerPool:
+    """The pool forks every worker up front, so it must never be asked for
+    more workers than there are tasks.  A fake pool records the request and
+    maps serially, so these tests start no processes."""
+
+    @pytest.fixture
+    def requested(self, monkeypatch):
+        seen = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        return seen
+
+    @pytest.mark.parametrize("threads, expected", [("500", 6), ("4", 4)])
+    def test_pool_is_capped_at_the_task_count(self, monkeypatch, requested,
+                                              threads, expected):
+        monkeypatch.setenv("ARBOR_THREADS", threads)
+        pooled = run_convergence(family="near-path", sizes=(40,),
+                                 replications=6, seed=3, grid=(0.5, 0.2))
+        assert requested == [expected, expected]
+        monkeypatch.setenv("ARBOR_THREADS", "1")
+        serial = run_convergence(family="near-path", sizes=(40,),
+                                 replications=6, seed=3, grid=(0.5, 0.2))
+        assert requested == [expected, expected]  # one worker: no pool
+        assert strip_clock(pooled) == strip_clock(serial)
+
+    def test_census_draws_use_the_pool(self, monkeypatch, requested):
+        monkeypatch.setenv("ARBOR_THREADS", "3")
+        run_concentration("census", n=40, replications=4, seed=1,
+                          tolerance=1.0)
+        assert requested == [3]
+
+    def test_single_task_runs_in_process(self, monkeypatch, requested):
+        monkeypatch.setenv("ARBOR_THREADS", "8")
+        run_concentration("stretched", n=30, replications=1, seed=1)
+        assert requested == []
 
 
 class TestReportPlumbing:
@@ -223,6 +274,15 @@ class TestConvergence:
         with pytest.raises(BadParameters):
             run_convergence(family="heavy", sizes=(100,), replications=5)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"family": "near-path", "mu": OffspringDistribution.near_path(0.5)},
+        {"family": "near-path", "sizes": (40, 60)},
+        {"family": "heavy", "grid": (0.5,)},
+        {"family": "control", "grid": (0.5,)}])
+    def test_unused_inputs_are_refused(self, kwargs):
+        with pytest.raises(BadParameters):
+            run_convergence(replications=4, **kwargs)
+
     def test_worker_count_does_not_change_the_report(self, monkeypatch):
         monkeypatch.setenv("ARBOR_THREADS", "1")
         serial = run_convergence(family="near-path", sizes=(40,),
@@ -270,6 +330,23 @@ class TestConcentration:
                                    eps=0.1)
         assert "event" in report.config.target
         assert report.cells[-1].bound == 0.99
+
+    @pytest.mark.parametrize("class_name", ["census", "leaf"])
+    def test_fixed_weight_classes_refuse_mu(self, class_name):
+        mu = OffspringDistribution.from_masses({0: 0.5, 2: 0.5})
+        with pytest.raises(BadParameters):
+            run_concentration(class_name, mu=mu, n=30, replications=4)
+
+    @pytest.mark.parametrize("class_name, kwargs", [
+        ("census", {"n": 40, "replications": 4, "tolerance": 1.0}),
+        ("branching", {"n": 60, "replications": 6})])
+    def test_worker_count_does_not_change_the_report(self, monkeypatch,
+                                                     class_name, kwargs):
+        monkeypatch.setenv("ARBOR_THREADS", "1")
+        serial = run_concentration(class_name, seed=2, **kwargs)
+        monkeypatch.setenv("ARBOR_THREADS", "2")
+        pooled = run_concentration(class_name, seed=2, **kwargs)
+        assert strip_clock(serial) == strip_clock(pooled)
 
     def test_class_names_cover_the_cli_choices(self):
         assert CONCENTRATION_CLASSES == ("second-moment", "stretched",
