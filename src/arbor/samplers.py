@@ -28,11 +28,11 @@ sampler of the stopping-index law and is tested against the walk as well.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import zeta as _hurwitz
 
 from .errors import (AttemptsExhausted, InvalidDistribution, InvalidStatistics,
                      ZeroPartition)
@@ -40,6 +40,53 @@ from .rng import RngStream
 from .trees import DegreeStatistics, MarkedTree, PlaneTree, build_tree
 
 _STRETCHED_CUTOFF = 20_000  # exp(-sqrt(k)) is below 1e-60 past this
+
+# Euler-Maclaurin denominators (2j)! / B_2j of the Hurwitz zeta tail
+_EM_TERMS = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
+             -1.8924375803183791606e9, 7.47242496e10, -2.950130727918164224e12,
+             1.1646782814350067249e14, -4.5979787224074726105e15,
+             1.8152105401943546773e17, -7.1661652561756670113e18)
+_MACHEP = 1.11022302462515654042e-16
+
+
+def _hurwitz(x: float, q: float) -> float:
+    """Hurwitz zeta sum_{k>=0} (k + q)^-x for x > 1 and q >= 1.
+
+    A line-for-line port of Cephes `zeta(x, q)` (S. L. Moshier): direct
+    terms until k + q > 9, then Euler-Maclaurin with 12 Bernoulli terms.
+    tests/test_samplers.py pins it bit for bit against the library build of
+    the same routine.
+    """
+    if q > 1e8:
+        return (1 / (x - 1) + 1 / (2 * q)) * q ** (1 - x)
+    s = q ** -x
+    a = q
+    i = 0
+    b = 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = a ** -x
+        s += b
+        if abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a = 1.0
+    k = 0.0
+    for term in _EM_TERMS:
+        a *= x + k
+        b /= w
+        t = a * b / term
+        s += t
+        if abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +423,13 @@ def sample_uniform_marked_tree(stats: DegreeStatistics, rng: RngStream) -> Marke
 # offspring distributions and conditioned branching-process trees
 # ---------------------------------------------------------------------------
 
+_FAMILY_ARITY = {"geometric": 1, "power_law": 4, "stretched": 2, "anchored": 6}
+
+
+def _finite_number(v) -> bool:
+    return isinstance(v, (int, float)) and math.isfinite(v)
+
+
 @dataclass(frozen=True)
 class OffspringDistribution:
     """A probability law on {0, 1, 2, ...} used as an offspring distribution.
@@ -426,19 +480,26 @@ class OffspringDistribution:
 
         coef is set so the mean is exactly `mean`; requires alpha > 2.
         """
-        if alpha <= 2:
+        if not alpha > 2:
             raise InvalidDistribution("power-law mean diverges for alpha <= 2")
-        coef = mean / float(_hurwitz(alpha - 1, start))
-        mass = coef * float(_hurwitz(alpha, start))
+        if not (start >= 1 and float(start).is_integer() and mean >= 0):
+            raise InvalidDistribution(
+                "power law needs an integer start >= 1 and mean >= 0, "
+                f"got start={start}, mean={mean}")
+        start = int(start)
+        coef = mean / _hurwitz(alpha - 1, start)
+        mass = coef * _hurwitz(alpha, start)
         if mass >= 1:
             raise InvalidDistribution("power-law tail mass reaches one")
-        return cls("power_law", (float(alpha), float(coef), int(start), float(mean)),
+        return cls("power_law", (float(alpha), float(coef), start, float(mean)),
                    None, f"power_law(alpha={alpha}, mean={mean}, start={start})")
 
     @classmethod
     def stretched_exp(cls, mean: float) -> "OffspringDistribution":
         """mu(k) = coef * exp(-sqrt(k)) for k >= 1: every exponential moment
         is infinite, which is the heavier-than-exponential tail class."""
+        if not mean >= 0:
+            raise InvalidDistribution(f"stretched mean must be >= 0, got {mean}")
         k = np.arange(1, _STRETCHED_CUTOFF)
         w = np.exp(-np.sqrt(k))
         coef = mean / float(np.dot(k, w))
@@ -457,11 +518,19 @@ class OffspringDistribution:
         floor at moderate n; the tail makes the second moment infinite, so
         the law stays in the infinite-variance class.
         """
-        coef = tail_mean / float(_hurwitz(alpha - 1, tail_start))
-        tail_mass = coef * float(_hurwitz(alpha, tail_start))
+        if not (alpha > 2 and tail_start >= 1 and float(tail_start).is_integer()
+                and anchor >= 0 and float(anchor).is_integer()
+                and 0 <= anchor_mass < 1 and tail_mean >= 0):
+            raise InvalidDistribution(
+                "anchored law needs alpha > 2, integers tail_start >= 1 and "
+                "anchor >= 0, 0 <= anchor_mass < 1 and tail_mean >= 0, got "
+                f"{(anchor, anchor_mass, tail_start, tail_mean, alpha)}")
+        anchor, tail_start = int(anchor), int(tail_start)
+        coef = tail_mean / _hurwitz(alpha - 1, tail_start)
+        tail_mass = coef * _hurwitz(alpha, tail_start)
         if anchor_mass + tail_mass >= 1:
             raise InvalidDistribution("anchored tail leaves no mass at zero")
-        return cls("anchored", (int(anchor), float(anchor_mass), int(tail_start),
+        return cls("anchored", (anchor, float(anchor_mass), tail_start,
                                 float(coef), float(alpha), float(tail_mean)),
                    None, f"anchored(anchor={anchor}, tail_start={tail_start})")
 
@@ -488,7 +557,7 @@ class OffspringDistribution:
             alpha, coef, start, _ = self.params
             out = np.zeros(top + 1)
             out[start:] = coef * np.arange(start, top + 1, dtype=float) ** -alpha
-            out[0] = max(0.0, 1.0 - coef * float(_hurwitz(alpha, start)))
+            out[0] = max(0.0, 1.0 - coef * _hurwitz(alpha, start))
             return out
         if self.kind == "stretched":
             coef, _ = self.params
@@ -503,9 +572,9 @@ class OffspringDistribution:
             if tail_start <= top:
                 out[tail_start:] = coef * np.arange(
                     tail_start, top + 1, dtype=float) ** -alpha
+            out[0] = 1.0 - anchor_mass - coef * _hurwitz(alpha, tail_start)
             if anchor <= top:
                 out[anchor] += anchor_mass
-            out[0] = 1.0 - anchor_mass - coef * float(_hurwitz(alpha, tail_start))
             return out
         raise ValueError(f"unknown offspring kind {self.kind}")
 
@@ -543,22 +612,31 @@ class OffspringDistribution:
         if not isinstance(obj, dict):
             raise InvalidDistribution("expected a JSON object")
         if "family" not in obj:
+            if not all(map(_finite_number, obj.values())):
+                raise InvalidDistribution(
+                    f"offspring masses must be finite numbers, got {obj!r}")
             masses = {int(k): float(v) for k, v in obj.items()}
             return cls.from_masses(masses, renormalize=renormalize)
         family = obj["family"]
-        params = list(obj.get("params", []))
+        if not isinstance(family, str) or family not in _FAMILY_ARITY:
+            raise InvalidDistribution(f"unknown offspring family {family!r}")
+        params = obj.get("params", [])
+        if (not isinstance(params, (list, tuple))
+                or len(params) != _FAMILY_ARITY[family]
+                or not all(map(_finite_number, params))):
+            raise InvalidDistribution(
+                f"{family} needs {_FAMILY_ARITY[family]} finite numeric params, "
+                f"got {params!r}")
         if family == "geometric":
             return cls.geometric(params[0])
         if family == "power_law":
             alpha, _, start, mean = params
-            return cls.power_law(alpha, mean, int(start))
+            return cls.power_law(alpha, mean, start)
         if family == "stretched":
             return cls.stretched_exp(params[1])
-        if family == "anchored":
-            anchor, anchor_mass, tail_start, _, alpha, tail_mean = params
-            return cls.anchored_heavy(int(anchor), anchor_mass, int(tail_start),
-                                      tail_mean, alpha)
-        raise InvalidDistribution(f"unknown offspring family {family!r}")
+        anchor, anchor_mass, tail_start, _, alpha, tail_mean = params
+        return cls.anchored_heavy(anchor, anchor_mass, tail_start, tail_mean,
+                                  alpha)
 
 
 def _truncated_masses(mu: OffspringDistribution, n: int) -> np.ndarray:

@@ -32,11 +32,12 @@ from arbor.rng import RngStream
 from arbor.samplers import (sample_mark_height_batch,
                             sample_stopping_index_batch,
                             sample_stopping_index_poissonized_batch)
-from arbor.stats import chi_square_two_sample
 from arbor.trees import DegreeStatistics
 from arbor.weights import (WeightSequence, concentrate_degrees,
                            concentration_count_ratio_ok, partition_function,
                            statistics_weight)
+
+from chisq import chi_square_two_sample
 
 EXACT_SLACK = 1e-12  # float-valued bounds against exact rational tails
 SMALL_MAX_N = 9

@@ -1,9 +1,13 @@
 """End-to-end checks of the argparse front end via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import arbor
 from arbor.cli import main
 from arbor.harness import CSV_COLUMNS
 from arbor.trees import DegreeStatistics, PlaneTree
@@ -133,6 +137,24 @@ def test_inputs_a_runner_would_ignore_exit_2(argv, tmp_path, capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("law", [
+    {"family": "geometric"},
+    {"family": "stretched", "params": [1]},
+    {"family": "anchored", "params": [18, 0.05, 40, 0.0, 1.5, 0.1]},
+    {"0": None, "2": 0.5}],
+    ids=["geometric-none", "stretched-short", "anchored-alpha-1.5", "null-mass"])
+def test_malformed_mu_exits_2(law, tmp_path, capsys):
+    mu_path = tmp_path / "mu.json"
+    mu_path.write_text(json.dumps(law))
+    code = main(["converge", "--mu", str(mu_path), "--sizes", "21",
+                 "--reps", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv, message", [
     (["converge", "--sizes", ","], "empty size list"),
     (["converge", "--family", "near-path", "--grid", " "], "empty grid")])
@@ -183,3 +205,45 @@ def test_zn_prints_exact_rationals(tmp_path, capsys):
     code = main(["zn", "--weights", str(path), "--n", "3"])
     assert code == 0
     assert capsys.readouterr().out.strip() == "1/4"
+
+
+# Runs the front end with every scipy import made to fail, so the package
+# must work on its runtime dependencies alone (scipy is test-only).
+_NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+import arbor, arbor.cli, arbor.harness
+sys.exit(arbor.cli.main(sys.argv[1:]))
+"""
+
+
+def _run_without_scipy(*argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(arbor.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", _NO_SCIPY, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_runs_without_scipy(stats_file):
+    equiv = _run_without_scipy("equiv", "--max-n", "5")
+    assert equiv.returncode == 0, equiv.stderr
+    doc = json.loads(equiv.stdout)
+    assert doc["passed"] is True and doc["config"]["kind"] == "equivalence"
+
+    sample = _run_without_scipy("sample", "--stats", stats_file,
+                                "--count", "3", "--seed", "9")
+    assert sample.returncode == 0, sample.stderr
+    lines = sample.stdout.splitlines()
+    assert len(lines) == 3
+    for line in lines:
+        tree = PlaneTree.from_line(line)
+        assert tree.degree_statistics() == DegreeStatistics({0: 4, 2: 3})
+
+    # the heavy ladder's default law is normalised by the Hurwitz zeta
+    ladder = _run_without_scipy("converge", "--family", "heavy",
+                                "--sizes", "20,40", "--reps", "4")
+    assert ladder.returncode in (0, 1), ladder.stderr
+    doc = json.loads(ladder.stdout)
+    assert doc["config"]["family"] == "heavy"
+    assert doc["config"]["sizes"] == [20, 40]

@@ -5,24 +5,29 @@ thresholds, so they are deterministic; the exact laws they compare against
 come from the enumeration module, which has its own independent oracles.
 """
 
+import importlib.util
 import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import zeta
 
+import arbor.samplers as samplers
 from arbor.enumeration import (enumerate_trees, enumerate_trees_of_size,
                                exact_stopping_index_distribution,
                                exact_threshold_sampler_distribution)
 from arbor.errors import (AttemptsExhausted, InvalidDistribution,
                           InvalidStatistics, ZeroPartition)
-from arbor.harness import full_binary_statistics, heavy_tailed_statistics
+from arbor.harness import (_CLASS_LAWS, _LADDERS, full_binary_statistics,
+                           heavy_tailed_statistics)
 from arbor.rng import RngStream
-from arbor.samplers import (OffspringDistribution, _interval_cells,
+from arbor.samplers import (OffspringDistribution, _hurwitz, _interval_cells,
                             _interval_ids, _interval_layout, block_sizes,
                             conditional_sum_table, rotate_to_valid_word,
                             sample_conditioned_bienayme,
@@ -33,9 +38,10 @@ from arbor.samplers import (OffspringDistribution, _interval_cells,
                             sample_stopping_index_poissonized,
                             sample_stopping_index_poissonized_batch,
                             sample_uniform_marked_tree, sample_uniform_tree)
-from arbor.stats import chi_square_gof, chi_square_two_sample
 from arbor.trees import DegreeStatistics, build_tree
 from arbor.weights import WeightSequence, solve_critical_tilt, tilted_law
+
+from chisq import chi_square_gof, chi_square_two_sample
 
 STATS = DegreeStatistics({0: 3, 1: 1, 2: 2})  # n = 6, ten trees
 P_FLOOR = 1e-3
@@ -459,6 +465,120 @@ class TestOffspringDistribution:
             OffspringDistribution.from_jsonable({"family": "zeta", "params": []})
         with pytest.raises(InvalidDistribution):
             OffspringDistribution.from_jsonable([1, 2])
+        with pytest.raises(InvalidDistribution):
+            OffspringDistribution.from_jsonable({"family": ["geometric"]})
+
+    @pytest.mark.parametrize("make, obj", [
+        (lambda: OffspringDistribution.power_law(2.5, 0.95, start=0),
+         {"family": "power_law", "params": [2.5, 0.0, 0, 0.95]}),
+        (lambda: OffspringDistribution.power_law(2.5, 0.95, start=-1),
+         {"family": "power_law", "params": [2.5, 0.0, -1, 0.95]}),
+        (lambda: OffspringDistribution.power_law(2.5, 0.95, start=1.5),
+         {"family": "power_law", "params": [2.5, 0.0, 1.5, 0.95]}),
+        (lambda: OffspringDistribution.power_law(2.5, -0.1),
+         {"family": "power_law", "params": [2.5, 0.0, 1, -0.1]}),
+        (lambda: OffspringDistribution.anchored_heavy(18, 0.05, 40, 0.1,
+                                                      alpha=1.5),
+         {"family": "anchored", "params": [18, 0.05, 40, 0.0, 1.5, 0.1]}),
+        (lambda: OffspringDistribution.anchored_heavy(18, 0.05, 40, 0.1,
+                                                      alpha=2.0),
+         {"family": "anchored", "params": [18, 0.05, 40, 0.0, 2.0, 0.1]}),
+        (lambda: OffspringDistribution.anchored_heavy(18, 0.05, 0, 0.1),
+         {"family": "anchored", "params": [18, 0.05, 0, 0.0, 2.5, 0.1]}),
+        (lambda: OffspringDistribution.anchored_heavy(18, 0.05, 40.5, 0.1),
+         {"family": "anchored", "params": [18, 0.05, 40.5, 0.0, 2.5, 0.1]}),
+        (lambda: OffspringDistribution.anchored_heavy(18.5, 0.05, 40, 0.1),
+         {"family": "anchored", "params": [18.5, 0.05, 40, 0.0, 2.5, 0.1]}),
+        (lambda: OffspringDistribution.anchored_heavy(-1, 0.05, 40, 0.1),
+         {"family": "anchored", "params": [-1, 0.05, 40, 0.0, 2.5, 0.1]}),
+        (lambda: OffspringDistribution.anchored_heavy(18, -0.05, 40, 0.1),
+         {"family": "anchored", "params": [18, -0.05, 40, 0.0, 2.5, 0.1]}),
+        (lambda: OffspringDistribution.anchored_heavy(18, 1.0, 40, 0.1),
+         {"family": "anchored", "params": [18, 1.0, 40, 0.0, 2.5, 0.1]}),
+        (lambda: OffspringDistribution.anchored_heavy(18, 0.05, 40, -0.1),
+         {"family": "anchored", "params": [18, 0.05, 40, 0.0, 2.5, -0.1]}),
+        (lambda: OffspringDistribution.stretched_exp(-0.5),
+         {"family": "stretched", "params": [0.0, -0.5]})],
+        ids=["power-start-0", "power-start-neg", "power-start-1.5",
+             "power-mean-neg", "anchored-alpha-1.5", "anchored-alpha-2",
+             "anchored-tail-start-0", "anchored-tail-start-40.5",
+             "anchored-anchor-18.5", "anchored-anchor-neg",
+             "anchored-mass-neg", "anchored-mass-1", "anchored-tail-mean-neg",
+             "stretched-mean-neg"])
+    def test_rejects_out_of_domain_parameters(self, make, obj):
+        with pytest.raises(InvalidDistribution):
+            make()
+        with pytest.raises(InvalidDistribution):
+            OffspringDistribution.from_jsonable(obj)
+
+    @pytest.mark.parametrize("obj", [
+        {"family": "geometric"},
+        {"family": "stretched", "params": [1]},
+        {"family": "power_law", "params": [2.5, 0.0, 1]},
+        {"family": "anchored", "params": [18, 0.05, 40, 0.0, 2.5, 0.1, 7]},
+        {"family": "geometric", "params": 0.5},
+        {"family": "geometric", "params": ["0.5"]},
+        {"family": "power_law", "params": [2.5, 0.0, math.inf, 0.95]},
+        {"0": None, "2": 0.5},
+        {"0": math.nan, "2": 0.5}],
+        ids=["geometric-none", "stretched-short", "power-short", "anchored-long",
+             "not-a-list", "string-param", "infinite-param", "null-mass",
+             "nan-mass"])
+    def test_from_jsonable_rejects_malformed_params(self, obj):
+        with pytest.raises(InvalidDistribution):
+            OffspringDistribution.from_jsonable(obj)
+
+    def test_anchor_at_zero_keeps_its_mass(self):
+        mu = OffspringDistribution.anchored_heavy(0, 0.3, 5, 0.2)
+        m = mu.masses_upto(30_000)
+        assert m.sum() == pytest.approx(1.0, abs=1e-6)
+        assert float(np.arange(len(m)) @ m) == pytest.approx(mu.mean(),
+                                                             abs=1e-2)
+
+
+class TestHurwitzZeta:
+    """The Cephes port against scipy.special.zeta, which wraps the same
+    routine: the floats must agree bit for bit."""
+
+    def test_law_points_match_scipy(self, monkeypatch):
+        # record every (x, q) the harness, benchmark and test laws evaluate
+        bench = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("_bench_workloads", bench)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        points = {(3.0, 1.0), (2.0, 1.0)}  # the k^-3 weights in test_weights
+
+        def record(x, q):
+            points.add((float(x), float(q)))
+            return _hurwitz(x, q)
+
+        monkeypatch.setattr(samplers, "_hurwitz", record)
+        laws = [make() for make, _ in _LADDERS.values()]
+        laws += [make() for make in _CLASS_LAWS.values()]
+        laws += list(workloads.setup_trees().values())
+        laws += [OffspringDistribution.power_law(2.5, 0.95, start=2),
+                 OffspringDistribution.anchored_heavy(12, 0.04, 30, 0.2,
+                                                      alpha=2.7),
+                 OffspringDistribution.anchored_heavy(0, 0.3, 5, 0.2)]
+        for mu in laws:
+            mu.masses_upto(50)
+        assert (1.5, 1.0) in points and (1.5, 40.0) in points
+        for x, q in sorted(points):
+            assert _hurwitz(x, q) == float(zeta(x, q)), (x, q)
+
+    def test_seeded_grid_matches_scipy(self):
+        gen = np.random.default_rng(2024)
+        x = 8.0 - 7.0 * gen.random(5_000)  # (1, 8]
+        xs = np.concatenate([x, x, np.repeat(np.arange(2.0, 9.0), 200)])
+        qs = np.concatenate([gen.integers(1, 201, 5_000).astype(float),
+                             1.0 + 199.0 * gen.random(5_000),
+                             np.tile(np.arange(1.0, 201.0), 7)])
+        want = zeta(xs, qs)
+        got = np.array([_hurwitz(a, b) for a, b in zip(xs.tolist(),
+                                                       qs.tolist())])
+        assert len(xs) >= 10_000
+        mismatch = np.flatnonzero(got != want)
+        assert mismatch.size == 0, list(zip(xs[mismatch[:5]], qs[mismatch[:5]]))
 
 
 class TestConditionedBienayme:
