@@ -11,8 +11,7 @@ from .enumeration import (ENUMERATION_CAP, ExactDistribution, count_forests,
                           exact_stopping_index_distribution,
                           exact_threshold_sampler_distribution,
                           spine_probability)
-from .samplers import (OffspringDistribution, PoissonRun,
-                       sample_conditioned_bienayme,
+from .samplers import (OffspringDistribution, sample_conditioned_bienayme,
                        sample_conditioned_bienayme_sequential,
                        sample_mark_height, sample_stopping_index,
                        sample_stopping_index_poissonized,

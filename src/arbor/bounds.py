@@ -6,8 +6,8 @@ checks them against exact laws on small instances.  All probability bounds
 clamp into [0, 1], and below their validity thresholds they return 1 (a true
 but vacuous bound) instead of raising.
 
-The common scale is BETA_FLOOR = 17^{3/2}: the stretched-exponential bounds
-hold for beta above this value.
+The common scale is BETA_FLOOR = 17^{3/2}: the exp(-c beta^{1/3}) height and
+repeat-time bounds hold for beta above this value.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ class BoundInput:
     """The degree-statistic scalars the tail bounds consume.
 
     v is the exact rational (p2sq - n1) / (n - 1), kept as a Fraction until
-    it enters an exponential; for near-path statistics the subtraction
+    it enters exp(); for near-path statistics the subtraction
     p2sq - n1 is done in integers so no cancellation error occurs.
     """
 
@@ -56,7 +56,7 @@ class BoundInput:
 
 
 def height_threshold(inp: BoundInput, beta: float) -> float:
-    """The height cutoff the stretched-exponential bound speaks about."""
+    """The height cutoff that `height_tail_bound` speaks about."""
     return beta * inp.branch_scale
 
 

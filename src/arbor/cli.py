@@ -26,7 +26,7 @@ from .harness import (CONCENTRATION_CLASSES, DEFAULT_BETAS, ExperimentReport,
                       run_equivalence_suite, run_tail_sweep)
 from .rng import RngStream
 from .samplers import OffspringDistribution, sample_uniform_tree
-from .trees import DegreeStatistics
+from .trees import DegreeStatistics, dump_trees
 from .weights import WeightSequence, partition_function
 
 
@@ -164,9 +164,8 @@ def main(argv=None) -> int:
         if args.command == "sample":
             stats = _load_stats(args.stats)
             rng = RngStream(args.seed, 0)
-            lines = [sample_uniform_tree(stats, rng.substream(i)).to_line()
-                     for i in range(args.count)]
-            text = "\n".join(lines) + "\n"
+            text = dump_trees(sample_uniform_tree(stats, rng.substream(i))
+                              for i in range(args.count))
             if args.out:
                 with open(args.out, "w") as fh:
                     fh.write(text)

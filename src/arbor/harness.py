@@ -319,21 +319,27 @@ def _discrepancy_cell(n: int, label: str, disc: Fraction) -> Cell:
 def _spine_discrepancy(stats: DegreeStatistics, trees) -> Fraction:
     n = stats.n
     total = n * len(trees)
+    top = min(4, n - 1)
+    # one pass over the (tree, mark) pairs counts every spine prefix of
+    # length <= top; the marks deeper than k are those with a length-k prefix
+    seen: Counter = Counter()
+    for tree in trees:
+        for mark in range(n):
+            ancestors = MarkedTree(tree, mark).ancestry()[:-1]
+            spine = tuple(tree.luka[v] for v in ancestors[:top])
+            for k in range(1, len(spine) + 1):
+                seen[spine[:k]] += 1
     worst = Fraction(0)
-    for k in range(1, min(4, n - 1) + 1):
-        seen: Counter = Counter()
-        deep = 0
-        for tree in trees:
-            for mark in range(n):
-                mt = MarkedTree(tree, mark)
-                if mt.mark_depth >= k:
-                    deep += 1
-                    seen[mt.spinal_degrees(k)] += 1
+    for k in range(1, top + 1):
         mass = Fraction(0)
+        deep = 0
         for vec, cnt in seen.items():
+            if len(vec) != k:
+                continue
             closed = spine_probability(stats, vec)
             worst = max(worst, abs(closed - Fraction(cnt, total)))
             mass += closed
+            deep += cnt
         # closed-form masses over the seen classes must account for the
         # whole deep-mark event, otherwise some class went missing
         worst = max(worst, abs(mass - Fraction(deep, total)))
@@ -590,7 +596,7 @@ def run_concentration(class_name: str,
       second-moment: infinite-variance offspring law; event
           p2sq >= factor * p1.  Default mu: atom at 18 with mass 0.05 plus a
           k^(-5/2) tail from 40 with mean 0.1, subcritical overall.
-      stretched: every exponential moment infinite, still subcritical; same
+      stretched: E[exp(t X)] infinite for every t > 0, still subcritical; same
           event.  Default mu(k) proportional to exp(-sqrt(k)), mean 0.95.
       branching: mu(0) + mu(1) < 1; event
           p2sq - n1 >= 4 * (1 - mu(0) - mu(1) - eps) * p1.  Default mu

@@ -34,8 +34,5 @@ class RngStream:
         """
         return RngStream(self.seed, self.stream * 1_000_003 + index + 1)
 
-    def uniform(self, *args, **kwargs):
-        return self.gen.uniform(*args, **kwargs)
-
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream={self.stream})"

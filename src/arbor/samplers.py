@@ -11,11 +11,12 @@ Three families live here:
   replications at once and retires each row at its first accepted index;
   the single-draw functions are that walk with one row.
 * a Poisson-process reformulation of the stopping index
-  (`sample_stopping_index_poissonized`): degrees become subintervals of
-  [0, 1), arrivals of a rate-one process hit them, and the index is read off
-  the record structure at the first "repeat" arrival.  The batch form finds
+  (`sample_stopping_index_poissonized_batch`): degrees become subintervals
+  of [0, 1), arrivals of a rate-one process hit them, and the index is read
+  off the record structure at the first "repeat" arrival.  The batch finds
   each arrival's interval in a cell table and screens "already hit?" with a
-  small per-row bit filter, so a step costs O(1) expected work per row.
+  small per-row bit filter, so a step costs O(1) expected work per row; the
+  single draw `sample_stopping_index_poissonized` is the batch with one row.
 * direct tree construction: uniform trees with fixed degree statistics via
   shuffle-and-rotate, and conditioned branching-process trees either by
   rejection on multinomial degree-count vectors or by splitting the degree
@@ -199,23 +200,10 @@ def sample_stopping_index_batch(stats: DegreeStatistics, rng: RngStream,
 # Poisson-process reformulation of the stopping index
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PoissonRun:
-    """Transcript of one Poissonised stopping-index draw.
-
-    arrivals: (time, position) pairs actually generated, in order
-    interval_ids: 1-based index of the interval containing each position
-    records: arrival indices that hit a previously untouched interval
-    tau: first arrival index landing in the left part of an occupied
-         interval, or None when no such arrival can exist (path statistics)
-    sigma: 1 + number of records before tau; equals the stopping index law
-    """
-
-    arrivals: tuple[tuple[float, float], ...]
-    interval_ids: tuple[int, ...]
-    records: tuple[int, ...]
-    tau: int | None
-    sigma: int
+def _degree_multiset(stats: DegreeStatistics) -> np.ndarray:
+    """The degrees of all n nodes as an ascending int64 array."""
+    degrees, counts = zip(*stats.sorted_items())
+    return np.repeat(np.array(degrees, dtype=np.int64), counts)
 
 
 def _interval_layout(stats: DegreeStatistics):
@@ -224,60 +212,27 @@ def _interval_layout(stats: DegreeStatistics):
     Interval i (1-based) has length d_i / (n - 1) with the degrees in
     non-decreasing order; its left part is the first (d_i - 1) / (n - 1).
     """
-    degrees = []
-    for c, k in stats.sorted_items():
-        degrees.extend([c] * k)
-    d = np.array(sorted(degrees), dtype=np.int64)
-    n = len(d)
+    n = stats.n
     if n < 2:
         raise InvalidStatistics("need at least two nodes for the interval layout")
+    d = _degree_multiset(stats)
     cums = np.concatenate([[0], np.cumsum(d)])
     bounds = cums / (n - 1)
     left_end = (cums[:-1] + np.maximum(d - 1, 0)) / (n - 1)
-    return d, bounds, left_end
+    return bounds, left_end
 
 
-def sample_stopping_index_poissonized(stats: DegreeStatistics,
-                                      rng: RngStream) -> PoissonRun:
-    """One stopping-index draw through the Poisson interval construction.
+def sample_stopping_index_poissonized(
+        stats: DegreeStatistics, rng: RngStream) -> tuple[int, int | None]:
+    """One (sigma, tau) draw of the Poisson interval construction.
 
-    Atoms are generated lazily and the walk stops at the first repeat
-    arrival (tau).  The sigma field has the same law as
-    `sample_stopping_index`; for path statistics tau is unreachable and the
-    walk stops once every positive-length interval has been hit, giving the
-    same sentinel value n.
+    This is `sample_stopping_index_poissonized_batch` with one row.  sigma
+    has the law of `sample_stopping_index`; tau is None where no repeat
+    arrival can occur, which happens exactly for path statistics, and sigma
+    is then the same sentinel value n.
     """
-    if stats.a != 1:
-        raise InvalidStatistics("stopping index needs single-tree statistics")
-    gen = rng.gen
-    d, bounds, left_end = _interval_layout(stats)
-    m = int(np.count_nonzero(d))
-    no_left_parts = stats.max_degree <= 1
-    arrivals: list[tuple[float, float]] = []
-    interval_ids: list[int] = []
-    records: list[int] = []
-    hit: set[int] = set()
-    time = 0.0
-    tau: int | None = None
-    for ell in range(1, 10_000_001):
-        time += gen.exponential()
-        u = gen.uniform()
-        arrivals.append((time, u))
-        j = int(np.searchsorted(bounds, u, side="right"))
-        interval_ids.append(j)
-        if j in hit:
-            if u < left_end[j - 1]:
-                tau = ell
-                break
-        else:
-            hit.add(j)
-            records.append(ell)
-            if no_left_parts and len(hit) == m:
-                break
-    else:
-        raise RuntimeError("poisson walk failed to terminate")
-    return PoissonRun(tuple(arrivals), tuple(interval_ids), tuple(records),
-                      tau, 1 + len(records))
+    sigma, tau = sample_stopping_index_poissonized_batch(stats, rng, 1)
+    return int(sigma[0]), int(tau[0]) if np.isfinite(tau[0]) else None
 
 
 def _interval_cells(bounds: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -330,8 +285,8 @@ def sample_stopping_index_poissonized_batch(
     if stats.a != 1:
         raise InvalidStatistics("stopping index needs single-tree statistics")
     gen = rng.gen
-    d, bounds, left_end = _interval_layout(stats)
-    n = len(d)
+    bounds, left_end = _interval_layout(stats)
+    n = stats.n
     tau = np.full(reps, np.inf)
     if stats.max_degree <= 1:
         return np.full(reps, n, dtype=np.int64), tau
@@ -405,10 +360,7 @@ def sample_uniform_tree(stats: DegreeStatistics, rng: RngStream) -> PlaneTree:
     degree multiset, then rotate to the valid word."""
     if stats.a != 1:
         raise InvalidStatistics("uniform tree sampling needs a = 1")
-    degrees = []
-    for c, k in stats.sorted_items():
-        degrees.extend([c] * k)
-    perm = rng.gen.permutation(np.array(degrees, dtype=np.int64))
+    perm = rng.gen.permutation(_degree_multiset(stats))
     return build_tree(rotate_to_valid_word(perm))
 
 
@@ -496,8 +448,8 @@ class OffspringDistribution:
 
     @classmethod
     def stretched_exp(cls, mean: float) -> "OffspringDistribution":
-        """mu(k) = coef * exp(-sqrt(k)) for k >= 1: every exponential moment
-        is infinite, which is the heavier-than-exponential tail class."""
+        """mu(k) = coef * exp(-sqrt(k)) for k >= 1: E[exp(t X)] is infinite
+        for every t > 0, which is the zero-MGF-radius tail class."""
         if not mean >= 0:
             raise InvalidDistribution(f"stretched mean must be >= 0, got {mean}")
         k = np.arange(1, _STRETCHED_CUTOFF)

@@ -225,7 +225,7 @@ def _run_without_scipy(*argv):
                           capture_output=True, text=True, timeout=120)
 
 
-def test_runs_without_scipy(stats_file):
+def test_runs_without_scipy(stats_file, binary15_file):
     equiv = _run_without_scipy("equiv", "--max-n", "5")
     assert equiv.returncode == 0, equiv.stderr
     doc = json.loads(equiv.stdout)
@@ -247,3 +247,18 @@ def test_runs_without_scipy(stats_file):
     doc = json.loads(ladder.stdout)
     assert doc["config"]["family"] == "heavy"
     assert doc["config"]["sizes"] == [20, 40]
+
+    # the threshold walk and the Poisson batch
+    tails = _run_without_scipy("tails", "--stats", binary15_file,
+                               "--reps", "2000")
+    assert tails.returncode == 0, tails.stderr
+    doc = json.loads(tails.stdout)
+    assert doc["passed"] is True and doc["config"]["replications"] == 2000
+
+    # the census weights and their critical tilt
+    census = _run_without_scipy("concentrate", "--class", "census",
+                                "--n", "40", "--reps", "4",
+                                "--tolerance", "1.0")
+    assert census.returncode == 0, census.stderr
+    doc = json.loads(census.stdout)
+    assert doc["passed"] is True and doc["config"]["replications"] == 4

@@ -136,6 +136,22 @@ class TestSingleDrawWrappers:
             batch = sample_stopping_index_batch(stats, RngStream(31, stream), 1)
             assert one == batch[0]
 
+    @pytest.mark.parametrize("stats", [STATS, DegreeStatistics({0: 1, 1: 4}),
+                                       full_binary_statistics(127)])
+    def test_poissonized_is_one_row_of_the_batch(self, stats):
+        for seed in range(30):
+            sigma, tau = sample_stopping_index_poissonized(stats,
+                                                           RngStream(seed, 0))
+            batch_sigma, batch_tau = sample_stopping_index_poissonized_batch(
+                stats, RngStream(seed, 0), 1)
+            assert type(sigma) is int and sigma == batch_sigma[0]
+            assert (np.inf if tau is None else tau) == batch_tau[0]
+            assert tau is None or type(tau) is int
+            # a repeat fires exactly when some degree exceeds one
+            assert (tau is None) == (stats.max_degree <= 1)
+            assert sigma >= 2
+            assert tau is None or sigma <= tau
+
 
 class TestStoppingIndexSampler:
     def test_sequential_matches_exact_law(self):
@@ -157,28 +173,21 @@ class TestStoppingIndexSampler:
 
 
 class TestPoissonized:
-    def test_run_transcript_invariants(self):
-        for seed in range(30):
-            run = sample_stopping_index_poissonized(STATS, RngStream(seed, 0))
-            times = [t for t, _ in run.arrivals]
-            assert times == sorted(times)
-            assert all(1 <= j <= STATS.n for j in run.interval_ids)
-            assert list(run.records) == sorted(set(run.records))
-            assert run.records[0] == 1  # the first arrival is always a record
-            assert run.sigma == 1 + len(run.records)
-            if run.tau is not None:
-                assert run.tau not in run.records
-                assert run.sigma <= run.tau
-
     def test_path_statistics_have_no_repeat(self):
         stats = DegreeStatistics({0: 1, 1: 4})
-        run = sample_stopping_index_poissonized(stats, RngStream(1, 0))
-        assert run.tau is None
-        assert run.sigma == 5
+        sigma, tau = sample_stopping_index_poissonized(stats, RngStream(1, 0))
+        assert tau is None
+        assert sigma == 5
+
+    @pytest.mark.parametrize("stats", [DegreeStatistics({0: 2}),
+                                       DegreeStatistics({0: 1})])
+    def test_forests_and_single_nodes_are_refused(self, stats):
+        with pytest.raises(InvalidStatistics):
+            sample_stopping_index_poissonized(stats, RngStream(0, 0))
 
     def test_sigma_matches_exact_law(self):
         rng = RngStream(9, 0)
-        draws = [sample_stopping_index_poissonized(STATS, rng).sigma
+        draws = [sample_stopping_index_poissonized(STATS, rng)[0]
                  for _ in range(3000)]
         exact = float_pmf(exact_stopping_index_distribution(STATS))
         assert chi_square_gof(draws, exact) > P_FLOOR
@@ -302,7 +311,7 @@ class TestPoissonBatchOracle:
         STATS, DegreeStatistics({0: 1, 1: 9}), full_binary_statistics(4095),
         heavy_tailed_statistics(1023), DegreeStatistics({0: 5, 1: 3, 5: 1})])
     def test_cell_lookup_is_searchsorted(self, stats):
-        _, bounds, _ = _interval_layout(stats)
+        bounds, _ = _interval_layout(stats)
         cells = _interval_cells(bounds)
         g = len(cells[0])
         edges = np.concatenate([bounds[:-1], np.arange(g) / g])
