@@ -11,6 +11,7 @@ processes, which changes wall-clock time and nothing else.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -34,7 +35,7 @@ from .enumeration import (count_forests, enumerate_degree_statistics,
 from .errors import BadParameters
 from .rng import RngStream
 from .samplers import (OffspringDistribution, conditional_sum_table,
-                       sample_conditioned_bienayme,
+                       expected_rejection_rows, sample_conditioned_bienayme,
                        sample_conditioned_bienayme_sequential,
                        sample_mark_height_batch, sample_stopping_index_batch,
                        sample_stopping_index_poissonized_batch)
@@ -50,6 +51,9 @@ CONCENTRATION_CLASSES = ("second-moment", "stretched", "branching",
                          "census", "leaf")
 
 _POISSON_CHUNK = 20_000
+# proposal rows per tree above which halving beats rejection: a row costs
+# O(n) and a halving tree O(n log n), and the two cross at 200-400 rows
+_HALVING_ROWS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +449,26 @@ def _tree_worker(task):
                                                                table))
 
 
+def _prefers_halving(law: OffspringDistribution, n: int) -> bool:
+    """Whether rejection is predicted to need more than _HALVING_ROWS
+    proposal rows per tree at (law, n)."""
+    rows = expected_rejection_rows(law, n)
+    return rows is not None and rows > _HALVING_ROWS
+
+
 def _draw_trees(measure, law: OffspringDistribution, n: int, seed: int,
                 cell: int, reps: int, table: np.ndarray | None = None) -> list:
     """measure(tree r) for r < reps, tree r drawn on n nodes from substream r
-    of RngStream(seed, cell) by rejection, or given `table` by halving."""
+    of RngStream(seed, cell).
+
+    Given `table`, every tree is drawn by halving over it.  Otherwise the
+    route is picked by predicted cost: halving over one
+    `conditional_sum_table(law, n)` shared by all `reps` trees when
+    rejection would need more than _HALVING_ROWS rows per tree (heavy and
+    zero-MGF-radius tails), rejection when it would not.
+    """
+    if table is None and _prefers_halving(law, n):
+        table = conditional_sum_table(law, n)
     return _run_tasks(_tree_worker, [(measure, law, n, seed, cell, r, table)
                                      for r in range(reps)])
 
@@ -495,7 +515,9 @@ def run_convergence(mu: OffspringDistribution | None = None,
                   2000).  Reports Chat = mean_depth * sqrt(eps) / sqrt(n)
                   per eps and passes when max/min < 2.
 
-    Rung j (a size, or an eps) draws from stream j.  Per size, mean cells
+    Rung j (a size, or an eps) draws from stream j, by the route
+    `_draw_trees` picks for it: at the defaults, halving for the heavy rungs
+    at n = 800 and 3,200 and rejection for the rest.  Per size, mean cells
     carry a normal-approximation 95% interval and median cells a degenerate
     one; trend cells compare the means.  Near-path refuses a mu or several
     sizes, the other families a grid.
@@ -570,7 +592,18 @@ def run_convergence(mu: OffspringDistribution | None = None,
                    family=family)
 
 
-_CLASS_LAWS = {  # default law of each class drawn by rejection
+@functools.cache
+def _census_constants() -> tuple[WeightSequence, float, tuple[float, ...]]:
+    """The census class's k^-3 weights, their critical tilt and the
+    boundary law pi(0..3); solved once per process."""
+    weights = WeightSequence.from_generator(
+        lambda k: 1.0 if k == 0 else float(k) ** -3.0, rho_hint=1.0)
+    pi = limit_degree_law(weights)
+    return (weights, solve_critical_tilt(weights),
+            tuple(pi.mass(k) for k in range(4)))
+
+
+_CLASS_LAWS = {  # default law of each class that takes a mu
     "second-moment": lambda: OffspringDistribution.anchored_heavy(
         18, 0.05, 40, 0.1),
     "stretched": lambda: OffspringDistribution.stretched_exp(0.95),
@@ -603,13 +636,19 @@ def run_concentration(class_name: str,
           {0: 0.4, 1: 0.2, 2: 0.4} with eps 0.1.
       census: simply generated with w_k = k^(-3); event
           max over k <= 3 of |n(k)/n - pi(k)| < tolerance, pi the boundary
-          degree law.  Sampling halves the degree sum over one
+          degree law.  Sampling always halves the degree sum over one
           `conditional_sum_table` per call (2.4 ms per tree at n = 2,000;
-          200 trees at n = 10,000 take 3.7 s), since rejection needs about
-          165,000 proposals per tree in this condensation regime.
+          200 trees at n = 10,000 take 3.7 s): rejection needs over 100,000
+          proposals per tree in this condensation regime, and the normal
+          estimate behind the route choice (1.2e11 at n = 2,000) does not
+          describe it.  The tilt and pi are solved once per process.
       leaf: factorial-squared weights (zero radius); exact expected leaf
           fraction strictly increasing over n = 6..12.  Deterministic, no
           Monte Carlo, replications ignored.
+
+    The other Monte Carlo classes pick their route in `_draw_trees`: at
+    the defaults and n = 2,000, second-moment and stretched are drawn by
+    halving and branching by rejection.
 
     The census and leaf classes fix their weights and refuse a mu.  The
     degenerate case mu(0) + mu(1) = 1 is rejected for the branching class:
@@ -648,16 +687,13 @@ def run_concentration(class_name: str,
     if replications < 1:
         raise BadParameters("need at least one replication")
     if class_name == "census":
-        weights = WeightSequence.from_generator(
-            lambda k: 1.0 if k == 0 else float(k) ** -3.0, rho_hint=1.0)
-        law = tilted_law(weights, solve_critical_tilt(weights), n - 1)
-        pi = limit_degree_law(weights)
-        pis = [pi.mass(k) for k in range(4)]
+        weights, tilt, pis = _census_constants()
+        law = tilted_law(weights, tilt, n - 1)
         profiles = _draw_trees(PlaneTree.degree_statistics, law, n, seed, 0,
                                replications, conditional_sum_table(law, n))
         hits = sum(max(abs(s.count(k) / n - pis[k]) for k in range(4))
                    < tolerance for s in profiles)
-        target = {"weights": "k^-3", "pi": pis, "tolerance": tolerance}
+        target = {"weights": "k^-3", "pi": list(pis), "tolerance": tolerance}
     else:
         mu = mu or _CLASS_LAWS[class_name]()
         if class_name == "branching":

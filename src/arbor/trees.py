@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import InvalidStatistics, InvalidWord, KTooLarge
 
 
@@ -113,19 +115,29 @@ class DegreeStatistics:
 
 
 def _validate_word(word: Sequence[int]) -> tuple[int, ...]:
-    word = tuple(int(d) for d in word)
-    if not word:
+    word = tuple(map(int, word))
+    n = len(word)
+    if not n:
         raise InvalidWord("empty degree word")
-    total = 0
-    for i, d in enumerate(word):
-        if d < 0:
-            raise InvalidWord(f"negative degree {d} at position {i}")
-        total += d - 1
-        if total < 0 and i < len(word) - 1:
-            raise InvalidWord(f"prefix sum drops below zero at position {i}")
-    if total != -1:
-        raise InvalidWord(f"degree word sums to {total + len(word)}, "
-                          f"expected {len(word) - 1} edges")
+    try:
+        d = np.array(word, dtype=np.int64)
+    except OverflowError:  # a degree past int64: keep exact Python ints
+        d = np.array(word, dtype=object)
+    # no prefix can drop below zero after a degree >= n, so capping degrees
+    # at n moves no error and keeps the int64 prefix sums from wrapping
+    walk = np.cumsum(np.minimum(d, n) - 1)
+    neg = np.flatnonzero(d < 0)
+    drop = np.flatnonzero(walk[:-1] < 0)
+    # the first offending position wins; at a tie the negative degree does
+    if neg.size and (not drop.size or neg[0] <= drop[0]):
+        i = int(neg[0])
+        raise InvalidWord(f"negative degree {word[i]} at position {i}")
+    if drop.size:
+        raise InvalidWord(
+            f"prefix sum drops below zero at position {int(drop[0])}")
+    if walk[-1] != -1:
+        raise InvalidWord(f"degree word sums to {sum(word)}, "
+                          f"expected {n - 1} edges")
     return word
 
 
@@ -157,10 +169,18 @@ class PlaneTree:
 
     @cached_property
     def depths(self) -> tuple[int, ...]:
+        """Depth per node in one preorder pass: the stack holds the
+        children still owed by each open ancestor, so its height is the
+        depth of the next node."""
+        luka = self.luka
         depth = [0] * self.n
-        parents = self.parents
+        remaining = [luka[0]]
         for i in range(1, self.n):
-            depth[i] = depth[parents[i]] + 1
+            while remaining[-1] == 0:
+                remaining.pop()
+            depth[i] = len(remaining)
+            remaining[-1] -= 1
+            remaining.append(luka[i])
         return tuple(depth)
 
     @property
@@ -170,10 +190,7 @@ class PlaneTree:
     @cached_property
     def width_profile(self) -> tuple[int, ...]:
         """Number of nodes at each depth, from the root down."""
-        profile = [0] * (self.height + 1)
-        for d in self.depths:
-            profile[d] += 1
-        return tuple(profile)
+        return tuple(np.bincount(self.depths).tolist())
 
     @property
     def width(self) -> int:

@@ -25,8 +25,8 @@ from .enumeration import (ENUMERATION_CAP, count_forests,
 from .errors import (Diverged, InvalidStatistics, OutOfDomain, PhiDiverges,
                      RhoUnknown, TooLarge, BadParameters, ZeroPartition)
 from .rng import RngStream
-from .samplers import OffspringDistribution, sample_conditioned_bienayme, \
-    sample_uniform_tree
+from .samplers import (OffspringDistribution, _reachable_sum,
+                       sample_conditioned_bienayme, sample_uniform_tree)
 from .trees import DegreeStatistics, PlaneTree, build_tree
 
 _REL_TOL = 1e-14
@@ -372,25 +372,6 @@ def statistics_weight(w: WeightSequence, stats: DegreeStatistics):
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
-
-def _reachable_sum(coins: Sequence[int], target: int) -> bool:
-    """Can `target` be written as a sum of the given positive integers,
-    with repetition?  Bitset dynamic programming."""
-    if target == 0:
-        return True
-    reach = 1
-    mask = (1 << (target + 1)) - 1
-    for c in sorted(set(coins)):
-        if c <= 0 or c > target:
-            continue
-        prev = -1
-        while prev != reach:
-            prev = reach
-            reach = (reach | (reach << c)) & mask
-        if (reach >> target) & 1:
-            return True
-    return bool((reach >> target) & 1)
-
 
 def _support_upto(w: WeightSequence, top: int) -> list[int]:
     return [k for k in range(1, top + 1) if w.weight(k) > 0]

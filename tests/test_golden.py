@@ -38,6 +38,9 @@ RUNS = {
         "second-moment", n=60, replications=6, seed=2),
     "concentrate-stretched": lambda: run_concentration(
         "stretched", n=60, replications=6, seed=2),
+    # n = 2,000 draws by halving over one shared table
+    "concentrate-stretched-halving": lambda: run_concentration(
+        "stretched", n=2000, replications=3, seed=2),
     "concentrate-branching": lambda: run_concentration(
         "branching", n=60, replications=6, seed=2),
     "concentrate-census": lambda: run_concentration(
@@ -59,6 +62,8 @@ GOLDEN = {
         "8ac61c301c385d898c3331bc266c9df5c97b5f4fed6f2a1a3f7e611d8850ecd4",
     "concentrate-stretched":
         "05f843cde358a7946c4e4f0d9f8c31834c39bc4d9bfe22db07f03ff84d959dbd",
+    "concentrate-stretched-halving":
+        "8610addbf9cd547c508ccdafa9362a7a268161c6c1bf51ebe81c6b893bc07e50",
     "concentrate-branching":
         "3f9d1fab020083e605937459d7a26c23a0feca4534cc3066a57d96306b62fc98",
     "concentrate-census":

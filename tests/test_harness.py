@@ -6,20 +6,24 @@ validation, and byte-level determinism.
 """
 
 import json
+import time
 from dataclasses import asdict
 
 import pytest
 
 from arbor import harness
-from arbor.errors import BadParameters, PathDegenerate
-from arbor.harness import (CONCENTRATION_CLASSES, CSV_COLUMNS, Cell,
-                           ExperimentConfig, ExperimentReport,
-                           full_binary_statistics, heavy_tailed_statistics,
+from arbor.errors import BadParameters, PathDegenerate, ZeroPartition
+from arbor.harness import (_CLASS_LAWS, _LADDERS, CONCENTRATION_CLASSES,
+                           CSV_COLUMNS, Cell, ExperimentConfig,
+                           ExperimentReport, full_binary_statistics,
+                           heavy_tailed_statistics,
                            run_concentration, run_convergence,
                            run_equivalence_suite, run_tail_sweep,
                            thread_count)
-from arbor.samplers import OffspringDistribution
+from arbor.samplers import OffspringDistribution, conditional_sum_table
 from arbor.trees import DegreeStatistics
+from arbor.weights import (WeightSequence, limit_degree_law,
+                           solve_critical_tilt)
 
 
 def strip_clock(report):
@@ -339,7 +343,8 @@ class TestConcentration:
 
     @pytest.mark.parametrize("class_name, kwargs", [
         ("census", {"n": 40, "replications": 4, "tolerance": 1.0}),
-        ("branching", {"n": 60, "replications": 6})])
+        ("branching", {"n": 60, "replications": 6}),
+        ("stretched", {"n": 2000, "replications": 4})])  # halving route
     def test_worker_count_does_not_change_the_report(self, monkeypatch,
                                                      class_name, kwargs):
         monkeypatch.setenv("ARBOR_THREADS", "1")
@@ -348,6 +353,76 @@ class TestConcentration:
         pooled = run_concentration(class_name, seed=2, **kwargs)
         assert strip_clock(serial) == strip_clock(pooled)
 
+    def test_unreachable_degree_sum_fails_at_once(self):
+        # below n = 40 the default law has mass only at 0 and 18, and 39 is
+        # no multiple of 18: refused before the first proposal
+        start = time.perf_counter()
+        with pytest.raises(ZeroPartition):
+            run_concentration("second-moment", n=40, replications=1)
+        assert time.perf_counter() - start < 1.0
+
+    def test_census_constants_are_solved_once(self):
+        first = harness._census_constants()
+        assert harness._census_constants() is first
+        weights = WeightSequence.from_generator(
+            lambda k: 1.0 if k == 0 else float(k) ** -3.0, rho_hint=1.0)
+        pi = limit_degree_law(weights)
+        assert first[1:] == (solve_critical_tilt(weights),
+                             tuple(pi.mass(k) for k in range(4)))
+
     def test_class_names_cover_the_cli_choices(self):
         assert CONCENTRATION_CLASSES == ("second-moment", "stretched",
                                          "branching", "census", "leaf")
+
+
+class TestRouteChoice:
+    """Rejection or halving by the predicted rows per tree; the route is
+    pinned at every default rung and class."""
+
+    @pytest.mark.parametrize("family, law, n, halving", [
+        ("heavy", _LADDERS["heavy"][0](), 200, False),
+        ("heavy", _LADDERS["heavy"][0](), 800, True),
+        ("heavy", _LADDERS["heavy"][0](), 3200, True),
+        ("control", _LADDERS["control"][0](), 201, False),
+        ("control", _LADDERS["control"][0](), 801, False),
+        ("control", _LADDERS["control"][0](), 3201, False),
+        ("near-path", OffspringDistribution.near_path(0.5), 2000, False),
+        ("near-path", OffspringDistribution.near_path(0.2), 2000, False),
+        ("near-path", OffspringDistribution.near_path(0.1), 2000, False),
+        ("second-moment", _CLASS_LAWS["second-moment"](), 2000, True),
+        ("stretched", _CLASS_LAWS["stretched"](), 2000, True),
+        ("branching", _CLASS_LAWS["branching"](), 2000, False)])
+    def test_default_routes(self, family, law, n, halving):
+        assert harness._prefers_halving(law, n) is halving
+
+    def test_no_spread_takes_rejection(self):
+        # sigma = 0: a single node, or a law with all its mass below n at 0
+        assert not harness._prefers_halving(
+            OffspringDistribution.geometric(0.5), 1)
+        assert not harness._prefers_halving(
+            OffspringDistribution.from_masses({0: 0.01, 60: 0.99}), 5)
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        built = []
+
+        def spy(law, n):
+            built.append(n)
+            return conditional_sum_table(law, n)
+
+        monkeypatch.setattr(harness, "conditional_sum_table", spy)
+        monkeypatch.delenv("ARBOR_THREADS", raising=False)
+        return built
+
+    def test_halving_rung_shares_one_table(self, tables):
+        run_concentration("stretched", n=2000, replications=3, seed=2)
+        assert tables == [2000]
+
+    def test_rejection_route_builds_no_table(self, tables):
+        run_concentration("branching", n=60, replications=3, seed=2)
+        assert tables == []
+
+    def test_census_keeps_its_own_table(self, tables):
+        run_concentration("census", n=40, replications=4, seed=1,
+                          tolerance=1.0)
+        assert tables == [40]

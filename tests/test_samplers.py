@@ -652,18 +652,78 @@ class TestConditionedBienayme:
             assert sample_conditioned_bienayme_sequential(mu, n, rng).n == n
 
     def test_unreachable_size_raises(self):
-        # support {0, 2}: degree sums are even, but a 4-node tree needs 3
+        # support {0, 2}: degree sums are even, but a 4-node tree needs 3;
+        # both routes refuse before drawing, whatever the attempt cap
         mu = OffspringDistribution.from_masses({0: 0.5, 2: 0.5})
         with pytest.raises(ZeroPartition):
             sample_conditioned_bienayme_sequential(mu, 4, RngStream(0, 0))
+        with pytest.raises(ZeroPartition):
+            sample_conditioned_bienayme(mu, 4, RngStream(0, 0))
+
+    def test_improbable_size_exhausts_attempts(self):
+        # 41 nodes need 20 twos among 41 draws at mu(2) = 0.001: reachable,
+        # but no row in 500 comes near
+        mu = OffspringDistribution.from_masses({0: 0.999, 2: 0.001})
         with pytest.raises(AttemptsExhausted):
-            sample_conditioned_bienayme(mu, 4, RngStream(0, 0),
+            sample_conditioned_bienayme(mu, 41, RngStream(0, 0),
                                         max_attempts=500)
 
     def test_single_node(self):
         mu = OffspringDistribution.geometric(0.9)
         assert sample_conditioned_bienayme_sequential(mu, 1,
                                                       RngStream(0, 0)).luka == (0,)
+
+
+def simulated_rows(mu, n, seed, accepts=50):
+    """Proposal rows per accepted tree of the rejection sampler, counted
+    over `accepts` acceptances of its multinomial rows."""
+    q = samplers._truncated_masses(mu, n)
+    gen = np.random.default_rng(seed)
+    degrees = np.arange(n)
+    block = max(16, 65_536 // n)
+    rows = hits = 0
+    while True:
+        ok = np.flatnonzero(gen.multinomial(n, q, size=block) @ degrees
+                            == n - 1)
+        if hits + ok.size >= accepts:
+            return (rows + int(ok[accepts - hits - 1]) + 1) / accepts
+        rows += block
+        hits += ok.size
+
+
+# the laws and sizes the harness draws at its defaults
+DEFAULT_TREE_LAWS = (
+    [(f"heavy-n{n}", _LADDERS["heavy"][0](), n) for n in (200, 800, 3200)]
+    + [("control-n3201", _LADDERS["control"][0](), 3201),
+       ("near-path-0.1-n2000", OffspringDistribution.near_path(0.1), 2000)]
+    + [(f"{name}-n2000", make(), 2000) for name, make in _CLASS_LAWS.items()])
+
+
+class TestExpectedRejectionRows:
+    @pytest.mark.parametrize("name, mu, n", DEFAULT_TREE_LAWS,
+                             ids=[c[0] for c in DEFAULT_TREE_LAWS])
+    def test_within_factor_two_of_simulated_rows(self, name, mu, n):
+        predicted = samplers.expected_rejection_rows(mu, n)
+        simulated = simulated_rows(mu, n, seed=31)
+        assert 0.5 < predicted / simulated < 2.0, (predicted, simulated)
+
+    def test_matches_the_exact_acceptance_probability(self):
+        # binary law at n = 9: P(S_9 = 8) = C(9, 4) / 2^9, so 512 / 126 rows
+        mu = OffspringDistribution.from_masses({0: 0.5, 2: 0.5})
+        rows = samplers.expected_rejection_rows(mu, 9)
+        assert abs(rows / (512 / 126) - 1) < 0.1
+
+    def test_no_spread_has_no_estimate(self):
+        assert samplers.expected_rejection_rows(
+            OffspringDistribution.geometric(0.5), 1) is None
+        # truncated below n = 5 the law is the point mass at zero
+        point = OffspringDistribution.from_masses({0: 0.01, 60: 0.99})
+        assert samplers.expected_rejection_rows(point, 5) is None
+
+    def test_far_tail_is_infinite_not_an_overflow(self):
+        # mean 0.001 against the 1,999 edges of a 2,000-node tree
+        mu = OffspringDistribution.from_masses({0: 0.999, 1: 0.001})
+        assert samplers.expected_rejection_rows(mu, 2000) == math.inf
 
 
 class TestConditionalSumTable:

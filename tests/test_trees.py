@@ -3,7 +3,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from arbor.errors import InvalidStatistics, InvalidWord, KTooLarge
@@ -40,6 +40,25 @@ def degree_words(draw):
     return rotated
 
 
+def reference_validate(word):
+    """The word check as a loop: the first negative degree or proper prefix
+    of (d_i - 1) below zero, else a total other than -1, is the error."""
+    word = tuple(int(d) for d in word)
+    if not word:
+        raise InvalidWord("empty degree word")
+    total = 0
+    for i, d in enumerate(word):
+        if d < 0:
+            raise InvalidWord(f"negative degree {d} at position {i}")
+        total += d - 1
+        if total < 0 and i < len(word) - 1:
+            raise InvalidWord(f"prefix sum drops below zero at position {i}")
+    if total != -1:
+        raise InvalidWord(f"degree word sums to {total + len(word)}, "
+                          f"expected {len(word) - 1} edges")
+    return word
+
+
 class TestWordValidation:
     def test_single_leaf(self):
         assert build_tree([0]).n == 1
@@ -60,6 +79,21 @@ class TestWordValidation:
     def test_rejects_wrong_total(self):
         with pytest.raises(InvalidWord):
             build_tree([2, 0])
+
+    @given(st.lists(st.one_of(st.integers(-2, 4), st.integers(-2**70, 2**70)),
+                    max_size=9))
+    @example([2**62, 2**62, 2**62, 0])  # int64 prefix sums would wrap here
+    def test_matches_the_loop_reference(self, word):
+        """Same verdict and the same message, so the same first offending
+        position, as a plain loop over Python ints."""
+        try:
+            want = reference_validate(word)
+        except InvalidWord as exc:
+            with pytest.raises(InvalidWord) as got:
+                build_tree(word)
+            assert str(got.value) == str(exc)
+        else:
+            assert build_tree(word).luka == want
 
     @given(degree_words())
     def test_cycle_lemma_rotation_is_valid(self, word):
@@ -95,6 +129,9 @@ class TestPlaneTreeGeometry:
         assert sum(t.luka) == n - 1
         assert len(t.depths) == n and t.depths[0] == 0
         assert sum(t.width_profile) == n
+        depth_counts = Counter(t.depths)
+        assert t.width_profile == tuple(depth_counts[d]
+                                        for d in range(t.height + 1))
         # each non-root node sits one level below its parent, which comes
         # earlier in preorder
         for i in range(1, n):
