@@ -1,5 +1,6 @@
 """Random plane trees with fixed degree statistics: exact counting and laws,
-size-biased spine samplers, height and width tail bounds, simply generated
+size-biased spine samplers, closed-form tail bounds on the depth of a random
+node (mark depth, stopping index and Poisson repeat time), simply generated
 models, and a reproducible experiment harness with a CLI."""
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import ArborError
+from .errors import ArborError, BadParameters
 from .harness import (CONCENTRATION_CLASSES, DEFAULT_BETAS, ExperimentReport,
                       run_concentration, run_convergence,
                       run_equivalence_suite, run_tail_sweep)
@@ -162,6 +162,8 @@ def main(argv=None) -> int:
                                        tolerance=args.tolerance)
             return _emit(report, args.out)
         if args.command == "sample":
+            if args.count < 1:
+                raise BadParameters("need at least one tree")
             stats = _load_stats(args.stats)
             rng = RngStream(args.seed, 0)
             text = dump_trees(sample_uniform_tree(stats, rng.substream(i))

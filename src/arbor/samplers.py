@@ -109,39 +109,55 @@ def _size_biased_walk(stats: DegreeStatistics, gen: np.random.Generator,
     accepted index, or last + 1 where no step accepted.  With lead None no
     step accepts, and `record`, when given, receives each step's degrees.
 
-    The state is kept for live rows only: a reps x B table of remaining
-    counts over the B distinct positive degrees, so memory is O(reps * B)
-    and a row costs only the steps it takes before accepting.
+    The state is kept for live rows only: a B x reps table of remaining
+    counts over the B distinct positive degrees, one contiguous row per
+    degree, so memory is O(reps * B) and a row costs only the steps it takes
+    before accepting.  A step picks each row's bucket with whole-row sums
+    over the first B - 1 buckets; the last bucket's cumulative weight is the
+    row's remaining total, which always exceeds the drawn point, so it is
+    never compared.  Every step of a row with edges left takes one
+    positive degree, so all live rows use up their edges together, at step
+    p = number of positive-degree nodes, and draw only zeroes after it.
     """
     items = [(c, k) for c, k in stats.sorted_items() if c > 0]
     deg = np.array([c for c, _ in items], dtype=np.int64)
-    rem = np.tile(np.array([k for _, k in items], dtype=np.int64), (reps, 1))
-    weight = np.full(reps, sum(c * k for c, k in items), dtype=np.int64)
-    s = np.zeros(reps, dtype=np.int64)
+    counts = np.array([k for _, k in items], dtype=np.int64)
+    rem = np.repeat(counts.reshape(-1, 1), reps, axis=1)
+    weight = np.full(reps, counts @ deg, dtype=np.int64)
+    top = np.full(reps, lead or 0, dtype=np.int64)  # lead + S
+    positives = int(counts.sum())
     live = np.arange(reps)
     out = np.full(reps, last + 1, dtype=np.int64)
     for i in range(1, last + 1):
         if lead is not None:
-            accept = gen.random(live.size) <= (lead + s) / (last + 1 - i)
+            accept = gen.random(live.size) <= top / (last + 1 - i)
             if accept.any():
                 out[live[accept]] = i
                 keep = ~accept
-                live, s, rem, weight = live[keep], s[keep], rem[keep], weight[keep]
+                live, top, rem, weight = (live[keep], top[keep], rem[:, keep],
+                                          weight[keep])
         if not live.size:
             break
-        d = np.zeros(live.size, dtype=np.int64)
-        on = np.flatnonzero(weight)
-        if on.size:
-            w = weight[on]
-            # an integer point in [0, w) picks the bucket by its cumulative
-            # weight; the clip guards the float product rounding up to w
-            v = np.minimum((gen.random(on.size) * w).astype(np.int64), w - 1)
-            b = np.count_nonzero(np.cumsum(rem[on] * deg, axis=1) <= v[:, None],
-                                 axis=1)
-            rem[on, b] -= 1
-            d[on] = deg[b]
+        if i <= positives:
+            # drawn even for a single bucket, where it decides nothing, so
+            # the stream stays where the other draws expect it
+            u = gen.random(live.size)
+            b = np.zeros(live.size, dtype=np.intp)
+            if deg.size > 1:
+                # an integer point in [0, w) picks the bucket by its
+                # cumulative weight; the clip guards u * w rounding up to w
+                v = np.minimum((u * weight).astype(np.int64), weight - 1)
+                cum = np.zeros(live.size, dtype=np.int64)
+                for j in range(deg.size - 1):
+                    cum += rem[j] * deg[j]
+                    b += cum <= v
+            for j in range(deg.size):
+                rem[j] -= b == j
+            d = deg[b]
             weight -= d
-        s += d - 1
+        else:
+            d = np.zeros(live.size, dtype=np.int64)
+        top += d - 1
         if record is not None:
             record.append(d)
     return out

@@ -191,6 +191,15 @@ def test_sample_to_file_matches_stdout(tmp_path, stats_file, capsys):
     assert out.read_text() == capsys.readouterr().out
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_sample_rejects_a_count_below_one(stats_file, count, capsys):
+    code = main(["sample", "--stats", stats_file, "--count", count])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_zn_prints_integer_counts(tmp_path, capsys):
     path = tmp_path / "w.json"
     path.write_text(json.dumps({"weights": [1, 0, 1], "rho": "infinity"}))

@@ -5,6 +5,7 @@ thresholds, so they are deterministic; the exact laws they compare against
 come from the enumeration module, which has its own independent oracles.
 """
 
+import hashlib
 import importlib.util
 import math
 import tracemalloc
@@ -170,6 +171,66 @@ class TestStoppingIndexSampler:
         assert sample_stopping_index(stats, RngStream(8, 0)) == 5
         batch = sample_stopping_index_batch(stats, RngStream(8, 1), 50)
         assert np.all(batch == 5)
+
+
+MIXED = DegreeStatistics({0: 9, 1: 2, 2: 2, 3: 1, 5: 1})  # degree-1 nodes
+
+
+def single_node_draws(rng):
+    """Both walks on {0: 1}, then the next draws of the same generator, so
+    a uniform the one-node walk takes or skips moves the digest."""
+    one = DegreeStatistics({0: 1})
+    return np.concatenate([sample_mark_height_batch(one, rng, 50),
+                           sample_stopping_index_batch(one, rng, 50),
+                           rng.gen.integers(0, 2**31, 4)])
+
+
+WALK_RUNS = {
+    "mark-heavy1023": lambda: sample_mark_height_batch(
+        heavy_tailed_statistics(1023), RngStream(40, 0), 4000),
+    "stop-heavy1023": lambda: sample_stopping_index_batch(
+        heavy_tailed_statistics(1023), RngStream(41, 0), 4000),
+    "mark-mixed15": lambda: sample_mark_height_batch(
+        MIXED, RngStream(42, 0), 4000),
+    # stopping rows and size-biased orders run on after using up their edges
+    "stop-mixed15": lambda: sample_stopping_index_batch(
+        MIXED, RngStream(43, 0), 4000),
+    "order-mixed15": lambda: np.concatenate([
+        sample_size_biased_order(MIXED, RngStream(44, i)) for i in range(40)]),
+    "single-node": lambda: single_node_draws(RngStream(45, 0)),
+}
+
+# (sum, SHA-256 of the int64 array), recorded from the walk that kept a
+# reps x B table and picked buckets by a cumsum along its rows
+WALK_PINS = {
+    "mark-heavy1023": (
+        7697,
+        "d44d90d7129455661d703ead70045a3a1989ab80084f1fb1b7cf0a14bea584a8"),
+    "stop-heavy1023": (
+        11652,
+        "7a9d77fc0fdc627965ef580c593fd492e2e4df697eda7d38a0521b70302e8ad0"),
+    "mark-mixed15": (
+        9685,
+        "77e5f5a7c82bd8d6f016bef4dcf43aac869acd3ffd2c03598c631557b32c7160"),
+    "stop-mixed15": (
+        15384,
+        "62dab7f208b79f91e4c123ffa2782e12652387305f98bf54c8dbef52ad9e3eb2"),
+    "order-mixed15": (
+        560,
+        "014c0e7976c5e1cb23e1cebe9abeb9959b0438ee0b3291838bbf40681469b90f"),
+    "single-node": (
+        5105956773,
+        "82579e66dd04492bb03b1e55c86727c11d59391197d6edff4c7f930d0ebb2b06"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_RUNS))
+def test_walk_draws_are_pinned(name):
+    # the tails-binary9 golden digest covers only one degree bucket; these
+    # pin the multi-bucket walk, degree-1 nodes and the one-node class
+    draws = np.asarray(WALK_RUNS[name](), dtype=np.int64)
+    digest = hashlib.sha256(draws.tobytes()).hexdigest()
+    assert (int(draws.sum()), digest) == WALK_PINS[name]
 
 
 class TestPoissonized:
