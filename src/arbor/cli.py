@@ -107,7 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=CONCENTRATION_CLASSES)
     p.add_argument("--mu", default=None,
                    help="JSON offspring law overriding the class default")
-    p.add_argument("--n", type=int, default=2000)
+    p.add_argument("--n", type=int, default=None,
+                   help="tree size (default 2000); the leaf class runs its "
+                        "fixed 6..12 ladder and takes none")
     p.add_argument("--reps", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=0.99,
@@ -154,8 +156,12 @@ def main(argv=None) -> int:
                                      family=args.family, grid=grid)
             return _emit(report, args.out)
         if args.command == "concentrate":
+            if args.cls == "leaf" and args.n is not None:
+                raise BadParameters("the leaf class runs its fixed n = 6..12 "
+                                    "ladder and takes no --n")
             mu = _load_mu(args.mu) if args.mu else None
-            report = run_concentration(args.cls, mu=mu, n=args.n,
+            n = 2000 if args.n is None else args.n
+            report = run_concentration(args.cls, mu=mu, n=n,
                                        replications=args.reps, seed=args.seed,
                                        threshold=args.threshold,
                                        factor=args.factor, eps=args.eps,

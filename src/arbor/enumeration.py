@@ -206,14 +206,13 @@ def _partitions(total: int, smallest: int = 1) -> Iterator[tuple[int, ...]]:
             yield (part,) + rest
 
 
-def enumerate_trees(stats: DegreeStatistics,
-                    cap: int = ENUMERATION_CAP) -> Iterator[PlaneTree]:
+def enumerate_trees(stats: DegreeStatistics) -> Iterator[PlaneTree]:
     """All plane trees with the given degree statistics, in lexicographic
     order of their degree words.  Raises TooLarge above the node cap."""
     if stats.a != 1:
         raise InvalidStatistics("enumeration covers single trees only")
-    if stats.n > cap:
-        raise TooLarge(f"{stats.n} nodes exceeds enumeration cap {cap}")
+    if stats.n > ENUMERATION_CAP:
+        raise TooLarge(f"{stats.n} nodes exceeds enumeration cap {ENUMERATION_CAP}")
     n = stats.n
     remaining = dict(stats.sorted_items())
     word: list[int] = []
@@ -241,23 +240,21 @@ def enumerate_trees(stats: DegreeStatistics,
     yield from extend(0)
 
 
-def enumerate_trees_of_size(n: int,
-                            cap: int = ENUMERATION_CAP) -> Iterator[PlaneTree]:
+def enumerate_trees_of_size(n: int) -> Iterator[PlaneTree]:
     """All plane trees on exactly n nodes (every degree statistics)."""
-    if n > cap:
-        raise TooLarge(f"{n} nodes exceeds enumeration cap {cap}")
+    if n > ENUMERATION_CAP:
+        raise TooLarge(f"{n} nodes exceeds enumeration cap {ENUMERATION_CAP}")
     for stats in enumerate_degree_statistics(n):
         if stats.n == n:
-            yield from enumerate_trees(stats, cap=cap)
+            yield from enumerate_trees(stats)
 
 
-def exact_mark_height_distribution(stats: DegreeStatistics,
-                                   cap: int = ENUMERATION_CAP) -> ExactDistribution:
+def exact_mark_height_distribution(stats: DegreeStatistics) -> ExactDistribution:
     """Law of the depth of a uniform mark in a uniform tree, by enumerating
     every (tree, node) pair."""
     depth_counts: Counter = Counter()
     trees = 0
-    for tree in enumerate_trees(stats, cap=cap):
+    for tree in enumerate_trees(stats):
         trees += 1
         for d in tree.depths:
             depth_counts[d] += 1

@@ -35,7 +35,7 @@ from .enumeration import (count_forests, enumerate_degree_statistics,
 from .errors import BadParameters
 from .rng import RngStream
 from .samplers import (OffspringDistribution, conditional_sum_table,
-                       expected_rejection_rows, sample_conditioned_bienayme,
+                       conditioned_sampler,
                        sample_conditioned_bienayme_sequential,
                        sample_mark_height_batch, sample_stopping_index_batch,
                        sample_stopping_index_poissonized_batch)
@@ -51,9 +51,6 @@ CONCENTRATION_CLASSES = ("second-moment", "stretched", "branching",
                          "census", "leaf")
 
 _POISSON_CHUNK = 20_000
-# proposal rows per tree above which halving beats rejection: a row costs
-# O(n) and a halving tree O(n log n), and the two cross at 200-400 rows
-_HALVING_ROWS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +385,9 @@ def run_tail_sweep(stats: DegreeStatistics,
         raise BadParameters("tail sweep needs single-tree statistics")
     if replications < 1:
         raise BadParameters("need at least one replication")
+    if not all(0 < beta < math.inf for beta in betas):
+        raise BadParameters("every beta must be positive and finite, got "
+                            f"{list(betas)}")
     start = time.perf_counter()
     n = stats.n
     norms = stats.norms()
@@ -442,34 +442,14 @@ def _poissonized_taus(stats: DegreeStatistics, seed: int,
 # ---------------------------------------------------------------------------
 
 def _tree_worker(task):
-    measure, law, n, seed, cell, rep, table = task
-    rng = RngStream(seed, cell).substream(rep)
-    return measure(sample_conditioned_bienayme(law, n, rng) if table is None
-                   else sample_conditioned_bienayme_sequential(law, n, rng,
-                                                               table))
+    measure, draw, seed, cell, rep = task
+    return measure(draw(RngStream(seed, cell).substream(rep)))
 
 
-def _prefers_halving(law: OffspringDistribution, n: int) -> bool:
-    """Whether rejection is predicted to need more than _HALVING_ROWS
-    proposal rows per tree at (law, n)."""
-    rows = expected_rejection_rows(law, n)
-    return rows is not None and rows > _HALVING_ROWS
-
-
-def _draw_trees(measure, law: OffspringDistribution, n: int, seed: int,
-                cell: int, reps: int, table: np.ndarray | None = None) -> list:
-    """measure(tree r) for r < reps, tree r drawn on n nodes from substream r
-    of RngStream(seed, cell).
-
-    Given `table`, every tree is drawn by halving over it.  Otherwise the
-    route is picked by predicted cost: halving over one
-    `conditional_sum_table(law, n)` shared by all `reps` trees when
-    rejection would need more than _HALVING_ROWS rows per tree (heavy and
-    zero-MGF-radius tails), rejection when it would not.
-    """
-    if table is None and _prefers_halving(law, n):
-        table = conditional_sum_table(law, n)
-    return _run_tasks(_tree_worker, [(measure, law, n, seed, cell, r, table)
+def _draw_trees(measure, draw, seed: int, cell: int, reps: int) -> list:
+    """measure(draw(substream r of RngStream(seed, cell))) for r < reps;
+    `draw` is a `conditioned_sampler` or another function of the stream."""
+    return _run_tasks(_tree_worker, [(measure, draw, seed, cell, r)
                                      for r in range(reps)])
 
 
@@ -516,11 +496,11 @@ def run_convergence(mu: OffspringDistribution | None = None,
                   per eps and passes when max/min < 2.
 
     Rung j (a size, or an eps) draws from stream j, by the route
-    `_draw_trees` picks for it: at the defaults, halving for the heavy rungs
-    at n = 800 and 3,200 and rejection for the rest.  Per size, mean cells
-    carry a normal-approximation 95% interval and median cells a degenerate
-    one; trend cells compare the means.  Near-path refuses a mu or several
-    sizes, the other families a grid.
+    `conditioned_sampler` picks for it: at the defaults, halving for the
+    heavy rungs at n = 800 and 3,200 and rejection for the rest.  Per size,
+    mean cells carry a normal-approximation 95% interval and median cells a
+    degenerate one; trend cells compare the means.  Near-path refuses a mu
+    or several sizes, the other families a grid.
     """
     if replications < 2:
         raise BadParameters("ladder needs at least two replications")
@@ -547,7 +527,8 @@ def run_convergence(mu: OffspringDistribution | None = None,
     trend = []  # per rung: Chat, or the (wid, ht) means
     for j, (law, n) in enumerate(rungs):
         hts, wids, deps = (np.array(col, dtype=float) for col in zip(
-            *_draw_trees(_ladder_measure, law, n, seed, j, replications)))
+            *_draw_trees(_ladder_measure, conditioned_sampler(law, n), seed,
+                         j, replications)))
         if family == "near-path":
             scale = math.sqrt(grid[j]) / math.sqrt(n)
             mean, se = _mean_se(deps)
@@ -640,15 +621,16 @@ def run_concentration(class_name: str,
           `conditional_sum_table` per call (2.4 ms per tree at n = 2,000;
           200 trees at n = 10,000 take 3.7 s): rejection needs over 100,000
           proposals per tree in this condensation regime, and the normal
-          estimate behind the route choice (1.2e11 at n = 2,000) does not
-          describe it.  The tilt and pi are solved once per process.
+          estimate behind `conditioned_sampler` (1.2e11 at n = 2,000) does
+          not describe it; it would pick rejection below n = 118.  The tilt
+          and pi are solved once per process.
       leaf: factorial-squared weights (zero radius); exact expected leaf
           fraction strictly increasing over n = 6..12.  Deterministic, no
-          Monte Carlo, replications ignored.
+          Monte Carlo; n and replications are ignored.
 
-    The other Monte Carlo classes pick their route in `_draw_trees`: at
-    the defaults and n = 2,000, second-moment and stretched are drawn by
-    halving and branching by rejection.
+    The other Monte Carlo classes take the route `conditioned_sampler`
+    picks: at the defaults and n = 2,000, second-moment and stretched are
+    drawn by halving and branching by rejection.
 
     The census and leaf classes fix their weights and refuse a mu.  The
     degenerate case mu(0) + mu(1) = 1 is rejected for the branching class:
@@ -689,8 +671,10 @@ def run_concentration(class_name: str,
     if class_name == "census":
         weights, tilt, pis = _census_constants()
         law = tilted_law(weights, tilt, n - 1)
-        profiles = _draw_trees(PlaneTree.degree_statistics, law, n, seed, 0,
-                               replications, conditional_sum_table(law, n))
+        draw = functools.partial(sample_conditioned_bienayme_sequential, law,
+                                 n, table=conditional_sum_table(law, n))
+        profiles = _draw_trees(PlaneTree.degree_statistics, draw, seed, 0,
+                               replications)
         hits = sum(max(abs(s.count(k) / n - pis[k]) for k in range(4))
                    < tolerance for s in profiles)
         target = {"weights": "k^-3", "pi": list(pis), "tolerance": tolerance}
@@ -707,7 +691,8 @@ def run_concentration(class_name: str,
             raise BadParameters("concentration classes are subcritical or "
                                 f"critical; mean is {mu.mean():.4f}")
         norms = [s.norms() for s in _draw_trees(
-            PlaneTree.degree_statistics, mu, n, seed, 0, replications)]
+            PlaneTree.degree_statistics, conditioned_sampler(mu, n), seed, 0,
+            replications)]
         if class_name == "branching":
             hits = sum(x.p2sq - x.n1 >= event["floor"] * x.p1 for x in norms)
         else:

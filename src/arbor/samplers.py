@@ -31,6 +31,7 @@ sampler of the stopping-index law and is tested against the walk as well.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -799,3 +800,20 @@ def sample_conditioned_bienayme_sequential(
         m = np.concatenate([m1, m2])
         t = np.concatenate([a, t - a])
     return build_tree(rotate_to_valid_word(np.concatenate(degrees)))
+
+
+# proposal rows per tree above which halving beats rejection: a row costs
+# O(n) and a halving tree O(n log n), and the two cross at 200-400 rows
+_HALVING_ROWS = 256
+
+
+def conditioned_sampler(mu: OffspringDistribution, n: int):
+    """rng -> a mu-tree conditioned on n nodes, by the cheaper route:
+    rejection unless `expected_rejection_rows` predicts more than
+    _HALVING_ROWS rows per tree, else halving over one
+    `conditional_sum_table(mu, n)` shared by every tree drawn."""
+    rows = expected_rejection_rows(mu, n)
+    if rows is None or rows <= _HALVING_ROWS:
+        return functools.partial(sample_conditioned_bienayme, mu, n)
+    return functools.partial(sample_conditioned_bienayme_sequential, mu, n,
+                             table=conditional_sum_table(mu, n))

@@ -26,7 +26,7 @@ from .errors import (Diverged, InvalidStatistics, OutOfDomain, PhiDiverges,
                      RhoUnknown, TooLarge, BadParameters, ZeroPartition)
 from .rng import RngStream
 from .samplers import (OffspringDistribution, _reachable_sum,
-                       sample_conditioned_bienayme, sample_uniform_tree)
+                       conditioned_sampler, sample_uniform_tree)
 from .trees import DegreeStatistics, PlaneTree, build_tree
 
 _REL_TOL = 1e-14
@@ -424,17 +424,16 @@ def _psi_or_inf(w: WeightSequence, t) -> float:
         return math.inf
 
 
-def sample_simply_generated(w: WeightSequence, n: int, rng: RngStream,
-                            max_attempts: int = 10_000_000,
-                            enumeration_cap: int = ENUMERATION_CAP) -> PlaneTree:
+def sample_simply_generated(w: WeightSequence, n: int, rng: RngStream) -> PlaneTree:
     """A tree with P(t) = w(t) / Z_n among n-node plane trees.
 
     Positive radius: tilt the weights into an offspring law (the tilt
-    cancels in the conditioned law) and run the conditioned
-    branching-process sampler.  Zero radius: no tilt exists, so sample the
+    cancels in the conditioned law) and draw by the route
+    `conditioned_sampler` picks, rejection or halving (the k^-3 weights
+    take halving from n = 118).  Zero radius: no tilt exists, so sample the
     degree-statistics class exactly by enumeration (class weight is
     tree-count times the common product weight) and then a uniform tree in
-    the class; this path is capped at `enumeration_cap` nodes.
+    the class; this path raises TooLarge above ENUMERATION_CAP nodes.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -444,13 +443,12 @@ def sample_simply_generated(w: WeightSequence, n: int, rng: RngStream,
         raise ZeroPartition(f"Z_{n} = 0 for these weights")
     rho, _ = w.resolve_rho()
     if rho == 0:
-        return _sample_by_enumeration(w, n, rng, enumeration_cap)
+        return _sample_by_enumeration(w, n, rng)
     support = _support_upto(w, n - 1)
     if max(support) == 1:
         return build_tree((1,) * (n - 1) + (0,))  # the path is the only tree
     tilt = solve_critical_tilt(w)
-    mu = tilted_law(w, tilt, n - 1)
-    return sample_conditioned_bienayme(mu, n, rng, max_attempts=max_attempts)
+    return conditioned_sampler(tilted_law(w, tilt, n - 1), n)(rng)
 
 
 def _class_weights(w: WeightSequence, n: int) -> dict:
@@ -468,10 +466,9 @@ def _class_weights(w: WeightSequence, n: int) -> dict:
     return table
 
 
-def _sample_by_enumeration(w: WeightSequence, n: int, rng: RngStream,
-                           cap: int) -> PlaneTree:
-    if n > cap:
-        raise TooLarge(f"zero-radius sampling is exact enumeration, capped at {cap}")
+def _sample_by_enumeration(w: WeightSequence, n: int, rng: RngStream) -> PlaneTree:
+    if n > ENUMERATION_CAP:
+        raise TooLarge(f"zero-radius sampling enumerates, capped at {ENUMERATION_CAP}")
     table = _class_weights(w, n)
     u = rng.gen.uniform() * float(sum(table.values()))
     acc = 0.0

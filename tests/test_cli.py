@@ -112,6 +112,33 @@ def test_concentrate_leaf_writes_files(tmp_path, capsys):
     assert (tmp_path / "leaf_report.csv").exists()
 
 
+@pytest.mark.parametrize("n", ["0", "5000"])
+def test_concentrate_leaf_refuses_n(n, capsys):
+    code = main(["concentrate", "--class", "leaf", "--n", n])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "6..12" in captured.err
+
+
+def test_concentrate_n_defaults_to_2000(capsys):
+    code = main(["concentrate", "--class", "branching", "--reps", "3",
+                 "--threshold", "0"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["config"]["sizes"] == [2000]
+
+
+@pytest.mark.parametrize("grid", ["-5", "0", "80,0"])
+def test_tails_refuses_a_non_positive_beta(grid, binary15_file, capsys):
+    code = main(["tails", "--stats", binary15_file, "--grid", grid,
+                 "--reps", "10"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_concentrate_census_smoke(capsys):
     code = main(["concentrate", "--class", "census", "--n", "40",
                  "--reps", "3", "--tolerance", "1.0"])

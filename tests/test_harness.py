@@ -6,12 +6,13 @@ validation, and byte-level determinism.
 """
 
 import json
+import math
 import time
 from dataclasses import asdict
 
 import pytest
 
-from arbor import harness
+from arbor import harness, samplers
 from arbor.errors import BadParameters, PathDegenerate, ZeroPartition
 from arbor.harness import (_CLASS_LAWS, _LADDERS, CONCENTRATION_CLASSES,
                            CSV_COLUMNS, Cell, ExperimentConfig,
@@ -233,6 +234,12 @@ class TestTailSweep:
         with pytest.raises(BadParameters):
             run_tail_sweep(full_binary_statistics(5), replications=0)
 
+    @pytest.mark.parametrize("beta", [-5.0, 0.0, math.inf, math.nan])
+    def test_beta_must_be_positive_and_finite(self, beta):
+        with pytest.raises(BadParameters):
+            run_tail_sweep(full_binary_statistics(7), betas=(80.0, beta),
+                           replications=10)
+
     def test_reports_are_reproducible(self):
         a = run_tail_sweep(full_binary_statistics(9), replications=500, seed=5)
         b = run_tail_sweep(full_binary_statistics(9), replications=500, seed=5)
@@ -376,8 +383,15 @@ class TestConcentration:
 
 
 class TestRouteChoice:
-    """Rejection or halving by the predicted rows per tree; the route is
-    pinned at every default rung and class."""
+    """Rejection or halving by the predicted rows per tree, as
+    `samplers.conditioned_sampler` picks it; the route is pinned at every
+    default rung and class, and the halving route's table is built once
+    per rung in samplers while the census builds its own."""
+
+    @staticmethod
+    def halves(law, n):
+        draw = samplers.conditioned_sampler(law, n)
+        return draw.func is samplers.sample_conditioned_bienayme_sequential
 
     @pytest.mark.parametrize("family, law, n, halving", [
         ("heavy", _LADDERS["heavy"][0](), 200, False),
@@ -393,30 +407,28 @@ class TestRouteChoice:
         ("stretched", _CLASS_LAWS["stretched"](), 2000, True),
         ("branching", _CLASS_LAWS["branching"](), 2000, False)])
     def test_default_routes(self, family, law, n, halving):
-        assert harness._prefers_halving(law, n) is halving
+        assert self.halves(law, n) is halving
 
     def test_no_spread_takes_rejection(self):
         # sigma = 0: a single node, or a law with all its mass below n at 0
-        assert not harness._prefers_halving(
-            OffspringDistribution.geometric(0.5), 1)
-        assert not harness._prefers_halving(
+        assert not self.halves(OffspringDistribution.geometric(0.5), 1)
+        assert not self.halves(
             OffspringDistribution.from_masses({0: 0.01, 60: 0.99}), 5)
 
     @pytest.fixture
     def tables(self, monkeypatch):
         built = []
-
-        def spy(law, n):
-            built.append(n)
-            return conditional_sum_table(law, n)
-
-        monkeypatch.setattr(harness, "conditional_sum_table", spy)
+        for module in (samplers, harness):
+            def spy(law, n, home=module.__name__):
+                built.append((home, n))
+                return conditional_sum_table(law, n)
+            monkeypatch.setattr(module, "conditional_sum_table", spy)
         monkeypatch.delenv("ARBOR_THREADS", raising=False)
         return built
 
     def test_halving_rung_shares_one_table(self, tables):
         run_concentration("stretched", n=2000, replications=3, seed=2)
-        assert tables == [2000]
+        assert tables == [("arbor.samplers", 2000)]
 
     def test_rejection_route_builds_no_table(self, tables):
         run_concentration("branching", n=60, replications=3, seed=2)
@@ -425,4 +437,4 @@ class TestRouteChoice:
     def test_census_keeps_its_own_table(self, tables):
         run_concentration("census", n=40, replications=4, seed=1,
                           tolerance=1.0)
-        assert tables == [40]
+        assert tables == [("arbor.harness", 40)]

@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import zeta
 
+from arbor import samplers
 from arbor.enumeration import (count_forests, enumerate_degree_statistics,
                                enumerate_trees_of_size)
 from arbor.errors import (BadParameters, Diverged, OutOfDomain, PhiDiverges,
@@ -336,6 +337,25 @@ class TestSimplyGeneratedSampler:
     def test_zero_radius_cap(self):
         with pytest.raises(TooLarge):
             sample_simply_generated(factorial_squared(), 20, RngStream(0, 0))
+
+    @pytest.mark.parametrize("n, route", [
+        (40, "sample_conditioned_bienayme"),
+        (2000, "sample_conditioned_bienayme_sequential")])
+    def test_census_weights_take_the_predicted_route(self, monkeypatch, n,
+                                                     route):
+        # rejection would need about 1.2e11 proposal rows at n = 2,000
+        calls = []
+        for name in ("sample_conditioned_bienayme",
+                     "sample_conditioned_bienayme_sequential"):
+            def spy(*args, real=getattr(samplers, name), name=name, **kw):
+                calls.append(name)
+                return real(*args, **kw)
+            monkeypatch.setattr(samplers, name, spy)
+        w = WeightSequence.from_generator(
+            lambda k: 1.0 if k == 0 else float(k) ** -3.0, rho_hint=1.0)
+        tree = sample_simply_generated(w, n, RngStream(3, 0))
+        assert calls == [route]
+        assert tree.n == n
 
 
 class TestDegreeBundling:
