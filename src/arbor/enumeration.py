@@ -16,11 +16,14 @@ Counting facts used throughout (a = number of trees, n = number of nodes):
 The law of the threshold sampler index admits a closed form: with q_k the
 z^k coefficient of prod_{c>=1} (1 + c z)^{n(c)}, the probability that the
 first k size-biased draws from m candidates are all rejected is
-    q_k / C(m, k) = k! q_k / falling(m, k)
+    s_k = q_k / C(m, k) = k! q_k / falling(m, k)
 (m = n for the mark height, n - 1 for the stopping index).  This is the
 usage-vector recursion summed in closed form (each usage vector w contributes
 multinomial(k; w) * prod c^{w(c)} * prod falling(n(c), w(c)), i.e. the z^k
-coefficient of the product of binomials).
+coefficient of the product of binomials).  The laws hand out the masses
+    s_k - s_{k+1} = (q_k (m - k) - q_{k+1} (k + 1)) / (C(m, k) (m - k)),
+each built in integers and reduced once, never as a difference of two
+reduced survival fractions.
 """
 
 from __future__ import annotations
@@ -298,46 +301,52 @@ def _degree_polynomial(stats: DegreeStatistics) -> list[int]:
     return rows[0] if rows else [1]
 
 
-def _survival(poly: list[int], m: int) -> list[Fraction]:
-    """[q_k / C(m, k) for k = 0..m] with q_k = poly[k] (zero past its end),
-    equal to k! q_k / falling(m, k); the binomial is updated in place."""
-    out = []
+def _law_masses(poly: list[int], m: int) -> Iterator[tuple[int, Fraction]]:
+    """(k, mass_k) for k = 0..m-1 with mass_k = s_k - s_{k+1} non-zero,
+    where s_k = q_k / C(m, k) and q_k = poly[k] (zero past its end).
+
+    Since C(m, k + 1) = C(m, k) (m - k) / (k + 1), each mass is the single
+    fraction (q_k (m - k) - q_{k+1} (k + 1)) / (C(m, k) (m - k)), reduced
+    once; the binomial is updated in place."""
+    q = poly + [0] * (m + 1 - len(poly))
     binom = 1
-    for k in range(m + 1):
-        out.append(Fraction(poly[k] if k < len(poly) else 0, binom))
+    for k in range(m):
+        num = q[k] * (m - k) - q[k + 1] * (k + 1)
+        if num:
+            yield k, Fraction(num, binom * (m - k))
         binom = binom * (m - k) // (k + 1)
-    return out
 
 
 def exact_threshold_sampler_distribution(stats: DegreeStatistics) -> ExactDistribution:
     """Law of the mark height produced by the accept-threshold sampler.
 
-    Survival form: P(first k degrees all rejected) = q_k / C(n, k), which
-    equals k! q_k / falling(n, k), with q_k the z^k coefficient of
-    prod (1 + c z)^{n(c)}.  Differencing the survival sequence gives the
-    pmf of the returned height (index - 1).
+    P(first k degrees all rejected) = s_k = q_k / C(n, k), which equals
+    k! q_k / falling(n, k), with q_k the z^k coefficient of
+    prod (1 + c z)^{n(c)}.  The returned height (index - 1) is k with mass
+    s_k - s_{k+1} = (q_k (n - k) - q_{k+1} (k + 1)) / (C(n, k) (n - k)).
     """
     if stats.a != 1:
         raise InvalidStatistics("threshold sampler law needs a single tree")
-    n = stats.n
-    survival = _survival(_degree_polynomial(stats), n)
     return ExactDistribution.from_pmf(
-        {k: survival[k] - survival[k + 1] for k in range(n)})
+        dict(_law_masses(_degree_polynomial(stats), stats.n)))
 
 
 def exact_stopping_index_distribution(stats: DegreeStatistics) -> ExactDistribution:
     """Law of the strict-threshold stopping index.
 
     Same polynomial as the mark-height law over n - 1 candidates:
-    P(index >= k + 1) = q_k / C(n - 1, k) = k! q_k / falling(n - 1, k).
+    P(index >= k + 1) = q_k / C(n - 1, k) = k! q_k / falling(n - 1, k), so
+    the index is k + 1 with mass (q_k (n - 1 - k) - q_{k+1} (k + 1)) /
+    (C(n - 1, k) (n - 1 - k)) for k < n - 1.
     The per-step survival factor (n - 1 - sum of drawn degrees) cancels the
     size-biasing denominator, which is what makes the closed form exact.
-    When no threshold ever fires the index is reported as n (path statistics).
+    When no threshold ever fires the index is reported as n (path
+    statistics), with mass q_{n-1} / C(n - 1, n - 1) = q_{n-1}.
     """
     if stats.a != 1:
         raise InvalidStatistics("stopping index law needs a single tree")
     n = stats.n
-    survival = _survival(_degree_polynomial(stats), n - 1)
-    pmf = {k + 1: survival[k] - survival[k + 1] for k in range(n - 1)}
-    pmf[n] = survival[n - 1]
+    poly = _degree_polynomial(stats)
+    pmf = {k + 1: mass for k, mass in _law_masses(poly, n - 1)}
+    pmf[n] = Fraction(poly[n - 1] if n - 1 < len(poly) else 0)
     return ExactDistribution.from_pmf(pmf)

@@ -40,7 +40,7 @@ from .samplers import (OffspringDistribution, conditional_sum_table,
                        sample_mark_height_batch, sample_stopping_index_batch,
                        sample_stopping_index_poissonized_batch)
 from .stats import wilson_interval
-from .trees import DegreeStatistics, MarkedTree, PlaneTree
+from .trees import DegreeStatistics, PlaneTree
 from .weights import (WeightSequence, exact_tree_law, limit_degree_law,
                       solve_critical_tilt, tilted_law)
 
@@ -317,19 +317,38 @@ def _discrepancy_cell(n: int, label: str, disc: Fraction) -> Cell:
     return _verdict_cell("equivalence", n, label, float(disc), 0.0, disc == 0)
 
 
+def _spine_prefixes(trees, top: int) -> Counter:
+    """Marks over all (tree, mark) pairs counted by each spine prefix of
+    length 1..top: the out-degrees of the mark's first k ancestors, root
+    first.  A mark deeper than k counts towards its length-k prefix."""
+    # one preorder pass per tree files every mark under the degrees of its
+    # first min(depth, top) ancestors, then each key feeds its prefixes
+    keys: Counter = Counter()
+    for tree in trees:
+        degs: list[int] = []  # degrees of the open ancestors, root first
+        left: list[int] = []  # children each open ancestor has still to see
+        for d in tree.luka:
+            while left and left[-1] == 0:
+                left.pop()
+                degs.pop()
+            keys[tuple(degs[:top])] += 1
+            if left:
+                left[-1] -= 1
+            if d:
+                degs.append(d)
+                left.append(d)
+    seen: Counter = Counter()
+    for key, cnt in keys.items():
+        for k in range(1, len(key) + 1):
+            seen[key[:k]] += cnt
+    return seen
+
+
 def _spine_discrepancy(stats: DegreeStatistics, trees) -> Fraction:
     n = stats.n
     total = n * len(trees)
     top = min(4, n - 1)
-    # one pass over the (tree, mark) pairs counts every spine prefix of
-    # length <= top; the marks deeper than k are those with a length-k prefix
-    seen: Counter = Counter()
-    for tree in trees:
-        for mark in range(n):
-            ancestors = MarkedTree(tree, mark).ancestry()[:-1]
-            spine = tuple(tree.luka[v] for v in ancestors[:top])
-            for k in range(1, len(spine) + 1):
-                seen[spine[:k]] += 1
+    seen = _spine_prefixes(trees, top)
     worst = Fraction(0)
     for k in range(1, top + 1):
         mass = Fraction(0)

@@ -134,6 +134,11 @@ class WeightSequence:
 
     @staticmethod
     def from_json(obj: dict) -> "WeightSequence":
+        """Read {"weights": [...], "rho": ...}; each number is a JSON
+        integer, a finite float or a "p/q" string.  Anything else raises
+        ValueError."""
+        if not isinstance(obj, dict) or not isinstance(obj.get("weights"), list):
+            raise ValueError('weights must be a JSON object with a "weights" list')
         weights = [_num_in(v) for v in obj["weights"]]
         rho = obj.get("rho")
         hint = None if rho in (None, "infinity") else _num_in(rho)
@@ -149,7 +154,15 @@ def _num_out(v):
 def _num_in(v):
     if isinstance(v, str):
         num, _, den = v.partition("/")
-        return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        try:
+            return Fraction(int(num), int(den) if den else 1)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{v!r} is not an integer or a p/q fraction "
+                             "with q non-zero") from None
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{v!r} is not a number")
+    if not math.isfinite(v):
+        raise ValueError(f"{v!r} is not finite")
     return v
 
 
@@ -331,21 +344,29 @@ def partition_function(w: WeightSequence, n: int):
 
     Computed as (1/n) [z^{n-1}] Phi(z)^n with the series truncated at
     degree n - 1 (Lagrange inversion).  Rational weights are scaled once by
-    the lcm D of their denominators, the integer series is powered, and the
-    result is the exact coef / (D^n n); other weights run in floating point.
-    Cross-checked against direct tree enumeration for small n in the tests.
+    the lcm D of their denominators to integers a_0..a_d (a_d the last
+    non-zero one below n, a_0 = D w_0 > 0), and c_m = [z^m] (sum a_k z^k)^n
+    follows from the power recurrence (J.C.P. Miller; Knuth, TAOCP 2,
+    4.6.1): c_0 = a_0^n and
+        m a_0 c_m = sum_{k=1}^{min(d, m)} (k (n + 1) - m) a_k c_{m-k},
+    every division exact.  That is O(n d) big-integer products where
+    powering the dense series costs O(n^2 log n).  The result is the exact
+    c_{n-1} / (D^n n).  Other weights power the float series by repeated
+    squaring, and raise Diverged where the value overflows.  Cross-checked
+    against direct tree enumeration for small n in the tests.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    exact = w.is_rational()
-    if exact:
+    if w.is_rational():
         coeffs = [Fraction(w.weight(k)) for k in range(n)]
         scale = math.lcm(*(v.denominator for v in coeffs))
-        base = [v.numerator * (scale // v.denominator) for v in coeffs]
-        result = [1]
-    else:
-        base = [float(w.weight(k)) for k in range(n)]
-        result = [1.0]
+        a = [v.numerator * (scale // v.denominator) for v in coeffs]
+        while a[-1] == 0:
+            a.pop()
+        out = Fraction(_power_coefficient(a, n), scale ** n * n)
+        return int(out) if out.denominator == 1 else out
+    base = [float(w.weight(k)) for k in range(n)]
+    result = [1.0]
     e = n
     while e:
         if e & 1:
@@ -354,10 +375,25 @@ def partition_function(w: WeightSequence, n: int):
         if e:
             base = poly_mul(base, base, n - 1)
     coef = result[n - 1] if len(result) > n - 1 else 0
-    if exact:
-        out = Fraction(coef, scale ** n * n)
-        return int(out) if out.denominator == 1 else out
+    if not math.isfinite(coef):
+        raise Diverged(f"Z_{n} overflows floating point; give the weights "
+                       "as integers or p/q fractions for the exact value")
     return coef / n
+
+
+def _power_coefficient(a: list[int], n: int) -> int:
+    """[z^{n-1}] (sum_k a[k] z^k)^n for integers with a[0] > 0, by the
+    power recurrence of `partition_function`."""
+    terms = [(k, ak) for k, ak in enumerate(a) if k and ak]
+    c = [a[0] ** n]
+    for m in range(1, n):
+        total = sum((k * (n + 1) - m) * ak * c[m - k]
+                    for k, ak in terms if k <= m)
+        q, r = divmod(total, m * a[0])
+        if r:
+            raise ArithmeticError(f"power recurrence left a remainder at m={m}")
+        c.append(q)
+    return c[n - 1]
 
 
 def statistics_weight(w: WeightSequence, stats: DegreeStatistics):

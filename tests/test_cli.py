@@ -243,6 +243,24 @@ def test_zn_prints_exact_rationals(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1/4"
 
 
+@pytest.mark.parametrize("text", [
+    '[1, "1/2"]',  # a list, not an object
+    '"1/2"',  # a bare string
+    '{"rho": "infinity"}',  # no "weights"
+    '{"weights": [1, "1/0"]}',  # zero denominator
+    '{"weights": [1, 1e400]}',  # overflows to inf while parsing
+    '{"weights": [1, 1e300]}',  # Z_5 overflows the float power
+])
+def test_zn_refuses_malformed_weights(tmp_path, capsys, text):
+    path = tmp_path / "w.json"
+    path.write_text(text)
+    code = main(["zn", "--weights", str(path), "--n", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 # Runs the front end with every scipy import made to fail, so the package
 # must work on its runtime dependencies alone (scipy is test-only).
 _NO_SCIPY = """

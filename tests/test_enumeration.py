@@ -3,11 +3,13 @@
 The key cross-checks run three independent routes against each other:
 brute-force tree enumeration, the binomial closed forms, and a direct
 probabilistic recursion over the size-biased degree process that shares no
-code with either.  A frozen copy of the earlier per-factor, falling-factorial
-law code pins the closed forms bit for bit at sizes enumeration cannot reach.
+code with either.  Frozen copies of the earlier per-factor, falling-factorial
+law code and of the survival-differencing code pin the closed forms bit for
+bit at sizes enumeration cannot reach.
 """
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -16,9 +18,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from arbor.enumeration import (ENUMERATION_CAP, ExactDistribution,
-                               count_forests, count_marked_first_tree,
-                               count_spine_class, enumerate_degree_statistics,
-                               enumerate_trees, enumerate_trees_of_size,
+                               _degree_polynomial, count_forests,
+                               count_marked_first_tree, count_spine_class,
+                               enumerate_degree_statistics, enumerate_trees,
+                               enumerate_trees_of_size,
                                exact_mark_height_distribution,
                                exact_stopping_index_distribution,
                                exact_threshold_sampler_distribution, falling,
@@ -133,6 +136,49 @@ def stopping_law_by_falling(stats):
     pmf = {k + 1: survival[k] - survival[k + 1] for k in range(n - 1)}
     pmf[n] = survival[n - 1]
     return ExactDistribution.from_pmf(pmf)
+
+
+# ---------------------------------------------------------------------------
+# frozen oracle: the survival-differencing law code that the one-fraction
+# mass form replaced (a Fraction per survival term, then one per difference)
+# ---------------------------------------------------------------------------
+
+def _survival(poly, m):
+    out = []
+    binom = 1
+    for k in range(m + 1):
+        out.append(Fraction(poly[k] if k < len(poly) else 0, binom))
+        binom = binom * (m - k) // (k + 1)
+    return out
+
+
+def threshold_law_by_survival(stats):
+    n = stats.n
+    survival = _survival(_degree_polynomial(stats), n)
+    return ExactDistribution.from_pmf(
+        {k: survival[k] - survival[k + 1] for k in range(n)})
+
+
+def stopping_law_by_survival(stats):
+    n = stats.n
+    survival = _survival(_degree_polynomial(stats), n - 1)
+    pmf = {k + 1: survival[k] - survival[k + 1] for k in range(n - 1)}
+    pmf[n] = survival[n - 1]
+    return ExactDistribution.from_pmf(pmf)
+
+
+def _random_classes_with_ones(count, seed):
+    """Single-tree statistics with 1..40 degree-1 nodes and up to four
+    other internal degrees in 2..11 (11 to 504 nodes at seed 15)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        counts = {1: rng.randint(1, 40)}
+        for c in rng.sample(range(2, 12), rng.randint(0, 4)):
+            counts[c] = rng.randint(1, 20)
+        counts[0] = 1 + sum((c - 1) * k for c, k in counts.items())
+        out.append(DegreeStatistics(counts))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +405,26 @@ class TestHeightAndStoppingLaws:
                     == threshold_law_by_falling(stats).to_json())
             assert (exact_stopping_index_distribution(stats).to_json()
                     == stopping_law_by_falling(stats).to_json())
+
+    @pytest.mark.parametrize("battery", ["small", "censuses", "with-ones"])
+    def test_bit_identical_to_survival_differencing_code(self, battery):
+        """Both laws serialise exactly as the frozen survival-differencing
+        code does: every class with <= 10 nodes, the binary and heavy
+        censuses at n = 127..2,047, and 50 random classes with degree-1
+        nodes."""
+        if battery == "small":
+            classes = all_stats_upto(10)
+        elif battery == "censuses":
+            classes = [make(n) for n in (127, 255, 511, 1023, 2047)
+                       for make in (full_binary_statistics,
+                                    heavy_tailed_statistics)]
+        else:
+            classes = _random_classes_with_ones(50, seed=15)
+        for stats in classes:
+            assert (exact_threshold_sampler_distribution(stats).to_json()
+                    == threshold_law_by_survival(stats).to_json())
+            assert (exact_stopping_index_distribution(stats).to_json()
+                    == stopping_law_by_survival(stats).to_json())
 
 
 class TestPolyMul:

@@ -8,11 +8,13 @@ validation, and byte-level determinism.
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import asdict
 
 import pytest
 
 from arbor import harness, samplers
+from arbor.enumeration import enumerate_degree_statistics, enumerate_trees
 from arbor.errors import BadParameters, PathDegenerate, ZeroPartition
 from arbor.harness import (_CLASS_LAWS, _LADDERS, CONCENTRATION_CLASSES,
                            CSV_COLUMNS, Cell, ExperimentConfig,
@@ -22,7 +24,7 @@ from arbor.harness import (_CLASS_LAWS, _LADDERS, CONCENTRATION_CLASSES,
                            run_equivalence_suite, run_tail_sweep,
                            thread_count)
 from arbor.samplers import OffspringDistribution, conditional_sum_table
-from arbor.trees import DegreeStatistics
+from arbor.trees import DegreeStatistics, MarkedTree
 from arbor.weights import (WeightSequence, limit_degree_law,
                            solve_critical_tilt)
 
@@ -196,6 +198,22 @@ class TestEquivalenceSuite:
         kinds = {str(c.grid_value).split()[0] for c in report.cells}
         assert kinds == {"count", "threshold-vs-height", "histogram-vs-height",
                          "spine"}
+
+    def test_spine_prefixes_match_the_per_mark_ancestry_loop(self):
+        """The one-pass counter equals the frozen per-mark loop, which walks
+        each (tree, mark) pair's ancestry, on every class up to 10 nodes,
+        with the suite's prefix cap and with none."""
+        for stats in enumerate_degree_statistics(10):
+            trees = list(enumerate_trees(stats))
+            spines = [tuple(tree.luka[v] for v in
+                            MarkedTree(tree, mark).ancestry()[:-1])
+                      for tree in trees for mark in range(stats.n)]
+            for top in {min(4, stats.n - 1), stats.n - 1}:
+                want: Counter = Counter()
+                for spine in spines:
+                    for k in range(1, min(top, len(spine)) + 1):
+                        want[spine[:k]] += 1
+                assert harness._spine_prefixes(trees, top) == want
 
     def test_size_guard(self):
         with pytest.raises(BadParameters):

@@ -15,7 +15,7 @@ from scipy.special import zeta
 
 from arbor import samplers
 from arbor.enumeration import (count_forests, enumerate_degree_statistics,
-                               enumerate_trees_of_size)
+                               enumerate_trees_of_size, poly_mul)
 from arbor.errors import (BadParameters, Diverged, OutOfDomain, PhiDiverges,
                           RhoUnknown, TooLarge, ZeroPartition)
 from arbor.rng import RngStream
@@ -213,6 +213,24 @@ def partition_by_fractions(w, n):
     return coef / n
 
 
+def partitions_by_powering(w, top):
+    """[Z_1, ..., Z_top] by the earlier exact route: the weights scaled to
+    integers by the lcm D of their denominators, the integer series powered
+    with `poly_mul` and Z_n = [z^{n-1}] (D Phi)^n / (D^n n).  The powers are
+    taken one factor at a time so that n = 1..top share them; integer
+    products do not depend on the order they are formed in."""
+    coeffs = [Fraction(v) for v in w.explicit]
+    scale = math.lcm(*(v.denominator for v in coeffs))
+    base = [v.numerator * (scale // v.denominator) for v in coeffs]
+    power, out = [1], []
+    for n in range(1, top + 1):
+        power = poly_mul(power, base, top - 1)
+        coef = power[n - 1] if len(power) > n - 1 else 0
+        value = Fraction(coef, scale ** n * n)
+        out.append(int(value) if value.denominator == 1 else value)
+    return out
+
+
 class TestPartitionFunction:
     def test_all_ones_gives_catalan(self):
         for n in range(1, 10):
@@ -251,6 +269,18 @@ class TestPartitionFunction:
         for n in range(1, top + 1):
             z, want = partition_function(w, n), partition_by_fractions(w, n)
             assert type(z) is type(want) and z == want
+
+    @pytest.mark.parametrize("values", [
+        [1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)],
+        [2, 1, 0, 1, 3],
+        [3],
+    ])
+    def test_power_recurrence_matches_powering(self, values):
+        w = WeightSequence.from_list(values)
+        want = partitions_by_powering(w, 300)
+        for n in range(1, 301):
+            z = partition_function(w, n)
+            assert type(z) is type(want[n - 1]) and z == want[n - 1]
 
     def test_float_values_match_earlier_code_exactly(self):
         for w in (WeightSequence.from_list([1.0, 0.5]), census_weights()):
