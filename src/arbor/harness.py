@@ -4,9 +4,7 @@ concentration batteries, reported as JSON plus a flat CSV of verdict cells.
 Every runner returns an ExperimentReport whose JSON form depends only on the
 configuration and seed: replications draw from RNG substreams keyed by
 replication index, so rerunning a report reproduces it byte for byte apart
-from the wall_clock_seconds field.  run_convergence and run_concentration
-alone spread their tree draws over min(ARBOR_THREADS, replications) worker
-processes, which changes wall-clock time and nothing else.
+from the wall_clock_seconds field.  Every draw runs in the calling process.
 """
 
 from __future__ import annotations
@@ -14,10 +12,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Any, Sequence
@@ -56,28 +52,6 @@ _POISSON_CHUNK = 20_000
 # ---------------------------------------------------------------------------
 # report plumbing
 # ---------------------------------------------------------------------------
-
-def thread_count() -> int:
-    """Worker-process cap from the ARBOR_THREADS variable (default 1)."""
-    raw = os.environ.get("ARBOR_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise BadParameters(f"ARBOR_THREADS must be an integer, got {raw!r}")
-    return max(1, value)
-
-
-def _run_tasks(worker, tasks):
-    # Results are collected in task order, never completion order, so the
-    # report is identical at any worker count.  The pool forks all of its
-    # workers at once, so it never gets more of them than there are tasks.
-    workers = min(thread_count(), len(tasks))
-    if workers < 2:
-        return [worker(t) for t in tasks]
-    chunk = max(1, len(tasks) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks, chunksize=chunk))
-
 
 @dataclass(frozen=True)
 class Cell:
@@ -216,8 +190,8 @@ def full_binary_statistics(n: int) -> DegreeStatistics:
 
 
 def heavy_tailed_statistics(n: int) -> DegreeStatistics:
-    """A leafless-free heavy census on n nodes: degree counts shaped like
-    c^(-5/2) for c >= 2 plus one large remainder degree, no degree-1 nodes.
+    """A heavy census on n nodes with leaves and no degree-1 nodes: degree
+    counts shaped like c^(-5/2) for c >= 2 plus one large remainder degree.
 
     Deterministic in n, so sweeps over it are reproducible without an RNG.
     """
@@ -384,20 +358,24 @@ def run_tail_sweep(stats: DegreeStatistics,
                       emitted while the bound stays above ten times the
                       zero-success Wilson ceiling.  Below that the interval
                       cannot resolve the comparison at this many
-                      replications: near-tight bounds would fail on sheer
-                      Poisson noise in the last few hit counts.  With the
-                      factor-ten margin the chance of any spurious failure
-                      across a full sweep is a few parts in ten thousand
-                      (checked against the exact laws); the exact oracles
-                      cover the excluded range without noise.
+                      replications; the exact oracles cover that range
+                      without noise.  The floor does not stop spurious
+                      failures where a bound is nearly tight: at binary
+                      n = 4,095 the exact P(H >= 1) = 1 - 1/4095 sits just
+                      under its bound exp(-1/8188).  At 20,000 replications
+                      binary n = 4,095 fails 83 of 461 cells (seed 17) and
+                      94 (seed 0), binary n = 1,023 fails 2 of 235 (seed
+                      17), and heavy n = 1,023 and 4,095 fail height>=ell=1
+                      at some seeds, all on noise alone.
       tau>beta=B:     Poissonised repeat-time tails vs the two-term bound;
                       skipped when no degree exceeds 1 (a repeat arrival is
                       impossible and the bound is zero).
 
     A verdict passes when the upper 95% Wilson end sits at or below the
-    bound.  The bounds hold for every n, so a failing cell indicates an
-    implementation bug rather than an unlucky seed; that is also why cells
-    are reported individually and never pooled.  Raises PathDegenerate for
+    bound, and cells are reported individually, never pooled.  The bounds
+    hold for every n, but as above a failing cell near a tight bound may be
+    an unlucky seed rather than a bug; ROADMAP item 3 plans to replace the
+    rule by exact tails and a binomial test.  Raises PathDegenerate for
     path statistics, where the beta threshold divides by zero spread.
     """
     if stats.a != 1:
@@ -460,16 +438,11 @@ def _poissonized_taus(stats: DegreeStatistics, seed: int,
 # conditioned trees: convergence ladders and concentration batteries
 # ---------------------------------------------------------------------------
 
-def _tree_worker(task):
-    measure, draw, seed, cell, rep = task
-    return measure(draw(RngStream(seed, cell).substream(rep)))
-
-
 def _draw_trees(measure, draw, seed: int, cell: int, reps: int) -> list:
     """measure(draw(substream r of RngStream(seed, cell))) for r < reps;
     `draw` is a `conditioned_sampler` or another function of the stream."""
-    return _run_tasks(_tree_worker, [(measure, draw, seed, cell, r)
-                                     for r in range(reps)])
+    base = RngStream(seed, cell)
+    return [measure(draw(base.substream(r))) for r in range(reps)]
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -519,7 +492,8 @@ def run_convergence(mu: OffspringDistribution | None = None,
     heavy rungs at n = 800 and 3,200 and rejection for the rest.  Per size,
     mean cells carry a normal-approximation 95% interval and median cells a
     degenerate one; trend cells compare the means.  Near-path refuses a mu
-    or several sizes, the other families a grid.
+    or several sizes, the other families a grid, and every family a size
+    below 2.
     """
     if replications < 2:
         raise BadParameters("ladder needs at least two replications")
@@ -541,6 +515,11 @@ def run_convergence(mu: OffspringDistribution | None = None,
         grid, rungs = (), [(mu, n) for n in sizes]
     else:
         raise BadParameters(f"unknown convergence family {family!r}")
+    if min(sizes) < 2:
+        # at n = 1, log n and every depth are 0, so the cells would divide
+        # by zero
+        raise BadParameters(f"ladder sizes must be at least 2, got "
+                            f"{list(sizes)}")
     start = time.perf_counter()
     cells: list[Cell] = []
     trend = []  # per rung: Chat, or the (wid, ht) means

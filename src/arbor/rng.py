@@ -3,7 +3,7 @@
 Every sampler in this package takes an RngStream.  A stream is identified by
 (seed, stream index): the same pair always reproduces the same draws, and
 distinct stream indices give statistically independent generators, so
-replications can run in any order (or in parallel) without interfering.
+replications can run in any order without interfering.
 """
 
 from __future__ import annotations

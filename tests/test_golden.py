@@ -81,8 +81,7 @@ SAMPLE_GOLDEN = (
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_report_matches_golden_digest(name, monkeypatch):
-    monkeypatch.delenv("ARBOR_THREADS", raising=False)
+def test_report_matches_golden_digest(name):
     assert report_digest(RUNS[name]()) == GOLDEN[name]
 
 

@@ -21,8 +21,7 @@ from arbor.harness import (_CLASS_LAWS, _LADDERS, CONCENTRATION_CLASSES,
                            ExperimentReport, full_binary_statistics,
                            heavy_tailed_statistics,
                            run_concentration, run_convergence,
-                           run_equivalence_suite, run_tail_sweep,
-                           thread_count)
+                           run_equivalence_suite, run_tail_sweep)
 from arbor.samplers import OffspringDistribution, conditional_sum_table
 from arbor.trees import DegreeStatistics, MarkedTree
 from arbor.weights import (WeightSequence, limit_degree_law,
@@ -33,75 +32,6 @@ def strip_clock(report):
     d = report.to_jsonable()
     d.pop("wall_clock_seconds")
     return d
-
-
-class TestThreadCount:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("ARBOR_THREADS", raising=False)
-        assert thread_count() == 1
-
-    def test_reads_environment(self, monkeypatch):
-        monkeypatch.setenv("ARBOR_THREADS", "4")
-        assert thread_count() == 4
-
-    def test_clamps_to_one(self, monkeypatch):
-        monkeypatch.setenv("ARBOR_THREADS", "-3")
-        assert thread_count() == 1
-
-    def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("ARBOR_THREADS", "many")
-        with pytest.raises(BadParameters):
-            thread_count()
-
-
-class TestWorkerPool:
-    """The pool forks every worker up front, so it must never be asked for
-    more workers than there are tasks.  A fake pool records the request and
-    maps serially, so these tests start no processes."""
-
-    @pytest.fixture
-    def requested(self, monkeypatch):
-        seen = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
-        return seen
-
-    @pytest.mark.parametrize("threads, expected", [("500", 6), ("4", 4)])
-    def test_pool_is_capped_at_the_task_count(self, monkeypatch, requested,
-                                              threads, expected):
-        monkeypatch.setenv("ARBOR_THREADS", threads)
-        pooled = run_convergence(family="near-path", sizes=(40,),
-                                 replications=6, seed=3, grid=(0.5, 0.2))
-        assert requested == [expected, expected]
-        monkeypatch.setenv("ARBOR_THREADS", "1")
-        serial = run_convergence(family="near-path", sizes=(40,),
-                                 replications=6, seed=3, grid=(0.5, 0.2))
-        assert requested == [expected, expected]  # one worker: no pool
-        assert strip_clock(pooled) == strip_clock(serial)
-
-    def test_census_draws_use_the_pool(self, monkeypatch, requested):
-        monkeypatch.setenv("ARBOR_THREADS", "3")
-        run_concentration("census", n=40, replications=4, seed=1,
-                          tolerance=1.0)
-        assert requested == [3]
-
-    def test_single_task_runs_in_process(self, monkeypatch, requested):
-        monkeypatch.setenv("ARBOR_THREADS", "8")
-        run_concentration("stretched", n=30, replications=1, seed=1)
-        assert requested == []
 
 
 class TestReportPlumbing:
@@ -307,19 +237,14 @@ class TestConvergence:
         {"family": "near-path", "mu": OffspringDistribution.near_path(0.5)},
         {"family": "near-path", "sizes": (40, 60)},
         {"family": "heavy", "grid": (0.5,)},
-        {"family": "control", "grid": (0.5,)}])
+        {"family": "control", "grid": (0.5,)},
+        # sizes below 2: 0/0 cells at n = 1, or a zero trend to divide by
+        {"family": "control", "sizes": (1, 3)},
+        {"family": "heavy", "sizes": (0, 30)},
+        {"family": "near-path", "sizes": (1,)}])
     def test_unused_inputs_are_refused(self, kwargs):
         with pytest.raises(BadParameters):
             run_convergence(replications=4, **kwargs)
-
-    def test_worker_count_does_not_change_the_report(self, monkeypatch):
-        monkeypatch.setenv("ARBOR_THREADS", "1")
-        serial = run_convergence(family="near-path", sizes=(40,),
-                                 replications=6, seed=3, grid=(0.5, 0.2))
-        monkeypatch.setenv("ARBOR_THREADS", "2")
-        pooled = run_convergence(family="near-path", sizes=(40,),
-                                 replications=6, seed=3, grid=(0.5, 0.2))
-        assert strip_clock(serial) == strip_clock(pooled)
 
 
 class TestConcentration:
@@ -365,18 +290,6 @@ class TestConcentration:
         mu = OffspringDistribution.from_masses({0: 0.5, 2: 0.5})
         with pytest.raises(BadParameters):
             run_concentration(class_name, mu=mu, n=30, replications=4)
-
-    @pytest.mark.parametrize("class_name, kwargs", [
-        ("census", {"n": 40, "replications": 4, "tolerance": 1.0}),
-        ("branching", {"n": 60, "replications": 6}),
-        ("stretched", {"n": 2000, "replications": 4})])  # halving route
-    def test_worker_count_does_not_change_the_report(self, monkeypatch,
-                                                     class_name, kwargs):
-        monkeypatch.setenv("ARBOR_THREADS", "1")
-        serial = run_concentration(class_name, seed=2, **kwargs)
-        monkeypatch.setenv("ARBOR_THREADS", "2")
-        pooled = run_concentration(class_name, seed=2, **kwargs)
-        assert strip_clock(serial) == strip_clock(pooled)
 
     def test_unreachable_degree_sum_fails_at_once(self):
         # below n = 40 the default law has mass only at 0 and 18, and 39 is
@@ -441,7 +354,6 @@ class TestRouteChoice:
                 built.append((home, n))
                 return conditional_sum_table(law, n)
             monkeypatch.setattr(module, "conditional_sum_table", spy)
-        monkeypatch.delenv("ARBOR_THREADS", raising=False)
         return built
 
     def test_halving_rung_shares_one_table(self, tables):
