@@ -630,10 +630,13 @@ def run_concentration(class_name: str,
     picks: at the defaults and n = 2,000, second-moment and stretched are
     drawn by halving and branching by rejection.
 
-    The census and leaf classes fix their weights and refuse a mu.  The
-    degenerate case mu(0) + mu(1) = 1 is rejected for the branching class:
-    the event's floor would be vacuous and the class hypothesis requires
-    genuine branching.
+    The census and leaf classes fix their weights and refuse a mu.  Every
+    class refuses (BadParameters) a threshold outside [0, 1], a factor or
+    tolerance that is not finite and positive, and a non-finite eps, so a
+    report never records a value JSON cannot hold.  The degenerate case
+    mu(0) + mu(1) = 1 is rejected for the branching class: the event's
+    floor would be vacuous and the class hypothesis requires genuine
+    branching.
     """
     if class_name not in CONCENTRATION_CLASSES:
         raise BadParameters(f"unknown concentration class {class_name!r}; "
@@ -641,6 +644,14 @@ def run_concentration(class_name: str,
     if mu is not None and class_name not in _CLASS_LAWS:
         raise BadParameters(f"the {class_name} class fixes its weights "
                             "and takes no mu")
+    if not 0 <= threshold <= 1:
+        raise BadParameters(f"threshold must lie in [0, 1], got {threshold}")
+    for name, value in (("factor", factor), ("tolerance", tolerance)):
+        if not (math.isfinite(value) and value > 0):
+            raise BadParameters(f"{name} must be finite and positive, "
+                                f"got {value}")
+    if not math.isfinite(eps):
+        raise BadParameters(f"eps must be finite, got {eps}")
     start = time.perf_counter()
     cells: list[Cell] = []
     if class_name == "leaf":

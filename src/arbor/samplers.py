@@ -677,9 +677,14 @@ def sample_conditioned_bienayme(mu: OffspringDistribution, n: int,
     proportional to prod mu(deg).  The proposal is truncated at degree
     n - 1 and renormalised, which only raises acceptance.  Rows come in
     chunks of 16 doubling to max(16, 65536 // n); `max_attempts` caps them.
-    A row costs O(n), and `expected_rejection_rows` predicts how many a tree
-    takes: the heavy law at n = 3,200 takes about 1,600 rows (predicted
-    1,046), 27 ms per tree, where the halving sampler takes about 4 ms.
+    A row has a column for each degree with positive mass and one for
+    degree n - 1, always last.  numpy draws one binomial per column but the
+    last, and a zero-mass column draws nothing, so these rows are the ones
+    a row over all n degrees would draw, at O(support) instead of O(n).
+    `expected_rejection_rows` predicts how many rows a tree takes: the
+    heavy law (full support) at n = 3,200 takes about 1,600 rows
+    (predicted 1,046), 27 ms per tree, where the halving sampler takes
+    about 4 ms.
 
     Raises ZeroPartition before the first proposal when n - 1 is not a sum
     of positive degrees with mass below n (with mass at degree 1 every
@@ -691,15 +696,15 @@ def sample_conditioned_bienayme(mu: OffspringDistribution, n: int,
         raise ZeroPartition(
             f"sum {n - 1} is unreachable with this offspring law")
     gen = rng.gen
-    degrees = np.arange(n)
+    cols = np.append(np.flatnonzero(q[:-1]), n - 1)
     attempts = 0
     rows = 16
     while attempts < max_attempts:
         take = min(rows, max_attempts - attempts)
-        counts = gen.multinomial(n, q, size=take)
-        hits = np.flatnonzero(counts @ degrees == n - 1)
+        counts = gen.multinomial(n, q[cols], size=take)
+        hits = np.flatnonzero(counts @ cols == n - 1)
         if hits.size:
-            multiset = np.repeat(degrees, counts[hits[0]])
+            multiset = np.repeat(cols, counts[hits[0]])
             return build_tree(rotate_to_valid_word(gen.permutation(multiset)))
         attempts += take
         rows = min(2 * rows, max(16, 65_536 // n))
@@ -802,7 +807,8 @@ def sample_conditioned_bienayme_sequential(
 
 
 # proposal rows per tree above which halving beats rejection: a row costs
-# O(n) and a halving tree O(n log n), and the two cross at 200-400 rows
+# O(n) at full support and a halving tree O(n log n), and the two cross at
+# 200-400 rows
 _HALVING_ROWS = 256
 
 

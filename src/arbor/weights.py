@@ -20,6 +20,8 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .enumeration import (ENUMERATION_CAP, count_forests,
                           enumerate_degree_statistics, poly_mul)
 from .errors import (Diverged, InvalidStatistics, OutOfDomain, PhiDiverges,
@@ -32,6 +34,7 @@ from .trees import DegreeStatistics, PlaneTree, build_tree
 _REL_TOL = 1e-14
 _SERIES_CAP = 1_000_000
 _OVERFLOW = 1e300
+_BLOCK = 4096  # most generator terms per numpy block of a series or limit law
 
 
 def _is_exact(x) -> bool:
@@ -182,11 +185,19 @@ def _series_sum(w: WeightSequence, t, power: int) -> tuple[float, bool]:
     """(sum_k k^power w_k t^k, converged flag).
 
     Explicit sequences are summed completely (flag True, exact arithmetic
-    preserved when possible).  Generator sums stop once the recent terms
-    drop below 1e-14 of the partial sum.  If the cap is reached first, a
-    power-law fit to the terms estimates the remaining tail; an estimated
-    tail below 1e-10 of the partial sum is folded into the value and
-    counts as converged, anything else is flagged False.
+    preserved when possible).  Generator sums stop once five terms in a
+    row (from k = 5 on) drop below 1e-14 of the partial sum.  If the cap
+    is reached first, a power-law fit to the terms estimates the remaining
+    tail; an estimated tail below 1e-10 of the partial sum is folded into
+    the value and counts as converged, anything else is flagged False.
+
+    Generator terms come in blocks of 64 doubling up to _BLOCK (4,096)
+    from `_scalar_blocks`.  float(w_k) and t^k are Python scalars, as in a
+    term-by-term loop, and numpy multiplies them in that loop's order.
+    np.add.accumulate adds the carried total and the terms left to right,
+    so every partial sum, and with it every stop rule, is bit for bit the
+    loop's.  A term whose weight or power raises ends its block there,
+    and the error surfaces only if the sum has not stopped before that k.
     """
     if t < 0:
         raise OutOfDomain("series defined for t >= 0 only")
@@ -197,25 +208,31 @@ def _series_sum(w: WeightSequence, t, power: int) -> tuple[float, bool]:
                 total += (k ** power if power else 1) * wk * t ** k
         return total, True
     total = 0.0
-    tf = float(t)
     quiet = 0
     marks: list[tuple[int, float]] = []  # (index, term) checkpoints for the tail fit
-    for k in range(w.cap + 1):
-        wk = w.generator(k)
-        try:
-            term = (k ** power if power else 1) * float(wk) * tf ** k
-        except OverflowError:
-            raise Diverged(f"series term overflowed at k={k}")
-        total += term
-        if total > _OVERFLOW or math.isinf(total):
-            raise Diverged(f"series exceeded overflow threshold at k={k}")
-        if term > 0 and k >= 1 and (not marks or k >= marks[-1][0] * 2
-                                    or k == w.cap):
-            marks.append((k, term))
-        if k >= 5:
-            quiet = quiet + 1 if term <= _REL_TOL * max(total, 1e-300) else 0
-            if quiet >= 5:
-                return total, True
+    for ks, wks, tks, error in _scalar_blocks(w.generator, float(t),
+                                              w.cap + 1, diverge=True):
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = ks ** power * wks * tks
+            totals = np.add.accumulate(np.concatenate(([total], terms)))[1:]
+            calm = ((terms <= _REL_TOL * np.maximum(totals, 1e-300))
+                    & (ks >= 5))
+            over = np.flatnonzero((totals > _OVERFLOW) | np.isinf(totals))
+        # length of the run of calm terms ending at each k, carried over
+        last_loud = np.maximum.accumulate(
+            np.where(calm, -1 - quiet, np.arange(ks.size)))
+        run = np.arange(ks.size) - last_loud
+        done = np.flatnonzero(run >= 5)
+        if over.size and (not done.size or over[0] <= done[0]):
+            raise Diverged("series exceeded overflow threshold at "
+                           f"k={ks[over[0]]}")
+        if done.size:
+            return float(totals[done[0]]), True
+        if error is not None:
+            raise error
+        _extend_marks(marks, ks, terms, w.cap)
+        total = float(totals[-1])
+        quiet = int(run[-1])
     if len(marks) < 3:
         return total, False
     # terms look like k^{-alpha}: integral-test tail from the fitted slope,
@@ -231,6 +248,62 @@ def _series_sum(w: WeightSequence, t, power: int) -> tuple[float, bool]:
     if err < 1e-10 * max(total, 1e-300):
         return total + tail, True
     return total, False
+
+
+def _scalar_blocks(weight, base: float, end: int, diverge: bool):
+    """Yield (k, float(w_k), base^k, error) for consecutive blocks of
+    0 <= k < end, each value a Python scalar as in a term-by-term loop.
+    Blocks start at 64 terms and double up to _BLOCK, so a sum that stops
+    early computes few terms past its stop.  The first k whose weight or
+    power raises cuts its block short, and `error` is that exception
+    (None when none raised); with `diverge`, an OverflowError of float(w_k)
+    or base^k becomes Diverged."""
+
+    def pair(k):
+        wk = weight(k)
+        try:
+            return float(wk), base ** k
+        except OverflowError:
+            if not diverge:
+                raise
+            raise Diverged(f"series term overflowed at k={k}") from None
+
+    lo, size = 0, 64
+    while lo < end:
+        ks = range(lo, min(lo + size, end))
+        error = None
+        try:  # whole-block comprehensions; a raise redoes the block by k
+            wks = [float(weight(k)) for k in ks]
+            pks = [base ** k for k in ks]
+        except Exception:
+            wks, pks = [], []
+            for k in ks:
+                try:
+                    wk, pk = pair(k)
+                except Exception as exc:
+                    error = exc
+                    break
+                wks.append(wk)
+                pks.append(pk)
+        yield (np.arange(lo, lo + len(wks)), np.array(wks, dtype=float),
+               np.array(pks, dtype=float), error)
+        lo, size = lo + size, min(2 * size, _BLOCK)
+
+
+def _extend_marks(marks: list, ks: np.ndarray, terms: np.ndarray,
+                  cap: int) -> None:
+    """Append this block's tail-fit checkpoints: the first positive term
+    from k = 1, then each first positive term at twice the last mark's
+    index or beyond, and the term at the cap when positive."""
+    live = np.flatnonzero((terms > 0) & (ks >= 1))
+    while True:
+        j = np.searchsorted(ks[live], 2 * marks[-1][0] if marks else 1)
+        if j == live.size:
+            break
+        i = live[j]
+        marks.append((int(ks[i]), float(terms[i])))
+    if live.size and ks[live[-1]] == cap and marks[-1][0] != cap:
+        marks.append((cap, float(terms[live[-1]])))
 
 
 def phi(w: WeightSequence, t):
@@ -299,6 +372,12 @@ def limit_degree_law(w: WeightSequence, top: int | None = None) -> OffspringDist
     infinite) and boundary-divergent Phi both raise PhiDiverges; callers
     should tilt below rho instead.  `top` forces the mass vector to extend
     at least that far (the remainder is renormalised away).
+
+    The masses stop at the first k >= max(8, top) whose partial sum is
+    within 1e-12 of one.  Like the series of `_series_sum` they come in
+    `_scalar_blocks`, float(w_k) and rho^k as Python scalars, with the
+    partial sums by np.add.accumulate, so the stop and every mass are
+    bit-identical to a term-by-term loop.
     """
     rho, _ = w.resolve_rho()
     if rho == 0:
@@ -306,20 +385,26 @@ def limit_degree_law(w: WeightSequence, top: int | None = None) -> OffspringDist
     if math.isinf(rho):
         raise PhiDiverges("Phi(rho) is infinite for finite-support weights")
     try:
-        total = phi(w, rho)
+        total = float(phi(w, rho))
     except Diverged as exc:
         raise PhiDiverges(f"Phi diverges at rho={rho}") from exc
     masses = []
     partial = 0.0
-    k = 0
     hi = _SERIES_CAP if top is None else max(top, 64)
-    while k <= hi:
-        m = float(w.weight(k)) * rho ** k / float(total)
-        masses.append(m)
-        partial += m
-        if (top is None or k >= top) and k >= 8 and 1.0 - partial < 1e-12:
+    first = max(8, top or 0)
+    for ks, wks, pks, error in _scalar_blocks(w.weight, rho, hi + 1,
+                                              diverge=False):
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = wks * pks / total
+            partials = np.add.accumulate(np.concatenate(([partial], block)))[1:]
+        done = np.flatnonzero((ks >= first) & (1.0 - partials < 1e-12))
+        if done.size:
+            masses.extend(block[:done[0] + 1].tolist())
             break
-        k += 1
+        if error is not None:
+            raise error
+        masses.extend(block.tolist())
+        partial = float(partials[-1])
     return OffspringDistribution.from_masses(masses, label="limit_law",
                                              renormalize=True)
 

@@ -139,6 +139,21 @@ def test_tails_refuses_a_non_positive_beta(grid, binary15_file, capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["--class", "census", "--n", "5", "--threshold", "nan"], "threshold"),
+    (["--class", "branching", "--n", "50", "--eps", "nan"], "eps"),
+    (["--class", "stretched", "--n", "50", "--factor", "inf"], "factor"),
+    (["--class", "census", "--n", "5", "--tolerance", "-0.5"], "tolerance"),
+    (["--class", "leaf", "--threshold", "2"], "threshold")])
+def test_concentrate_refuses_values_json_cannot_hold(argv, name, capsys):
+    code = main(["concentrate", *argv, "--reps", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name} must ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_concentrate_census_smoke(capsys):
     code = main(["concentrate", "--class", "census", "--n", "40",
                  "--reps", "3", "--tolerance", "1.0"])

@@ -291,6 +291,16 @@ class TestConcentration:
         with pytest.raises(BadParameters):
             run_concentration(class_name, mu=mu, n=30, replications=4)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"threshold": math.nan}, {"threshold": -0.01}, {"threshold": 1.5},
+        {"factor": math.inf}, {"factor": math.nan}, {"factor": 0.0},
+        {"factor": -1.0}, {"tolerance": math.nan}, {"tolerance": math.inf},
+        {"tolerance": 0.0}, {"eps": math.nan}, {"eps": -math.inf}])
+    def test_non_finite_or_out_of_range_inputs_are_refused(self, kwargs):
+        for class_name in CONCENTRATION_CLASSES:
+            with pytest.raises(BadParameters, match=next(iter(kwargs))):
+                run_concentration(class_name, n=5, replications=2, **kwargs)
+
     def test_unreachable_degree_sum_fails_at_once(self):
         # below n = 40 the default law has mass only at 0 and 18, and 39 is
         # no multiple of 18: refused before the first proposal

@@ -735,6 +735,92 @@ class TestConditionedBienayme:
                                                       RngStream(0, 0)).luka == (0,)
 
 
+def frozen_full_column_bienayme(mu, n, rng, max_attempts=10_000_000):
+    """The rejection sampler as it was when every proposal row had a column
+    for each of the n degrees, kept verbatim as the reference for the
+    support-only rows."""
+    q = samplers._truncated_masses(mu, n)
+    if n > 1 and q[1] == 0 and not samplers._reachable_sum(
+            (np.flatnonzero(q[1:]) + 1).tolist(), n - 1):
+        raise ZeroPartition(
+            f"sum {n - 1} is unreachable with this offspring law")
+    gen = rng.gen
+    degrees = np.arange(n)
+    attempts = 0
+    rows = 16
+    while attempts < max_attempts:
+        take = min(rows, max_attempts - attempts)
+        counts = gen.multinomial(n, q, size=take)
+        hits = np.flatnonzero(counts @ degrees == n - 1)
+        if hits.size:
+            multiset = np.repeat(degrees, counts[hits[0]])
+            return build_tree(rotate_to_valid_word(gen.permutation(multiset)))
+        attempts += take
+        rows = min(2 * rows, max(16, 65_536 // n))
+    raise AttemptsExhausted(
+        f"no degree sequence summed to {n - 1} in {max_attempts} attempts")
+
+
+def random_finite_law(seed):
+    """A subcritical law on 0 and two to five degrees up to 12, gaps left
+    at zero mass (degree 1 included about half the time)."""
+    gen = np.random.default_rng(seed)
+    degrees = np.sort(gen.choice(np.arange(1, 13), size=gen.integers(2, 6),
+                                 replace=False))
+    raw = gen.random(degrees.size)
+    scale = gen.uniform(0.8, 0.99) / float(raw @ degrees)
+    masses = {0: 1.0 - scale * float(raw.sum())}
+    masses.update((int(d), scale * float(r)) for d, r in zip(degrees, raw))
+    return OffspringDistribution.from_masses(masses, renormalize=True)
+
+
+SUPPORT_ROW_LAWS = (
+    [("control", _LADDERS["control"][0]()),
+     ("near-path", OffspringDistribution.near_path(0.1)),
+     ("branching", _CLASS_LAWS["branching"]()),
+     ("geometric", OffspringDistribution.geometric(0.5)),
+     ("heavy", _LADDERS["heavy"][0]()),
+     # q[n - 1] > 0 at n = 5 and n = 9
+     ("mass-at-n-1", OffspringDistribution.from_masses(
+         {0: 0.55, 1: 0.1, 4: 0.2, 8: 0.15}))]
+    + [(f"random-{seed}", random_finite_law(seed)) for seed in range(40)])
+
+
+def _tree_or_error(sampler, mu, n, rng, max_attempts):
+    try:
+        return sampler(mu, n, rng, max_attempts=max_attempts).luka
+    except (ZeroPartition, AttemptsExhausted) as exc:
+        return type(exc), str(exc)
+
+
+class TestSupportOnlyRejectionRows:
+    @pytest.mark.parametrize("name, mu", SUPPORT_ROW_LAWS,
+                             ids=[c[0] for c in SUPPORT_ROW_LAWS])
+    def test_same_trees_as_full_column_rows(self, name, mu):
+        for n in (2, 3, 5, 9, 17, 60, 201, 1000):
+            for stream in range(3):
+                old, new = RngStream(7, stream), RngStream(7, stream)
+                for _ in range(2):  # the second tree checks the stream state
+                    assert (_tree_or_error(sample_conditioned_bienayme, mu, n,
+                                           new, 2_000)
+                            == _tree_or_error(frozen_full_column_bienayme,
+                                              mu, n, old, 2_000)), (n, stream)
+
+    def test_outcomes_include_both_refusals(self):
+        # support {0, 2} cannot make a 4-node tree; 41 nodes at mu(2) =
+        # 0.001 are reachable but no row in 500 comes near
+        cases = [(OffspringDistribution.from_masses({0: 0.5, 2: 0.5}), 4,
+                  ZeroPartition),
+                 (OffspringDistribution.from_masses({0: 0.999, 2: 0.001}), 41,
+                  AttemptsExhausted)]
+        for mu, n, error in cases:
+            got = _tree_or_error(sample_conditioned_bienayme, mu, n,
+                                 RngStream(3, 0), 500)
+            assert got == _tree_or_error(frozen_full_column_bienayme, mu, n,
+                                         RngStream(3, 0), 500)
+            assert got[0] is error
+
+
 def simulated_rows(mu, n, seed, accepts=50):
     """Proposal rows per accepted tree of the rejection sampler, counted
     over `accepts` acceptances of its multinomial rows."""

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.special import zeta
 
 from arbor import samplers
+from arbor import weights as weights_module
 from arbor.enumeration import (count_forests, enumerate_degree_statistics,
                                enumerate_trees_of_size, poly_mul)
 from arbor.errors import (BadParameters, Diverged, OutOfDomain, PhiDiverges,
@@ -177,6 +178,134 @@ class TestLimitDegreeLaw:
         assert law.mass(2) / law.mass(0) == pytest.approx(0.75)
         with pytest.raises(OutOfDomain):
             tilted_law(BINARY, 0.0, 3)
+
+
+def _loop_series_sum(w, t, power):
+    """The term-by-term generator series that `_series_sum` replaced with
+    numpy blocks, kept verbatim as the reference for bit-identity."""
+    total = 0.0
+    tf = float(t)
+    quiet = 0
+    marks = []
+    for k in range(w.cap + 1):
+        wk = w.generator(k)
+        try:
+            term = (k ** power if power else 1) * float(wk) * tf ** k
+        except OverflowError:
+            raise Diverged(f"series term overflowed at k={k}")
+        total += term
+        if total > 1e300 or math.isinf(total):
+            raise Diverged(f"series exceeded overflow threshold at k={k}")
+        if term > 0 and k >= 1 and (not marks or k >= marks[-1][0] * 2
+                                    or k == w.cap):
+            marks.append((k, term))
+        if k >= 5:
+            quiet = quiet + 1 if term <= 1e-14 * max(total, 1e-300) else 0
+            if quiet >= 5:
+                return total, True
+    if len(marks) < 3:
+        return total, False
+    (k0, t0), (k1, t1), (k2, t2) = marks[-3:]
+    a_prev = math.log(t0 / t1) / math.log(k1 / k0)
+    a_fit = math.log(t1 / t2) / math.log(k2 / k1)
+    if a_fit <= 1.05:
+        return total, False
+    tail = t2 * k2 / (a_fit - 1) + t2 / 2
+    err = tail * (abs(a_fit - a_prev) * math.log(k2) + 1.0 / k2)
+    if err < 1e-10 * max(total, 1e-300):
+        return total + tail, True
+    return total, False
+
+
+def _loop_limit_masses(w, top=None):
+    """The term-by-term mass loop of `limit_degree_law`, kept verbatim."""
+    rho, _ = w.resolve_rho()
+    total = phi(w, rho)
+    masses = []
+    partial = 0.0
+    k = 0
+    hi = 1_000_000 if top is None else max(top, 64)
+    while k <= hi:
+        m = float(w.weight(k)) * rho ** k / float(total)
+        masses.append(m)
+        partial += m
+        if (top is None or k >= top) and k >= 8 and 1.0 - partial < 1e-12:
+            break
+        k += 1
+    return masses
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
+class TestBlockSeriesMatchesScalarLoop:
+    # (weights, t): the cap with the tail fit accepted; a fit slope at most
+    # 1.05; a quiet streak that ends in a later block; t^k that would
+    # overflow only after the stop, in the stop's block (0.65^k) or beyond
+    # it (1/k!); t^k overflowing while the term is small; the total passing
+    # 1e300; a weight that raises after the stop, and one that raises before
+    CASES = {
+        "0.65^k at 1.5": (lambda k: 0.65 ** k, 1.5),
+        "0.5^k raising from 60": (lambda k: 0.5 ** k if k < 60 else 1 / 0,
+                                  1.0),
+        "0.5^k raising from 20": (lambda k: 0.5 ** k if k < 20 else 1 / 0,
+                                  1.0),
+        "k^-3 at 1": (lambda k: 1.0 if k == 0 else float(k) ** -3.0, 1.0),
+        "k^-1.01 at 1": (lambda k: 1.0 if k == 0 else float(k) ** -1.01,
+                         1.0),
+        "ones at 0.995": (lambda k: 1.0, 0.995),
+        "1/k! at 1.5": (lambda k: 1.0 / math.factorial(k), 1.5),
+        "2^-k at 1.99": (lambda k: 2.0 ** -k, 1.99),
+        "1e10 at 1.5": (lambda k: 1.0 if k == 0 else 1e10, 1.5),
+    }
+
+    @pytest.mark.parametrize("power", [0, 1, 2])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_value_flag_and_error_are_the_loops(self, case, power):
+        fn, t = self.CASES[case]
+        w = WeightSequence.from_generator(fn)
+        assert (_outcome(weights_module._series_sum, w, t, power)
+                == _outcome(_loop_series_sum, w, t, power))
+
+    @pytest.mark.parametrize("case, power, expected", [
+        ("k^-3 at 1", 0, ("value", True)),
+        ("k^-3 at 1", 1, ("value", True)),
+        ("k^-1.01 at 1", 0, ("value", False)),
+        ("ones at 0.995", 0, ("value", True)),
+        ("1/k! at 1.5", 0, ("value", True)),
+        ("0.65^k at 1.5", 0, ("value", True)),
+        ("0.5^k raising from 60", 0, ("value", True)),
+        ("0.5^k raising from 20", 0,
+         ("raised", ZeroDivisionError, "division by zero")),
+        ("2^-k at 1.99", 0,
+         ("raised", Diverged, "series term overflowed at k=1032")),
+        ("1e10 at 1.5", 0,
+         ("raised", Diverged, "series exceeded overflow threshold at k=1645"))])
+    def test_each_case_takes_its_intended_exit(self, case, power, expected):
+        fn, t = self.CASES[case]
+        got = _outcome(weights_module._series_sum,
+                       WeightSequence.from_generator(fn), t, power)
+        if expected[0] == "value":
+            assert (got[0], got[1][1]) == expected
+        else:
+            assert got == expected
+
+    def test_quiet_streak_stops_in_the_second_block(self):
+        w = WeightSequence.from_generator(lambda k: 1.0)
+        assert weights_module._series_sum(w, 0.995, 0) == (
+            199.99999999961176, True)
+
+    @pytest.mark.parametrize("top", [None, 0, 5, 64, 5000])
+    def test_limit_law_masses_are_the_loops(self, top):
+        w = census_weights()
+        law = limit_degree_law(w, top)
+        expected = samplers.OffspringDistribution.from_masses(
+            _loop_limit_masses(w, top), renormalize=True)
+        assert law.masses == expected.masses
 
 
 def _fraction_poly_mul(a, b, trunc):
