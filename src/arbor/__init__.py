@@ -11,7 +11,7 @@ from .enumeration import (ENUMERATION_CAP, ExactDistribution, count_forests,
                           exact_mark_height_distribution,
                           exact_stopping_index_distribution,
                           exact_threshold_sampler_distribution,
-                          spine_probability)
+                          repeat_time_survivals, spine_probability)
 from .samplers import (OffspringDistribution, sample_conditioned_bienayme,
                        sample_conditioned_bienayme_sequential,
                        sample_mark_height, sample_stopping_index,

@@ -2,7 +2,7 @@
 
 Subcommands:
   equiv        exhaustive small-n equivalence suite
-  tails        Monte Carlo tail sweep for one degree-statistics file
+  tails        tail sweep for one degree-statistics file (exact tau)
   converge     scaling-trend ladder for an offspring law
   concentrate  degree-profile concentration battery
   sample       draw uniform trees with fixed degree statistics
@@ -81,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="report base path")
 
-    p = sub.add_parser("tails", help="Monte Carlo tails vs closed-form bounds")
+    p = sub.add_parser("tails", help="Monte Carlo height and sigma tails, "
+                       "exact tau tails, vs closed-form bounds")
     p.add_argument("--stats", required=True,
                    help="JSON file: object of degree -> count")
     p.add_argument("--grid", default=None,

@@ -28,6 +28,7 @@ reduced survival fractions.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -284,21 +285,47 @@ def poly_mul(a: list, b: list, trunc: int | None = None) -> list:
     return out
 
 
-def _degree_polynomial(stats: DegreeStatistics) -> list[int]:
+def _degree_polynomial(stats: DegreeStatistics,
+                       top: int | None = None) -> list[int]:
     """Coefficients of prod_{c>=1} (1 + c z)^{n(c)} as exact integers: a
-    balanced product of the binomial rows sum_j C(n(c), j) c^j z^j."""
+    balanced product of the binomial rows sum_j C(n(c), j) c^j z^j, with
+    every power above `top` dropped when it is given."""
     rows = []
     for c, k in stats.sorted_items():
         if c == 0:
             continue
         row = [1]
-        for j in range(k):
+        for j in range(k if top is None else min(k, top)):
             row.append(row[-1] * (k - j) * c // (j + 1))
         rows.append(row)
     while len(rows) > 1:
-        rows = [poly_mul(*rows[i:i + 2]) if i + 1 < len(rows) else rows[i]
-                for i in range(0, len(rows), 2)]
+        rows = [poly_mul(*rows[i:i + 2], trunc=top) if i + 1 < len(rows)
+                else rows[i] for i in range(0, len(rows), 2)]
     return rows[0] if rows else [1]
+
+
+def repeat_time_survivals(stats: DegreeStatistics) -> Iterator[Fraction]:
+    """P(tau > k) for k = 0, 1, 2, ... of the Poisson repeat time tau.
+
+    Each arrival lands in one of n - 1 equal slots, d_i of them node i's;
+    tau is the first arrival on one of i's d_i - 1 left slots after any
+    arrival on i.  A k-sequence that does not fire splits by node into j
+    blocks, each a first hit then right-slot repeats, so P(tau > k) =
+    sum_j q_j j! S(k, j) / (n - 1)^k, S the Stirling numbers of the second
+    kind.  S grows a row per k; q is regrown by doubling its truncation."""
+    if stats.a != 1 or stats.n < 2:
+        raise InvalidStatistics("repeat time needs a single tree, n >= 2")
+    internal = stats.n - stats.count(0)  # the degree of q
+    top, weight, row, den = -1, [], [1], 1  # row[j] = S(k, j)
+    for k in itertools.count():
+        if top < min(k, internal):
+            top = min(internal, max(32, 2 * top))
+            weight = [q * math.factorial(j) for j, q in
+                      enumerate(_degree_polynomial(stats, top))]
+        yield Fraction(sum(w * s for w, s in zip(weight, row)), den)
+        row = [0] + [j * s + t for j, s, t in
+                     zip(range(1, internal + 1), row[1:] + [0], row)]
+        den *= stats.n - 1
 
 
 def _law_masses(poly: list[int], m: int) -> Iterator[tuple[int, Fraction]]:

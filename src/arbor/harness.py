@@ -27,9 +27,10 @@ from .bounds import (BoundInput, height_tail_bound, height_tail_bound_no_ones,
 from .enumeration import (count_forests, enumerate_degree_statistics,
                           enumerate_trees, exact_mark_height_distribution,
                           exact_threshold_sampler_distribution,
-                          spine_probability)
+                          repeat_time_survivals, spine_probability)
 from .errors import BadParameters
 from .rng import RngStream
+# the three batch samplers stay bound here, where benchmark tracers patch them
 from .samplers import (OffspringDistribution, conditional_sum_table,
                        conditioned_sampler,
                        sample_conditioned_bienayme_sequential,
@@ -46,8 +47,6 @@ DEFAULT_BETAS = (80.0, 125.0, 216.0, 343.0)
 CONCENTRATION_CLASSES = ("second-moment", "stretched", "branching",
                          "census", "leaf")
 
-_POISSON_CHUNK = 20_000
-
 
 # ---------------------------------------------------------------------------
 # report plumbing
@@ -58,9 +57,9 @@ class Cell:
     """One report row: an empirical quantity against its reference value.
 
     For Monte Carlo tails, empirical is the hit fraction, the interval is a
-    95% Wilson interval, and the verdict is ci_hi <= bound.  Identity and
-    trend cells reuse the same shape with degenerate intervals; the
-    grid_value label says which comparison the row makes.
+    95% Wilson interval, and the verdict is ci_hi <= bound.  Exact cells (a
+    tau cell holds a certified upper value), identity and trend cells reuse
+    the same shape with degenerate intervals; grid_value names the check.
     """
 
     experiment: str
@@ -348,8 +347,8 @@ def run_tail_sweep(stats: DegreeStatistics,
                    betas: Sequence[float] = DEFAULT_BETAS,
                    replications: int = 100_000,
                    seed: int = 0) -> ExperimentReport:
-    """Monte Carlo mark-height, stopping-index, and repeat-time tails
-    against their closed-form bounds.
+    """Monte Carlo mark-height and stopping-index tails, and exact
+    repeat-time tails, against their closed-form bounds.
 
     Cells emitted:
       height>beta=B:  P(depth of mark > B * p1 / sqrt(p2sq - n1)) vs the
@@ -367,16 +366,17 @@ def run_tail_sweep(stats: DegreeStatistics,
                       94 (seed 0), binary n = 1,023 fails 2 of 235 (seed
                       17), and heavy n = 1,023 and 4,095 fail height>=ell=1
                       at some seeds, all on noise alone.
-      tau>beta=B:     Poissonised repeat-time tails vs the two-term bound;
-                      skipped when no degree exceeds 1 (a repeat arrival is
-                      impossible and the bound is zero).
+      tau>beta=B:     exact repeat-time tails vs the two-term bound: the
+                      certified P(tau > k') at the least k' <= k =
+                      floor(threshold) at or below the bound, else the failing
+                      P(tau > k).  Skipped unless some degree exceeds 1.
 
-    A verdict passes when the upper 95% Wilson end sits at or below the
-    bound, and cells are reported individually, never pooled.  The bounds
-    hold for every n, but as above a failing cell near a tight bound may be
-    an unlucky seed rather than a bug; ROADMAP item 3 plans to replace the
-    rule by exact tails and a binomial test.  Raises PathDegenerate for
-    path statistics, where the beta threshold divides by zero spread.
+    A Monte Carlo verdict passes when the upper 95% Wilson end sits at or
+    below the bound; cells are reported individually, never pooled.  The
+    bounds hold for every n, so as above a failing Monte Carlo cell near a
+    tight bound may be an unlucky seed; ROADMAP item 3 plans exact tails and
+    a binomial test instead.  Raises PathDegenerate for path statistics,
+    where the beta threshold divides by zero spread.
     """
     if stats.a != 1:
         raise BadParameters("tail sweep needs single-tree statistics")
@@ -412,26 +412,27 @@ def run_tail_sweep(stats: DegreeStatistics,
             cells.append(_tail_cell(n, f"sigma>ell={ell}", sigmas > ell,
                                     bound))
     if stats.max_degree >= 2:
-        taus = _poissonized_taus(stats, seed, replications)
-        for beta in betas:
-            cells.append(_tail_cell(n, f"tau>beta={_num(beta)}",
-                                    taus > repeat_threshold(inp, beta),
-                                    repeat_time_tail_bound(inp, beta)))
+        cells.extend(_repeat_time_cells(stats, inp, betas))
     return _finish(cells, start, kind="tail_sweep", seed=seed,
                    replications=replications, sizes=(n,),
                    grid=tuple(float(b) for b in betas),
                    target=json.loads(stats.to_json()))
 
 
-def _poissonized_taus(stats: DegreeStatistics, seed: int,
-                      replications: int) -> np.ndarray:
-    # drawn in chunks of _POISSON_CHUNK rows, each from its own substream;
-    # the chunk size keys the substreams, so changing it changes every draw
-    base = RngStream(seed, 2)
-    starts = range(0, replications, _POISSON_CHUNK)
-    return np.concatenate([sample_stopping_index_poissonized_batch(
-        stats, base.substream(i), min(_POISSON_CHUNK, replications - s))[1]
-        for i, s in enumerate(starts)])
+def _repeat_time_cells(stats: DegreeStatistics, inp: BoundInput,
+                       betas: Sequence[float]) -> list[Cell]:
+    # P(tau > k) never increases in k, so the first k' <= k at or below the
+    # bound certifies P(tau > k); one scan of the exact tails serves every beta
+    want = [(f"tau>beta={_num(b)}", int(repeat_threshold(inp, b)),
+             repeat_time_tail_bound(inp, b)) for b in betas]
+    cells: dict[int, Cell] = {}
+    for k, tail in enumerate(repeat_time_survivals(stats)):
+        for i, (label, top, bound) in enumerate(want):
+            if i not in cells and (tail <= bound or k == top):
+                cells[i] = _verdict_cell("tail_sweep", stats.n, label,
+                                         float(tail), bound, tail <= bound)
+        if len(cells) == len(want):
+            return [cells[i] for i in range(len(want))]
 
 
 # ---------------------------------------------------------------------------

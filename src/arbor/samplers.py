@@ -25,8 +25,9 @@ Three families live here:
   them.
 
 Each sampler has an exact-law oracle in `enumeration` (or a closed form) and
-the tests compare the two; the Poisson route is a second, independent
-sampler of the stopping-index law and is tested against the walk as well.
+the tests compare the two.  The Poisson route, a second sampler of the
+stopping index, is tested against the walk, and its tau against the exact
+`enumeration.repeat_time_survivals` that the tail sweep reads instead.
 """
 
 from __future__ import annotations

@@ -24,7 +24,8 @@ from arbor.enumeration import (count_forests, enumerate_degree_statistics,
                                exact_mark_height_distribution,
                                exact_stopping_index_distribution,
                                exact_threshold_sampler_distribution)
-from arbor.harness import (DEFAULT_BETAS, full_binary_statistics,
+from arbor.harness import (DEFAULT_BETAS, _repeat_time_cells,
+                           full_binary_statistics,
                            heavy_tailed_statistics, run_concentration,
                            run_convergence, run_equivalence_suite,
                            run_tail_sweep)
@@ -164,9 +165,20 @@ def _exact_bound_violations(stats):
     return checks, bad
 
 
+def _uncertified_repeat_times(stats):
+    """tau cells of DEFAULT_BETAS that no exact tail certifies: each cell
+    holds the exact P(tau > k') at the least k' <= floor(threshold) at or
+    below its bound, and fails when there is none."""
+    cells = _repeat_time_cells(stats, BoundInput.from_stats(stats),
+                               DEFAULT_BETAS)
+    assert len(cells) == len(DEFAULT_BETAS)
+    return [c for c in cells if not c.verdict]
+
+
 def test_tail_bounds_never_violated(acceptance):
     checks = violations = 0
     small = 0
+    tau_checks = tau_bad = 0
     for stats in enumerate_degree_statistics(SMALL_MAX_N):
         if stats.max_degree < 2:
             continue  # single node or path: the deviation scale is zero
@@ -174,6 +186,8 @@ def test_tail_bounds_never_violated(acceptance):
         c, b = _exact_bound_violations(stats)
         checks += c
         violations += b
+        tau_checks += len(DEFAULT_BETAS)
+        tau_bad += len(_uncertified_repeat_times(stats))
     large = [full_binary_statistics(127), full_binary_statistics(1023),
              heavy_tailed_statistics(127), heavy_tailed_statistics(1023)]
     exact_only = [full_binary_statistics(4095), heavy_tailed_statistics(4095)]
@@ -181,18 +195,21 @@ def test_tail_bounds_never_violated(acceptance):
         c, b = _exact_bound_violations(stats)
         checks += c
         violations += b
+        tau_checks += len(DEFAULT_BETAS)
+        tau_bad += len(_uncertified_repeat_times(stats))
     mc_ok = True
     mc_cells = 0
     for stats in large:
         report = run_tail_sweep(stats, replications=100_000, seed=17)
         mc_ok = mc_ok and report.passed
         mc_cells += len(report.cells)
-    ok = violations == 0 and mc_ok
+    ok = violations == 0 and tau_bad == 0 and mc_ok
     acceptance("tail-bounds-never-violated", ok,
                f"{checks} exact checks over {small} small + "
                f"{len(large) + len(exact_only)} large classes, "
-               f"{violations} violations; {mc_cells} Monte Carlo cells at "
-               f"100000 reps all inside bound")
+               f"{violations} violations; {tau_checks - tau_bad} of "
+               f"{tau_checks} tau bounds certified by exact tails; "
+               f"{mc_cells} Monte Carlo cells at 100000 reps all inside bound")
 
 
 def test_pair_survival_battery(acceptance):

@@ -317,7 +317,7 @@ def test_runs_without_scipy(stats_file, binary15_file):
     assert doc["config"]["family"] == "heavy"
     assert doc["config"]["sizes"] == [20, 40]
 
-    # the threshold walk and the Poisson batch
+    # the threshold walk and the exact repeat-time tails
     tails = _run_without_scipy("tails", "--stats", binary15_file,
                                "--reps", "2000")
     assert tails.returncode == 0, tails.stderr

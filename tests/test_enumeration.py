@@ -8,6 +8,7 @@ law code and of the survival-differencing code pin the closed forms bit for
 bit at sizes enumeration cannot reach.
 """
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -25,7 +26,8 @@ from arbor.enumeration import (ENUMERATION_CAP, ExactDistribution,
                                exact_mark_height_distribution,
                                exact_stopping_index_distribution,
                                exact_threshold_sampler_distribution, falling,
-                               multinomial, poly_mul, spine_probability)
+                               multinomial, poly_mul, repeat_time_survivals,
+                               spine_probability)
 from arbor.errors import InvalidStatistics, TooLarge, UsageExceeded
 from arbor.harness import full_binary_statistics, heavy_tailed_statistics
 from arbor.trees import DegreeStatistics, MarkedTree
@@ -437,3 +439,73 @@ class TestPolyMul:
         # a's high terms lie wholly above trunc and must not wrap around
         assert poly_mul([1, 0, 0, 5], [1, 1], trunc=1) == [1, 1]
         assert poly_mul([0, 0, 7], [1], trunc=0) == [0]
+
+
+def repeat_time_survival_by_brute_force(stats, k):
+    """P(tau > k) from all (n - 1)^k slot sequences: node i owns d_i - 1
+    left slots and one right slot, and a sequence fires on an arrival at a
+    left slot of a node hit earlier."""
+    slots = [(i, j > 0) for i, d in enumerate(
+        c for c, m in stats.sorted_items() for _ in range(m)) for j in range(d)]
+    quiet = 0
+    for seq in itertools.product(slots, repeat=k):
+        hit = set()
+        for node, left in seq:
+            if left and node in hit:
+                break
+            hit.add(node)
+        else:
+            quiet += 1
+    return Fraction(quiet, len(slots) ** k)
+
+
+def repeat_time_survival_by_shifted_product(stats, k):
+    """P(tau > k) = sum_i r_i (i / (n - 1))^k with r(x) = prod_c
+    (c x + 1 - c)^{n(c)}, i.e. r(x) = q(x - 1)."""
+    r = [1]
+    for c, m in stats.sorted_items():
+        for _ in range(m if c else 0):
+            r = poly_mul(r, [1 - c, c])
+    return sum((Fraction(ri) * Fraction(i, stats.n - 1) ** k
+                for i, ri in enumerate(r)), Fraction(0))
+
+
+class TestRepeatTimeSurvivals:
+    def test_matches_brute_force_on_every_small_class(self):
+        classes = [s for s in all_stats_upto(6) if s.n >= 2]
+        assert len(classes) == 18
+        for stats in classes:
+            got = list(itertools.islice(repeat_time_survivals(stats), 7))
+            assert got == [repeat_time_survival_by_brute_force(stats, k)
+                           for k in range(7)], stats.counts
+
+    @pytest.mark.parametrize("census", [full_binary_statistics,
+                                        heavy_tailed_statistics])
+    def test_matches_shifted_product_form(self, census):
+        stats = census(127)
+        got = list(itertools.islice(repeat_time_survivals(stats), 81))
+        assert got == [repeat_time_survival_by_shifted_product(stats, k)
+                       for k in range(81)]
+
+    def test_paths_never_repeat_and_tails_never_increase(self):
+        path = DegreeStatistics({0: 1, 1: 6})
+        assert all(p == 1 for p in
+                   itertools.islice(repeat_time_survivals(path), 40))
+        # binary n = 255 has 127 internal nodes: q regrows at k = 33 and 65
+        tails = list(itertools.islice(
+            repeat_time_survivals(full_binary_statistics(255)), 140))
+        assert tails[:2] == [1, 1]
+        assert all(a >= b for a, b in zip(tails, tails[1:]))
+
+    @pytest.mark.parametrize("stats", [DegreeStatistics({0: 2}),
+                                       DegreeStatistics({0: 1})])
+    def test_forests_and_single_nodes_are_refused(self, stats):
+        with pytest.raises(InvalidStatistics):
+            next(repeat_time_survivals(stats))
+
+    @pytest.mark.parametrize("top", [0, 1, 5, 33, 64, 10_000])
+    def test_truncated_degree_polynomial_is_a_prefix(self, top):
+        for stats in (full_binary_statistics(255), heavy_tailed_statistics(255),
+                      DegreeStatistics({0: 9, 1: 3, 2: 2, 3: 1, 5: 1})):
+            full = _degree_polynomial(stats)
+            assert _degree_polynomial(stats, top) == full[:top + 1]

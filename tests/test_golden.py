@@ -71,7 +71,7 @@ GOLDEN = {
     "concentrate-leaf":
         "5e34b0473c0489fc2b84e374dca1671f89a0f8c4893b95f9df7788dbb44924af",
     "tails-binary9":
-        "310f37fbda50109a087682605598fd7055a4a8b884f42858644c045598fc8cb4",
+        "57b1d4179f4fda0fb7ffbb7f1429cdcd392ea876e09ecf3bc6825693b149879a",
     "equivalence-6":
         "c611d85ece8e992e0fc3df8132e9abdd52819ec462a43c425adfbe0e4bf49c77",
 }

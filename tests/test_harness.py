@@ -5,6 +5,7 @@ here the runs are small and the focus is report structure, parameter
 validation, and byte-level determinism.
 """
 
+import itertools
 import json
 import math
 import time
@@ -14,7 +15,9 @@ from dataclasses import asdict
 import pytest
 
 from arbor import harness, samplers
-from arbor.enumeration import enumerate_degree_statistics, enumerate_trees
+from arbor.bounds import BoundInput
+from arbor.enumeration import (enumerate_degree_statistics, enumerate_trees,
+                               repeat_time_survivals)
 from arbor.errors import BadParameters, PathDegenerate, ZeroPartition
 from arbor.harness import (_CLASS_LAWS, _LADDERS, CONCENTRATION_CLASSES,
                            CSV_COLUMNS, Cell, ExperimentConfig,
@@ -163,6 +166,32 @@ class TestTailSweep:
         assert any(s.startswith("sigma>ell=") for s in labels)
         assert any(s.startswith("tau>beta=") for s in labels)
         assert report.config.target == {"0": 8, "2": 7}
+
+    @pytest.mark.parametrize("scale,verdict", [(0.99, False), (1.01, True)])
+    @pytest.mark.parametrize("counts", [{0: 8, 2: 7},
+                                        {0: 9, 1: 2, 2: 2, 3: 1, 5: 1}])
+    def test_tau_cell_fails_below_the_exact_tail(self, monkeypatch, counts,
+                                                 scale, verdict):
+        # a broken copy of the bound at 0.99 times the exact P(tau > k) must
+        # fail every tau cell at that tail; 1.01 times it must pass
+        stats = DegreeStatistics(counts)
+        inp = BoundInput.from_stats(stats)
+
+        def exact(beta):
+            k = math.floor(harness.repeat_threshold(inp, beta))
+            return next(itertools.islice(repeat_time_survivals(stats), k, None))
+
+        monkeypatch.setattr(harness, "repeat_time_tail_bound",
+                            lambda _, beta: scale * float(exact(beta)))
+        report = run_tail_sweep(stats, replications=200, seed=3)
+        tau = [c for c in report.cells if str(c.grid_value).startswith("tau>")]
+        assert [c.verdict for c in tau] == [verdict] * 4
+        if not verdict:
+            assert [c.empirical for c in tau] == [
+                float(exact(b)) for b in harness.DEFAULT_BETAS]
+        monkeypatch.undo()
+        plain = run_tail_sweep(stats, replications=200, seed=3).cells
+        assert report.cells[:-4] == plain[:-4]  # the Monte Carlo cells
 
     def test_informative_floor_truncates_ell_range(self):
         report = run_tail_sweep(full_binary_statistics(15),

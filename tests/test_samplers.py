@@ -22,7 +22,8 @@ from scipy.special import zeta
 import arbor.samplers as samplers
 from arbor.enumeration import (enumerate_trees, enumerate_trees_of_size,
                                exact_stopping_index_distribution,
-                               exact_threshold_sampler_distribution)
+                               exact_threshold_sampler_distribution,
+                               repeat_time_survivals)
 from arbor.errors import (AttemptsExhausted, InvalidDistribution,
                           InvalidStatistics, ZeroPartition)
 from arbor.harness import (_CLASS_LAWS, _LADDERS, full_binary_statistics,
@@ -282,6 +283,26 @@ class TestPoissonized:
         b, _ = sample_stopping_index_poissonized_batch(STATS, RngStream(12, 1),
                                                        20_000)
         assert chi_square_two_sample(a, b) > P_FLOOR
+
+    @pytest.mark.parametrize("stats", [
+        STATS, DegreeStatistics({0: 4, 1: 1, 2: 1, 3: 1}),
+        full_binary_statistics(63), heavy_tailed_statistics(127)],
+        ids=["n6", "mixed-n7", "binary-n63", "heavy-n127"])
+    def test_batch_taus_match_exact_tails(self, stats):
+        # the tail sweep reads these exact tails instead of the batch; seed 23
+        # was fixed in advance, and every k with P(tau > k) >= 1e-3 is tested
+        reps = 50_000
+        _, taus = sample_stopping_index_poissonized_batch(
+            stats, RngStream(23, 0), reps)
+        worst = 0.0
+        for k, tail in enumerate(repeat_time_survivals(stats)):
+            p = float(tail)
+            if p < 1e-3:
+                break
+            if p < 1.0:
+                freq = np.count_nonzero(taus > k) / reps
+                worst = max(worst, abs(freq - p) / math.sqrt(p * (1 - p) / reps))
+        assert k > 2 and worst < 4.0
 
 
 def frozen_poissonized_batch(stats, rng, reps):
