@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .errors import InvalidStatistics, TooLarge, UsageExceeded
-from .trees import DegreeStatistics, MarkedTree, PlaneTree
+from .trees import DegreeStatistics, MarkedTree, PlaneTree, depth_table
 
 ENUMERATION_CAP = 12
 
@@ -253,19 +253,18 @@ def enumerate_trees_of_size(n: int) -> Iterator[PlaneTree]:
             yield from enumerate_trees(stats)
 
 
+def depth_law(trees) -> dict[int, Fraction]:
+    """Exact law of the depth of a uniform node of a uniform tree among
+    `trees`, all of one size: one `depth_table` call."""
+    depths = depth_table([t.luka for t in trees])
+    return {d: Fraction(c, depths.size)
+            for d, c in Counter(depths.ravel().tolist()).items()}
+
+
 def exact_mark_height_distribution(stats: DegreeStatistics) -> ExactDistribution:
     """Law of the depth of a uniform mark in a uniform tree, by enumerating
     every (tree, node) pair."""
-    depth_counts: Counter = Counter()
-    trees = 0
-    for tree in enumerate_trees(stats):
-        trees += 1
-        for d in tree.depths:
-            depth_counts[d] += 1
-    denom = trees * stats.n
-    return ExactDistribution.from_pmf(
-        {d: Fraction(c, denom) for d, c in depth_counts.items()}
-    )
+    return ExactDistribution.from_pmf(depth_law(enumerate_trees(stats)))
 
 
 def poly_mul(a: list, b: list, trunc: int | None = None) -> list:

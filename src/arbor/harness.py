@@ -24,8 +24,9 @@ from . import __version__
 from .bounds import (BoundInput, height_tail_bound, height_tail_bound_no_ones,
                      height_threshold, repeat_threshold, repeat_time_tail_bound,
                      stopping_tail_bound_no_ones)
-from .enumeration import (count_forests, enumerate_degree_statistics,
-                          enumerate_trees, exact_mark_height_distribution,
+from .enumeration import (count_forests, depth_law,
+                          enumerate_degree_statistics, enumerate_trees,
+                          exact_mark_height_distribution,
                           exact_threshold_sampler_distribution,
                           repeat_time_survivals, spine_probability)
 from .errors import BadParameters
@@ -37,8 +38,8 @@ from .samplers import (OffspringDistribution, conditional_sum_table,
                        sample_mark_height_batch, sample_stopping_index_batch,
                        sample_stopping_index_poissonized_batch)
 from .stats import wilson_interval
-from .trees import DegreeStatistics, PlaneTree
-from .weights import (WeightSequence, exact_tree_law, limit_degree_law,
+from .trees import DegreeStatistics, PlaneTree, depth_table
+from .weights import (WeightSequence, exact_tree_law, limit_degree_law, phi,
                       solve_critical_tilt, tilted_law)
 
 CSV_COLUMNS = ("experiment", "n", "grid_value", "empirical",
@@ -261,13 +262,7 @@ def run_equivalence_suite(max_n: int = 8, seed: int = 0) -> ExperimentReport:
         threshold_law = exact_threshold_sampler_distribution(stats)
         tv = _total_variation(height_law.pmf(), threshold_law.pmf())
         cells.append(_discrepancy_cell(n, f"threshold-vs-height {label}", tv))
-        hist: Counter = Counter()
-        for tree in trees:
-            for depth in tree.depths:
-                hist[depth] += 1
-        total = n * len(trees)
-        observed = {d: Fraction(c, total) for d, c in hist.items()}
-        tv2 = _total_variation(height_law.pmf(), observed)
+        tv2 = _total_variation(height_law.pmf(), depth_law(trees))
         cells.append(_discrepancy_cell(n, f"histogram-vs-height {label}", tv2))
         cells.append(_discrepancy_cell(n, f"spine {label}",
                                        _spine_discrepancy(stats, trees)))
@@ -451,8 +446,14 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
             float(values.std(ddof=1) / math.sqrt(len(values))))
 
 
-def _ladder_measure(tree: PlaneTree) -> tuple[int, int, float]:
-    return (tree.height, tree.width, float(np.mean(tree.depths)))
+def _ladder_measure(words: list) -> tuple[np.ndarray, ...]:
+    """Heights, widths and mean depths of a rung's trees in one
+    `depth_table` pass; depth sums are exact, so the means are too."""
+    depths = depth_table(words)
+    rows, n = depths.shape
+    levels = np.bincount((depths + n * np.arange(rows)[:, None]).ravel(),
+                         minlength=rows * n).reshape(rows, n)
+    return depths.max(axis=1), levels.max(axis=1), depths.mean(axis=1)
 
 
 _LADDERS = {  # family -> (default law, default sizes)
@@ -525,9 +526,9 @@ def run_convergence(mu: OffspringDistribution | None = None,
     cells: list[Cell] = []
     trend = []  # per rung: Chat, or the (wid, ht) means
     for j, (law, n) in enumerate(rungs):
-        hts, wids, deps = (np.array(col, dtype=float) for col in zip(
-            *_draw_trees(_ladder_measure, conditioned_sampler(law, n), seed,
-                         j, replications)))
+        hts, wids, deps = _ladder_measure(_draw_trees(
+            lambda t: t.luka, conditioned_sampler(law, n), seed, j,
+            replications))
         if family == "near-path":
             scale = math.sqrt(grid[j]) / math.sqrt(n)
             mean, se = _mean_se(deps)
@@ -575,11 +576,12 @@ def run_convergence(mu: OffspringDistribution | None = None,
 @functools.cache
 def _census_constants() -> tuple[WeightSequence, float, tuple[float, ...]]:
     """The census class's k^-3 weights, their critical tilt and the
-    boundary law pi(0..3); solved once per process."""
+    boundary law pi(0..3), sharing one Phi(rho); solved once per process."""
     weights = WeightSequence.from_generator(
         lambda k: 1.0 if k == 0 else float(k) ** -3.0, rho_hint=1.0)
-    pi = limit_degree_law(weights)
-    return (weights, solve_critical_tilt(weights),
+    phi_rho = phi(weights, weights.resolve_rho()[0])
+    pi = limit_degree_law(weights, phi_rho=phi_rho)
+    return (weights, solve_critical_tilt(weights, phi_rho),
             tuple(pi.mass(k) for k in range(4)))
 
 
@@ -617,8 +619,8 @@ def run_concentration(class_name: str,
       census: simply generated with w_k = k^(-3); event
           max over k <= 3 of |n(k)/n - pi(k)| < tolerance, pi the boundary
           degree law.  Sampling always halves the degree sum over one
-          `conditional_sum_table` per call (2.4 ms per tree at n = 2,000;
-          200 trees at n = 10,000 take 3.7 s): rejection needs over 100,000
+          `conditional_sum_table` per call (1.7 ms per tree at n = 2,000;
+          200 trees at n = 10,000 take 1.5 s): rejection needs over 100,000
           proposals per tree in this condensation regime, and the normal
           estimate behind `conditioned_sampler` (1.2e11 at n = 2,000) does
           not describe it; it would pick rejection below n = 118.  The tilt
@@ -676,8 +678,9 @@ def run_concentration(class_name: str,
                        replications=1, sizes=ladder,
                        target={"weights": "(k!)^2"}, family=class_name,
                        threshold=threshold)
-    if replications < 1:
-        raise BadParameters("need at least one replication")
+    for name, count in (("replication", replications), ("node", n)):
+        if count < 1:
+            raise BadParameters(f"need at least one {name}")
     if class_name == "census":
         weights, tilt, pis = _census_constants()
         law = tilted_law(weights, tilt, n - 1)

@@ -365,14 +365,16 @@ def sample_stopping_index_poissonized_batch(
 # direct tree construction
 # ---------------------------------------------------------------------------
 
+def _rotation(d: np.ndarray) -> np.ndarray:
+    """The one cyclic rotation of an int64 degree array that is a valid word
+    (cycle lemma): it starts after the walk of (d_i - 1) first bottoms out."""
+    j = int(np.argmin(np.cumsum(d - 1)))
+    return np.concatenate([d[j + 1:], d[:j + 1]])
+
+
 def rotate_to_valid_word(degrees: Sequence[int]) -> tuple[int, ...]:
-    """The unique cyclic rotation of a degree multiset arrangement that is a
-    valid preorder degree word (cycle lemma, single-tree case)."""
-    d = np.asarray(degrees, dtype=np.int64)
-    walk = np.cumsum(d - 1)
-    j = int(np.argmin(walk))  # first position attaining the minimum
-    rotated = np.concatenate([d[j + 1:], d[:j + 1]])
-    return tuple(rotated.tolist())
+    """`_rotation` of any degree sequence, as a tuple."""
+    return tuple(_rotation(np.asarray(degrees, dtype=np.int64)).tolist())
 
 
 def sample_uniform_tree(stats: DegreeStatistics, rng: RngStream) -> PlaneTree:
@@ -381,7 +383,7 @@ def sample_uniform_tree(stats: DegreeStatistics, rng: RngStream) -> PlaneTree:
     if stats.a != 1:
         raise InvalidStatistics("uniform tree sampling needs a = 1")
     perm = rng.gen.permutation(_degree_multiset(stats))
-    return build_tree(rotate_to_valid_word(perm))
+    return build_tree(_rotation(perm))
 
 
 def sample_uniform_marked_tree(stats: DegreeStatistics, rng: RngStream) -> MarkedTree:
@@ -685,7 +687,7 @@ def sample_conditioned_bienayme(mu: OffspringDistribution, n: int,
     `expected_rejection_rows` predicts how many rows a tree takes: the
     heavy law (full support) at n = 3,200 takes about 1,600 rows
     (predicted 1,046), 27 ms per tree, where the halving sampler takes
-    about 4 ms.
+    about 2 ms.
 
     Raises ZeroPartition before the first proposal when n - 1 is not a sum
     of positive degrees with mass below n (with mass at degree 1 every
@@ -706,7 +708,7 @@ def sample_conditioned_bienayme(mu: OffspringDistribution, n: int,
         hits = np.flatnonzero(counts @ cols == n - 1)
         if hits.size:
             multiset = np.repeat(cols, counts[hits[0]])
-            return build_tree(rotate_to_valid_word(gen.permutation(multiset)))
+            return build_tree(_rotation(gen.permutation(multiset)))
         attempts += take
         rows = min(2 * rows, max(16, 65_536 // n))
     raise AttemptsExhausted(
@@ -759,9 +761,10 @@ def sample_conditioned_bienayme_sequential(
     size one is a degree.  The splits multiply to prod mu(d_i) over the
     normaliser, an exchangeable law, so block order does not matter before
     the rotation.  Each level is one ragged cumulative sum, so a tree costs
-    O(n log n) however far the total sits in the proposal's tail: 2.4 ms
-    at n = 2,000, 12 ms at n = 10,000.  Pass a precomputed `table` when
-    drawing many trees at one (mu, n).
+    O(n log n) however far the total sits in the proposal's tail: on 2
+    CPUs, 1.7 ms at n = 2,000 and 5.2 ms at n = 10,000 for the census law,
+    0.7 ms at n = 800 and 1.5 ms at n = 3,200 for the heavy law.  Pass a
+    precomputed `table` when drawing many trees at one (mu, n).
 
     Raises ZeroPartition when no degree sequence can reach the target sum,
     a case the rejection sampler can only burn attempts on.
@@ -773,6 +776,7 @@ def sample_conditioned_bienayme_sequential(
     sizes = block_sizes(n)
     row_of = np.zeros(n + 1, dtype=np.int64)
     row_of[sizes] = np.arange(len(sizes))
+    flat = table.ravel()
     gen = rng.gen
     m = np.array([n])
     t = np.array([n - 1])
@@ -787,9 +791,10 @@ def sample_conditioned_bienayme_sequential(
         m2 = m - m1
         lens = t + 1
         starts = np.cumsum(lens) - lens
-        blk = np.repeat(np.arange(m.size), lens)
-        k = np.arange(lens.sum()) - starts[blk]
-        w = table[row_of[m1][blk], k] * table[row_of[m2][blk], t[blk] - k]
+        # flat indices of (row m1, k) and (row m2, t - k), k = at - start
+        at = np.arange(lens.sum())
+        w = (flat[(row_of[m1] * n - starts).repeat(lens) + at]
+             * flat[(row_of[m2] * n + t + starts).repeat(lens) - at])
         total = np.add.reduceat(w, starts)
         # a zero total at the first level means P(S_n = n - 1) == 0
         if not total.all():
@@ -797,14 +802,14 @@ def sample_conditioned_bienayme_sequential(
                 f"sum {n - 1} is unreachable with this offspring law")
         # each block's weights sum to one, so rounding in the running sum
         # stays near the block count times the float epsilon
-        cdf = np.cumsum(w / total[blk])
+        cdf = np.cumsum(w / total.repeat(lens))
         end = cdf[starts + lens - 1]
         begin = np.concatenate([[0.0], end[:-1]])
         u = begin + gen.random(m.size) * (end - begin)
         a = np.minimum(np.searchsorted(cdf, u, side="right") - starts, t)
         m = np.concatenate([m1, m2])
         t = np.concatenate([a, t - a])
-    return build_tree(rotate_to_valid_word(np.concatenate(degrees)))
+    return build_tree(_rotation(np.concatenate(degrees)))
 
 
 # proposal rows per tree above which halving beats rejection: a row costs

@@ -13,7 +13,6 @@ a is pinned by the identity sum(n(c)) = a + sum(c * n(c)).
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -114,15 +113,18 @@ class DegreeStatistics:
         return hash(tuple(self.sorted_items()))
 
 
-def _validate_word(word: Sequence[int]) -> tuple[int, ...]:
-    word = tuple(map(int, word))
-    n = len(word)
-    if not n:
-        raise InvalidWord("empty degree word")
+def _validate_word(word: Iterable[int]) -> tuple[int, ...]:
+    """The checked word as a tuple; an int64 array is checked as it is."""
+    if not (isinstance(word, np.ndarray) and word.dtype == np.int64
+            and word.ndim == 1):
+        word = tuple(map(int, word))
     try:
-        d = np.array(word, dtype=np.int64)
+        d = np.asarray(word, dtype=np.int64)
     except OverflowError:  # a degree past int64: keep exact Python ints
         d = np.array(word, dtype=object)
+    n = len(d)
+    if not n:
+        raise InvalidWord("empty degree word")
     # no prefix can drop below zero after a degree >= n, so capping degrees
     # at n moves no error and keeps the int64 prefix sums from wrapping
     walk = np.cumsum(np.minimum(d, n) - 1)
@@ -131,14 +133,41 @@ def _validate_word(word: Sequence[int]) -> tuple[int, ...]:
     # the first offending position wins; at a tie the negative degree does
     if neg.size and (not drop.size or neg[0] <= drop[0]):
         i = int(neg[0])
-        raise InvalidWord(f"negative degree {word[i]} at position {i}")
+        raise InvalidWord(f"negative degree {d[i]} at position {i}")
     if drop.size:
         raise InvalidWord(
             f"prefix sum drops below zero at position {int(drop[0])}")
+    word = tuple(d.tolist())
     if walk[-1] != -1:
         raise InvalidWord(f"degree word sums to {sum(word)}, "
                           f"expected {n - 1} edges")
     return word
+
+
+def depth_table(words: Sequence[Sequence[int]]) -> np.ndarray:
+    """The R x n depths of R trees on n nodes from their R x n preorder
+    degree words.  The Lukasiewicz path x_0 = 0, x_(i+1) = x_i + d_i - 1
+    steps down by at most one, so node i's subtree ends at e(i), the first
+    k > i with x_k = x_i - 1 (Le Gall, Probab. Surveys 2, 2005), and
+    depth(i) = i - #{j : e(j) <= i}.  In one sort of targets (row, x_k, k)
+    and queries (row, x_i - 1, i), the queries just before a target are
+    the subtrees ending there."""
+    words = np.asarray(words, dtype=np.int64)
+    rows, n = words.shape
+    w = n + 1
+    dt = np.int32 if 2 * rows * w * w < 2 ** 31 else np.int64
+    x = np.zeros((rows, w), dtype=dt)
+    np.cumsum(words - 1, axis=1, out=x[:, 1:])
+    # levels run from -1 to n - 1, keys from 0 to rows * w * w - 1
+    key = ((np.arange(rows, dtype=dt)[:, None] * w + x + 1) * w
+           + np.arange(w, dtype=dt))
+    merged = np.sort(np.concatenate([2 * key.ravel() + 1,
+                                     2 * (key[:, :n].ravel() - w)]))
+    target = np.flatnonzero(merged & 1)
+    k = merged[target] >> 1
+    ends = np.zeros(rows * w, dtype=np.int64)
+    ends[k // (w * w) * w + k % w] = target - np.append(-1, target[:-1]) - 1
+    return np.arange(n) - np.cumsum(ends.reshape(rows, w), axis=1)[:, :n]
 
 
 @dataclass(frozen=True)
@@ -153,35 +182,16 @@ class PlaneTree:
 
     @cached_property
     def parents(self) -> tuple[int, ...]:
-        """Parent preorder index per node; the root gets -1."""
-        parent = [-1] * self.n
-        stack = [0]
-        remaining = [self.luka[0]]
-        for i in range(1, self.n):
-            while remaining[-1] == 0:
-                stack.pop()
-                remaining.pop()
-            parent[i] = stack[-1]
-            remaining[-1] -= 1
-            stack.append(i)
-            remaining.append(self.luka[i])
-        return tuple(parent)
+        """Parent per node (root -1): the last earlier node a level up."""
+        key = np.array(self.depths) * self.n + np.arange(self.n)
+        srt = np.sort(key)
+        up = srt[np.searchsorted(srt, key[1:] - self.n) - 1] % self.n
+        return (-1, *up.tolist())
 
     @cached_property
     def depths(self) -> tuple[int, ...]:
-        """Depth per node in one preorder pass: the stack holds the
-        children still owed by each open ancestor, so its height is the
-        depth of the next node."""
-        luka = self.luka
-        depth = [0] * self.n
-        remaining = [luka[0]]
-        for i in range(1, self.n):
-            while remaining[-1] == 0:
-                remaining.pop()
-            depth[i] = len(remaining)
-            remaining[-1] -= 1
-            remaining.append(luka[i])
-        return tuple(depth)
+        """Depth per node: the one-row call of `depth_table`."""
+        return tuple(depth_table([self.luka])[0].tolist())
 
     @property
     def height(self) -> int:
@@ -197,7 +207,9 @@ class PlaneTree:
         return max(self.width_profile)
 
     def degree_statistics(self) -> DegreeStatistics:
-        return DegreeStatistics(Counter(self.luka))
+        counts = np.bincount(self.luka)
+        c = np.flatnonzero(counts)
+        return DegreeStatistics(dict(zip(c.tolist(), counts[c].tolist())))
 
     def to_line(self) -> str:
         return " ".join(str(d) for d in self.luka)
@@ -213,7 +225,7 @@ def build_tree(word: Iterable[int]) -> PlaneTree:
     Raises InvalidWord if a proper prefix of (d_i - 1) sums below zero or the
     total is not -1.
     """
-    return PlaneTree(_validate_word(tuple(word)))
+    return PlaneTree(_validate_word(word))
 
 
 @dataclass(frozen=True)

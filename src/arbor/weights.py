@@ -314,10 +314,10 @@ def phi(w: WeightSequence, t):
     return value
 
 
-def psi(w: WeightSequence, t):
+def psi(w: WeightSequence, t, phi_t=None):
     """Psi(t) = t Phi'(t) / Phi(t) = sum k w_k t^k / sum w_k t^k."""
     num, ok1 = _series_sum(w, t, 1)
-    den, ok2 = _series_sum(w, t, 0)
+    den, ok2 = _series_sum(w, t, 0) if phi_t is None else (phi_t, True)
     if not (ok1 and ok2):
         raise Diverged("Psi series did not converge within the cap")
     if den == 0:
@@ -365,7 +365,8 @@ def nu_sigma_sq(w: WeightSequence) -> tuple[float, float]:
     return float(last), math.inf
 
 
-def limit_degree_law(w: WeightSequence, top: int | None = None) -> OffspringDistribution:
+def limit_degree_law(w: WeightSequence, top: int | None = None,
+                     phi_rho=None) -> OffspringDistribution:
     """The probability law pi(k) = w_k rho^k / Phi(rho).
 
     rho = 0 degenerates to the point mass at zero.  Finite support (rho
@@ -385,7 +386,7 @@ def limit_degree_law(w: WeightSequence, top: int | None = None) -> OffspringDist
     if math.isinf(rho):
         raise PhiDiverges("Phi(rho) is infinite for finite-support weights")
     try:
-        total = float(phi(w, rho))
+        total = float(phi(w, rho) if phi_rho is None else phi_rho)
     except Diverged as exc:
         raise PhiDiverges(f"Phi diverges at rho={rho}") from exc
     masses = []
@@ -498,7 +499,7 @@ def _support_upto(w: WeightSequence, top: int) -> list[int]:
     return [k for k in range(1, top + 1) if w.weight(k) > 0]
 
 
-def solve_critical_tilt(w: WeightSequence) -> float:
+def solve_critical_tilt(w: WeightSequence, phi_rho=None) -> float:
     """The tilt t* with Psi(t*) = 1 when reachable, else rho itself.
 
     Psi is strictly increasing, so bisection applies.  Used to turn a
@@ -522,7 +523,7 @@ def solve_critical_tilt(w: WeightSequence) -> float:
         # the one regime the series accelerator cannot certify.  At t = rho
         # the terms are cleanly polynomial and extrapolation either converges
         # or raises honestly.
-        edge = _psi_or_inf(w, rho)
+        edge = _psi_or_inf(w, rho, phi_rho)
         if edge <= 1.0:
             return float(rho)
         lo, hi = 0.0, float(rho)
@@ -538,9 +539,9 @@ def solve_critical_tilt(w: WeightSequence) -> float:
     return (lo + hi) / 2
 
 
-def _psi_or_inf(w: WeightSequence, t) -> float:
+def _psi_or_inf(w: WeightSequence, t, phi_t=None) -> float:
     try:
-        return psi(w, t)
+        return psi(w, t, phi_t)
     except Diverged:
         return math.inf
 

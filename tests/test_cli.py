@@ -121,6 +121,17 @@ def test_concentrate_leaf_refuses_n(n, capsys):
     assert "6..12" in captured.err
 
 
+@pytest.mark.parametrize("cls", ["second-moment", "stretched", "branching",
+                                 "census"])
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_concentrate_refuses_fewer_than_one_node(cls, n, capsys):
+    code = main(["concentrate", "--class", cls, "--n", n, "--reps", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: need at least one node\n"
+
+
 def test_concentrate_n_defaults_to_2000(capsys):
     code = main(["concentrate", "--class", "branching", "--reps", "3",
                  "--threshold", "0"])

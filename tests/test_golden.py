@@ -29,6 +29,9 @@ def report_digest(report) -> str:
 RUNS = {
     "converge-heavy": lambda: run_convergence(
         family="heavy", sizes=(30, 60), replications=6, seed=4),
+    # rejection at n = 200, halving at n = 800, one depth pass per rung
+    "converge-heavy-halving": lambda: run_convergence(
+        family="heavy", sizes=(200, 800), replications=3, seed=4),
     "converge-control": lambda: run_convergence(
         family="control", sizes=(21, 41), replications=8, seed=3),
     "converge-near-path": lambda: run_convergence(
@@ -54,6 +57,8 @@ RUNS = {
 GOLDEN = {
     "converge-heavy":
         "abd9fbe517faa5c77774a108310fb6ca84e26d196180444ab606dadb0f68d362",
+    "converge-heavy-halving":
+        "bb1762d9cc9fbf7e4532e9dd14449c374636f6ed69cbe897ffd38b1002f93b1c",
     "converge-control":
         "1b454433d1ae32cf61beadbbb669e444c2c91a892bffadf6c7091f5d0bec38fe",
     "converge-near-path":

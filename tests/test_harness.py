@@ -308,6 +308,12 @@ class TestConcentration:
         with pytest.raises(BadParameters):
             run_concentration("stretched", replications=0)
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_node_guard(self, n):
+        for class_name in CONCENTRATION_CLASSES[:4]:
+            with pytest.raises(BadParameters, match="at least one node"):
+                run_concentration(class_name, n=n, replications=2)
+
     def test_mc_classes_record_the_event(self):
         report = run_concentration("branching", n=60, replications=6, seed=2,
                                    eps=0.1)
@@ -346,6 +352,29 @@ class TestConcentration:
         pi = limit_degree_law(weights)
         assert first[1:] == (solve_critical_tilt(weights),
                              tuple(pi.mass(k) for k in range(4)))
+
+    def test_census_constants_sum_phi_at_rho_once(self, monkeypatch):
+        """Phi(rho) is summed once for the law and the tilt's edge probe,
+        which saves a whole power-0 series of generator calls."""
+        calls = [0]
+
+        def counting(fn, cap=100_000, rho_hint=None):
+            def weight(k):
+                calls[0] += 1
+                return fn(k)
+            return WeightSequence(generator=weight, cap=cap,
+                                  rho_hint=rho_hint)
+
+        monkeypatch.setattr(harness.WeightSequence, "from_generator",
+                            staticmethod(counting))
+        shared = harness._census_constants.__wrapped__()
+        once, calls[0] = calls[0], 0
+        weights = counting(lambda k: 1.0 if k == 0 else float(k) ** -3.0,
+                           rho_hint=1.0)
+        pi = limit_degree_law(weights)
+        assert shared[1:] == (solve_critical_tilt(weights),
+                              tuple(pi.mass(k) for k in range(4)))
+        assert calls[0] - once > 36_000
 
     def test_class_names_cover_the_cli_choices(self):
         assert CONCENTRATION_CLASSES == ("second-moment", "stretched",

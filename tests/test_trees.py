@@ -2,13 +2,17 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from arbor.enumeration import enumerate_trees_of_size
 from arbor.errors import InvalidStatistics, InvalidWord, KTooLarge
+from arbor.rng import RngStream
+from arbor.samplers import OffspringDistribution, conditioned_sampler
 from arbor.trees import (DegreeStatistics, MarkedTree, PlaneTree, build_tree,
-                         dump_trees, parse_trees)
+                         depth_table, dump_trees, parse_trees)
 
 # Any multiset of positive internal degrees extends to exactly one
 # single-tree degree statistics: n = sum(parts) + 1 nodes, leaves fill in.
@@ -59,6 +63,40 @@ def reference_validate(word):
     return word
 
 
+def reference_depths(word):
+    """Depth per node in one preorder pass: the stack holds the children
+    still owed by each open ancestor, so its height is the depth of the
+    next node."""
+    depth = [0] * len(word)
+    remaining = [word[0]]
+    for i in range(1, len(word)):
+        while remaining[-1] == 0:
+            remaining.pop()
+        depth[i] = len(remaining)
+        remaining[-1] -= 1
+        remaining.append(word[i])
+    return tuple(depth)
+
+
+def reference_parents(word):
+    """Parent per node in one preorder pass: the stack holds the open
+    ancestors and the children each still owes."""
+    parent = [-1] * len(word)
+    stack, remaining = [0], [word[0]]
+    for i in range(1, len(word)):
+        while remaining[-1] == 0:
+            stack.pop()
+            remaining.pop()
+        parent[i] = stack[-1]
+        remaining[-1] -= 1
+        stack.append(i)
+        remaining.append(word[i])
+    return tuple(parent)
+
+
+SMALL_TREES = [t for n in range(1, 10) for t in enumerate_trees_of_size(n)]
+
+
 class TestWordValidation:
     def test_single_leaf(self):
         assert build_tree([0]).n == 1
@@ -94,6 +132,19 @@ class TestWordValidation:
             assert str(got.value) == str(exc)
         else:
             assert build_tree(word).luka == want
+
+    @given(st.lists(st.integers(-3, 5), max_size=9))
+    def test_int64_array_is_checked_like_the_list(self, word):
+        """The samplers hand over int64 arrays: same tuple, same error."""
+        try:
+            want = build_tree(word).luka
+        except InvalidWord as exc:
+            with pytest.raises(InvalidWord) as got:
+                build_tree(np.array(word, dtype=np.int64))
+            assert str(got.value) == str(exc)
+        else:
+            got = build_tree(np.array(word, dtype=np.int64)).luka
+            assert got == want and all(type(d) is int for d in got)
 
     @given(degree_words())
     def test_cycle_lemma_rotation_is_valid(self, word):
@@ -156,6 +207,49 @@ class TestPlaneTreeGeometry:
         assert len(parse_trees("0\n\n  \n1 0\n")) == 2
 
 
+class TestDepthTable:
+    """`depth_table` against the per-node stack loop."""
+
+    @staticmethod
+    def check(words):
+        table = depth_table(np.array(words, dtype=np.int64))
+        assert table.shape == (len(words), len(words[0]))
+        assert [tuple(row) for row in table.tolist()] == [
+            reference_depths(w) for w in words]
+
+    def test_every_tree_up_to_nine_nodes(self):
+        for n in range(1, 10):
+            self.check([t.luka for t in SMALL_TREES if t.n == n])
+        assert all(t.depths == reference_depths(t.luka) for t in SMALL_TREES)
+
+    def test_parents_match_the_stack_loop(self):
+        for t in SMALL_TREES:
+            assert t.parents == reference_parents(t.luka)
+
+    # at n = 33,000 the sort keys pass 2^31 and are int64
+    @pytest.mark.parametrize("n", [1, 2, 5, 300, 33_000])
+    def test_path_and_star(self, n):
+        self.check([[1] * (n - 1) + [0], [n - 1] + [0] * (n - 1)])
+        assert build_tree([1] * (n - 1) + [0]).height == n - 1
+        assert build_tree([n - 1] + [0] * (n - 1)).width == max(1, n - 1)
+
+    def test_conditioned_trees_at_n3201(self):
+        mu = OffspringDistribution.from_masses({0: 0.5, 2: 0.5})
+        draw = conditioned_sampler(mu, 3201)
+        base = RngStream(8, 0)
+        self.check([draw(base.substream(r)).luka for r in range(20)])
+
+    @given(st.lists(degree_words(), min_size=1, max_size=5))
+    def test_stacked_batch_equals_its_rows(self, words):
+        n = max(len(w) for w in words)
+        # pad each word to n nodes with a path below its last leaf
+        words = [w[:-1] + (1,) * (n - len(w)) + (0,) for w in words]
+        batch = depth_table(np.array(words, dtype=np.int64))
+        for row, w in zip(batch, words):
+            assert np.array_equal(
+                row, depth_table(np.array([w], dtype=np.int64))[0])
+
+
 class TestDegreeStatistics:
     def test_tree_count_is_derived(self):
         s = DegreeStatistics({0: 2, 1: 1, 2: 1})
@@ -215,6 +309,10 @@ class TestDegreeStatistics:
         b = DegreeStatistics({2: 1, 0: 2})
         assert a == b and hash(a) == hash(b)
         assert a != DegreeStatistics({0: 2, 1: 1})
+
+    def test_tree_statistics_count_every_degree(self):
+        for t in SMALL_TREES:
+            assert t.degree_statistics() == DegreeStatistics(Counter(t.luka))
 
     @given(degree_words())
     def test_tree_statistics_round_trip(self, word):
