@@ -297,6 +297,11 @@ def _degree_polynomial(stats: DegreeStatistics,
         for j in range(k if top is None else min(k, top)):
             row.append(row[-1] * (k - j) * c // (j + 1))
         rows.append(row)
+    return _balanced_product(rows, top)
+
+
+def _balanced_product(rows: list[list[int]], top: int | None = None) -> list[int]:
+    """The product of coefficient lists, multiplied in pairs, round by round."""
     while len(rows) > 1:
         rows = [poly_mul(*rows[i:i + 2], trunc=top) if i + 1 < len(rows)
                 else rows[i] for i in range(0, len(rows), 2)]
@@ -325,6 +330,24 @@ def repeat_time_survivals(stats: DegreeStatistics) -> Iterator[Fraction]:
         row = [0] + [j * s + t for j, s, t in
                      zip(range(1, internal + 1), row[1:] + [0], row)]
         den *= stats.n - 1
+
+
+def _repeat_time_tail(stats: DegreeStatistics):
+    """k -> P(tau > k) in closed form, for single k far down the tail.
+
+    Since j! S(k, j) = sum_i (-1)^(j - i) C(j, i) i^k, the sum in
+    `repeat_time_survivals` regroups as sum_i r_i i^k / (n - 1)^k, with r
+    the coefficients of q(x - 1) = prod_{c>=1} (c x + 1 - c)^{n(c)}, q the
+    degree polynomial.  That costs deg q + 1 powers per k, where the scan
+    grows every Stirling row before it."""
+    if stats.a != 1 or stats.n < 2:
+        raise InvalidStatistics("repeat time needs a single tree, n >= 2")
+    r = _balanced_product([[math.comb(k, j) * c ** j * (1 - c) ** (k - j)
+                            for j in range(k + 1)]
+                           for c, k in stats.sorted_items() if c > 0])
+    den = stats.n - 1
+    return lambda k: Fraction(sum(c * i ** k for i, c in enumerate(r)),
+                              den ** k)
 
 
 def _law_masses(poly: list[int], m: int) -> Iterator[tuple[int, Fraction]]:

@@ -10,6 +10,7 @@ from the wall_clock_seconds field.  Every draw runs in the calling process.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import time
@@ -24,9 +25,9 @@ from . import __version__
 from .bounds import (BoundInput, height_tail_bound, height_tail_bound_no_ones,
                      height_threshold, repeat_threshold, repeat_time_tail_bound,
                      stopping_tail_bound_no_ones)
-from .enumeration import (count_forests, depth_law,
+from .enumeration import (ExactDistribution, _repeat_time_tail,
+                          count_forests, depth_law,
                           enumerate_degree_statistics, enumerate_trees,
-                          exact_mark_height_distribution,
                           exact_threshold_sampler_distribution,
                           repeat_time_survivals, spine_probability)
 from .errors import BadParameters
@@ -45,6 +46,7 @@ from .weights import (WeightSequence, exact_tree_law, limit_degree_law, phi,
 CSV_COLUMNS = ("experiment", "n", "grid_value", "empirical",
                "ci_lo", "ci_hi", "bound", "verdict")
 DEFAULT_BETAS = (80.0, 125.0, 216.0, 343.0)
+TAU_SCAN_ROWS = 128  # exact repeat-time rows scanned before bisecting
 CONCENTRATION_CLASSES = ("second-moment", "stretched", "branching",
                          "census", "leaf")
 
@@ -152,12 +154,24 @@ def _finish(cells: list[Cell], start: float, **config) -> ExperimentReport:
                             wall_clock_seconds=time.perf_counter() - start)
 
 
-def _tail_cell(n: int, label: str, hit: np.ndarray, bound: float) -> Cell:
-    """A tail-sweep cell for the replications whose `hit` entry is set."""
-    hits = int(np.count_nonzero(hit))
-    lo, hi = wilson_interval(hits, hit.size)
-    return Cell("tail_sweep", n, label, hits / hit.size, lo, hi, bound,
+def _tail_cell(n: int, label: str, hits: int, reps: int, bound: float) -> Cell:
+    """A tail-sweep cell for `hits` of `reps` replications."""
+    lo, hi = wilson_interval(hits, reps)
+    return Cell("tail_sweep", n, label, hits / reps, lo, hi, bound,
                 hi <= bound + 1e-12)
+
+
+def _tail_counts(values: np.ndarray) -> np.ndarray:
+    """counts[k] = #{v >= k} over non-negative integer values, for
+    k = 0..max + 1: reversed cumulative sums of one `bincount`."""
+    return np.append(np.bincount(values)[::-1].cumsum()[::-1], 0)
+
+
+def _count_above(counts: np.ndarray, x: float) -> int:
+    """#{v > x} for the values whose `_tail_counts` are `counts`."""
+    top = counts.size - 1  # counts[top] = 0
+    k = 0 if x < 0 else top if x >= top else math.floor(x) + 1
+    return int(counts[k])
 
 
 def _value_cell(experiment: str, n: int, label: str, value: float,
@@ -258,11 +272,12 @@ def run_equivalence_suite(max_n: int = 8, seed: int = 0) -> ExperimentReport:
                           float(len(trees)), float(len(trees)),
                           float(len(trees)), float(formula),
                           len(trees) == formula))
-        height_law = exact_mark_height_distribution(stats)
+        depths = depth_law(trees)
+        height_law = ExactDistribution.from_pmf(depths)
         threshold_law = exact_threshold_sampler_distribution(stats)
         tv = _total_variation(height_law.pmf(), threshold_law.pmf())
         cells.append(_discrepancy_cell(n, f"threshold-vs-height {label}", tv))
-        tv2 = _total_variation(height_law.pmf(), depth_law(trees))
+        tv2 = _total_variation(height_law.pmf(), depths)
         cells.append(_discrepancy_cell(n, f"histogram-vs-height {label}", tv2))
         cells.append(_discrepancy_cell(n, f"spine {label}",
                                        _spine_discrepancy(stats, trees)))
@@ -366,6 +381,13 @@ def run_tail_sweep(stats: DegreeStatistics,
                       floor(threshold) at or below the bound, else the failing
                       P(tau > k).  Skipped unless some degree exceeds 1.
 
+    Each Monte Carlo cell reads its hit count from one table per sample:
+    the reversed cumulative sums of a `bincount` of the heights (or
+    sigmas) give #{v >= k} for every k, so no cell scans the replications.
+    A tau cell scans the exact tails for at most TAU_SCAN_ROWS rows and
+    bisects the rest of its range on `_repeat_time_tail`, so a broken
+    bound costs a few closed-form evaluations, not a scan to k.
+
     A Monte Carlo verdict passes when the upper 95% Wilson end sits at or
     below the bound; cells are reported individually, never pooled.  The
     bounds hold for every n, so as above a failing Monte Carlo cell near a
@@ -388,24 +410,27 @@ def run_tail_sweep(stats: DegreeStatistics,
     cells: list[Cell] = []
     heights = sample_mark_height_batch(stats, RngStream(seed, 0), replications)
     sigmas = sample_stopping_index_batch(stats, RngStream(seed, 1), replications)
+    height_counts, sigma_counts = _tail_counts(heights), _tail_counts(sigmas)
     for beta in betas:
-        cells.append(_tail_cell(n, f"height>beta={_num(beta)}",
-                                heights > height_threshold(inp, beta),
-                                height_tail_bound(inp, beta)))
+        hits = _count_above(height_counts, height_threshold(inp, beta))
+        cells.append(_tail_cell(n, f"height>beta={_num(beta)}", hits,
+                                replications, height_tail_bound(inp, beta)))
     floor = 10.0 * wilson_interval(0, replications)[1]
     if norms.n1 == 0 and n >= 2:
         for ell in range(1, n + 1):
             bound = height_tail_bound_no_ones(inp, ell)
             if bound < floor:
                 break
-            cells.append(_tail_cell(n, f"height>=ell={ell}", heights >= ell,
-                                    bound))
+            cells.append(_tail_cell(n, f"height>=ell={ell}",
+                                    _count_above(height_counts, ell - 1),
+                                    replications, bound))
         for ell in range(1, n + 1):
             bound = stopping_tail_bound_no_ones(inp, ell)
             if bound < floor:
                 break
-            cells.append(_tail_cell(n, f"sigma>ell={ell}", sigmas > ell,
-                                    bound))
+            cells.append(_tail_cell(n, f"sigma>ell={ell}",
+                                    _count_above(sigma_counts, ell),
+                                    replications, bound))
     if stats.max_degree >= 2:
         cells.extend(_repeat_time_cells(stats, inp, betas))
     return _finish(cells, start, kind="tail_sweep", seed=seed,
@@ -417,17 +442,39 @@ def run_tail_sweep(stats: DegreeStatistics,
 def _repeat_time_cells(stats: DegreeStatistics, inp: BoundInput,
                        betas: Sequence[float]) -> list[Cell]:
     # P(tau > k) never increases in k, so the first k' <= k at or below the
-    # bound certifies P(tau > k); one scan of the exact tails serves every beta
+    # bound certifies P(tau > k); one scan of the exact tails serves every
+    # beta up to TAU_SCAN_ROWS.  A cell still open there (only a broken bound
+    # or oracle gets that far at the default betas) bisects the rest of
+    # (TAU_SCAN_ROWS, k] on the closed form, whose cost does not grow with
+    # the rows skipped.
     want = [(f"tau>beta={_num(b)}", int(repeat_threshold(inp, b)),
              repeat_time_tail_bound(inp, b)) for b in betas]
     cells: dict[int, Cell] = {}
-    for k, tail in enumerate(repeat_time_survivals(stats)):
-        for i, (label, top, bound) in enumerate(want):
+
+    def cell(i: int, tail: Fraction) -> None:
+        label, _, bound = want[i]
+        cells[i] = _verdict_cell("tail_sweep", stats.n, label, float(tail),
+                                 bound, tail <= bound)
+
+    scan = itertools.islice(repeat_time_survivals(stats), TAU_SCAN_ROWS + 1)
+    for k, tail in enumerate(scan):
+        for i, (_, top, bound) in enumerate(want):
             if i not in cells and (tail <= bound or k == top):
-                cells[i] = _verdict_cell("tail_sweep", stats.n, label,
-                                         float(tail), bound, tail <= bound)
+                cell(i, tail)
         if len(cells) == len(want):
-            return [cells[i] for i in range(len(want))]
+            break
+    if len(cells) < len(want):
+        tail_at = functools.cache(_repeat_time_tail(stats))
+        for i, (_, top, bound) in enumerate(want):
+            if i in cells:
+                continue
+            lo, hi = TAU_SCAN_ROWS, top  # tail_at(lo) > bound
+            if tail_at(hi) <= bound:
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    lo, hi = (lo, mid) if tail_at(mid) <= bound else (mid, hi)
+            cell(i, tail_at(hi))
+    return [cells[i] for i in range(len(want))]
 
 
 # ---------------------------------------------------------------------------

@@ -111,25 +111,51 @@ def _size_biased_walk(stats: DegreeStatistics, gen: np.random.Generator,
     accepted index, or last + 1 where no step accepted.  With lead None no
     step accepts, and `record`, when given, receives each step's degrees.
 
-    The state is kept for live rows only: a B x reps table of remaining
-    counts over the B distinct positive degrees, one contiguous row per
-    degree, so memory is O(reps * B) and a row costs only the steps it takes
-    before accepting.  A step picks each row's bucket with whole-row sums
-    over the first B - 1 buckets; the last bucket's cumulative weight is the
-    row's remaining total, which always exceeds the drawn point, so it is
-    never compared.  Every step of a row with edges left takes one
-    positive degree, so all live rows use up their edges together, at step
-    p = number of positive-degree nodes, and draw only zeroes after it.
+    Every step of a row with edges left takes one positive degree, so all
+    live rows use up their edges together, at step p = number of
+    positive-degree nodes, and draw only zeroes after it.  With at most one
+    distinct positive degree c (binary, any full c-ary census, the path)
+    nothing random is left in the degrees: every row takes c up to step p
+    and 0 after it, so lead + S is one int that all rows share and only the
+    live row indices are kept.  The bucket uniforms, which decide nothing
+    then, are still drawn, so the stream sits where the general walk leaves
+    it.
+
+    Otherwise the state is kept for live rows only: a B x reps table of
+    remaining counts over the B distinct positive degrees, one contiguous
+    row per degree, so memory is O(reps * B) and a row costs only the steps
+    it takes before accepting.  A step picks each row's bucket with
+    whole-row sums over the first B - 1 buckets; the last bucket's
+    cumulative weight is the row's remaining total, which always exceeds
+    the drawn point, so it is never compared.
     """
     items = [(c, k) for c, k in stats.sorted_items() if c > 0]
+    positives = sum(k for _, k in items)
+    live = np.arange(reps)
+    out = np.full(reps, last + 1, dtype=np.int64)
+    if len(items) <= 1:
+        c = items[0][0] if items else 0
+        top = lead or 0  # lead + S, the same for every row
+        for i in range(1, last + 1):
+            if lead is not None:
+                accept = gen.random(live.size) <= top / (last + 1 - i)
+                if accept.any():
+                    out[live[accept]] = i
+                    live = live[~accept]
+            if not live.size:
+                break
+            d = c if i <= positives else 0
+            if d:
+                gen.random(live.size)  # the bucket pick, deciding nothing
+            top += d - 1
+            if record is not None:
+                record.append(np.full(live.size, d, dtype=np.int64))
+        return out
     deg = np.array([c for c, _ in items], dtype=np.int64)
     counts = np.array([k for _, k in items], dtype=np.int64)
     rem = np.repeat(counts.reshape(-1, 1), reps, axis=1)
     weight = np.full(reps, counts @ deg, dtype=np.int64)
     top = np.full(reps, lead or 0, dtype=np.int64)  # lead + S
-    positives = int(counts.sum())
-    live = np.arange(reps)
-    out = np.full(reps, last + 1, dtype=np.int64)
     for i in range(1, last + 1):
         if lead is not None:
             accept = gen.random(live.size) <= top / (last + 1 - i)
@@ -141,18 +167,15 @@ def _size_biased_walk(stats: DegreeStatistics, gen: np.random.Generator,
         if not live.size:
             break
         if i <= positives:
-            # drawn even for a single bucket, where it decides nothing, so
-            # the stream stays where the other draws expect it
             u = gen.random(live.size)
+            # an integer point in [0, w) picks the bucket by its cumulative
+            # weight; the clip guards u * w rounding up to w
+            v = np.minimum((u * weight).astype(np.int64), weight - 1)
             b = np.zeros(live.size, dtype=np.intp)
-            if deg.size > 1:
-                # an integer point in [0, w) picks the bucket by its
-                # cumulative weight; the clip guards u * w rounding up to w
-                v = np.minimum((u * weight).astype(np.int64), weight - 1)
-                cum = np.zeros(live.size, dtype=np.int64)
-                for j in range(deg.size - 1):
-                    cum += rem[j] * deg[j]
-                    b += cum <= v
+            cum = np.zeros(live.size, dtype=np.int64)
+            for j in range(deg.size - 1):
+                cum += rem[j] * deg[j]
+                b += cum <= v
             for j in range(deg.size):
                 rem[j] -= b == j
             d = deg[b]
@@ -642,6 +665,13 @@ def _reachable_sum(coins: Sequence[int], target: int) -> bool:
     return bool((reach >> target) & 1)
 
 
+@functools.lru_cache(maxsize=64)
+def _reachable_support(coins: tuple[int, ...], target: int) -> bool:
+    """`_reachable_sum` once per (support, target), for samplers that
+    check it on every tree."""
+    return _reachable_sum(coins, target)
+
+
 def expected_rejection_rows(mu: OffspringDistribution, n: int) -> float | None:
     """Normal local-limit estimate of the proposal rows per accepted tree
     of `sample_conditioned_bienayme`.
@@ -694,8 +724,8 @@ def sample_conditioned_bienayme(mu: OffspringDistribution, n: int,
     target is reachable, so the check is skipped).
     """
     q = _truncated_masses(mu, n)
-    if n > 1 and q[1] == 0 and not _reachable_sum(
-            (np.flatnonzero(q[1:]) + 1).tolist(), n - 1):
+    if n > 1 and q[1] == 0 and not _reachable_support(
+            tuple((np.flatnonzero(q[1:]) + 1).tolist()), n - 1):
         raise ZeroPartition(
             f"sum {n - 1} is unreachable with this offspring law")
     gen = rng.gen

@@ -19,7 +19,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from arbor.enumeration import (ENUMERATION_CAP, ExactDistribution,
-                               _degree_polynomial, count_forests,
+                               _degree_polynomial, _repeat_time_tail,
+                               count_forests,
                                count_marked_first_tree, count_spine_class,
                                enumerate_degree_statistics, enumerate_trees,
                                enumerate_trees_of_size,
@@ -502,6 +503,27 @@ class TestRepeatTimeSurvivals:
     def test_forests_and_single_nodes_are_refused(self, stats):
         with pytest.raises(InvalidStatistics):
             next(repeat_time_survivals(stats))
+        with pytest.raises(InvalidStatistics):
+            _repeat_time_tail(stats)
+
+    @pytest.mark.parametrize("stats", [
+        full_binary_statistics(15), full_binary_statistics(1023),
+        DegreeStatistics({0: 9, 1: 2, 2: 2, 3: 1, 5: 1}),
+        DegreeStatistics({0: 1, 1: 6}), heavy_tailed_statistics(127)],
+        ids=lambda s: f"n{s.n}-b{len(s.sorted_items())}")
+    def test_closed_form_matches_the_scan(self, stats):
+        tail = _repeat_time_tail(stats)
+        got = list(itertools.islice(repeat_time_survivals(stats), 120))
+        assert [tail(k) for k in range(120)] == got
+
+    def test_closed_form_far_down_the_tail(self):
+        # the scan would need every row up to k; the product oracle does not
+        for stats in (full_binary_statistics(15), heavy_tailed_statistics(63),
+                      DegreeStatistics({0: 11, 3: 5})):
+            tail = _repeat_time_tail(stats)
+            for k in (500, 1808, 3001):
+                assert tail(k) == repeat_time_survival_by_shifted_product(
+                    stats, k)
 
     @pytest.mark.parametrize("top", [0, 1, 5, 33, 64, 10_000])
     def test_truncated_degree_polynomial_is_a_prefix(self, top):

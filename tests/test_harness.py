@@ -12,6 +12,7 @@ import time
 from collections import Counter
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from arbor import harness, samplers
@@ -25,6 +26,7 @@ from arbor.harness import (_CLASS_LAWS, _LADDERS, CONCENTRATION_CLASSES,
                            heavy_tailed_statistics,
                            run_concentration, run_convergence,
                            run_equivalence_suite, run_tail_sweep)
+from arbor.rng import RngStream
 from arbor.samplers import OffspringDistribution, conditional_sum_table
 from arbor.trees import DegreeStatistics, MarkedTree
 from arbor.weights import (WeightSequence, limit_degree_law,
@@ -148,6 +150,21 @@ class TestEquivalenceSuite:
                         want[spine[:k]] += 1
                 assert harness._spine_prefixes(trees, top) == want
 
+    def test_each_class_is_enumerated_once(self, monkeypatch):
+        from arbor import enumeration
+        seen = Counter()
+
+        def counting(stats):
+            seen[tuple(stats.sorted_items())] += 1
+            return enumerate_trees(stats)
+
+        monkeypatch.setattr(harness, "enumerate_trees", counting)
+        monkeypatch.setattr(enumeration, "enumerate_trees", counting)
+        report = run_equivalence_suite(max_n=6, seed=0)
+        assert report.passed
+        assert len(seen) == len(report.cells) // 4
+        assert set(seen.values()) == {1}
+
     def test_size_guard(self):
         with pytest.raises(BadParameters):
             run_equivalence_suite(max_n=11)
@@ -227,6 +244,132 @@ class TestTailSweep:
         a = run_tail_sweep(full_binary_statistics(9), replications=500, seed=5)
         b = run_tail_sweep(full_binary_statistics(9), replications=500, seed=6)
         assert [c.empirical for c in a.cells] != [c.empirical for c in b.cells]
+
+
+TAIL_COUNT_CLASSES = [
+    full_binary_statistics(15), full_binary_statistics(127),
+    full_binary_statistics(1023), full_binary_statistics(4095),
+    DegreeStatistics({0: 11, 3: 5}), DegreeStatistics({0: 1, 1: 299}),
+    heavy_tailed_statistics(127), heavy_tailed_statistics(1023),
+    DegreeStatistics({0: 9, 1: 2, 2: 2, 3: 1, 5: 1})]
+
+
+class TestTailCounts:
+    """Every tail cell reads its hit count from one reversed cumulative
+    `bincount`; it must equal the per-cell comparison over all rows."""
+
+    @pytest.mark.parametrize("stats", TAIL_COUNT_CLASSES,
+                             ids=lambda s: f"n{s.n}-b{len(s.sorted_items())}")
+    def test_counts_match_per_cell_comparisons(self, stats):
+        n = stats.n
+        heights = samplers.sample_mark_height_batch(
+            stats, RngStream(60, 0), 2000)
+        sigmas = samplers.sample_stopping_index_batch(
+            stats, RngStream(60, 1), 2000)
+        height_counts = harness._tail_counts(heights)
+        sigma_counts = harness._tail_counts(sigmas)
+        for ell in range(-2, n + 3):
+            assert harness._count_above(height_counts, ell - 1) == \
+                np.count_nonzero(heights >= ell)
+            assert harness._count_above(sigma_counts, ell) == \
+                np.count_nonzero(sigmas > ell)
+        if stats.max_degree < 2:
+            return  # no branch scale, so no beta thresholds
+        inp = BoundInput.from_stats(stats)
+        xs = [harness.height_threshold(inp, b) for b in harness.DEFAULT_BETAS]
+        xs += [-0.5, 0.0, 0.5, 2.999, 3.0, 3.001, n - 0.5, n, n + 0.5,
+               float(heights.max()), math.inf, -math.inf]
+        for x in xs:
+            assert harness._count_above(height_counts, x) == \
+                np.count_nonzero(heights > x)
+
+    def test_cells_match_per_cell_comparisons(self):
+        # the whole sweep against cells rebuilt from per-row comparisons
+        stats = full_binary_statistics(127)
+        reps, seed = 3000, 8
+        report = run_tail_sweep(stats, replications=reps, seed=seed)
+        heights = samplers.sample_mark_height_batch(
+            stats, RngStream(seed, 0), reps)
+        sigmas = samplers.sample_stopping_index_batch(
+            stats, RngStream(seed, 1), reps)
+        inp = BoundInput.from_stats(stats)
+        hits = {}
+        for beta in harness.DEFAULT_BETAS:
+            hits[f"height>beta={beta:g}"] = np.count_nonzero(
+                heights > harness.height_threshold(inp, beta))
+        for ell in range(1, stats.n + 1):
+            hits[f"height>=ell={ell}"] = np.count_nonzero(heights >= ell)
+            hits[f"sigma>ell={ell}"] = np.count_nonzero(sigmas > ell)
+        mc = [c for c in report.cells if not c.grid_value.startswith("tau")]
+        assert len(mc) > 20
+        for c in mc:
+            k = int(hits[c.grid_value])
+            lo, hi = harness.wilson_interval(k, reps)
+            assert (c.empirical, c.ci_lo, c.ci_hi) == (k / reps, lo, hi)
+
+
+def frozen_repeat_time_cells(stats, inp, betas):
+    """The tau cells as they were before the row budget: one scan of the
+    exact tails up to the largest floor(threshold) any cell needs."""
+    want = [(f"tau>beta={b:g}", int(harness.repeat_threshold(inp, b)),
+             harness.repeat_time_tail_bound(inp, b)) for b in betas]
+    cells = {}
+    for k, tail in enumerate(repeat_time_survivals(stats)):
+        for i, (label, top, bound) in enumerate(want):
+            if i not in cells and (tail <= bound or k == top):
+                cells[i] = Cell("tail_sweep", stats.n, label, float(tail),
+                                float(tail), float(tail), bound,
+                                tail <= bound)
+        if len(cells) == len(want):
+            return [cells[i] for i in range(len(want))]
+
+
+class TestRepeatTimeBudget:
+    """Past TAU_SCAN_ROWS a tau cell bisects on the closed form; with the
+    budget patched small every cell takes that route and must equal the
+    frozen full scan."""
+
+    CLASSES = [full_binary_statistics(15), full_binary_statistics(31),
+               DegreeStatistics({0: 9, 1: 2, 2: 2, 3: 1, 5: 1}),
+               DegreeStatistics({0: 11, 3: 5}), heavy_tailed_statistics(127)]
+
+    @pytest.mark.parametrize("stats", CLASSES, ids=lambda s: f"n{s.n}")
+    def test_bisection_equals_the_scan(self, monkeypatch, stats):
+        inp = BoundInput.from_stats(stats)
+        betas = harness.DEFAULT_BETAS + (10.0, 30.0)
+        tops = [int(harness.repeat_threshold(inp, b)) for b in betas]
+        survivals = list(itertools.islice(repeat_time_survivals(stats),
+                                          max(tops) + 1))
+
+        def at(scale, part):
+            # scale times the exact tail at part of each cell's threshold
+            return lambda _, b: scale * float(
+                survivals[int(tops[betas.index(b)] * part)])
+
+        bound_sets = {"real": None, "zero": lambda _, b: 0.0,
+                      "at": at(1.0, 1 / 2), "under": at(0.99, 1 / 3),
+                      "over": at(1.01, 2 / 3), "last": at(1.0, 1)}
+        for name, bound in bound_sets.items():
+            if bound is not None:
+                monkeypatch.setattr(harness, "repeat_time_tail_bound", bound)
+            want = frozen_repeat_time_cells(stats, inp, betas)
+            for rows in (0, 1, 3, 10, 128):
+                monkeypatch.setattr(harness, "TAU_SCAN_ROWS", rows)
+                got = harness._repeat_time_cells(stats, inp, betas)
+                assert got == want, (name, rows)
+
+    def test_broken_bound_finishes_quickly(self, monkeypatch):
+        # a bound of 0 certifies nothing: every cell reports P(tau > k) at
+        # its own floor(threshold), k = 1,808 to 7,752 at binary n = 1,023
+        stats = full_binary_statistics(1023)
+        inp = BoundInput.from_stats(stats)
+        monkeypatch.setattr(harness, "repeat_time_tail_bound",
+                            lambda _, b: 0.0)
+        start = time.process_time()
+        cells = harness._repeat_time_cells(stats, inp, harness.DEFAULT_BETAS)
+        assert time.process_time() - start < 1.0
+        assert [c.verdict for c in cells] == [False] * 4
+        assert all(c.empirical < 1e-300 for c in cells)
 
 
 class TestConvergence:

@@ -234,6 +234,119 @@ def test_walk_draws_are_pinned(name):
     assert (int(draws.sum()), digest) == WALK_PINS[name]
 
 
+def frozen_size_biased_walk(stats, gen, reps, lead, last, record=None):
+    """The walk as it was before one-degree censuses shared one threshold:
+    every class kept the bucket table, the weight array and the per-row
+    lead + S.  Kept verbatim as the oracle the rewrite must match, output,
+    record and generator state alike."""
+    items = [(c, k) for c, k in stats.sorted_items() if c > 0]
+    deg = np.array([c for c, _ in items], dtype=np.int64)
+    counts = np.array([k for _, k in items], dtype=np.int64)
+    rem = np.repeat(counts.reshape(-1, 1), reps, axis=1)
+    weight = np.full(reps, counts @ deg, dtype=np.int64)
+    top = np.full(reps, lead or 0, dtype=np.int64)  # lead + S
+    positives = int(counts.sum())
+    live = np.arange(reps)
+    out = np.full(reps, last + 1, dtype=np.int64)
+    for i in range(1, last + 1):
+        if lead is not None:
+            accept = gen.random(live.size) <= top / (last + 1 - i)
+            if accept.any():
+                out[live[accept]] = i
+                keep = ~accept
+                live, top, rem, weight = (live[keep], top[keep], rem[:, keep],
+                                          weight[keep])
+        if not live.size:
+            break
+        if i <= positives:
+            u = gen.random(live.size)
+            b = np.zeros(live.size, dtype=np.intp)
+            if deg.size > 1:
+                v = np.minimum((u * weight).astype(np.int64), weight - 1)
+                cum = np.zeros(live.size, dtype=np.int64)
+                for j in range(deg.size - 1):
+                    cum += rem[j] * deg[j]
+                    b += cum <= v
+            for j in range(deg.size):
+                rem[j] -= b == j
+            d = deg[b]
+            weight -= d
+        else:
+            d = np.zeros(live.size, dtype=np.int64)
+        top += d - 1
+        if record is not None:
+            record.append(d)
+    return out
+
+
+WALK_ORACLE_CLASSES = {
+    **{f"binary{n}": full_binary_statistics(n)
+       for n in (1, 3, 5, 15, 127, 1023, 4095)},
+    "ternary16": DegreeStatistics({0: 11, 3: 5}),
+    "ternary-forest5": DegreeStatistics({0: 4, 3: 1}),
+    **{f"path{n}": DegreeStatistics({0: 1, 1: n - 1}) for n in (2, 10, 300)},
+    **{f"heavy{n}": heavy_tailed_statistics(n) for n in (127, 1023)},
+    "mixed15": DegreeStatistics({0: 9, 1: 2, 2: 2, 3: 1, 5: 1}),
+}
+
+
+def assert_walk_matches_frozen(stats, seed, reps, lead):
+    # lead 1 and 0 are the mark-height and stopping walks; lead None is the
+    # size-biased order, which records every step
+    last = stats.n - 1 if lead == 0 else stats.n
+    new_gen = RngStream(seed, 0).gen
+    old_gen = RngStream(seed, 0).gen
+    new_rec = [] if lead is None else None
+    old_rec = [] if lead is None else None
+    out = samplers._size_biased_walk(stats, new_gen, reps, lead, last, new_rec)
+    want = frozen_size_biased_walk(stats, old_gen, reps, lead, last, old_rec)
+    assert out.dtype == want.dtype and np.array_equal(out, want)
+    assert new_gen.bit_generator.state == old_gen.bit_generator.state
+    if lead is not None:
+        return
+    assert len(new_rec) == len(old_rec)
+    for got, old in zip(new_rec, old_rec):
+        assert got.dtype == old.dtype and np.array_equal(got, old)
+
+
+class TestWalkOracle:
+    """The one-degree walk shares one threshold across rows but must draw
+    every uniform the frozen walk draws, in the same order and sizes."""
+
+    @pytest.mark.parametrize("lead", [1, 0, None])
+    @pytest.mark.parametrize("reps", [1, 7])
+    @pytest.mark.parametrize("name", sorted(WALK_ORACLE_CLASSES))
+    def test_few_rows(self, name, reps, lead):
+        stats = WALK_ORACLE_CLASSES[name]
+        for seed in range(3):
+            assert_walk_matches_frozen(stats, 50 + seed, reps, lead)
+
+    @pytest.mark.parametrize("lead", [1, 0])
+    @pytest.mark.parametrize("name", sorted(WALK_ORACLE_CLASSES))
+    def test_tail_sweep_rows(self, name, lead):
+        assert_walk_matches_frozen(WALK_ORACLE_CLASSES[name], 53, 20_000, lead)
+
+    @pytest.mark.parametrize("name", ["binary127", "ternary16",
+                                      "ternary-forest5", "path10", "heavy127"])
+    def test_recorded_orders(self, name):
+        # every row of a recorded walk stays live for all n steps
+        assert_walk_matches_frozen(WALK_ORACLE_CLASSES[name], 54, 20_000, None)
+
+    def test_odd_uniform_count_keeps_the_buffered_half(self):
+        # an odd number of 32-bit draws leaves half a word buffered; a walk
+        # that skipped or advanced past its bucket uniforms would lose it
+        stats = full_binary_statistics(15)
+        new_gen, old_gen = RngStream(55, 0).gen, RngStream(55, 0).gen
+        for gen in (new_gen, old_gen):
+            gen.integers(0, 2**31, 3, dtype=np.uint32)
+        assert new_gen.bit_generator.state["has_uint32"] == 1
+        samplers._size_biased_walk(stats, new_gen, 7, 1, stats.n)
+        frozen_size_biased_walk(stats, old_gen, 7, 1, stats.n)
+        assert new_gen.bit_generator.state == old_gen.bit_generator.state
+        assert np.array_equal(new_gen.integers(0, 2**31, 5, dtype=np.uint32),
+                              old_gen.integers(0, 2**31, 5, dtype=np.uint32))
+
+
 class TestPoissonized:
     def test_path_statistics_have_no_repeat(self):
         stats = DegreeStatistics({0: 1, 1: 4})
@@ -673,6 +786,29 @@ class TestHurwitzZeta:
 
 
 class TestConditionedBienayme:
+    def test_reachability_is_decided_once_per_support_and_size(self,
+                                                              monkeypatch):
+        calls = []
+        real = samplers._reachable_sum
+        monkeypatch.setattr(samplers, "_reachable_sum",
+                            lambda coins, target: calls.append(
+                                (coins, target)) or real(coins, target))
+        samplers._reachable_support.cache_clear()
+        mu = OffspringDistribution.from_masses({0: 0.5, 2: 0.5})
+        words = [sample_conditioned_bienayme(mu, 21, RngStream(7, r)).luka
+                 for r in range(6)]
+        sample_conditioned_bienayme(mu, 41, RngStream(7, 0))
+        assert calls == [((2,), 20), ((2,), 40)]
+        samplers._reachable_support.cache_clear()
+        monkeypatch.undo()
+        assert words == [frozen_full_column_bienayme(mu, 21,
+                                                     RngStream(7, r)).luka
+                         for r in range(6)]
+        with pytest.raises(ZeroPartition):
+            sample_conditioned_bienayme(mu, 20, RngStream(7, 0))
+        with pytest.raises(ZeroPartition):  # answered from the cache
+            sample_conditioned_bienayme(mu, 20, RngStream(7, 1))
+
     def test_geometric_offspring_gives_uniform_trees(self):
         """prod mu(d_i) = p^n (1-p)^(n-1) for every n-node tree, so the
         conditioned law is uniform over all plane trees of that size."""
