@@ -54,7 +54,7 @@ def _parse_list(text: str | None, kind, empty: str) -> tuple | None:
         return None
     vals = tuple(kind(tok) for tok in text.replace(",", " ").split())
     if not vals:
-        raise SystemExit(empty)
+        raise BadParameters(empty)
     return vals
 
 

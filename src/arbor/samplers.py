@@ -12,11 +12,12 @@ Three families live here:
   the single-draw functions are that walk with one row.
 * a Poisson-process reformulation of the stopping index
   (`sample_stopping_index_poissonized_batch`): degrees become subintervals
-  of [0, 1), arrivals of a rate-one process hit them, and the index is read
-  off the record structure at the first "repeat" arrival.  The batch finds
-  each arrival's interval in a cell table and screens "already hit?" with a
-  small per-row bit filter, so a step costs O(1) expected work per row; the
-  single draw `sample_stopping_index_poissonized` is the batch with one row.
+  of [0, 1), arrivals hit them, and sigma and the repeat time tau are read
+  off the first "repeat" arrival.  Intervals are first hit in size-biased
+  order and the repeat fires at the stopping walk's threshold, so the batch
+  takes sigma from that walk and tau as a sum of sigma geometric stage
+  lengths; the single draw `sample_stopping_index_poissonized` is the batch
+  with one row.
 * direct tree construction: uniform trees with fixed degree statistics via
   shuffle-and-rotate, and conditioned branching-process trees either by
   rejection on multinomial degree-count vectors or by splitting the degree
@@ -25,8 +26,8 @@ Three families live here:
   them.
 
 Each sampler has an exact-law oracle in `enumeration` (or a closed form) and
-the tests compare the two.  The Poisson route, a second sampler of the
-stopping index, is tested against the walk, and its tau against the exact
+the tests compare the two.  The Poisson batch is tested in law against a
+direct simulation of every arrival, and its tau against the exact
 `enumeration.repeat_time_survivals` that the tail sweep reads instead.
 """
 
@@ -106,10 +107,11 @@ def _size_biased_walk(stats: DegreeStatistics, gen: np.random.Generator,
     Each row draws the degrees D_1, D_2, ... in size-biased order: degree c
     with probability c * (remaining count of c) over the remaining edge
     total, and 0 once that total is used up.  Step i = 1..last first draws a
-    uniform U and accepts when U <= (lead + S) / (last + 1 - i), with
-    S = sum_{j<i} (D_j - 1); ties count as accepted.  Returns each row's
-    accepted index, or last + 1 where no step accepted.  With lead None no
-    step accepts, and `record`, when given, receives each step's degrees.
+    uniform U in [0, 1) and accepts when U < (lead + S) / (last + 1 - i),
+    with S = sum_{j<i} (D_j - 1), so a zero threshold never accepts and a
+    threshold of one always does.  Returns each row's accepted index, or
+    last + 1 where no step accepted.  With lead None no step accepts, and
+    `record`, when given, receives each step's degrees.
 
     Every step of a row with edges left takes one positive degree, so all
     live rows use up their edges together, at step p = number of
@@ -138,7 +140,7 @@ def _size_biased_walk(stats: DegreeStatistics, gen: np.random.Generator,
         top = lead or 0  # lead + S, the same for every row
         for i in range(1, last + 1):
             if lead is not None:
-                accept = gen.random(live.size) <= top / (last + 1 - i)
+                accept = gen.random(live.size) < top / (last + 1 - i)
                 if accept.any():
                     out[live[accept]] = i
                     live = live[~accept]
@@ -158,7 +160,7 @@ def _size_biased_walk(stats: DegreeStatistics, gen: np.random.Generator,
     top = np.full(reps, lead or 0, dtype=np.int64)  # lead + S
     for i in range(1, last + 1):
         if lead is not None:
-            accept = gen.random(live.size) <= top / (last + 1 - i)
+            accept = gen.random(live.size) < top / (last + 1 - i)
             if accept.any():
                 out[live[accept]] = i
                 keep = ~accept
@@ -205,8 +207,7 @@ def sample_mark_height(stats: DegreeStatistics, rng: RngStream) -> int:
 
     Walks the size-biased degrees D_1, D_2, ... and accepts index i with
     probability (1 + sum_{j<i} (D_j - 1)) / (n + 1 - i); the returned height
-    is one less than the first accepted index.  Ties (U equal to the
-    threshold) count as accepted.
+    is one less than the first accepted index.
     """
     return int(sample_mark_height_batch(stats, rng, 1)[0])
 
@@ -243,28 +244,6 @@ def sample_stopping_index_batch(stats: DegreeStatistics, rng: RngStream,
 # Poisson-process reformulation of the stopping index
 # ---------------------------------------------------------------------------
 
-def _degree_multiset(stats: DegreeStatistics) -> np.ndarray:
-    """The degrees of all n nodes as an ascending int64 array."""
-    degrees, counts = zip(*stats.sorted_items())
-    return np.repeat(np.array(degrees, dtype=np.int64), counts)
-
-
-def _interval_layout(stats: DegreeStatistics):
-    """Sorted-degree interval boundaries and left-part ends on [0, 1).
-
-    Interval i (1-based) has length d_i / (n - 1) with the degrees in
-    non-decreasing order; its left part is the first (d_i - 1) / (n - 1).
-    """
-    n = stats.n
-    if n < 2:
-        raise InvalidStatistics("need at least two nodes for the interval layout")
-    d = _degree_multiset(stats)
-    cums = np.concatenate([[0], np.cumsum(d)])
-    bounds = cums / (n - 1)
-    left_end = (cums[:-1] + np.maximum(d - 1, 0)) / (n - 1)
-    return bounds, left_end
-
-
 def sample_stopping_index_poissonized(
         stats: DegreeStatistics, rng: RngStream) -> tuple[int, int | None]:
     """One (sigma, tau) draw of the Poisson interval construction.
@@ -278,115 +257,55 @@ def sample_stopping_index_poissonized(
     return int(sigma[0]), int(tau[0]) if np.isfinite(tau[0]) else None
 
 
-def _interval_cells(bounds: np.ndarray) -> tuple[np.ndarray, ...]:
-    """A lookup table that replaces `searchsorted(bounds, u, side="right")`.
-
-    [0, 1) is cut into g cells of width 1/g, g the smallest power of two
-    above n - 1.  lo[c] is the interval id at the cell's left edge c / g,
-    split[c] the first bound past that edge and hi[c] the id from split[c]
-    on.  Distinct bounds are at least 1/(n - 1) > 1/g apart (rounding in
-    cums / (n - 1) moves them by far less below n = 2**26), so at most one
-    distinct bound lies inside a cell and `_interval_ids` is exact.
-    """
-    g = 1 << (len(bounds) - 2).bit_length()
-    lo = np.searchsorted(bounds, np.arange(g) / g, side="right")
-    split = bounds[lo]
-    hi = np.searchsorted(bounds, split, side="right")
-    return lo, split, hi
-
-
-def _interval_ids(u: np.ndarray, cells: tuple[np.ndarray, ...]) -> np.ndarray:
-    """searchsorted(bounds, u, side="right") for u in [0, 1), from the
-    `_interval_cells` table."""
-    lo, split, hi = cells
-    g = len(lo)
-    # u * g is exact for a power of two g; the clamp only guards the edge
-    c = np.minimum((u * g).astype(np.intp), g - 1)
-    return np.where(u >= split[c], hi[c], lo[c])
-
-
 def sample_stopping_index_poissonized_batch(
         stats: DegreeStatistics, rng: RngStream,
         reps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised Poissonised draws.
+    """Vectorised Poissonised draws: (sigma, tau) arrays, sigma int64 and tau
+    float64 with np.inf where no repeat arrival can occur.
 
-    Returns (sigma, tau) arrays; tau is np.inf where no repeat arrival can
-    occur.  Only the uniform positions matter for these two functionals, so
-    no arrival times are generated, and each step draws one uniform per live
-    row.  Path statistics have no left parts, so no repeat can fire and
-    every row ends with sigma = n and no walk is run.
-
-    A step costs O(1) expected work per live row: an `_interval_cells`
-    lookup finds the interval, and a filter of up to 1,024 bits per row,
-    indexed by a multiplicative hash of the interval id, answers "never hit"
-    for most arrivals.  Only rows whose bit is set scan their own hit ids (about
-    sqrt(n) of them, in a table widened on demand), so the answer is exact.
-    The tables drop retired rows only before widening or once fewer than
-    half their rows are live.  At binary n = 4,095 with 20,000 rows a batch
-    takes about 0.15 s.
+    In the interval construction each degree d is a subinterval of [0, 1)
+    of length d / (n - 1), its left part the first (d - 1) / (n - 1), and
+    uniform arrivals hit them one by one.  An arrival in the left part of
+    an interval already hit is a repeat: tau counts the arrivals up to and
+    including the first one, and sigma is one more than the intervals hit
+    before it.  With s intervals hit, of degree sum S, an arrival is a
+    first hit with probability (n - 1 - S) / (n - 1), a repeat with
+    probability (S - s) / (n - 1) and changes nothing otherwise.  Between
+    first hits the arrivals are memoryless, so
+      * intervals are first hit in size-biased order, and stage s ends in a
+        repeat with probability (S - s) / (n - 1 - s), the threshold of
+        `sample_stopping_index_batch`, which therefore draws sigma;
+      * stage s lasts Geometric((n - 1 - s) / (n - 1)) arrivals whatever
+        the degrees and however it ends, so tau adds one such draw for each
+        stage s < sigma.
+    Path statistics have no left parts: sigma = n and tau = inf, with
+    nothing drawn.
     """
     if stats.a != 1:
         raise InvalidStatistics("stopping index needs single-tree statistics")
-    gen = rng.gen
-    bounds, left_end = _interval_layout(stats)
     n = stats.n
-    tau = np.full(reps, np.inf)
+    if n < 2:
+        raise InvalidStatistics("the Poisson construction needs two nodes")
     if stats.max_degree <= 1:
-        return np.full(reps, n, dtype=np.int64), tau
-    cells = _interval_cells(bounds)
-    # each row's filter has 2**b bits, the first power of two above n up to
-    # 1,024 (more would only cost memory at small n); interval id i sets the
-    # bit given by the top b bits of i * 2**32 / golden ratio
-    b = max(3, min(10, n.bit_length()))
-    row_bytes = 1 << (b - 3)
-    key = np.arange(n + 1, dtype=np.uint32) * np.uint32(2_654_435_769)
-    key >>= 32 - b
-    byte_of = (key >> 3).astype(np.intp)
-    bit_of = (1 << (key & 7)).astype(np.uint8)
-    sigma = np.zeros(reps, dtype=np.int64)
-    # ids are 1-based, 0 = empty; int16 halves the table up to n = 32,767
-    hits = np.zeros((reps, 16), dtype=np.int16 if n < 2**15 else np.int32)
-    seen = np.zeros(reps * row_bytes, dtype=np.uint8)
-    nrec = np.zeros(reps, dtype=np.int64)
+        return np.full(reps, n, dtype=np.int64), np.full(reps, np.inf)
+    sigma = sample_stopping_index_batch(stats, rng, reps)
+    tau = np.zeros(reps)
     live = np.arange(reps)
-    slot = np.arange(reps)  # table row of each live row
-    for step in range(1, 1_000_001):
-        if live.size == 0:
-            return sigma, tau
-        widen = nrec.max() == hits.shape[1]
-        if widen or 2 * live.size < len(hits):
-            hits = hits[slot]
-            seen = seen.reshape(-1, row_bytes)[slot].reshape(-1)
-            slot = np.arange(live.size)
-            if widen:
-                hits = np.pad(hits, ((0, 0), (0, hits.shape[1])))
-        u = gen.uniform(size=live.size)
-        j = _interval_ids(u, cells)
-        at = slot * row_bytes + byte_of[j]
-        bit = bit_of[j]
-        hit = np.flatnonzero(seen[at] & bit)  # only these can have hit j
-        if hit.size:
-            width = int(nrec[hit].max())
-            hit = hit[(hits[slot[hit], :width] == j[hit, None]).any(axis=1)]
-        # every row writes j at its next free position; for a row that had
-        # already hit j the entry repeats a member and is overwritten later
-        hits.reshape(-1)[slot * hits.shape[1] + nrec] = j
-        seen[at] |= bit
-        nrec += 1
-        if hit.size:
-            nrec[hit] -= 1
-            fires = hit[u[hit] < left_end[j[hit] - 1]]
-            sigma[live[fires]] = nrec[fires] + 1
-            tau[live[fires]] = step
-            keep = np.ones(live.size, dtype=bool)
-            keep[fires] = False
-            live, slot, nrec = live[keep], slot[keep], nrec[keep]
-    raise RuntimeError("poisson walk failed to terminate")
+    for s in range(int(sigma.max())):
+        live = live[sigma[live] > s]
+        tau[live] += rng.gen.geometric((n - 1 - s) / (n - 1), live.size)
+    return sigma, tau
 
 
 # ---------------------------------------------------------------------------
 # direct tree construction
 # ---------------------------------------------------------------------------
+
+def _degree_multiset(stats: DegreeStatistics) -> np.ndarray:
+    """The degrees of all n nodes as an ascending int64 array."""
+    degrees, counts = zip(*stats.sorted_items())
+    return np.repeat(np.array(degrees, dtype=np.int64), counts)
+
 
 def _rotation(d: np.ndarray) -> np.ndarray:
     """The one cyclic rotation of an int64 degree array that is a valid word

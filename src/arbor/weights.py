@@ -561,12 +561,12 @@ def sample_simply_generated(w: WeightSequence, n: int, rng: RngStream) -> PlaneT
         raise ValueError("need n >= 1")
     if n == 1:
         return build_tree((0,))
-    if not _reachable_sum(_support_upto(w, n - 1), n - 1):
+    support = _support_upto(w, n - 1)
+    if not _reachable_sum(support, n - 1):
         raise ZeroPartition(f"Z_{n} = 0 for these weights")
     rho, _ = w.resolve_rho()
     if rho == 0:
         return _sample_by_enumeration(w, n, rng)
-    support = _support_upto(w, n - 1)
     if max(support) == 1:
         return build_tree((1,) * (n - 1) + (0,))  # the path is the only tree
     tilt = solve_critical_tilt(w)

@@ -30,15 +30,14 @@ from arbor.harness import (DEFAULT_BETAS, _repeat_time_cells,
                            run_convergence, run_equivalence_suite,
                            run_tail_sweep)
 from arbor.rng import RngStream
-from arbor.samplers import (sample_mark_height_batch,
-                            sample_stopping_index_batch,
-                            sample_stopping_index_poissonized_batch)
+from arbor.samplers import sample_mark_height_batch, sample_stopping_index_batch
 from arbor.trees import DegreeStatistics
 from arbor.weights import (WeightSequence, concentrate_degrees,
                            concentration_count_ratio_ok, partition_function,
                            statistics_weight)
 
 from chisq import chi_square_two_sample
+from poisson_reference import interval_poissonized_batch
 
 EXACT_SLACK = 1e-12  # float-valued bounds against exact rational tails
 SMALL_MAX_N = 9
@@ -110,8 +109,10 @@ POISSONIZATION_BATTERY = (
 
 
 def test_poissonization_equivalence(acceptance):
-    # the direct stopping-index sampler against the Poisson-process route;
-    # seed 5 was fixed in advance, not tuned after a failure
+    # the direct stopping-index sampler against the Poisson interval
+    # construction simulated arrival by arrival (the batch in arbor.samplers
+    # takes its sigma from this walk, so it would test nothing here); seed 5
+    # was fixed in advance, not tuned after a failure
     seed, reps, level = 5, 100_000, 0.01
     battery = [DegreeStatistics(c) for c in POISSONIZATION_BATTERY]
     assert len(battery) >= 10
@@ -120,7 +121,7 @@ def test_poissonization_equivalence(acceptance):
     min_p = 1.0
     for j, stats in enumerate(battery):
         direct = sample_stopping_index_batch(stats, RngStream(seed, j), reps)
-        poisson, _ = sample_stopping_index_poissonized_batch(
+        poisson, _ = interval_poissonized_batch(
             stats, RngStream(seed, 100 + j), reps)
         min_p = min(min_p, chi_square_two_sample(direct, poisson))
     ok = min_p > level

@@ -210,11 +210,17 @@ def test_malformed_mu_exits_2(law, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["converge", "--sizes", ","], "empty size list"),
-    (["converge", "--family", "near-path", "--grid", " "], "empty grid")])
-def test_empty_lists_exit_with_their_message(argv, message):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == message
+    (["converge", "--family", "near-path", "--grid", " "], "empty grid"),
+    (["tails", "--grid", ","], "empty grid")])
+def test_empty_lists_exit_with_their_message(argv, message, stats_file,
+                                             capsys):
+    # bad input exits 2 with one error line; exit 1 is a failing report
+    if argv[0] == "tails":
+        argv = argv + ["--stats", stats_file]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 def test_concentrate_rejects_unknown_class(capsys):

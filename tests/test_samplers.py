@@ -9,6 +9,7 @@ import hashlib
 import importlib.util
 import math
 import tracemalloc
+import types
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -29,8 +30,7 @@ from arbor.errors import (AttemptsExhausted, InvalidDistribution,
 from arbor.harness import (_CLASS_LAWS, _LADDERS, full_binary_statistics,
                            heavy_tailed_statistics)
 from arbor.rng import RngStream
-from arbor.samplers import (OffspringDistribution, _hurwitz, _interval_cells,
-                            _interval_ids, _interval_layout, block_sizes,
+from arbor.samplers import (OffspringDistribution, _hurwitz, block_sizes,
                             conditional_sum_table, rotate_to_valid_word,
                             sample_conditioned_bienayme,
                             sample_conditioned_bienayme_sequential,
@@ -44,6 +44,7 @@ from arbor.trees import DegreeStatistics, build_tree
 from arbor.weights import WeightSequence, solve_critical_tilt, tilted_law
 
 from chisq import chi_square_gof, chi_square_two_sample
+from poisson_reference import interval_poissonized_batch
 
 STATS = DegreeStatistics({0: 3, 1: 1, 2: 2})  # n = 6, ten trees
 P_FLOOR = 1e-3
@@ -347,6 +348,37 @@ class TestWalkOracle:
                               old_gen.integers(0, 2**31, 5, dtype=np.uint32))
 
 
+class ZeroUniforms:
+    """A generator stand-in whose every uniform is 0.0: the bucket pick
+    takes the lowest degree left, and a threshold test accepts exactly
+    where the threshold is positive."""
+
+    def random(self, size):
+        return np.zeros(size)
+
+
+class TestZeroUniform:
+    """U = 0.0 is a possible draw; the walk compares U < threshold, so a
+    zero threshold never accepts, as the exact laws require."""
+
+    rng = types.SimpleNamespace(gen=ZeroUniforms())
+
+    @pytest.mark.parametrize("stats, index", [
+        # the degree-1 node comes first and leaves lead + S at 0, a 2 follows
+        (STATS, 3),
+        (full_binary_statistics(15), 2),
+        (DegreeStatistics({0: 1, 1: 4}), 5)])  # a path never fires
+    def test_stopping_walk_waits_for_a_positive_threshold(self, stats, index):
+        out = sample_stopping_index_batch(stats, self.rng, 4)
+        assert np.all(out == index)
+
+    @pytest.mark.parametrize("stats", [STATS, full_binary_statistics(15),
+                                       DegreeStatistics({0: 1, 1: 4})])
+    def test_mark_walk_stops_at_the_first_index(self, stats):
+        # lead 1 makes the first threshold 1 / n, so i = 1 accepts: height 0
+        assert np.all(sample_mark_height_batch(stats, self.rng, 4) == 0)
+
+
 class TestPoissonized:
     def test_path_statistics_have_no_repeat(self):
         stats = DegreeStatistics({0: 1, 1: 4})
@@ -382,25 +414,26 @@ class TestPoissonized:
         assert np.all(np.isinf(taus))
 
     def test_batch_draws_are_pinned(self):
-        # recorded from a dense reps x (n + 1) hit bitmap: tracking hit ids
-        # sparsely must reproduce those draws exactly
+        # recorded from the stopping walk plus geometric stage lengths; a
+        # change to either moves these sums
         sigmas, taus = sample_stopping_index_poissonized_batch(
             DegreeStatistics({0: 512, 2: 511}), RngStream(21, 0), 2000)
         finite = np.isfinite(taus)
-        assert int(sigmas.sum()) == 80131
+        assert int(sigmas.sum()) == 80341
         assert int(finite.sum()) == 2000
-        assert int(taus[finite].sum()) == 82125
+        assert int(taus[finite].sum()) == 82339
 
     def test_batch_agrees_with_interval_route(self):
-        a = sample_stopping_index_batch(STATS, RngStream(12, 0), 20_000)
+        a, _ = interval_poissonized_batch(STATS, RngStream(12, 0), 20_000)
         b, _ = sample_stopping_index_poissonized_batch(STATS, RngStream(12, 1),
                                                        20_000)
         assert chi_square_two_sample(a, b) > P_FLOOR
 
     @pytest.mark.parametrize("stats", [
         STATS, DegreeStatistics({0: 4, 1: 1, 2: 1, 3: 1}),
-        full_binary_statistics(63), heavy_tailed_statistics(127)],
-        ids=["n6", "mixed-n7", "binary-n63", "heavy-n127"])
+        full_binary_statistics(63), heavy_tailed_statistics(127),
+        full_binary_statistics(16383)],
+        ids=["n6", "mixed-n7", "binary-n63", "heavy-n127", "binary-n16383"])
     def test_batch_taus_match_exact_tails(self, stats):
         # the tail sweep reads these exact tails instead of the batch; seed 23
         # was fixed in advance, and every k with P(tau > k) >= 1e-3 is tested
@@ -418,54 +451,27 @@ class TestPoissonized:
         assert k > 2 and worst < 4.0
 
 
-def frozen_poissonized_batch(stats, rng, reps):
-    """The Poisson batch as it was before the cell table and the membership
-    filter: `searchsorted` over the interval bounds and a scan of every live
-    row's whole hit table at each step.  Kept as the oracle the rewrite must
-    match draw for draw."""
-    degrees = sorted(c for c, k in stats.sorted_items() for _ in range(k))
-    d = np.array(degrees, dtype=np.int64)
-    n = len(d)
-    cums = np.concatenate([[0], np.cumsum(d)])
-    bounds = cums / (n - 1)
-    left_end = (cums[:-1] + np.maximum(d - 1, 0)) / (n - 1)
-    gen = rng.gen
-    tau = np.full(reps, np.inf)
-    if stats.max_degree <= 1:
-        return np.full(reps, n, dtype=np.int64), tau
-    sigma = np.zeros(reps, dtype=np.int64)
-    hits = np.zeros((reps, 16), dtype=np.int32)
-    nrec = np.zeros(reps, dtype=np.int64)
-    live = np.arange(reps)
-    for step in range(1, 1_000_001):
-        if live.size == 0:
-            return sigma, tau
-        u = gen.uniform(size=live.size)
-        j = np.searchsorted(bounds, u, side="right").astype(np.int32)
-        width = int(nrec.max())
-        was_hit = (hits[:, :width] == j[:, None]).any(axis=1)
-        fires = was_hit & (u < left_end[j - 1])
-        sigma[live[fires]] = nrec[fires] + 1
-        tau[live[fires]] = step
-        if width == hits.shape[1]:
-            hits = np.concatenate([hits, np.zeros_like(hits)], axis=1)
-        new = np.flatnonzero(~was_hit)
-        hits[new, nrec[new]] = j[new]
-        nrec[new] += 1
-        if fires.any():
-            keep = ~fires
-            live, hits, nrec = live[keep], hits[keep], nrec[keep]
-    raise RuntimeError("poisson walk failed to terminate")
+POISSON_LAW_CLASSES = {
+    "mixed-n8": DegreeStatistics({0: 4, 1: 2, 2: 1, 3: 1}),
+    "hub-n8": DegreeStatistics({0: 6, 2: 1, 5: 1}),
+    "hub-n9": DegreeStatistics({0: 5, 1: 3, 5: 1}),
+    **{f"binary-n{n}": full_binary_statistics(n) for n in (31, 127, 1023)},
+    "heavy-n127": heavy_tailed_statistics(127),
+}
 
 
-def assert_same_poisson_draws(stats, seed, reps):
+def poisson_law_pvalues(stats, seed, reps):
+    """Two-sample p-values of the batch against the interval reference on
+    sigma, tau and the joint (sigma, tau) key."""
     sigma, tau = sample_stopping_index_poissonized_batch(
         stats, RngStream(seed, 0), reps)
-    old_sigma, old_tau = frozen_poissonized_batch(stats, RngStream(seed, 0),
-                                                  reps)
-    assert sigma.dtype == old_sigma.dtype and tau.dtype == old_tau.dtype
-    assert np.array_equal(sigma, old_sigma)
-    assert np.array_equal(tau, old_tau)
+    ref_sigma, ref_tau = interval_poissonized_batch(
+        stats, RngStream(seed, 1), reps)
+    tau, ref_tau = tau.astype(np.int64), ref_tau.astype(np.int64)
+    return {"sigma": chi_square_two_sample(sigma, ref_sigma),
+            "tau": chi_square_two_sample(tau, ref_tau),
+            "joint": chi_square_two_sample(sigma << 32 | tau,
+                                           ref_sigma << 32 | ref_tau)}
 
 
 @st.composite
@@ -478,44 +484,49 @@ def single_tree_classes(draw):
     return DegreeStatistics(dict(counts))
 
 
-class TestPoissonBatchOracle:
-    """The batch draws one uniform per live row per step, in row order, so
-    any exact membership test and interval lookup must reproduce the
-    frozen batch's sigma and tau arrays exactly."""
+class TestPoissonBatchLaw:
+    """The batch draws sigma from the stopping walk and tau as a sum of
+    geometric stage lengths; the interval construction simulated arrival by
+    arrival must give the same law.  Seeds were fixed in advance."""
 
-    @pytest.mark.parametrize("n,reps", [(127, 5000), (1023, 5000),
-                                        (4095, 20_000)])
-    @pytest.mark.parametrize("census", [full_binary_statistics,
-                                        heavy_tailed_statistics])
-    def test_censuses(self, census, n, reps):
-        assert_same_poisson_draws(census(n), 41, reps)
+    @pytest.mark.parametrize("name", sorted(POISSON_LAW_CLASSES))
+    def test_matches_interval_reference(self, name):
+        pvalues = poisson_law_pvalues(POISSON_LAW_CLASSES[name], 60, 20_000)
+        assert min(pvalues.values()) > P_FLOOR, pvalues
 
-    def test_one_row(self):
-        for seed in range(20):
-            assert_same_poisson_draws(STATS, seed, 1)
+    def test_one_row_draws(self):
+        draws = [sample_stopping_index_poissonized(STATS, RngStream(61, i))
+                 for i in range(3000)]
+        sigma, tau = interval_poissonized_batch(STATS, RngStream(62, 0),
+                                                20_000)
+        assert chi_square_two_sample([d[0] for d in draws], sigma) > P_FLOOR
+        assert chi_square_two_sample([d[1] for d in draws],
+                                     tau.astype(np.int64)) > P_FLOOR
 
     def test_path_class(self):
-        assert_same_poisson_draws(DegreeStatistics({0: 1, 1: 9}), 42, 50)
+        stats = DegreeStatistics({0: 1, 1: 9})
+        sigma, tau = sample_stopping_index_poissonized_batch(
+            stats, RngStream(42, 0), 50)
+        ref_sigma, ref_tau = interval_poissonized_batch(
+            stats, RngStream(42, 0), 50)
+        assert sigma.dtype == ref_sigma.dtype and tau.dtype == ref_tau.dtype
+        assert np.array_equal(sigma, ref_sigma)
+        assert np.array_equal(tau, ref_tau)
 
     @settings(max_examples=60, deadline=None)
     @given(single_tree_classes(), st.integers(0, 2**16), st.integers(1, 300))
-    def test_small_classes(self, stats, seed, reps):
-        assert_same_poisson_draws(stats, seed, reps)
-
-    @pytest.mark.parametrize("stats", [
-        STATS, DegreeStatistics({0: 1, 1: 9}), full_binary_statistics(4095),
-        heavy_tailed_statistics(1023), DegreeStatistics({0: 5, 1: 3, 5: 1})])
-    def test_cell_lookup_is_searchsorted(self, stats):
-        bounds, _ = _interval_layout(stats)
-        cells = _interval_cells(bounds)
-        g = len(cells[0])
-        edges = np.concatenate([bounds[:-1], np.arange(g) / g])
-        u = np.concatenate([edges, np.nextafter(edges, 1.0),
-                            np.nextafter(edges[edges > 0], 0.0),
-                            [np.nextafter(1.0, 0.0)],
-                            RngStream(43, 0).gen.uniform(size=20_000)])
-        assert np.array_equal(_interval_ids(u, cells),
-                              np.searchsorted(bounds, u, side="right"))
+    def test_small_classes_stay_on_the_support(self, stats, seed, reps):
+        # sigma - 1 intervals of positive degree are hit before the repeat,
+        # and each of the sigma stages takes at least one arrival
+        sigma, tau = sample_stopping_index_poissonized_batch(
+            stats, RngStream(seed, 0), reps)
+        assert sigma.dtype == np.int64 and tau.dtype == np.float64
+        if stats.max_degree <= 1:
+            assert np.all(sigma == stats.n) and np.all(np.isinf(tau))
+            return
+        assert np.all(sigma >= 2)
+        assert np.all(sigma <= stats.n - stats.count(0) + 1)
+        assert np.all(np.isfinite(tau)) and np.all(tau >= sigma)
 
     def test_memory_at_n4095(self):
         stats = full_binary_statistics(4095)
@@ -536,8 +547,7 @@ class TestBatchScale:
     def test_walk_agrees_with_poisson_route_at_n16383(self):
         stats = DegreeStatistics({0: 8192, 2: 8191})
         a = sample_stopping_index_batch(stats, RngStream(32, 0), 5000)
-        b, _ = sample_stopping_index_poissonized_batch(stats, RngStream(32, 1),
-                                                       5000)
+        b, _ = interval_poissonized_batch(stats, RngStream(32, 1), 5000)
         assert chi_square_two_sample(a, b) > P_FLOOR
 
     @pytest.mark.parametrize("sampler", [
