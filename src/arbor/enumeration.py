@@ -16,14 +16,15 @@ Counting facts used throughout (a = number of trees, n = number of nodes):
 The law of the threshold sampler index admits a closed form: with q_k the
 z^k coefficient of prod_{c>=1} (1 + c z)^{n(c)}, the probability that the
 first k size-biased draws from m candidates are all rejected is
-    s_k = q_k / C(m, k) = k! q_k / falling(m, k)
-(m = n for the mark height, n - 1 for the stopping index).  This is the
-usage-vector recursion summed in closed form (each usage vector w contributes
-multinomial(k; w) * prod c^{w(c)} * prod falling(n(c), w(c)), i.e. the z^k
-coefficient of the product of binomials).  The laws hand out the masses
+    s_k = q_k / C(m, k) = k! q_k / falling(m, k).
+This is the usage-vector recursion summed in closed form (each usage vector w
+contributes multinomial(k; w) * prod c^{w(c)} * prod falling(n(c), w(c)),
+i.e. the z^k coefficient of the product of binomials).  One index law
+(`_index_law`) hands out the masses
     s_k - s_{k+1} = (q_k (m - k) - q_{k+1} (k + 1)) / (C(m, k) (m - k)),
 each built in integers and reduced once, never as a difference of two
-reduced survival fractions.
+reduced survival fractions; the mark height reads it at m = n, shifted down
+by one, and the stopping index at m = n - 1.
 """
 
 from __future__ import annotations
@@ -350,52 +351,41 @@ def _repeat_time_tail(stats: DegreeStatistics):
                               den ** k)
 
 
-def _law_masses(poly: list[int], m: int) -> Iterator[tuple[int, Fraction]]:
-    """(k, mass_k) for k = 0..m-1 with mass_k = s_k - s_{k+1} non-zero,
-    where s_k = q_k / C(m, k) and q_k = poly[k] (zero past its end).
-
-    Since C(m, k + 1) = C(m, k) (m - k) / (k + 1), each mass is the single
-    fraction (q_k (m - k) - q_{k+1} (k + 1)) / (C(m, k) (m - k)), reduced
-    once; the binomial is updated in place."""
-    q = poly + [0] * (m + 1 - len(poly))
+def _index_law(stats: DegreeStatistics, last: int) -> dict[int, Fraction]:
+    """Law of the size-biased walk's first accepted index over `last`
+    candidates as {index: mass}: P(index > k) = s_k = q_k / C(last, k), so
+    index k + 1 takes s_k - s_{k+1} as in the module docstring with
+    m = last, C(last, k) updated in place, and the never-accepted mass
+    s_last = q_last sits at last + 1."""
+    if stats.a != 1:
+        raise InvalidStatistics("the index law needs a single tree")
+    q = _degree_polynomial(stats)
+    q += [0] * (last + 2 - len(q))
+    pmf = {last + 1: Fraction(q[last])}
     binom = 1
-    for k in range(m):
-        num = q[k] * (m - k) - q[k + 1] * (k + 1)
+    for k in range(last):
+        num = q[k] * (last - k) - q[k + 1] * (k + 1)
         if num:
-            yield k, Fraction(num, binom * (m - k))
-        binom = binom * (m - k) // (k + 1)
+            pmf[k + 1] = Fraction(num, binom * (last - k))
+        binom = binom * (last - k) // (k + 1)
+    return pmf
 
 
 def exact_threshold_sampler_distribution(stats: DegreeStatistics) -> ExactDistribution:
-    """Law of the mark height produced by the accept-threshold sampler.
-
-    P(first k degrees all rejected) = s_k = q_k / C(n, k), which equals
-    k! q_k / falling(n, k), with q_k the z^k coefficient of
-    prod (1 + c z)^{n(c)}.  The returned height (index - 1) is k with mass
-    s_k - s_{k+1} = (q_k (n - k) - q_{k+1} (k + 1)) / (C(n, k) (n - k)).
-    """
-    if stats.a != 1:
-        raise InvalidStatistics("threshold sampler law needs a single tree")
+    """Law of the mark height produced by the accept-threshold sampler: the
+    index law over n candidates, shifted down by one.  The degree
+    polynomial stops below z^n, so no mass is left at n + 1."""
     return ExactDistribution.from_pmf(
-        dict(_law_masses(_degree_polynomial(stats), stats.n)))
+        {i - 1: m for i, m in _index_law(stats, stats.n).items()})
 
 
 def exact_stopping_index_distribution(stats: DegreeStatistics) -> ExactDistribution:
-    """Law of the strict-threshold stopping index.
+    """Law of the strict-threshold stopping index: the index law over
+    n - 1 candidates.
 
-    Same polynomial as the mark-height law over n - 1 candidates:
-    P(index >= k + 1) = q_k / C(n - 1, k) = k! q_k / falling(n - 1, k), so
-    the index is k + 1 with mass (q_k (n - 1 - k) - q_{k+1} (k + 1)) /
-    (C(n - 1, k) (n - 1 - k)) for k < n - 1.
     The per-step survival factor (n - 1 - sum of drawn degrees) cancels the
     size-biasing denominator, which is what makes the closed form exact.
     When no threshold ever fires the index is reported as n (path
     statistics), with mass q_{n-1} / C(n - 1, n - 1) = q_{n-1}.
     """
-    if stats.a != 1:
-        raise InvalidStatistics("stopping index law needs a single tree")
-    n = stats.n
-    poly = _degree_polynomial(stats)
-    pmf = {k + 1: mass for k, mass in _law_masses(poly, n - 1)}
-    pmf[n] = Fraction(poly[n - 1] if n - 1 < len(poly) else 0)
-    return ExactDistribution.from_pmf(pmf)
+    return ExactDistribution.from_pmf(_index_law(stats, stats.n - 1))

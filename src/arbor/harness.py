@@ -417,20 +417,17 @@ def run_tail_sweep(stats: DegreeStatistics,
                                 replications, height_tail_bound(inp, beta)))
     floor = 10.0 * wilson_interval(0, replications)[1]
     if norms.n1 == 0 and n >= 2:
-        for ell in range(1, n + 1):
-            bound = height_tail_bound_no_ones(inp, ell)
-            if bound < floor:
-                break
-            cells.append(_tail_cell(n, f"height>=ell={ell}",
-                                    _count_above(height_counts, ell - 1),
-                                    replications, bound))
-        for ell in range(1, n + 1):
-            bound = stopping_tail_bound_no_ones(inp, ell)
-            if bound < floor:
-                break
-            cells.append(_tail_cell(n, f"sigma>ell={ell}",
-                                    _count_above(sigma_counts, ell),
-                                    replications, bound))
+        # H >= ell counts heights above ell - 1, sigma > ell those above ell
+        for label, counts, shift, bound_at in (
+                ("height>=ell", height_counts, 1, height_tail_bound_no_ones),
+                ("sigma>ell", sigma_counts, 0, stopping_tail_bound_no_ones)):
+            for ell in range(1, n + 1):
+                bound = bound_at(inp, ell)
+                if bound < floor:
+                    break
+                cells.append(_tail_cell(n, f"{label}={ell}",
+                                        _count_above(counts, ell - shift),
+                                        replications, bound))
     if stats.max_degree >= 2:
         cells.extend(_repeat_time_cells(stats, inp, betas))
     return _finish(cells, start, kind="tail_sweep", seed=seed,

@@ -135,58 +135,48 @@ def _size_biased_walk(stats: DegreeStatistics, gen: np.random.Generator,
     positives = sum(k for _, k in items)
     live = np.arange(reps)
     out = np.full(reps, last + 1, dtype=np.int64)
-    if len(items) <= 1:
+    shared = len(items) <= 1
+    if shared:
         c = items[0][0] if items else 0
         top = lead or 0  # lead + S, the same for every row
-        for i in range(1, last + 1):
-            if lead is not None:
-                accept = gen.random(live.size) < top / (last + 1 - i)
-                if accept.any():
-                    out[live[accept]] = i
-                    live = live[~accept]
-            if not live.size:
-                break
-            d = c if i <= positives else 0
-            if d:
-                gen.random(live.size)  # the bucket pick, deciding nothing
-            top += d - 1
-            if record is not None:
-                record.append(np.full(live.size, d, dtype=np.int64))
-        return out
-    deg = np.array([c for c, _ in items], dtype=np.int64)
-    counts = np.array([k for _, k in items], dtype=np.int64)
-    rem = np.repeat(counts.reshape(-1, 1), reps, axis=1)
-    weight = np.full(reps, counts @ deg, dtype=np.int64)
-    top = np.full(reps, lead or 0, dtype=np.int64)  # lead + S
+    else:
+        deg = np.array([c for c, _ in items], dtype=np.int64)
+        counts = np.array([k for _, k in items], dtype=np.int64)
+        rem = np.repeat(counts.reshape(-1, 1), reps, axis=1)
+        weight = np.full(reps, counts @ deg, dtype=np.int64)
+        top = np.full(reps, lead or 0, dtype=np.int64)  # lead + S
     for i in range(1, last + 1):
         if lead is not None:
             accept = gen.random(live.size) < top / (last + 1 - i)
             if accept.any():
                 out[live[accept]] = i
                 keep = ~accept
-                live, top, rem, weight = (live[keep], top[keep], rem[:, keep],
-                                          weight[keep])
+                live = live[keep]
+                if not shared:
+                    top, rem, weight = top[keep], rem[:, keep], weight[keep]
         if not live.size:
             break
+        d = 0
         if i <= positives:
-            u = gen.random(live.size)
-            # an integer point in [0, w) picks the bucket by its cumulative
-            # weight; the clip guards u * w rounding up to w
-            v = np.minimum((u * weight).astype(np.int64), weight - 1)
-            b = np.zeros(live.size, dtype=np.intp)
-            cum = np.zeros(live.size, dtype=np.int64)
-            for j in range(deg.size - 1):
-                cum += rem[j] * deg[j]
-                b += cum <= v
-            for j in range(deg.size):
-                rem[j] -= b == j
-            d = deg[b]
-            weight -= d
-        else:
-            d = np.zeros(live.size, dtype=np.int64)
+            u = gen.random(live.size)  # decides nothing when shared
+            if shared:
+                d = c
+            else:
+                # an integer point in [0, w) picks the bucket by its
+                # cumulative weight; the clip guards u * w rounding up to w
+                v = np.minimum((u * weight).astype(np.int64), weight - 1)
+                b = np.zeros(live.size, dtype=np.intp)
+                cum = np.zeros(live.size, dtype=np.int64)
+                for j in range(deg.size - 1):
+                    cum += rem[j] * deg[j]
+                    b += cum <= v
+                for j in range(deg.size):
+                    rem[j] -= b == j
+                d = deg[b]
+                weight -= d
         top += d - 1
         if record is not None:
-            record.append(d)
+            record.append(np.full(live.size, d, dtype=np.int64))
     return out
 
 
@@ -291,7 +281,7 @@ def sample_stopping_index_poissonized_batch(
     sigma = sample_stopping_index_batch(stats, rng, reps)
     tau = np.zeros(reps)
     live = np.arange(reps)
-    for s in range(int(sigma.max())):
+    for s in range(int(sigma.max(initial=0))):
         live = live[sigma[live] > s]
         tau[live] += rng.gen.geometric((n - 1 - s) / (n - 1), live.size)
     return sigma, tau
@@ -343,7 +333,8 @@ _FAMILY_ARITY = {"geometric": 1, "power_law": 4, "stretched": 2, "anchored": 6}
 
 
 def _finite_number(v) -> bool:
-    return isinstance(v, (int, float)) and math.isfinite(v)
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
 
 
 @dataclass(frozen=True)

@@ -102,7 +102,9 @@ class DegreeStatistics:
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise InvalidStatistics("expected a JSON object of degree -> count")
-        return cls({int(c): int(k) for c, k in raw.items()})
+        if not all(type(k) is int for k in raw.values()):
+            raise InvalidStatistics(f"degree counts must be integers, got {raw!r}")
+        return cls({int(c): k for c, k in raw.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DegreeStatistics):

@@ -194,13 +194,31 @@ def test_inputs_a_runner_would_ignore_exit_2(argv, tmp_path, capsys):
     {"family": "geometric"},
     {"family": "stretched", "params": [1]},
     {"family": "anchored", "params": [18, 0.05, 40, 0.0, 1.5, 0.1]},
-    {"0": None, "2": 0.5}],
-    ids=["geometric-none", "stretched-short", "anchored-alpha-1.5", "null-mass"])
+    {"0": None, "2": 0.5},
+    {"0": 0.5, "2": 0.5, "3": True}],
+    ids=["geometric-none", "stretched-short", "anchored-alpha-1.5", "null-mass",
+         "bool-mass"])
 def test_malformed_mu_exits_2(law, tmp_path, capsys):
     mu_path = tmp_path / "mu.json"
     mu_path.write_text(json.dumps(law))
-    code = main(["converge", "--mu", str(mu_path), "--sizes", "21",
+    # two sizes, so the law is the only fault in the command
+    code = main(["converge", "--mu", str(mu_path), "--sizes", "21,41",
                  "--reps", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text", ['{"0": 8.9, "2": 7}',
+                                  '{"0": 8, "1": true, "2": 7}'],
+                         ids=["float-count", "bool-count"])
+def test_non_integer_counts_exit_2(text, tmp_path, capsys):
+    # the float count was truncated to {0: 8, 2: 7} and swept with exit 0
+    path = tmp_path / "stats.json"
+    path.write_text(text)
+    code = main(["tails", "--stats", str(path), "--reps", "200"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

@@ -238,8 +238,9 @@ def test_walk_draws_are_pinned(name):
 def frozen_size_biased_walk(stats, gen, reps, lead, last, record=None):
     """The walk as it was before one-degree censuses shared one threshold:
     every class kept the bucket table, the weight array and the per-row
-    lead + S.  Kept verbatim as the oracle the rewrite must match, output,
-    record and generator state alike."""
+    lead + S.  Kept verbatim, with the strict U < threshold test of the
+    walk, as the oracle the rewrite must match, output, record and
+    generator state alike."""
     items = [(c, k) for c, k in stats.sorted_items() if c > 0]
     deg = np.array([c for c, _ in items], dtype=np.int64)
     counts = np.array([k for _, k in items], dtype=np.int64)
@@ -251,7 +252,7 @@ def frozen_size_biased_walk(stats, gen, reps, lead, last, record=None):
     out = np.full(reps, last + 1, dtype=np.int64)
     for i in range(1, last + 1):
         if lead is not None:
-            accept = gen.random(live.size) <= top / (last + 1 - i)
+            accept = gen.random(live.size) < top / (last + 1 - i)
             if accept.any():
                 out[live[accept]] = i
                 keep = ~accept
@@ -405,6 +406,12 @@ class TestPoissonized:
         exact = float_pmf(exact_stopping_index_distribution(STATS))
         assert chi_square_gof(sigmas, exact) > P_FLOOR
         assert np.all(taus >= sigmas)
+
+    def test_zero_rows_give_empty_arrays(self):
+        sigma, tau = sample_stopping_index_poissonized_batch(
+            STATS, RngStream(11, 0), 0)
+        assert sigma.dtype == np.int64 and sigma.shape == (0,)
+        assert tau.dtype == np.float64 and tau.shape == (0,)
 
     def test_batch_path_taus_are_infinite(self):
         stats = DegreeStatistics({0: 1, 1: 3})
@@ -734,10 +741,13 @@ class TestOffspringDistribution:
         {"family": "geometric", "params": ["0.5"]},
         {"family": "power_law", "params": [2.5, 0.0, math.inf, 0.95]},
         {"0": None, "2": 0.5},
-        {"0": math.nan, "2": 0.5}],
+        {"0": math.nan, "2": 0.5},
+        {"0": 0.5, "2": 0.5, "3": True},
+        {"0": 0.5, "1": False, "2": 0.5},
+        {"family": "geometric", "params": [True]}],
         ids=["geometric-none", "stretched-short", "power-short", "anchored-long",
              "not-a-list", "string-param", "infinite-param", "null-mass",
-             "nan-mass"])
+             "nan-mass", "true-mass", "false-mass", "bool-param"])
     def test_from_jsonable_rejects_malformed_params(self, obj):
         with pytest.raises(InvalidDistribution):
             OffspringDistribution.from_jsonable(obj)

@@ -304,6 +304,15 @@ class TestDegreeStatistics:
         with pytest.raises(InvalidStatistics):
             DegreeStatistics.from_json("[1, 2]")
 
+    @pytest.mark.parametrize("text", ['{"0": 8.9, "2": 7}', '{"0": 8.0, "2": 7}',
+                                      '{"0": 8, "1": true, "2": 7}',
+                                      '{"0": "8", "2": 7}',
+                                      '{"0": 8, "2": null}'])
+    def test_from_json_rejects_non_integer_counts(self, text):
+        # a float count was truncated and true read as 1
+        with pytest.raises(InvalidStatistics):
+            DegreeStatistics.from_json(text)
+
     def test_equality_and_hash(self):
         a = DegreeStatistics({0: 2, 2: 1})
         b = DegreeStatistics({2: 1, 0: 2})
