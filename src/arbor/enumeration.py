@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .errors import InvalidStatistics, TooLarge, UsageExceeded
-from .trees import DegreeStatistics, MarkedTree, PlaneTree, depth_table
+from .trees import DegreeStatistics, PlaneTree, depth_table
 
 ENUMERATION_CAP = 12
 

@@ -33,15 +33,13 @@ from .enumeration import (ExactDistribution, _repeat_time_tail,
 from .errors import BadParameters
 from .rng import RngStream
 # the three batch samplers stay bound here, where benchmark tracers patch them
-from .samplers import (OffspringDistribution, conditional_sum_table,
-                       conditioned_sampler,
-                       sample_conditioned_bienayme_sequential,
+from .samplers import (OffspringDistribution, conditioned_sampler,
                        sample_mark_height_batch, sample_stopping_index_batch,
                        sample_stopping_index_poissonized_batch)
 from .stats import wilson_interval
 from .trees import DegreeStatistics, PlaneTree, depth_table
-from .weights import (WeightSequence, exact_tree_law, limit_degree_law, phi,
-                      solve_critical_tilt, tilted_law)
+from .weights import (WeightSequence, exact_tree_law, limit_degree_law,
+                      simply_generated_sampler)
 
 CSV_COLUMNS = ("experiment", "n", "grid_value", "empirical",
                "ci_lo", "ci_hi", "bound", "verdict")
@@ -265,7 +263,7 @@ def run_equivalence_suite(max_n: int = 8, seed: int = 0) -> ExperimentReport:
     cells: list[Cell] = []
     for stats in enumerate_degree_statistics(max_n):
         n = stats.n
-        label = _stats_label(stats)
+        label = "+".join(f"{c}x{k}" for c, k in stats.sorted_items())
         trees = list(enumerate_trees(stats))
         formula = count_forests(stats)
         cells.append(Cell("equivalence", n, f"count {label}",
@@ -283,10 +281,6 @@ def run_equivalence_suite(max_n: int = 8, seed: int = 0) -> ExperimentReport:
                                        _spine_discrepancy(stats, trees)))
     return _finish(cells, start, kind="equivalence", seed=seed,
                    replications=1, sizes=(max_n,))
-
-
-def _stats_label(stats: DegreeStatistics) -> str:
-    return "+".join(f"{c}x{k}" for c, k in stats.sorted_items())
 
 
 def _total_variation(a: dict, b: dict) -> Fraction:
@@ -480,7 +474,7 @@ def _repeat_time_cells(stats: DegreeStatistics, inp: BoundInput,
 
 def _draw_trees(measure, draw, seed: int, cell: int, reps: int) -> list:
     """measure(draw(substream r of RngStream(seed, cell))) for r < reps;
-    `draw` is a `conditioned_sampler` or another function of the stream."""
+    `draw` is a `conditioned_sampler` or a `simply_generated_sampler`."""
     base = RngStream(seed, cell)
     return [measure(draw(base.substream(r))) for r in range(reps)]
 
@@ -618,15 +612,13 @@ def run_convergence(mu: OffspringDistribution | None = None,
 
 
 @functools.cache
-def _census_constants() -> tuple[WeightSequence, float, tuple[float, ...]]:
-    """The census class's k^-3 weights, their critical tilt and the
-    boundary law pi(0..3), sharing one Phi(rho); solved once per process."""
+def _census_constants() -> tuple[WeightSequence, tuple[float, ...]]:
+    """The census class's k^-3 weights and the boundary law pi(0..3),
+    solved once per process."""
     weights = WeightSequence.from_generator(
         lambda k: 1.0 if k == 0 else float(k) ** -3.0, rho_hint=1.0)
-    phi_rho = phi(weights, weights.resolve_rho()[0])
-    pi = limit_degree_law(weights, phi_rho=phi_rho)
-    return (weights, solve_critical_tilt(weights, phi_rho),
-            tuple(pi.mass(k) for k in range(4)))
+    pi = limit_degree_law(weights)
+    return weights, tuple(pi.mass(k) for k in range(4))
 
 
 _CLASS_LAWS = {  # default law of each class that takes a mu
@@ -662,13 +654,12 @@ def run_concentration(class_name: str,
           {0: 0.4, 1: 0.2, 2: 0.4} with eps 0.1.
       census: simply generated with w_k = k^(-3); event
           max over k <= 3 of |n(k)/n - pi(k)| < tolerance, pi the boundary
-          degree law.  Sampling always halves the degree sum over one
-          `conditional_sum_table` per call (1.7 ms per tree at n = 2,000;
-          200 trees at n = 10,000 take 1.5 s): rejection needs over 100,000
-          proposals per tree in this condensation regime, and the normal
-          estimate behind `conditioned_sampler` (1.2e11 at n = 2,000) does
-          not describe it; it would pick rejection below n = 118.  The tilt
-          and pi are solved once per process.
+          degree law.  Trees come from `simply_generated_sampler`, which
+          solves the tilt and builds the route once per call: halving over
+          one `conditional_sum_table` from n = 118 (1.7 ms per tree at
+          n = 2,000), rejection below it, where 400 trees each drew 47,
+          111, 256 and 492 rows per tree at n = 20, 40, 80 and 117
+          (0.1-0.7 ms on 2 CPUs).  pi is solved once per process.
       leaf: factorial-squared weights (zero radius); exact expected leaf
           fraction strictly increasing over n = 6..12.  Deterministic, no
           Monte Carlo; n and replications are ignored.
@@ -726,14 +717,12 @@ def run_concentration(class_name: str,
         if count < 1:
             raise BadParameters(f"need at least one {name}")
     if class_name == "census":
-        weights, tilt, pis = _census_constants()
-        law = tilted_law(weights, tilt, n - 1)
-        draw = functools.partial(sample_conditioned_bienayme_sequential, law,
-                                 n, table=conditional_sum_table(law, n))
-        profiles = _draw_trees(PlaneTree.degree_statistics, draw, seed, 0,
-                               replications)
-        hits = sum(max(abs(s.count(k) / n - pis[k]) for k in range(4))
-                   < tolerance for s in profiles)
+        weights, pis = _census_constants()
+        draw = simply_generated_sampler(weights, n)
+
+        def holds(s: DegreeStatistics) -> bool:
+            return max(abs(s.count(k) / n - pis[k])
+                       for k in range(4)) < tolerance
         target = {"weights": "k^-3", "pi": list(pis), "tolerance": tolerance}
     else:
         mu = mu or _CLASS_LAWS[class_name]()
@@ -742,20 +731,22 @@ def run_concentration(class_name: str,
             if mu0 + mu1 >= 1.0 - 1e-12:
                 raise BadParameters("branching class requires mu(0) + mu(1) < 1")
             event = {"floor": 4.0 * (1.0 - mu0 - mu1 - eps)}
+
+            def holds(s: DegreeStatistics) -> bool:
+                return (x := s.norms()).p2sq - x.n1 >= event["floor"] * x.p1
         else:
             event = {"factor": factor}
+
+            def holds(s: DegreeStatistics) -> bool:
+                return (x := s.norms()).p2sq >= factor * x.p1
         if mu.mean() > 1.0 + 1e-9:
             raise BadParameters("concentration classes are subcritical or "
                                 f"critical; mean is {mu.mean():.4f}")
-        norms = [s.norms() for s in _draw_trees(
-            PlaneTree.degree_statistics, conditioned_sampler(mu, n), seed, 0,
-            replications)]
-        if class_name == "branching":
-            hits = sum(x.p2sq - x.n1 >= event["floor"] * x.p1 for x in norms)
-        else:
-            hits = sum(x.p2sq >= factor * x.p1 for x in norms)
+        draw = conditioned_sampler(mu, n)
         target = mu.to_jsonable()
         target["event"] = event
+    hits = sum(map(holds, _draw_trees(PlaneTree.degree_statistics, draw,
+                                      seed, 0, replications)))
     frac = hits / replications
     lo, hi = wilson_interval(hits, replications)
     cells.append(Cell("concentration", n, f"{class_name} pass-fraction",

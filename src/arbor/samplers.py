@@ -291,12 +291,6 @@ def sample_stopping_index_poissonized_batch(
 # direct tree construction
 # ---------------------------------------------------------------------------
 
-def _degree_multiset(stats: DegreeStatistics) -> np.ndarray:
-    """The degrees of all n nodes as an ascending int64 array."""
-    degrees, counts = zip(*stats.sorted_items())
-    return np.repeat(np.array(degrees, dtype=np.int64), counts)
-
-
 def _rotation(d: np.ndarray) -> np.ndarray:
     """The one cyclic rotation of an int64 degree array that is a valid word
     (cycle lemma): it starts after the walk of (d_i - 1) first bottoms out."""
@@ -314,7 +308,9 @@ def sample_uniform_tree(stats: DegreeStatistics, rng: RngStream) -> PlaneTree:
     degree multiset, then rotate to the valid word."""
     if stats.a != 1:
         raise InvalidStatistics("uniform tree sampling needs a = 1")
-    perm = rng.gen.permutation(_degree_multiset(stats))
+    degrees, counts = zip(*stats.sorted_items())
+    perm = rng.gen.permutation(np.repeat(np.array(degrees, dtype=np.int64),
+                                         counts))
     return build_tree(_rotation(perm))
 
 
@@ -357,9 +353,12 @@ class OffspringDistribution:
             top = max(int(k) for k in masses)
             vec = [0.0] * (top + 1)
             for k, v in masses.items():
-                vec[int(k)] = float(v)
+                vec[int(k)] = v
         else:
-            vec = [float(v) for v in masses]
+            vec = list(masses)
+        if any(isinstance(v, (bool, np.bool_)) for v in vec):
+            raise InvalidDistribution("offspring masses must be numbers, not bools")
+        vec = [float(v) for v in vec]
         if any(v < 0 for v in vec):
             raise InvalidDistribution("negative offspring mass")
         total = sum(vec)
@@ -375,7 +374,7 @@ class OffspringDistribution:
 
     @classmethod
     def geometric(cls, p: float) -> "OffspringDistribution":
-        if not 0 < p <= 1:
+        if isinstance(p, (bool, np.bool_)) or not 0 < p <= 1:
             raise InvalidDistribution("geometric parameter must be in (0, 1]")
         return cls("geometric", (float(p),), None, f"geometric({p})")
 

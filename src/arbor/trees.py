@@ -49,8 +49,9 @@ class DegreeStatistics:
     def __post_init__(self):
         cleaned = {}
         for c, k in self.counts.items():
-            c = int(c)
-            k = int(k)
+            if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+                raise InvalidStatistics(f"degree count {k!r} is not an integer")
+            c, k = int(c), int(k)
             if c < 0 or k < 0:
                 raise InvalidStatistics(f"negative degree or count: ({c}, {k})")
             if k > 0:
@@ -102,8 +103,6 @@ class DegreeStatistics:
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise InvalidStatistics("expected a JSON object of degree -> count")
-        if not all(type(k) is int for k in raw.values()):
-            raise InvalidStatistics(f"degree counts must be integers, got {raw!r}")
         return cls({int(c): k for c, k in raw.items()})
 
     def __eq__(self, other) -> bool:

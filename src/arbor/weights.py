@@ -14,6 +14,7 @@ weights give Fraction-valued Z_n and exact tilt-invariance checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,8 +25,8 @@ import numpy as np
 
 from .enumeration import (ENUMERATION_CAP, count_forests,
                           enumerate_degree_statistics, poly_mul)
-from .errors import (Diverged, InvalidStatistics, OutOfDomain, PhiDiverges,
-                     RhoUnknown, TooLarge, BadParameters, ZeroPartition)
+from .errors import (Diverged, OutOfDomain, PhiDiverges, RhoUnknown,
+                     TooLarge, BadParameters, ZeroPartition)
 from .rng import RngStream
 from .samplers import (OffspringDistribution, _reachable_sum,
                        conditioned_sampler, sample_uniform_tree)
@@ -198,6 +199,9 @@ def _series_sum(w: WeightSequence, t, power: int) -> tuple[float, bool]:
     so every partial sum, and with it every stop rule, is bit for bit the
     loop's.  A term whose weight or power raises ends its block there,
     and the error surfaces only if the sum has not stopped before that k.
+
+    Generator sums are memoised, so Phi(rho) is summed once per process.
+    Explicit sums are short, and (1, 2) equals (1.0, 2.0), so they are not.
     """
     if t < 0:
         raise OutOfDomain("series defined for t >= 0 only")
@@ -207,6 +211,12 @@ def _series_sum(w: WeightSequence, t, power: int) -> tuple[float, bool]:
             if wk:
                 total += (k ** power if power else 1) * wk * t ** k
         return total, True
+    return _generator_sum(w, t, power)
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _generator_sum(w: WeightSequence, t, power: int) -> tuple[float, bool]:
+    """`_series_sum` of a generator sequence."""
     total = 0.0
     quiet = 0
     marks: list[tuple[int, float]] = []  # (index, term) checkpoints for the tail fit
@@ -314,10 +324,10 @@ def phi(w: WeightSequence, t):
     return value
 
 
-def psi(w: WeightSequence, t, phi_t=None):
+def psi(w: WeightSequence, t):
     """Psi(t) = t Phi'(t) / Phi(t) = sum k w_k t^k / sum w_k t^k."""
     num, ok1 = _series_sum(w, t, 1)
-    den, ok2 = _series_sum(w, t, 0) if phi_t is None else (phi_t, True)
+    den, ok2 = _series_sum(w, t, 0)
     if not (ok1 and ok2):
         raise Diverged("Psi series did not converge within the cap")
     if den == 0:
@@ -365,8 +375,8 @@ def nu_sigma_sq(w: WeightSequence) -> tuple[float, float]:
     return float(last), math.inf
 
 
-def limit_degree_law(w: WeightSequence, top: int | None = None,
-                     phi_rho=None) -> OffspringDistribution:
+def limit_degree_law(w: WeightSequence,
+                     top: int | None = None) -> OffspringDistribution:
     """The probability law pi(k) = w_k rho^k / Phi(rho).
 
     rho = 0 degenerates to the point mass at zero.  Finite support (rho
@@ -386,7 +396,7 @@ def limit_degree_law(w: WeightSequence, top: int | None = None,
     if math.isinf(rho):
         raise PhiDiverges("Phi(rho) is infinite for finite-support weights")
     try:
-        total = float(phi(w, rho) if phi_rho is None else phi_rho)
+        total = float(phi(w, rho))
     except Diverged as exc:
         raise PhiDiverges(f"Phi diverges at rho={rho}") from exc
     masses = []
@@ -495,11 +505,7 @@ def statistics_weight(w: WeightSequence, stats: DegreeStatistics):
 # sampling
 # ---------------------------------------------------------------------------
 
-def _support_upto(w: WeightSequence, top: int) -> list[int]:
-    return [k for k in range(1, top + 1) if w.weight(k) > 0]
-
-
-def solve_critical_tilt(w: WeightSequence, phi_rho=None) -> float:
+def solve_critical_tilt(w: WeightSequence) -> float:
     """The tilt t* with Psi(t*) = 1 when reachable, else rho itself.
 
     Psi is strictly increasing, so bisection applies.  Used to turn a
@@ -523,7 +529,7 @@ def solve_critical_tilt(w: WeightSequence, phi_rho=None) -> float:
         # the one regime the series accelerator cannot certify.  At t = rho
         # the terms are cleanly polynomial and extrapolation either converges
         # or raises honestly.
-        edge = _psi_or_inf(w, rho, phi_rho)
+        edge = _psi_or_inf(w, rho)
         if edge <= 1.0:
             return float(rho)
         lo, hi = 0.0, float(rho)
@@ -539,38 +545,45 @@ def solve_critical_tilt(w: WeightSequence, phi_rho=None) -> float:
     return (lo + hi) / 2
 
 
-def _psi_or_inf(w: WeightSequence, t, phi_t=None) -> float:
+def _psi_or_inf(w: WeightSequence, t) -> float:
     try:
-        return psi(w, t, phi_t)
+        return psi(w, t)
     except Diverged:
         return math.inf
 
 
-def sample_simply_generated(w: WeightSequence, n: int, rng: RngStream) -> PlaneTree:
-    """A tree with P(t) = w(t) / Z_n among n-node plane trees.
+def simply_generated_sampler(w: WeightSequence, n: int):
+    """rng -> a tree with P(t) = w(t) / Z_n among n-node plane trees, with
+    all the work that depends only on (w, n) done once, here.
 
     Positive radius: tilt the weights into an offspring law (the tilt
     cancels in the conditioned law) and draw by the route
-    `conditioned_sampler` picks, rejection or halving (the k^-3 weights
-    take halving from n = 118).  Zero radius: no tilt exists, so sample the
-    degree-statistics class exactly by enumeration (class weight is
-    tree-count times the common product weight) and then a uniform tree in
-    the class; this path raises TooLarge above ENUMERATION_CAP nodes.
+    `conditioned_sampler` picks (the k^-3 weights halve from n = 118).
+    Zero radius: no tilt exists, so draw a degree-statistics class from
+    the enumerated `_class_weights`, then a uniform tree in it; TooLarge
+    above ENUMERATION_CAP nodes.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
-        return build_tree((0,))
-    support = _support_upto(w, n - 1)
+        return lambda rng: build_tree((0,))
+    support = [k for k in range(1, n) if w.weight(k) > 0]
     if not _reachable_sum(support, n - 1):
         raise ZeroPartition(f"Z_{n} = 0 for these weights")
     rho, _ = w.resolve_rho()
     if rho == 0:
-        return _sample_by_enumeration(w, n, rng)
-    if max(support) == 1:
-        return build_tree((1,) * (n - 1) + (0,))  # the path is the only tree
-    tilt = solve_critical_tilt(w)
-    return conditioned_sampler(tilted_law(w, tilt, n - 1), n)(rng)
+        if n > ENUMERATION_CAP:
+            raise TooLarge(f"zero-radius sampling is capped at {ENUMERATION_CAP}")
+        table = _class_weights(w, n)
+        return functools.partial(_sample_class, table, float(sum(table.values())))
+    if max(support) == 1:  # the path is the only tree
+        return lambda rng: build_tree((1,) * (n - 1) + (0,))
+    return conditioned_sampler(tilted_law(w, solve_critical_tilt(w), n - 1), n)
+
+
+def sample_simply_generated(w: WeightSequence, n: int, rng: RngStream) -> PlaneTree:
+    """One draw of `simply_generated_sampler(w, n)`."""
+    return simply_generated_sampler(w, n)(rng)
 
 
 def _class_weights(w: WeightSequence, n: int) -> dict:
@@ -588,11 +601,9 @@ def _class_weights(w: WeightSequence, n: int) -> dict:
     return table
 
 
-def _sample_by_enumeration(w: WeightSequence, n: int, rng: RngStream) -> PlaneTree:
-    if n > ENUMERATION_CAP:
-        raise TooLarge(f"zero-radius sampling enumerates, capped at {ENUMERATION_CAP}")
-    table = _class_weights(w, n)
-    u = rng.gen.uniform() * float(sum(table.values()))
+def _sample_class(table: dict, total: float, rng: RngStream) -> PlaneTree:
+    """A uniform tree of a `_class_weights` class; `total` sums the table."""
+    u = rng.gen.uniform() * total
     acc = 0.0
     for stats, wt in table.items():  # the last class if rounding runs out
         acc += float(wt)

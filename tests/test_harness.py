@@ -5,6 +5,7 @@ here the runs are small and the focus is report structure, parameter
 validation, and byte-level determinism.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -30,7 +31,8 @@ from arbor.rng import RngStream
 from arbor.samplers import OffspringDistribution, conditional_sum_table
 from arbor.trees import DegreeStatistics, MarkedTree
 from arbor.weights import (WeightSequence, limit_degree_law,
-                           solve_critical_tilt)
+                           simply_generated_sampler, solve_critical_tilt,
+                           tilted_law)
 
 
 def strip_clock(report):
@@ -493,12 +495,13 @@ class TestConcentration:
         weights = WeightSequence.from_generator(
             lambda k: 1.0 if k == 0 else float(k) ** -3.0, rho_hint=1.0)
         pi = limit_degree_law(weights)
-        assert first[1:] == (solve_critical_tilt(weights),
-                             tuple(pi.mass(k) for k in range(4)))
+        assert first[1] == tuple(pi.mass(k) for k in range(4))
+        assert solve_critical_tilt(first[0]) == solve_critical_tilt(weights)
 
     def test_census_constants_sum_phi_at_rho_once(self, monkeypatch):
-        """Phi(rho) is summed once for the law and the tilt's edge probe,
-        which saves a whole power-0 series of generator calls."""
+        """Phi(rho) is summed once per process: once the census law has
+        summed it, the tilt's edge probe reads the memoised series, which
+        saves a whole power-0 series of generator calls."""
         calls = [0]
 
         def counting(fn, cap=100_000, rho_hint=None):
@@ -510,14 +513,31 @@ class TestConcentration:
 
         monkeypatch.setattr(harness.WeightSequence, "from_generator",
                             staticmethod(counting))
-        shared = harness._census_constants.__wrapped__()
+        shared, _ = harness._census_constants.__wrapped__()
+        calls[0] = 0
+        tilt = solve_critical_tilt(shared)
         once, calls[0] = calls[0], 0
-        weights = counting(lambda k: 1.0 if k == 0 else float(k) ** -3.0,
-                           rho_hint=1.0)
-        pi = limit_degree_law(weights)
-        assert shared[1:] == (solve_critical_tilt(weights),
-                              tuple(pi.mass(k) for k in range(4)))
+        fresh = counting(lambda k: 1.0 if k == 0 else float(k) ** -3.0,
+                         rho_hint=1.0)
+        assert solve_critical_tilt(fresh) == tilt
         assert calls[0] - once > 36_000
+        calls[0] = 0
+        assert solve_critical_tilt(shared) == tilt  # every series memoised
+        assert calls[0] == 0
+
+    def test_census_draws_match_the_frozen_halving_partial(self):
+        # the census class's own sampler before it drew through
+        # `simply_generated_sampler`: the tilted law and one halving table
+        weights, _ = harness._census_constants()
+        for n, seed in ((118, 3), (200, 5), (2000, 2)):
+            law = tilted_law(weights, solve_critical_tilt(weights), n - 1)
+            frozen = functools.partial(
+                samplers.sample_conditioned_bienayme_sequential, law, n,
+                table=samplers.conditional_sum_table(law, n))
+            words = [harness._draw_trees(lambda t: t.luka, draw, seed, 0, 4)
+                     for draw in (frozen,
+                                  simply_generated_sampler(weights, n))]
+            assert words[0] == words[1], n
 
     def test_class_names_cover_the_cli_choices(self):
         assert CONCENTRATION_CLASSES == ("second-moment", "stretched",
@@ -528,11 +548,14 @@ class TestRouteChoice:
     """Rejection or halving by the predicted rows per tree, as
     `samplers.conditioned_sampler` picks it; the route is pinned at every
     default rung and class, and the halving route's table is built once
-    per rung in samplers while the census builds its own."""
+    per rung or census call, in samplers."""
 
     @staticmethod
     def halves(law, n):
-        draw = samplers.conditioned_sampler(law, n)
+        if law is None:  # the census class: k^-3 weights, tilted
+            draw = simply_generated_sampler(harness._census_constants()[0], n)
+        else:
+            draw = samplers.conditioned_sampler(law, n)
         return draw.func is samplers.sample_conditioned_bienayme_sequential
 
     @pytest.mark.parametrize("family, law, n, halving", [
@@ -547,7 +570,10 @@ class TestRouteChoice:
         ("near-path", OffspringDistribution.near_path(0.1), 2000, False),
         ("second-moment", _CLASS_LAWS["second-moment"](), 2000, True),
         ("stretched", _CLASS_LAWS["stretched"](), 2000, True),
-        ("branching", _CLASS_LAWS["branching"](), 2000, False)])
+        ("branching", _CLASS_LAWS["branching"](), 2000, False),
+        ("census", None, 117, False),
+        ("census", None, 118, True),
+        ("census", None, 2000, True)])
     def test_default_routes(self, family, law, n, halving):
         assert self.halves(law, n) is halving
 
@@ -560,22 +586,25 @@ class TestRouteChoice:
     @pytest.fixture
     def tables(self, monkeypatch):
         built = []
-        for module in (samplers, harness):
-            def spy(law, n, home=module.__name__):
-                built.append((home, n))
-                return conditional_sum_table(law, n)
-            monkeypatch.setattr(module, "conditional_sum_table", spy)
+
+        def spy(law, n):
+            built.append(n)
+            return conditional_sum_table(law, n)
+        monkeypatch.setattr(samplers, "conditional_sum_table", spy)
         return built
 
     def test_halving_rung_shares_one_table(self, tables):
         run_concentration("stretched", n=2000, replications=3, seed=2)
-        assert tables == [("arbor.samplers", 2000)]
+        assert tables == [2000]
 
     def test_rejection_route_builds_no_table(self, tables):
         run_concentration("branching", n=60, replications=3, seed=2)
         assert tables == []
 
-    def test_census_keeps_its_own_table(self, tables):
-        run_concentration("census", n=40, replications=4, seed=1,
+    @pytest.mark.parametrize("n, built", [(2000, [2000]), (40, [])],
+                             ids=["halving-n2000", "rejection-n40"])
+    def test_census_builds_its_table_in_samplers(self, tables, n, built):
+        run_concentration("census", n=n, replications=3, seed=1,
                           tolerance=1.0)
-        assert tables == [("arbor.harness", 40)]
+        assert tables == built
+        assert not hasattr(harness, "conditional_sum_table")

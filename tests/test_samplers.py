@@ -637,6 +637,23 @@ class TestOffspringDistribution:
         with pytest.raises(InvalidDistribution):
             OffspringDistribution.from_masses({1: 2.0}, renormalize=True)
 
+    @pytest.mark.parametrize("build", [
+        lambda: OffspringDistribution.geometric(True),
+        lambda: OffspringDistribution.geometric(np.True_),
+        lambda: OffspringDistribution.from_masses(
+            {0: .5, 2: .5, 3: True}, renormalize=True),
+        lambda: OffspringDistribution.from_masses([True, False])],
+        ids=["geometric", "geometric-numpy", "masses-dict", "masses-list"])
+    def test_bools_are_refused(self, build):
+        # True was read as 1.0: geometric(True) and masses (.25, 0, .25, .5)
+        with pytest.raises(InvalidDistribution):
+            build()
+
+    def test_integer_masses_are_kept(self):
+        mu = OffspringDistribution.from_masses({0: np.int64(1), 2: 1},
+                                               renormalize=True)
+        assert mu.mass(0) == mu.mass(2) == 0.5
+
     def test_renormalize(self):
         mu = OffspringDistribution.from_masses({0: 2, 2: 2}, renormalize=True)
         assert mu.mass(0) == 0.5 and mu.mass(2) == 0.5

@@ -278,6 +278,20 @@ class TestDegreeStatistics:
         with pytest.raises(InvalidStatistics):
             DegreeStatistics({-2: 1, 0: 3})
 
+    @pytest.mark.parametrize("counts", [
+        {0: 8.9, 2: 7}, {0: 8.0, 2: 7}, {0: 8, 2: 7, 1: True},
+        {0: 8, 2: 7, 1: np.True_}, {0: "8", 2: 7}, {0: 8, 2: None}],
+        ids=["float", "whole-float", "bool", "numpy-bool", "str", "none"])
+    def test_rejects_non_integer_counts(self, counts):
+        # the constructor read int(k): 8.9 became 8 and True became 1
+        with pytest.raises(InvalidStatistics):
+            DegreeStatistics(counts)
+
+    def test_numpy_integer_counts_are_plain_ints(self):
+        s = DegreeStatistics({0: np.int64(8), 2: np.int32(7)})
+        assert s.counts == {0: 8, 2: 7}
+        assert all(type(k) is int for k in s.counts.values())
+
     def test_rejects_nonpositive_tree_count(self):
         # two edges, two nodes: sums to zero trees
         with pytest.raises(InvalidStatistics):

@@ -26,6 +26,7 @@ from arbor.weights import (WeightSequence, concentrate_degrees,
                            concentration_weight_ratio, exact_tree_law,
                            limit_degree_law, nu_sigma_sq, partition_function,
                            phi, psi, sample_simply_generated,
+                           simply_generated_sampler,
                            solve_critical_tilt, statistics_weight,
                            tilt_invariance_check, tilted_law)
 
@@ -124,6 +125,38 @@ class TestSeries:
     def test_negative_point_rejected(self):
         with pytest.raises(OutOfDomain):
             phi(BINARY, -0.5)
+
+    @pytest.mark.parametrize("order", [(1, 1.0), (1.0, 1)])
+    def test_memo_keeps_exact_and_float_sums_apart(self, order):
+        w = WeightSequence.from_list([1, Fraction(1, 2), Fraction(1, 3)])
+        for t in order + order:
+            value = phi(w, t)
+            assert type(value) is (Fraction if type(t) is int else float)
+            assert float(value) == pytest.approx(11 / 6)
+
+    def test_equal_int_and_float_weights_keep_their_sum_types(self):
+        # (1, 2) == (1.0, 2.0), so a memo keyed on the sequence would mix them
+        ints, floats = (WeightSequence.from_list(v) for v in ([1, 2], [1.0, 2.0]))
+        assert ints == floats
+        for w, kind in ((ints, int), (floats, float), (ints, int)):
+            assert type(phi(w, 3)) is kind and phi(w, 3) == 7
+
+    def test_generator_series_is_summed_once(self):
+        calls = [0]
+
+        def weight(k):
+            calls[0] += 1
+            return 1.0 if k == 0 else float(k) ** -3.0
+
+        w = WeightSequence.from_generator(weight, rho_hint=1.0)
+        first = phi(w, 1.0)
+        assert calls[0] > 36_000
+        calls[0] = 0
+        assert phi(w, 1.0) == first and nu_sigma_sq(w)[0] == psi(w, 1.0)
+        assert calls[0] > 0  # the power-1 and power-2 series
+        calls[0] = 0
+        assert phi(w, 1.0) == first and psi(w, 1.0) == nu_sigma_sq(w)[0]
+        assert calls[0] == 0
 
 
 class TestCriticality:
@@ -496,6 +529,63 @@ class TestSimplyGeneratedSampler:
     def test_zero_radius_cap(self):
         with pytest.raises(TooLarge):
             sample_simply_generated(factorial_squared(), 20, RngStream(0, 0))
+
+    ROUTES = {  # route -> (weights, n)
+        "one-node": (BINARY, 1),
+        "path": (WeightSequence.from_list([1, 1]), 5),
+        "zero-radius": (factorial_squared(), 6),
+        "tilt-finite": (WeightSequence.from_list([1, 1, 1]), 6),
+        "tilt-census-rejection": (census_weights(), 40),
+        "tilt-census-halving": (census_weights(), 200)}
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_one_call_wrapper_draws_as_the_sampler(self, route):
+        w, n = self.ROUTES[route]
+        draw = simply_generated_sampler(w, n)
+        a, b = RngStream(9, 0), RngStream(9, 0)
+        for _ in range(4):
+            assert sample_simply_generated(w, n, a).luka == draw(b).luka
+        assert a.gen.random() == b.gen.random()
+
+    def test_zero_radius_draws_match_the_frozen_enumeration_route(self):
+        def frozen(w, n, rng):  # `_sample_by_enumeration` before the sampler
+            table = weights_module._class_weights(w, n)
+            u = rng.gen.uniform() * float(sum(table.values()))
+            acc = 0.0
+            for stats, wt in table.items():
+                acc += float(wt)
+                if u < acc:
+                    break
+            return samplers.sample_uniform_tree(stats, rng)
+
+        w = factorial_squared()
+        for n in (2, 5, 8):
+            draw = simply_generated_sampler(w, n)
+            for seed in range(5):
+                assert (draw(RngStream(seed, 1)).luka
+                        == frozen(w, n, RngStream(seed, 1)).luka)
+
+    @pytest.mark.parametrize("w, n", [(WeightSequence.from_list([1, 1, 1]), 6),
+                                      (census_weights(), 40),
+                                      (census_weights(), 200)])
+    def test_tilt_is_solved_once_per_sampler(self, monkeypatch, w, n):
+        calls = []
+
+        def spy(weights):
+            calls.append(weights)
+            return solve_critical_tilt(weights)
+        monkeypatch.setattr(weights_module, "solve_critical_tilt", spy)
+        draw = simply_generated_sampler(w, n)
+        trees = [draw(RngStream(4, r)) for r in range(6)]
+        assert calls == [w] and all(t.n == n for t in trees)
+
+    def test_errors_come_before_the_first_draw(self):
+        with pytest.raises(ZeroPartition):
+            simply_generated_sampler(BINARY, 4)
+        with pytest.raises(TooLarge):
+            simply_generated_sampler(factorial_squared(), 20)
+        with pytest.raises(ValueError):
+            simply_generated_sampler(BINARY, 0)
 
     @pytest.mark.parametrize("n, route", [
         (40, "sample_conditioned_bienayme"),
