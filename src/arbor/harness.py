@@ -366,10 +366,10 @@ def run_tail_sweep(stats: DegreeStatistics,
                       failures where a bound is nearly tight: at binary
                       n = 4,095 the exact P(H >= 1) = 1 - 1/4095 sits just
                       under its bound exp(-1/8188).  At 20,000 replications
-                      binary n = 4,095 fails 83 of 461 cells (seed 17) and
-                      94 (seed 0), binary n = 1,023 fails 2 of 235 (seed
-                      17), and heavy n = 1,023 and 4,095 fail height>=ell=1
-                      at some seeds, all on noise alone.
+                      binary n = 4,095 fails 93 of 461 cells (seed 17) and
+                      48 (seed 0), binary n = 1,023 fails none of 235 at
+                      seeds 17 and 0, and heavy n = 1,023 and 4,095 fail
+                      height>=ell=1 at some seeds, all on noise alone.
       tau>beta=B:     exact repeat-time tails vs the two-term bound: the
                       certified P(tau > k') at the least k' <= k =
                       floor(threshold) at or below the bound, else the failing

@@ -9,7 +9,10 @@ Three families live here:
   dominates the mark height.  Every one of them, `sample_size_biased_order`
   included, runs on one step-synchronous walk that draws a step for all
   replications at once and retires each row at its first accepted index;
-  the single-draw functions are that walk with one row.
+  the single-draw functions are that walk with one row.  On a census with
+  one positive degree all rows share the threshold, so a step draws only
+  how many rows accept, as one binomial, and one permutation of the
+  resulting histogram gives the rows.
 * a Poisson-process reformulation of the stopping index
   (`sample_stopping_index_poissonized_batch`): degrees become subintervals
   of [0, 1), arrivals hit them, and sigma and the repeat time tau are read
@@ -43,7 +46,8 @@ import numpy as np
 from .errors import (AttemptsExhausted, InvalidDistribution, InvalidStatistics,
                      ZeroPartition)
 from .rng import RngStream
-from .trees import DegreeStatistics, MarkedTree, PlaneTree, build_tree
+from .trees import (DegreeStatistics, MarkedTree, PlaneTree, _is_integer,
+                    build_tree)
 
 _STRETCHED_CUTOFF = 20_000  # exp(-sqrt(k)) is below 1e-60 past this
 
@@ -118,10 +122,13 @@ def _size_biased_walk(stats: DegreeStatistics, gen: np.random.Generator,
     positive-degree nodes, and draw only zeroes after it.  With at most one
     distinct positive degree c (binary, any full c-ary census, the path)
     nothing random is left in the degrees: every row takes c up to step p
-    and 0 after it, so lead + S is one int that all rows share and only the
-    live row indices are kept.  The bucket uniforms, which decide nothing
-    then, are still drawn, so the stream sits where the general walk leaves
-    it.
+    and 0 after it, so lead + S is one int that all rows share.  The rows
+    are then exchangeable and the state is a count of live rows: the number
+    that accept at step i is Binomial(live, threshold), so the per-step
+    counts are the multinomial histogram of `reps` i.i.d. walks, and one
+    uniform permutation of that histogram, spread out into rows, gives
+    their arrangement.  Such a walk draws one binomial per step, one
+    O(reps) shuffle and no uniforms.
 
     Otherwise the state is kept for live rows only: a B x reps table of
     remaining counts over the B distinct positive degrees, one contiguous
@@ -133,13 +140,15 @@ def _size_biased_walk(stats: DegreeStatistics, gen: np.random.Generator,
     """
     items = [(c, k) for c, k in stats.sorted_items() if c > 0]
     positives = sum(k for _, k in items)
-    live = np.arange(reps)
-    out = np.full(reps, last + 1, dtype=np.int64)
     shared = len(items) <= 1
     if shared:
         c = items[0][0] if items else 0
         top = lead or 0  # lead + S, the same for every row
+        live = reps  # rows still walking
+        hits = np.zeros(last + 2, dtype=np.int64)  # rows accepted at step i
     else:
+        live = np.arange(reps)
+        out = np.full(reps, last + 1, dtype=np.int64)
         deg = np.array([c for c, _ in items], dtype=np.int64)
         counts = np.array([k for _, k in items], dtype=np.int64)
         rem = np.repeat(counts.reshape(-1, 1), reps, axis=1)
@@ -147,26 +156,30 @@ def _size_biased_walk(stats: DegreeStatistics, gen: np.random.Generator,
         top = np.full(reps, lead or 0, dtype=np.int64)  # lead + S
     for i in range(1, last + 1):
         if lead is not None:
-            accept = gen.random(live.size) < top / (last + 1 - i)
-            if accept.any():
-                out[live[accept]] = i
-                keep = ~accept
-                live = live[keep]
-                if not shared:
-                    top, rem, weight = top[keep], rem[:, keep], weight[keep]
-        if not live.size:
+            if shared:
+                hits[i] = gen.binomial(live, top / (last + 1 - i))
+                live -= hits[i]
+            else:
+                accept = gen.random(live.size) < top / (last + 1 - i)
+                if accept.any():
+                    out[live[accept]] = i
+                    keep = ~accept
+                    live, top = live[keep], top[keep]
+                    rem, weight = rem[:, keep], weight[keep]
+        rows = live if shared else live.size
+        if not rows:
             break
         d = 0
         if i <= positives:
-            u = gen.random(live.size)  # decides nothing when shared
             if shared:
                 d = c
             else:
                 # an integer point in [0, w) picks the bucket by its
                 # cumulative weight; the clip guards u * w rounding up to w
+                u = gen.random(rows)
                 v = np.minimum((u * weight).astype(np.int64), weight - 1)
-                b = np.zeros(live.size, dtype=np.intp)
-                cum = np.zeros(live.size, dtype=np.int64)
+                b = np.zeros(rows, dtype=np.intp)
+                cum = np.zeros(rows, dtype=np.int64)
                 for j in range(deg.size - 1):
                     cum += rem[j] * deg[j]
                     b += cum <= v
@@ -176,7 +189,11 @@ def _size_biased_walk(stats: DegreeStatistics, gen: np.random.Generator,
                 weight -= d
         top += d - 1
         if record is not None:
-            record.append(np.full(live.size, d, dtype=np.int64))
+            record.append(np.full(rows, d, dtype=np.int64))
+    if shared:
+        hits[last + 1] = live
+        steps = np.arange(last + 2, dtype=np.int64)
+        return gen.permutation(np.repeat(steps, hits))
     return out
 
 
@@ -350,10 +367,13 @@ class OffspringDistribution:
     def from_masses(cls, masses, label: str = "explicit",
                     renormalize: bool = False) -> "OffspringDistribution":
         if isinstance(masses, dict):
-            top = max(int(k) for k in masses)
-            vec = [0.0] * (top + 1)
+            for k in masses:
+                if not _is_integer(k) or k < 0:
+                    raise InvalidDistribution(
+                        f"offspring degree {k!r} is not an integer >= 0")
+            vec = [0.0] * (max(masses, default=-1) + 1)
             for k, v in masses.items():
-                vec[int(k)] = v
+                vec[k] = v
         else:
             vec = list(masses)
         if any(isinstance(v, (bool, np.bool_)) for v in vec):

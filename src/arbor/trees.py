@@ -35,6 +35,11 @@ class Norms(NamedTuple):
     n1: int
 
 
+def _is_integer(v) -> bool:
+    """A Python or numpy integer that is not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class DegreeStatistics:
     """Sparse degree counts c -> n(c) for a forest of `trees` plane trees.
@@ -49,7 +54,9 @@ class DegreeStatistics:
     def __post_init__(self):
         cleaned = {}
         for c, k in self.counts.items():
-            if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            if not _is_integer(c):
+                raise InvalidStatistics(f"degree {c!r} is not an integer")
+            if not _is_integer(k):
                 raise InvalidStatistics(f"degree count {k!r} is not an integer")
             c, k = int(c), int(k)
             if c < 0 or k < 0:

@@ -76,7 +76,7 @@ GOLDEN = {
     "concentrate-leaf":
         "5e34b0473c0489fc2b84e374dca1671f89a0f8c4893b95f9df7788dbb44924af",
     "tails-binary9":
-        "57b1d4179f4fda0fb7ffbb7f1429cdcd392ea876e09ecf3bc6825693b149879a",
+        "66ee79c7e0b2c3265da692ad1a21d31b07bd466b34d1619f2c4e9625baab3b90",
     "equivalence-6":
         "c611d85ece8e992e0fc3df8132e9abdd52819ec462a43c425adfbe0e4bf49c77",
 }

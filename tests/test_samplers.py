@@ -180,7 +180,7 @@ MIXED = DegreeStatistics({0: 9, 1: 2, 2: 2, 3: 1, 5: 1})  # degree-1 nodes
 
 def single_node_draws(rng):
     """Both walks on {0: 1}, then the next draws of the same generator, so
-    a uniform the one-node walk takes or skips moves the digest."""
+    a draw the one-node walk takes or skips moves the digest."""
     one = DegreeStatistics({0: 1})
     return np.concatenate([sample_mark_height_batch(one, rng, 50),
                            sample_stopping_index_batch(one, rng, 50),
@@ -203,7 +203,8 @@ WALK_RUNS = {
 }
 
 # (sum, SHA-256 of the int64 array), recorded from the walk that kept a
-# reps x B table and picked buckets by a cumsum along its rows
+# reps x B table and picked buckets by a cumsum along its rows; the
+# one-node class from the walk that draws one binomial per step and shuffles
 WALK_PINS = {
     "mark-heavy1023": (
         7697,
@@ -221,8 +222,8 @@ WALK_PINS = {
         560,
         "014c0e7976c5e1cb23e1cebe9abeb9959b0438ee0b3291838bbf40681469b90f"),
     "single-node": (
-        5105956773,
-        "82579e66dd04492bb03b1e55c86727c11d59391197d6edff4c7f930d0ebb2b06"),
+        6316939780,
+        "46ca8732bf0802175b0b4038b8bb4d9c816ce499a662c7028ed8d37d720e6a2d"),
 }
 
 
@@ -239,8 +240,8 @@ def frozen_size_biased_walk(stats, gen, reps, lead, last, record=None):
     """The walk as it was before one-degree censuses shared one threshold:
     every class kept the bucket table, the weight array and the per-row
     lead + S.  Kept verbatim, with the strict U < threshold test of the
-    walk, as the oracle the rewrite must match, output, record and
-    generator state alike."""
+    walk, as the oracle the walk on two or more positive degrees must
+    match, output, record and generator state alike."""
     items = [(c, k) for c, k in stats.sorted_items() if c > 0]
     deg = np.array([c for c, _ in items], dtype=np.int64)
     counts = np.array([k for _, k in items], dtype=np.int64)
@@ -292,28 +293,58 @@ WALK_ORACLE_CLASSES = {
 }
 
 
-def assert_walk_matches_frozen(stats, seed, reps, lead):
+class NoUniforms:
+    """A generator stand-in that refuses uniforms and hands binomial and
+    permutation draws to a real generator."""
+
+    def __init__(self, gen):
+        self.gen = gen
+
+    def random(self, size):
+        raise AssertionError(f"the walk drew {size} uniforms")
+
+    def binomial(self, n, p):
+        return self.gen.binomial(n, p)
+
+    def permutation(self, x):
+        return self.gen.permutation(x)
+
+
+def check_walk(stats, seed, reps, lead):
+    """A walk on two or more positive degrees matches the frozen walk bit
+    for bit, output, record and generator state alike.  A one-degree walk
+    draws no uniforms; its size-biased order (lead None) is fixed, so its
+    output and record still match the frozen walk's."""
     # lead 1 and 0 are the mark-height and stopping walks; lead None is the
     # size-biased order, which records every step
     last = stats.n - 1 if lead == 0 else stats.n
+    one_degree = sum(1 for c in stats.counts if c > 0) <= 1
     new_gen = RngStream(seed, 0).gen
     old_gen = RngStream(seed, 0).gen
     new_rec = [] if lead is None else None
     old_rec = [] if lead is None else None
-    out = samplers._size_biased_walk(stats, new_gen, reps, lead, last, new_rec)
+    out = samplers._size_biased_walk(
+        stats, NoUniforms(new_gen) if one_degree else new_gen, reps, lead,
+        last, new_rec)
     want = frozen_size_biased_walk(stats, old_gen, reps, lead, last, old_rec)
-    assert out.dtype == want.dtype and np.array_equal(out, want)
-    assert new_gen.bit_generator.state == old_gen.bit_generator.state
+    assert out.dtype == want.dtype and out.shape == want.shape
+    if one_degree:
+        assert np.all((out >= 1) & (out <= last + 1))
+    else:
+        assert np.array_equal(out, want)
+        assert new_gen.bit_generator.state == old_gen.bit_generator.state
     if lead is not None:
         return
+    assert np.array_equal(out, want)
     assert len(new_rec) == len(old_rec)
     for got, old in zip(new_rec, old_rec):
         assert got.dtype == old.dtype and np.array_equal(got, old)
 
 
 class TestWalkOracle:
-    """The one-degree walk shares one threshold across rows but must draw
-    every uniform the frozen walk draws, in the same order and sizes."""
+    """The walk on two or more positive degrees must draw every uniform the
+    frozen walk draws, in the same order and sizes; a one-degree walk
+    draws one binomial per step instead, and no uniform."""
 
     @pytest.mark.parametrize("lead", [1, 0, None])
     @pytest.mark.parametrize("reps", [1, 7])
@@ -321,29 +352,28 @@ class TestWalkOracle:
     def test_few_rows(self, name, reps, lead):
         stats = WALK_ORACLE_CLASSES[name]
         for seed in range(3):
-            assert_walk_matches_frozen(stats, 50 + seed, reps, lead)
+            check_walk(stats, 50 + seed, reps, lead)
 
     @pytest.mark.parametrize("lead", [1, 0])
     @pytest.mark.parametrize("name", sorted(WALK_ORACLE_CLASSES))
     def test_tail_sweep_rows(self, name, lead):
-        assert_walk_matches_frozen(WALK_ORACLE_CLASSES[name], 53, 20_000, lead)
+        check_walk(WALK_ORACLE_CLASSES[name], 53, 20_000, lead)
 
     @pytest.mark.parametrize("name", ["binary127", "ternary16",
                                       "ternary-forest5", "path10", "heavy127"])
     def test_recorded_orders(self, name):
         # every row of a recorded walk stays live for all n steps
-        assert_walk_matches_frozen(WALK_ORACLE_CLASSES[name], 54, 20_000, None)
+        check_walk(WALK_ORACLE_CLASSES[name], 54, 20_000, None)
 
     def test_odd_uniform_count_keeps_the_buffered_half(self):
         # an odd number of 32-bit draws leaves half a word buffered; a walk
         # that skipped or advanced past its bucket uniforms would lose it
-        stats = full_binary_statistics(15)
         new_gen, old_gen = RngStream(55, 0).gen, RngStream(55, 0).gen
         for gen in (new_gen, old_gen):
             gen.integers(0, 2**31, 3, dtype=np.uint32)
         assert new_gen.bit_generator.state["has_uint32"] == 1
-        samplers._size_biased_walk(stats, new_gen, 7, 1, stats.n)
-        frozen_size_biased_walk(stats, old_gen, 7, 1, stats.n)
+        samplers._size_biased_walk(MIXED, new_gen, 7, 1, MIXED.n)
+        frozen_size_biased_walk(MIXED, old_gen, 7, 1, MIXED.n)
         assert new_gen.bit_generator.state == old_gen.bit_generator.state
         assert np.array_equal(new_gen.integers(0, 2**31, 5, dtype=np.uint32),
                               old_gen.integers(0, 2**31, 5, dtype=np.uint32))
@@ -352,10 +382,18 @@ class TestWalkOracle:
 class ZeroUniforms:
     """A generator stand-in whose every uniform is 0.0: the bucket pick
     takes the lowest degree left, and a threshold test accepts exactly
-    where the threshold is positive."""
+    where the threshold is positive.  The one-degree walk's binomial
+    likewise takes every live row where the threshold is positive, and its
+    shuffle keeps the order."""
 
     def random(self, size):
         return np.zeros(size)
+
+    def binomial(self, n, p):
+        return n if p > 0 else 0
+
+    def permutation(self, x):
+        return np.array(x)
 
 
 class TestZeroUniform:
@@ -378,6 +416,42 @@ class TestZeroUniform:
     def test_mark_walk_stops_at_the_first_index(self, stats):
         # lead 1 makes the first threshold 1 / n, so i = 1 accepts: height 0
         assert np.all(sample_mark_height_batch(stats, self.rng, 4) == 0)
+
+
+ONE_DEGREE_LAW_CLASSES = {
+    **{f"binary{n}": full_binary_statistics(n) for n in (127, 1023, 4095)},
+    "ternary16": DegreeStatistics({0: 11, 3: 5}),
+    **{f"path{n}": DegreeStatistics({0: 1, 1: n - 1}) for n in (10, 300)},
+}
+
+
+class TestOneDegreeBatchLaw:
+    """A one-degree walk draws the histogram of its rows one binomial per
+    step and shuffles it into rows, so the rows must be i.i.d. draws of the
+    exact law, the first half alike with the second.  The seeds (60 for
+    mark heights, 61 for stopping indices) and the 200,000 rows per law
+    were fixed before the first run."""
+
+    REPS = 200_000
+
+    def check(self, draws, law):
+        assert draws.dtype == np.int64 and draws.shape == (self.REPS,)
+        assert chi_square_gof(draws, float_pmf(law)) > P_FLOOR
+        half = self.REPS // 2
+        assert chi_square_two_sample(draws[:half], draws[half:]) > P_FLOOR
+
+    @pytest.mark.parametrize("name", sorted(ONE_DEGREE_LAW_CLASSES))
+    def test_mark_heights_match_exact_law(self, name):
+        stats = ONE_DEGREE_LAW_CLASSES[name]
+        draws = sample_mark_height_batch(stats, RngStream(60, 0), self.REPS)
+        self.check(draws, exact_threshold_sampler_distribution(stats))
+
+    @pytest.mark.parametrize("name", sorted(ONE_DEGREE_LAW_CLASSES))
+    def test_stopping_indices_match_exact_law(self, name):
+        # on a path the law is the atom at n, the rows that never accept
+        stats = ONE_DEGREE_LAW_CLASSES[name]
+        draws = sample_stopping_index_batch(stats, RngStream(61, 0), self.REPS)
+        self.check(draws, exact_stopping_index_distribution(stats))
 
 
 class TestPoissonized:
@@ -421,14 +495,14 @@ class TestPoissonized:
         assert np.all(np.isinf(taus))
 
     def test_batch_draws_are_pinned(self):
-        # recorded from the stopping walk plus geometric stage lengths; a
-        # change to either moves these sums
+        # recorded from the one-binomial-per-step stopping walk plus
+        # geometric stage lengths; a change to either moves these sums
         sigmas, taus = sample_stopping_index_poissonized_batch(
             DegreeStatistics({0: 512, 2: 511}), RngStream(21, 0), 2000)
         finite = np.isfinite(taus)
-        assert int(sigmas.sum()) == 80341
+        assert int(sigmas.sum()) == 79950
         assert int(finite.sum()) == 2000
-        assert int(taus[finite].sum()) == 82339
+        assert int(taus[finite].sum()) == 81923
 
     def test_batch_agrees_with_interval_route(self):
         a, _ = interval_poissonized_batch(STATS, RngStream(12, 0), 20_000)
@@ -648,6 +722,21 @@ class TestOffspringDistribution:
         # True was read as 1.0: geometric(True) and masses (.25, 0, .25, .5)
         with pytest.raises(InvalidDistribution):
             build()
+
+    @pytest.mark.parametrize("masses", [
+        {0: .5, 2.9: .5}, {0: .5, 2.0: .5}, {0: .5, True: .5},
+        {0: .5, np.True_: .5}, {0: .5, "2": .5}, {0: .5, 2: .25, -1: .25}],
+        ids=["float", "whole-float", "bool", "numpy-bool", "str", "negative"])
+    def test_non_integer_degrees_are_refused(self, masses):
+        # int(k) put 2.9's mass at 2 and True's at 1, and -1 indexed the
+        # mass vector from its end
+        with pytest.raises(InvalidDistribution):
+            OffspringDistribution.from_masses(masses, renormalize=True)
+
+    def test_numpy_integer_degrees_are_kept(self):
+        mu = OffspringDistribution.from_masses({np.int64(0): .5,
+                                                np.int32(2): .5})
+        assert mu.masses == (0.5, 0.0, 0.5)
 
     def test_integer_masses_are_kept(self):
         mu = OffspringDistribution.from_masses({0: np.int64(1), 2: 1},

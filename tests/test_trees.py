@@ -292,6 +292,25 @@ class TestDegreeStatistics:
         assert s.counts == {0: 8, 2: 7}
         assert all(type(k) is int for k in s.counts.values())
 
+    @pytest.mark.parametrize("counts", [
+        {0: 3, 2.7: 1}, {0: 3, 2.0: 1}, {0: 2, True: 3}, {0: 2, np.True_: 3},
+        {0: 3, "2": 1}, {0: 3, 2: 1, 2.5: 1}],
+        ids=["float", "whole-float", "bool", "numpy-bool", "str", "collapse"])
+    def test_rejects_non_integer_degrees(self, counts):
+        # the constructor read int(c): 2.7 became degree 2, True degree 1,
+        # and 2.5 overwrote the count of degree 2
+        with pytest.raises(InvalidStatistics):
+            DegreeStatistics(counts)
+
+    def test_numpy_integer_degrees_are_plain_ints(self):
+        s = DegreeStatistics({np.int64(0): 3, np.int32(2): 1})
+        assert s.counts == {0: 3, 2: 1}
+        assert all(type(c) is int for c in s.counts)
+
+    def test_from_json_reads_decimal_degree_strings(self):
+        s = DegreeStatistics.from_json('{"0": 3, "2": 1}')
+        assert s.counts == {0: 3, 2: 1}
+
     def test_rejects_nonpositive_tree_count(self):
         # two edges, two nodes: sums to zero trees
         with pytest.raises(InvalidStatistics):
