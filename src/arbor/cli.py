@@ -2,7 +2,7 @@
 
 Subcommands:
   equiv        exhaustive small-n equivalence suite
-  tails        tail sweep for one degree-statistics file (exact tau)
+  tails        tail sweep for one degree-statistics file (certified tau)
   converge     scaling-trend ladder for an offspring law
   concentrate  degree-profile concentration battery
   sample       draw uniform trees with fixed degree statistics
@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="report base path")
 
     p = sub.add_parser("tails", help="Monte Carlo height and sigma tails, "
-                       "exact tau tails, vs closed-form bounds")
+                       "certified tau tails, vs closed-form bounds")
     p.add_argument("--stats", required=True,
                    help="JSON file: object of degree -> count")
     p.add_argument("--grid", default=None,

@@ -1,9 +1,10 @@
 """Exact counting and enumeration oracles for plane trees.
 
-Everything here is integer or rational arithmetic; nothing is sampled.  These
-routines are deliberately independent of the samplers so they can serve as
-ground truth: brute-force enumeration on one side, closed-form counting on the
-other, and the tests insist the two agree.
+Nothing is sampled here; all is integer or rational arithmetic except
+`repeat_time_tails`, positive-term floats with a certified error bound.
+These routines are deliberately independent of the samplers so they can
+serve as ground truth: brute-force enumeration on one side, closed-form
+counting on the other, and the tests insist the two agree.
 
 Counting facts used throughout (a = number of trees, n = number of nodes):
 
@@ -37,10 +38,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .errors import InvalidStatistics, TooLarge, UsageExceeded
 from .trees import DegreeStatistics, PlaneTree, depth_table
 
 ENUMERATION_CAP = 12
+TAU_FLOOR = 1e-280  # below it `repeat_time_tails` certifies nothing new
 
 
 @dataclass(frozen=True)
@@ -298,12 +302,7 @@ def _degree_polynomial(stats: DegreeStatistics,
         for j in range(k if top is None else min(k, top)):
             row.append(row[-1] * (k - j) * c // (j + 1))
         rows.append(row)
-    return _balanced_product(rows, top)
-
-
-def _balanced_product(rows: list[list[int]], top: int | None = None) -> list[int]:
-    """The product of coefficient lists, multiplied in pairs, round by round."""
-    while len(rows) > 1:
+    while len(rows) > 1:  # multiplied in pairs, round by round
         rows = [poly_mul(*rows[i:i + 2], trunc=top) if i + 1 < len(rows)
                 else rows[i] for i in range(0, len(rows), 2)]
     return rows[0] if rows else [1]
@@ -333,22 +332,49 @@ def repeat_time_survivals(stats: DegreeStatistics) -> Iterator[Fraction]:
         den *= stats.n - 1
 
 
-def _repeat_time_tail(stats: DegreeStatistics):
-    """k -> P(tau > k) in closed form, for single k far down the tail.
+def _stopping_survivals(stats: DegreeStatistics) -> np.ndarray:
+    """P(sigma > j) = s_j = q_j / C(n - 1, j) for j <= #internal, in floats.
+    A node of degree c maps q_j to q_j + c q_{j-1}, so s_j to s_j + c w_j
+    s_{j-1}, w_j = j / (n - j).  The largest class (c0, K0) starts s as one
+    cumprod of c0 (K0 - j) / (n - 1 - j); each other node adds one step."""
+    (k0, c0), *rest = sorted(((k, c) for c, k in stats.sorted_items() if c),
+                             reverse=True)
+    j = np.arange(k0 + sum(k for k, _ in rest) + 1.0)
+    s = np.cumprod(np.r_[1.0, c0 * np.maximum(k0 - j[:-1], 0)
+                         / (stats.n - 1 - j[:-1])])
+    w = j / (stats.n - j)
+    for reach, c in enumerate((c for k, c in rest for _ in range(k)), k0 + 1):
+        s[1:reach + 1] += c * w[1:reach + 1] * s[:reach]
+    return s
 
-    Since j! S(k, j) = sum_i (-1)^(j - i) C(j, i) i^k, the sum in
-    `repeat_time_survivals` regroups as sum_i r_i i^k / (n - 1)^k, with r
-    the coefficients of q(x - 1) = prod_{c>=1} (c x + 1 - c)^{n(c)}, q the
-    degree polynomial.  That costs deg q + 1 powers per k, where the scan
-    grows every Stirling row before it."""
+
+def repeat_time_tails(stats: DegreeStatistics) -> Iterator[tuple[float, float, float]]:
+    """(t, lo, hi) for k = 0, 1, 2, ...: a float t of P(tau > k) in an
+    interval certified to hold it.  tau > k exactly when sigma > N_k, the
+    distinct slots hit by k arrivals on n - 1 slots, whose law runs
+    O_{k+1}(j) = (j O_k(j) + (n - j) O_k(j - 1)) / (n - 1) from O_0 =
+    delta_0, cut at j = P = #internal where P(sigma > j) ends.  As
+    P(N_k = j) = C(n - 1, j) j! S(k, j) / (n - 1)^k, t = O_k . P(sigma > .)
+    is the Stirling sum of `repeat_time_survivals` term by term.  All terms
+    are positive and pass at most 4P + 3k + P + 1 roundings (survivals,
+    occupancy, dot), so t is within a relative delta_k = 2 (5P + 4k + 4)
+    2^-53 and hi = min(1, t (1 + delta_k)).  Below TAU_FLOOR subnormals
+    break that: lo = 0 and hi keeps its last value (the tail never rises)."""
     if stats.a != 1 or stats.n < 2:
         raise InvalidStatistics("repeat time needs a single tree, n >= 2")
-    r = _balanced_product([[math.comb(k, j) * c ** j * (1 - c) ** (k - j)
-                            for j in range(k + 1)]
-                           for c, k in stats.sorted_items() if c > 0])
-    den = stats.n - 1
-    return lambda k: Fraction(sum(c * i ** k for i, c in enumerate(r)),
-                              den ** k)
+    s = _stopping_survivals(stats)
+    top, j = len(s) - 1, np.arange(len(s), dtype=float)
+    occ = np.zeros(top + 2)  # occ[1 + j] = P(N_k = j); occ[0] = 0 pads j = -1
+    occ[1] = hi = 1.0
+    for k in itertools.count():
+        t, lo = float(occ[1:k + 2] @ s[:k + 1]), 0.0  # N_k <= k
+        if t >= TAU_FLOOR:
+            delta = 2 * (5 * top + 4 * k + 4) * 2.0 ** -53
+            lo, hi = t * (1 - delta), min(1.0, t * (1 + delta))
+        yield t, lo, hi
+        g = min(k + 2, top + 1)  # N_{k+1} <= k + 1
+        occ[1:g + 1] = (j[:g] * occ[1:g + 1]
+                        + (stats.n - j[:g]) * occ[:g]) / (stats.n - 1)
 
 
 def _index_law(stats: DegreeStatistics, last: int) -> dict[int, Fraction]:

@@ -10,7 +10,6 @@ from the wall_clock_seconds field.  Every draw runs in the calling process.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import time
@@ -25,11 +24,10 @@ from . import __version__
 from .bounds import (BoundInput, height_tail_bound, height_tail_bound_no_ones,
                      height_threshold, repeat_threshold, repeat_time_tail_bound,
                      stopping_tail_bound_no_ones)
-from .enumeration import (ExactDistribution, _repeat_time_tail,
-                          count_forests, depth_law,
+from .enumeration import (ExactDistribution, count_forests, depth_law,
                           enumerate_degree_statistics, enumerate_trees,
                           exact_threshold_sampler_distribution,
-                          repeat_time_survivals, spine_probability)
+                          repeat_time_tails, spine_probability)
 from .errors import BadParameters
 from .rng import RngStream
 # the three batch samplers stay bound here, where benchmark tracers patch them
@@ -44,7 +42,6 @@ from .weights import (WeightSequence, exact_tree_law, limit_degree_law,
 CSV_COLUMNS = ("experiment", "n", "grid_value", "empirical",
                "ci_lo", "ci_hi", "bound", "verdict")
 DEFAULT_BETAS = (80.0, 125.0, 216.0, 343.0)
-TAU_SCAN_ROWS = 128  # exact repeat-time rows scanned before bisecting
 CONCENTRATION_CLASSES = ("second-moment", "stretched", "branching",
                          "census", "leaf")
 
@@ -58,9 +55,9 @@ class Cell:
     """One report row: an empirical quantity against its reference value.
 
     For Monte Carlo tails, empirical is the hit fraction, the interval is a
-    95% Wilson interval, and the verdict is ci_hi <= bound.  Exact cells (a
-    tau cell holds a certified upper value), identity and trend cells reuse
-    the same shape with degenerate intervals; grid_value names the check.
+    95% Wilson interval, and the verdict is ci_hi <= bound, as for a tau
+    cell, whose interval is certified to hold the exact tail.  Exact, identity
+    and trend cells have degenerate intervals; grid_value names the check.
     """
 
     experiment: str
@@ -351,7 +348,7 @@ def run_tail_sweep(stats: DegreeStatistics,
                    betas: Sequence[float] = DEFAULT_BETAS,
                    replications: int = 100_000,
                    seed: int = 0) -> ExperimentReport:
-    """Monte Carlo mark-height and stopping-index tails, and exact
+    """Monte Carlo mark-height and stopping-index tails, and certified
     repeat-time tails, against their closed-form bounds.
 
     Cells emitted:
@@ -370,17 +367,14 @@ def run_tail_sweep(stats: DegreeStatistics,
                       48 (seed 0), binary n = 1,023 fails none of 235 at
                       seeds 17 and 0, and heavy n = 1,023 and 4,095 fail
                       height>=ell=1 at some seeds, all on noise alone.
-      tau>beta=B:     exact repeat-time tails vs the two-term bound: the
-                      certified P(tau > k') at the least k' <= k =
-                      floor(threshold) at or below the bound, else the failing
-                      P(tau > k).  Skipped unless some degree exceeds 1.
+      tau>beta=B:     `repeat_time_tails` vs the two-term bound: P(tau > k')
+                      in its certified interval at the least k' <= k =
+                      floor(threshold) whose upper end is at or below the
+                      bound, else the failing P(tau > k).  Needs a degree >= 2.
 
     Each Monte Carlo cell reads its hit count from one table per sample:
     the reversed cumulative sums of a `bincount` of the heights (or
     sigmas) give #{v >= k} for every k, so no cell scans the replications.
-    A tau cell scans the exact tails for at most TAU_SCAN_ROWS rows and
-    bisects the rest of its range on `_repeat_time_tail`, so a broken
-    bound costs a few closed-form evaluations, not a scan to k.
 
     A Monte Carlo verdict passes when the upper 95% Wilson end sits at or
     below the bound; cells are reported individually, never pooled.  The
@@ -432,40 +426,18 @@ def run_tail_sweep(stats: DegreeStatistics,
 
 def _repeat_time_cells(stats: DegreeStatistics, inp: BoundInput,
                        betas: Sequence[float]) -> list[Cell]:
-    # P(tau > k) never increases in k, so the first k' <= k at or below the
-    # bound certifies P(tau > k); one scan of the exact tails serves every
-    # beta up to TAU_SCAN_ROWS.  A cell still open there (only a broken bound
-    # or oracle gets that far at the default betas) bisects the rest of
-    # (TAU_SCAN_ROWS, k] on the closed form, whose cost does not grow with
-    # the rows skipped.
+    # P(tau > k) never increases in k, so the first k' <= k whose upper end
+    # is at or below the bound certifies P(tau > k); one walk serves all
     want = [(f"tau>beta={_num(b)}", int(repeat_threshold(inp, b)),
              repeat_time_tail_bound(inp, b)) for b in betas]
     cells: dict[int, Cell] = {}
-
-    def cell(i: int, tail: Fraction) -> None:
-        label, _, bound = want[i]
-        cells[i] = _verdict_cell("tail_sweep", stats.n, label, float(tail),
-                                 bound, tail <= bound)
-
-    scan = itertools.islice(repeat_time_survivals(stats), TAU_SCAN_ROWS + 1)
-    for k, tail in enumerate(scan):
-        for i, (_, top, bound) in enumerate(want):
-            if i not in cells and (tail <= bound or k == top):
-                cell(i, tail)
+    for k, (tail, lo, hi) in enumerate(repeat_time_tails(stats)):
+        for i, (label, top, bound) in enumerate(want):
+            if i not in cells and (hi <= bound or k == top):
+                cells[i] = Cell("tail_sweep", stats.n, label, tail, lo, hi,
+                                bound, hi <= bound)
         if len(cells) == len(want):
-            break
-    if len(cells) < len(want):
-        tail_at = functools.cache(_repeat_time_tail(stats))
-        for i, (_, top, bound) in enumerate(want):
-            if i in cells:
-                continue
-            lo, hi = TAU_SCAN_ROWS, top  # tail_at(lo) > bound
-            if tail_at(hi) <= bound:
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    lo, hi = (lo, mid) if tail_at(mid) <= bound else (mid, hi)
-            cell(i, tail_at(hi))
-    return [cells[i] for i in range(len(want))]
+            return [cells[i] for i in range(len(want))]
 
 
 # ---------------------------------------------------------------------------

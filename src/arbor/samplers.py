@@ -30,8 +30,8 @@ Three families live here:
 
 Each sampler has an exact-law oracle in `enumeration` (or a closed form) and
 the tests compare the two.  The Poisson batch is tested in law against a
-direct simulation of every arrival, and its tau against the exact
-`enumeration.repeat_time_survivals` that the tail sweep reads instead.
+direct simulation of every arrival, and its tau against the exact tails that
+`enumeration.repeat_time_tails` certifies in floats for the tail sweep.
 """
 
 from __future__ import annotations
@@ -379,8 +379,8 @@ class OffspringDistribution:
         if any(isinstance(v, (bool, np.bool_)) for v in vec):
             raise InvalidDistribution("offspring masses must be numbers, not bools")
         vec = [float(v) for v in vec]
-        if any(v < 0 for v in vec):
-            raise InvalidDistribution("negative offspring mass")
+        if not all(0 <= v < math.inf for v in vec):
+            raise InvalidDistribution("offspring masses must be finite, >= 0")
         total = sum(vec)
         if renormalize:
             if total <= 0:

@@ -61,12 +61,13 @@ class WeightSequence:
             raise ValueError("give exactly one of explicit weights or a generator")
         if self.explicit is not None:
             vec = tuple(self.explicit)
+            if any(isinstance(v, (bool, np.bool_)) or not 0 <= v < math.inf
+                   for v in vec):
+                raise ValueError("weights must be finite numbers >= 0, not bools")
             while len(vec) > 1 and vec[-1] == 0:
                 vec = vec[:-1]
             if not vec or vec[0] <= 0:
                 raise ValueError("w_0 must be positive")
-            if any(v < 0 for v in vec):
-                raise ValueError("weights must be non-negative")
             object.__setattr__(self, "explicit", vec)
         else:
             if self.generator(0) <= 0:

@@ -167,9 +167,10 @@ def _exact_bound_violations(stats):
 
 
 def _uncertified_repeat_times(stats):
-    """tau cells of DEFAULT_BETAS that no exact tail certifies: each cell
-    holds the exact P(tau > k') at the least k' <= floor(threshold) at or
-    below its bound, and fails when there is none."""
+    """tau cells of DEFAULT_BETAS that no certified tail passes: each cell
+    holds P(tau > k') in an interval certified to contain the exact value,
+    at the least k' <= floor(threshold) whose upper end is at or below its
+    bound, and fails when there is none."""
     cells = _repeat_time_cells(stats, BoundInput.from_stats(stats),
                                DEFAULT_BETAS)
     assert len(cells) == len(DEFAULT_BETAS)
@@ -209,7 +210,7 @@ def test_tail_bounds_never_violated(acceptance):
                f"{checks} exact checks over {small} small + "
                f"{len(large) + len(exact_only)} large classes, "
                f"{violations} violations; {tau_checks - tau_bad} of "
-               f"{tau_checks} tau bounds certified by exact tails; "
+               f"{tau_checks} tau bounds certified by float tails; "
                f"{mc_cells} Monte Carlo cells at 100000 reps all inside bound")
 
 

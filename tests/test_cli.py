@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import arbor
 from arbor.cli import main
-from arbor.harness import CSV_COLUMNS
+from arbor.harness import CSV_COLUMNS, full_binary_statistics
 from arbor.trees import DegreeStatistics, PlaneTree
 
 
@@ -52,6 +53,22 @@ def test_tails_writes_report_files(tmp_path, binary15_file, capsys):
     csv_lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert csv_lines[0] == ",".join(CSV_COLUMNS)
     assert len(csv_lines) == len(doc["cells"]) + 1
+
+
+def test_tails_at_binary_4095_and_a_large_beta_is_quick(tmp_path, capsys):
+    # the beta = 2,000 tau cell certifies at k' = 221 of a threshold of
+    # 90,487, one vector step per k on the float tails
+    path = tmp_path / "binary4095.json"
+    path.write_text(full_binary_statistics(4095).to_json())
+    start = time.perf_counter()
+    code = main(["tails", "--stats", str(path), "--grid", "2000",
+                 "--reps", "2000"])
+    assert time.perf_counter() - start < 5.0
+    assert code in (0, 1)  # a nearly tight height>=ell cell may fail on noise
+    doc = json.loads(capsys.readouterr().out)
+    tau = [c for c in doc["cells"] if c["grid_value"].startswith("tau>")]
+    assert [(c["grid_value"], c["verdict"]) for c in tau] == [
+        ("tau>beta=2000", True)]
 
 
 def test_tails_accepts_a_beta_grid(binary15_file, capsys):
@@ -300,6 +317,9 @@ def test_zn_prints_exact_rationals(tmp_path, capsys):
     '{"weights": [1, "1/0"]}',  # zero denominator
     '{"weights": [1, 1e400]}',  # overflows to inf while parsing
     '{"weights": [1, 1e300]}',  # Z_5 overflows the float power
+    '{"weights": [1, NaN, 1]}',  # json reads NaN as a float
+    '{"weights": [1, Infinity]}',
+    '{"weights": [1, true, 1]}',
 ])
 def test_zn_refuses_malformed_weights(tmp_path, capsys, text):
     path = tmp_path / "w.json"
@@ -352,7 +372,7 @@ def test_runs_without_scipy(stats_file, binary15_file):
     assert doc["config"]["family"] == "heavy"
     assert doc["config"]["sizes"] == [20, 40]
 
-    # the threshold walk and the exact repeat-time tails
+    # the threshold walk and the certified float repeat-time tails
     tails = _run_without_scipy("tails", "--stats", binary15_file,
                                "--reps", "2000")
     assert tails.returncode == 0, tails.stderr

@@ -8,6 +8,7 @@ law code and of the survival-differencing code pin the closed forms bit for
 bit at sizes enumeration cannot reach.
 """
 
+import inspect
 import itertools
 import math
 import random
@@ -18,9 +19,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arbor.enumeration import (ENUMERATION_CAP, ExactDistribution,
-                               _degree_polynomial, _repeat_time_tail,
-                               count_forests,
+from arbor import enumeration
+from arbor.enumeration import (ENUMERATION_CAP, TAU_FLOOR, ExactDistribution,
+                               _degree_polynomial, _index_law,
+                               _stopping_survivals, count_forests,
                                count_marked_first_tree, count_spine_class,
                                enumerate_degree_statistics, enumerate_trees,
                                enumerate_trees_of_size,
@@ -28,7 +30,7 @@ from arbor.enumeration import (ENUMERATION_CAP, ExactDistribution,
                                exact_stopping_index_distribution,
                                exact_threshold_sampler_distribution, falling,
                                multinomial, poly_mul, repeat_time_survivals,
-                               spine_probability)
+                               repeat_time_tails, spine_probability)
 from arbor.errors import InvalidStatistics, TooLarge, UsageExceeded
 from arbor.harness import full_binary_statistics, heavy_tailed_statistics
 from arbor.trees import DegreeStatistics, MarkedTree
@@ -504,26 +506,7 @@ class TestRepeatTimeSurvivals:
         with pytest.raises(InvalidStatistics):
             next(repeat_time_survivals(stats))
         with pytest.raises(InvalidStatistics):
-            _repeat_time_tail(stats)
-
-    @pytest.mark.parametrize("stats", [
-        full_binary_statistics(15), full_binary_statistics(1023),
-        DegreeStatistics({0: 9, 1: 2, 2: 2, 3: 1, 5: 1}),
-        DegreeStatistics({0: 1, 1: 6}), heavy_tailed_statistics(127)],
-        ids=lambda s: f"n{s.n}-b{len(s.sorted_items())}")
-    def test_closed_form_matches_the_scan(self, stats):
-        tail = _repeat_time_tail(stats)
-        got = list(itertools.islice(repeat_time_survivals(stats), 120))
-        assert [tail(k) for k in range(120)] == got
-
-    def test_closed_form_far_down_the_tail(self):
-        # the scan would need every row up to k; the product oracle does not
-        for stats in (full_binary_statistics(15), heavy_tailed_statistics(63),
-                      DegreeStatistics({0: 11, 3: 5})):
-            tail = _repeat_time_tail(stats)
-            for k in (500, 1808, 3001):
-                assert tail(k) == repeat_time_survival_by_shifted_product(
-                    stats, k)
+            next(repeat_time_tails(stats))
 
     @pytest.mark.parametrize("top", [0, 1, 5, 33, 64, 10_000])
     def test_truncated_degree_polynomial_is_a_prefix(self, top):
@@ -531,3 +514,129 @@ class TestRepeatTimeSurvivals:
                       DegreeStatistics({0: 9, 1: 3, 2: 2, 3: 1, 5: 1})):
             full = _degree_polynomial(stats)
             assert _degree_polynomial(stats, top) == full[:top + 1]
+
+
+# ---------------------------------------------------------------------------
+# certified float tails: P(sigma > j) and P(tau > k) against exact values
+# ---------------------------------------------------------------------------
+
+def survival_misses(survivals, stats):
+    """Indices j where survivals(stats)[j], a float P(sigma > j), is off the
+    exact tail of `_index_law(stats, n - 1)` by more than the relative
+    2 (5P + 4) 2^-53 that `repeat_time_tails` allows at k = 0, P the number
+    of internal nodes.  Exact values below TAU_FLOOR are not checked."""
+    law = _index_law(stats, stats.n - 1)
+    internal = stats.n - stats.count(0)
+    got = survivals(stats)
+    assert len(got) == internal + 1
+    delta = Fraction(2 * (5 * internal + 4), 2 ** 53)
+    exact = [Fraction(0)] * (stats.n + 1)  # exact[j] = P(sigma > j)
+    for j in range(stats.n - 1, -1, -1):
+        exact[j] = exact[j + 1] + law.get(j + 1, 0)
+    return [j for j in range(internal + 1) if exact[j] >= TAU_FLOOR
+            and not abs(Fraction(got[j]) - exact[j]) <= delta * exact[j]]
+
+
+def tail_misses(tails, stats, exact):
+    """Indices k < len(exact) where the exact P(tau > k) = exact[k] falls
+    outside the certified [lo, hi] of tails(stats), or where t is off it by
+    more than delta_k = 2 (5P + 4k + 4) 2^-53 relative above TAU_FLOOR."""
+    internal = stats.n - stats.count(0)
+    misses = []
+    for k, (e, (t, lo, hi)) in enumerate(zip(exact, tails(stats))):
+        delta = Fraction(2 * (5 * internal + 4 * k + 4), 2 ** 53)
+        if not (lo <= e <= hi and hi <= 1) or (
+                t >= TAU_FLOOR and abs(Fraction(t) - e) > delta * e):
+            misses.append(k)
+    return misses
+
+
+def certified_at(tails, stats, bound, rows=100):
+    """The least k < rows whose certified upper value is at or below
+    `bound`, or rows if there is none."""
+    return next((k for k, (_, _, hi) in enumerate(
+        itertools.islice(tails(stats), rows)) if hi <= bound), rows)
+
+
+def broken_copy(old, new):
+    """`_stopping_survivals` and `repeat_time_tails` with the one source
+    fragment `old` replaced by `new`, returned as that pair."""
+    space = dict(vars(enumeration))
+    found = 0
+    for func in (_stopping_survivals, repeat_time_tails):
+        source = inspect.getsource(func)
+        found += source.count(old)
+        exec(source.replace(old, new), space)
+    assert found == 1, old
+    return space["_stopping_survivals"], space["repeat_time_tails"]
+
+
+MIXED = DegreeStatistics({0: 9, 1: 2, 2: 2, 3: 1, 5: 1})
+TERNARY = DegreeStatistics({0: 11, 3: 5})
+
+
+class TestRepeatTimeTails:
+    @pytest.mark.parametrize("census", [full_binary_statistics,
+                                        heavy_tailed_statistics])
+    def test_stopping_survivals_match_the_index_law(self, census):
+        classes = [s for s in all_stats_upto(10) if s.n >= 2]
+        classes += [census(n) for n in (127, 255, 511, 1023, 2047)]
+        assert len(classes) == 101
+        for stats in classes:
+            assert survival_misses(_stopping_survivals, stats) == [], \
+                stats.counts if stats.n <= 10 else stats.n
+
+    @pytest.mark.parametrize("stats", [
+        full_binary_statistics(15), full_binary_statistics(127),
+        heavy_tailed_statistics(127), MIXED, TERNARY,
+        DegreeStatistics({0: 1, 1: 6})],
+        ids=["binary15", "binary127", "heavy127", "mixed15", "ternary16",
+             "path7"])
+    def test_tails_hold_the_exact_scan(self, stats):
+        exact = list(itertools.islice(repeat_time_survivals(stats), 2001))
+        assert tail_misses(repeat_time_tails, stats, exact) == []
+
+    def test_tails_far_down_hold_the_shifted_product(self):
+        # k = 3,001 at binary n = 15 sits near 1e-390, below the floor
+        for stats in (full_binary_statistics(15), heavy_tailed_statistics(63),
+                      TERNARY):
+            got = list(itertools.islice(repeat_time_tails(stats), 3002))
+            for k in (500, 1808, 3001):
+                t, lo, hi = got[k]
+                exact = repeat_time_survival_by_shifted_product(stats, k)
+                assert lo <= exact <= hi, (stats.counts, k)
+
+    def test_a_bound_of_one_certifies_at_once(self):
+        classes = [s for s in all_stats_upto(10) if s.n >= 2]
+        assert all(certified_at(repeat_time_tails, stats, 1.0) == 0
+                   for stats in classes)
+
+    def test_a_zero_bound_never_certifies(self):
+        # below the floor the upper end stays at its last certified value
+        stats = full_binary_statistics(15)
+        tails = list(itertools.islice(repeat_time_tails(stats), 3002))
+        assert min(hi for _, _, hi in tails) > 0
+        assert tails[-1][0] < TAU_FLOOR and tails[-1][1] == 0.0
+
+    @pytest.mark.filterwarnings("ignore:divide by zero")  # w_m = m / 0
+    @pytest.mark.parametrize("old,new", [
+        ("w = j / (stats.n - j)", "w = j / (stats.n - 1 - j)"),
+        ("/ (stats.n - 1 - j[:-1])", "/ (stats.n - j[:-1])"),
+        ("(stats.n - j[:g])", "(stats.n - 1 - j[:g])"),
+        ("min(1.0, t * (1 + delta))", "t * (1 + delta)")],
+        ids=["weight-l-over-m-minus-l", "cumprod-over-m-minus-j-plus-1",
+             "occupancy-weight-n-minus-1-minus-j", "no-clamp-at-one"])
+    def test_broken_copies_fail(self, old, new):
+        survivals, tails = broken_copy(old, new)
+        small = [s for s in all_stats_upto(10) if s.n >= 2]
+        failed = [stats.counts for stats in small
+                  if certified_at(tails, stats, 1.0) > 0]
+        for stats in (full_binary_statistics(127), heavy_tailed_statistics(127),
+                      MIXED):
+            if survival_misses(survivals, stats):
+                failed.append(stats.counts)
+        for stats in (full_binary_statistics(15), MIXED):
+            exact = list(itertools.islice(repeat_time_survivals(stats), 201))
+            if tail_misses(tails, stats, exact):
+                failed.append(stats.counts)
+        assert failed

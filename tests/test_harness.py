@@ -18,8 +18,9 @@ import pytest
 
 from arbor import harness, samplers
 from arbor.bounds import BoundInput
-from arbor.enumeration import (enumerate_degree_statistics, enumerate_trees,
-                               repeat_time_survivals)
+from arbor.enumeration import (TAU_FLOOR, enumerate_degree_statistics,
+                               enumerate_trees, repeat_time_survivals,
+                               repeat_time_tails)
 from arbor.errors import BadParameters, PathDegenerate, ZeroPartition
 from arbor.harness import (_CLASS_LAWS, _LADDERS, CONCENTRATION_CLASSES,
                            CSV_COLUMNS, Cell, ExperimentConfig,
@@ -206,8 +207,8 @@ class TestTailSweep:
         tau = [c for c in report.cells if str(c.grid_value).startswith("tau>")]
         assert [c.verdict for c in tau] == [verdict] * 4
         if not verdict:
-            assert [c.empirical for c in tau] == [
-                float(exact(b)) for b in harness.DEFAULT_BETAS]
+            assert all(c.ci_lo <= exact(b) <= c.ci_hi
+                       for c, b in zip(tau, harness.DEFAULT_BETAS))
         monkeypatch.undo()
         plain = run_tail_sweep(stats, replications=200, seed=3).cells
         assert report.cells[:-4] == plain[:-4]  # the Monte Carlo cells
@@ -311,59 +312,74 @@ class TestTailCounts:
 
 
 def frozen_repeat_time_cells(stats, inp, betas):
-    """The tau cells as they were before the row budget: one scan of the
-    exact tails up to the largest floor(threshold) any cell needs."""
-    want = [(f"tau>beta={b:g}", int(harness.repeat_threshold(inp, b)),
+    """(k', verdict) of each tau cell as the exact scan gave them: the least
+    k' <= floor(threshold) whose exact tail is at or below the bound, else
+    floor(threshold) and a failure."""
+    want = [(int(harness.repeat_threshold(inp, b)),
              harness.repeat_time_tail_bound(inp, b)) for b in betas]
     cells = {}
     for k, tail in enumerate(repeat_time_survivals(stats)):
-        for i, (label, top, bound) in enumerate(want):
+        for i, (top, bound) in enumerate(want):
             if i not in cells and (tail <= bound or k == top):
-                cells[i] = Cell("tail_sweep", stats.n, label, float(tail),
-                                float(tail), float(tail), bound,
-                                tail <= bound)
+                cells[i] = (k, tail <= bound)
         if len(cells) == len(want):
             return [cells[i] for i in range(len(want))]
 
 
-class TestRepeatTimeBudget:
-    """Past TAU_SCAN_ROWS a tau cell bisects on the closed form; with the
-    budget patched small every cell takes that route and must equal the
-    frozen full scan."""
+class TestRepeatTimeCertification:
+    """Each tau cell holds the certified float tail at its k': the exact
+    tail lies in [ci_lo, ci_hi], a pass means it is at or below the bound,
+    and away from ties and the floor k' and the verdict are those of the
+    exact scan."""
 
     CLASSES = [full_binary_statistics(15), full_binary_statistics(31),
                DegreeStatistics({0: 9, 1: 2, 2: 2, 3: 1, 5: 1}),
                DegreeStatistics({0: 11, 3: 5}), heavy_tailed_statistics(127)]
 
     @pytest.mark.parametrize("stats", CLASSES, ids=lambda s: f"n{s.n}")
-    def test_bisection_equals_the_scan(self, monkeypatch, stats):
+    def test_cells_hold_the_exact_tail(self, monkeypatch, stats):
         inp = BoundInput.from_stats(stats)
         betas = harness.DEFAULT_BETAS + (10.0, 30.0)
         tops = [int(harness.repeat_threshold(inp, b)) for b in betas]
         survivals = list(itertools.islice(repeat_time_survivals(stats),
                                           max(tops) + 1))
+        tails = list(itertools.islice(repeat_time_tails(stats), max(tops) + 1))
 
         def at(scale, part):
             # scale times the exact tail at part of each cell's threshold
             return lambda _, b: scale * float(
                 survivals[int(tops[betas.index(b)] * part)])
 
+        # "at" and "last" put a bound on an exact tail itself, a tie: the
+        # scan may pass there while the interval around it is still above.
+        # A bound below TAU_FLOOR (heavy n = 127 "over" at beta = 343 is
+        # 1.3e-292) is never certified, as the float tails stop there.
         bound_sets = {"real": None, "zero": lambda _, b: 0.0,
                       "at": at(1.0, 1 / 2), "under": at(0.99, 1 / 3),
                       "over": at(1.01, 2 / 3), "last": at(1.0, 1)}
         for name, bound in bound_sets.items():
             if bound is not None:
                 monkeypatch.setattr(harness, "repeat_time_tail_bound", bound)
-            want = frozen_repeat_time_cells(stats, inp, betas)
-            for rows in (0, 1, 3, 10, 128):
-                monkeypatch.setattr(harness, "TAU_SCAN_ROWS", rows)
-                got = harness._repeat_time_cells(stats, inp, betas)
-                assert got == want, (name, rows)
+            frozen = frozen_repeat_time_cells(stats, inp, betas)
+            cells = harness._repeat_time_cells(stats, inp, betas)
+            for cell, beta, top, (k0, v0) in zip(cells, betas, tops, frozen):
+                b = harness.repeat_time_tail_bound(inp, beta)
+                k = next(k for k, (_, _, hi) in enumerate(tails)
+                         if hi <= b or k == top)
+                assert (cell.empirical, cell.ci_lo, cell.ci_hi) == tails[k]
+                assert cell.ci_lo <= survivals[k] <= cell.ci_hi, (name, beta)
+                assert cell.verdict == (cell.ci_hi <= b)
+                assert not cell.verdict or survivals[k] <= b
+                if name in ("at", "last") or b < TAU_FLOOR:
+                    assert k >= k0 and (v0 or not cell.verdict), (name, beta)
+                else:
+                    assert (k, cell.verdict) == (k0, v0), (name, beta)
+            monkeypatch.undo()
 
     def test_broken_bound_finishes_quickly(self, monkeypatch):
         # a bound of 0 certifies nothing: every cell reports P(tau > k) at
-        # its own floor(threshold), k = 1,808 to 7,752 at binary n = 1,023
-        stats = full_binary_statistics(1023)
+        # its own floor(threshold), k = 3,619 to 15,518 at binary n = 4,095
+        stats = full_binary_statistics(4095)
         inp = BoundInput.from_stats(stats)
         monkeypatch.setattr(harness, "repeat_time_tail_bound",
                             lambda _, b: 0.0)
@@ -371,7 +387,7 @@ class TestRepeatTimeBudget:
         cells = harness._repeat_time_cells(stats, inp, harness.DEFAULT_BETAS)
         assert time.process_time() - start < 1.0
         assert [c.verdict for c in cells] == [False] * 4
-        assert all(c.empirical < 1e-300 for c in cells)
+        assert all(c.empirical < 1e-300 and c.ci_lo == 0 for c in cells)
 
 
 class TestConvergence:

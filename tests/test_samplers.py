@@ -733,6 +733,17 @@ class TestOffspringDistribution:
         with pytest.raises(InvalidDistribution):
             OffspringDistribution.from_masses(masses, renormalize=True)
 
+    @pytest.mark.parametrize("masses,renormalize", [
+        ([0.5, math.nan, 0.5], False), ({0: .5, 2: math.nan}, True),
+        ({0: .5, 2: math.inf}, True), ([0.5, -math.inf, 0.5], False)],
+        ids=["nan-list", "nan-renormalize", "inf-renormalize", "minus-inf"])
+    def test_non_finite_masses_are_refused(self, masses, renormalize):
+        # nan passed the sum check (abs(nan - 1) > 1e-12 is False) and
+        # renormalizing spread it over every mass; inf was refused only as
+        # "needs positive mass at zero"
+        with pytest.raises(InvalidDistribution, match="must be finite"):
+            OffspringDistribution.from_masses(masses, renormalize=renormalize)
+
     def test_numpy_integer_degrees_are_kept(self):
         mu = OffspringDistribution.from_masses({np.int64(0): .5,
                                                 np.int32(2): .5})

@@ -8,6 +8,7 @@ surgery is verified by explicit big-integer and Fraction identities.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -62,6 +63,20 @@ class TestWeightSequence:
             WeightSequence(explicit=(1, 1), generator=lambda k: 1.0)
         with pytest.raises(ValueError):
             WeightSequence.from_generator(lambda k: 0.0)
+
+    @pytest.mark.parametrize("weights", [
+        [1, math.nan, 1], [1, math.inf], [math.nan], [1, True, 1],
+        [1, np.True_], [1, 1, np.float64(math.nan)]],
+        ids=["nan", "inf", "nan-first", "bool", "numpy-bool", "numpy-nan"])
+    def test_non_finite_and_bool_weights_are_refused(self, weights):
+        # nan was accepted: phi and psi returned nan, the critical tilt came
+        # out as 3.1e-61 and the partition function "overflowed"
+        with pytest.raises(ValueError, match="finite numbers"):
+            WeightSequence.from_list(weights)
+
+    def test_exact_weights_beyond_float_range_are_kept(self):
+        w = WeightSequence.from_list([1, Fraction(1, 2), 10 ** 400])
+        assert w.explicit == (1, Fraction(1, 2), 10 ** 400)
 
     def test_trailing_zeros_trimmed(self):
         w = WeightSequence.from_list([1, 2, 0, 0])
