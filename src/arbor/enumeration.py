@@ -272,39 +272,32 @@ def exact_mark_height_distribution(stats: DegreeStatistics) -> ExactDistribution
     return ExactDistribution.from_pmf(depth_law(enumerate_trees(stats)))
 
 
-def poly_mul(a: list, b: list, trunc: int | None = None) -> list:
-    """Schoolbook product of two coefficient lists, skipping zero terms
-    and dropping every power above `trunc`.  Terms are added in a fixed
-    order, so float products are reproducible."""
-    size = len(a) + len(b) - 1
-    if trunc is not None:
-        size = min(size, trunc + 1)
-    out = [0] * size
-    for i, ai in enumerate(a[:size]):
+def poly_mul(a: list, b: list) -> list:
+    """Schoolbook product of two coefficient lists, skipping zero terms."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
         if ai == 0:
             continue
-        for j, bj in enumerate(b[:size - i]):
+        for j, bj in enumerate(b):
             if bj:
                 out[i + j] += ai * bj
     return out
 
 
-def _degree_polynomial(stats: DegreeStatistics,
-                       top: int | None = None) -> list[int]:
+def _degree_polynomial(stats: DegreeStatistics) -> list[int]:
     """Coefficients of prod_{c>=1} (1 + c z)^{n(c)} as exact integers: a
-    balanced product of the binomial rows sum_j C(n(c), j) c^j z^j, with
-    every power above `top` dropped when it is given."""
+    balanced product of the binomial rows sum_j C(n(c), j) c^j z^j."""
     rows = []
     for c, k in stats.sorted_items():
         if c == 0:
             continue
         row = [1]
-        for j in range(k if top is None else min(k, top)):
+        for j in range(k):
             row.append(row[-1] * (k - j) * c // (j + 1))
         rows.append(row)
     while len(rows) > 1:  # multiplied in pairs, round by round
-        rows = [poly_mul(*rows[i:i + 2], trunc=top) if i + 1 < len(rows)
-                else rows[i] for i in range(0, len(rows), 2)]
+        rows = [poly_mul(*rows[i:i + 2]) if i + 1 < len(rows) else rows[i]
+                for i in range(0, len(rows), 2)]
     return rows[0] if rows else [1]
 
 
@@ -316,19 +309,18 @@ def repeat_time_survivals(stats: DegreeStatistics) -> Iterator[Fraction]:
     arrival on i.  A k-sequence that does not fire splits by node into j
     blocks, each a first hit then right-slot repeats, so P(tau > k) =
     sum_j q_j j! S(k, j) / (n - 1)^k, S the Stirling numbers of the second
-    kind.  S grows a row per k; q is regrown by doubling its truncation."""
+    kind.  S grows a row per k, and q_j j! joins the weights as index j
+    enters the row."""
     if stats.a != 1 or stats.n < 2:
         raise InvalidStatistics("repeat time needs a single tree, n >= 2")
-    internal = stats.n - stats.count(0)  # the degree of q
-    top, weight, row, den = -1, [], [1], 1  # row[j] = S(k, j)
+    q = _degree_polynomial(stats)  # degree #internal
+    weight, row, den = [], [1], 1  # row[j] = S(k, j)
     for k in itertools.count():
-        if top < min(k, internal):
-            top = min(internal, max(32, 2 * top))
-            weight = [q * math.factorial(j) for j, q in
-                      enumerate(_degree_polynomial(stats, top))]
+        if k < len(q):
+            weight.append(q[k] * math.factorial(k))
         yield Fraction(sum(w * s for w, s in zip(weight, row)), den)
         row = [0] + [j * s + t for j, s, t in
-                     zip(range(1, internal + 1), row[1:] + [0], row)]
+                     zip(range(1, len(q)), row[1:] + [0], row)]
         den *= stats.n - 1
 
 

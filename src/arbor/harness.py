@@ -353,10 +353,12 @@ def run_tail_sweep(stats: DegreeStatistics,
 
     Cells emitted:
       height>beta=B:  P(depth of mark > B * p1 / sqrt(p2sq - n1)) vs the
-                      two-term bound (trivially 1.0 below the beta floor).
+                      two-term bound (trivially 1.0 below the beta floor);
+                      like the ell cells below, emitted only when the
+                      bound is at or above their Wilson floor.
       height>=ell=L / sigma>ell=L:  the leafless sub-Gaussian bounds; only
-                      emitted while the bound stays above ten times the
-                      zero-success Wilson ceiling.  Below that the interval
+                      emitted while the bound stays at or above ten times
+                      the zero-success Wilson ceiling.  Below that the interval
                       cannot resolve the comparison at this many
                       replications; the exact oracles cover that range
                       without noise.  The floor does not stop spurious
@@ -399,11 +401,12 @@ def run_tail_sweep(stats: DegreeStatistics,
     heights = sample_mark_height_batch(stats, RngStream(seed, 0), replications)
     sigmas = sample_stopping_index_batch(stats, RngStream(seed, 1), replications)
     height_counts, sigma_counts = _tail_counts(heights), _tail_counts(sigmas)
-    for beta in betas:
-        hits = _count_above(height_counts, height_threshold(inp, beta))
-        cells.append(_tail_cell(n, f"height>beta={_num(beta)}", hits,
-                                replications, height_tail_bound(inp, beta)))
     floor = 10.0 * wilson_interval(0, replications)[1]
+    for beta in betas:
+        if (bound := height_tail_bound(inp, beta)) >= floor:
+            hits = _count_above(height_counts, height_threshold(inp, beta))
+            cells.append(_tail_cell(n, f"height>beta={_num(beta)}", hits,
+                                    replications, bound))
     if norms.n1 == 0 and n >= 2:
         # H >= ell counts heights above ell - 1, sigma > ell those above ell
         for label, counts, shift, bound_at in (

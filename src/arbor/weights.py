@@ -9,7 +9,8 @@ tilted sampling, and the degree-concentration surgery used to compare tree
 counts before and after bundling small degrees.
 
 Exact arithmetic is kept wherever the inputs are rational: explicit rational
-weights give Fraction-valued Z_n and exact tilt-invariance checks.
+weights give Fraction-valued Z_n and exact tilt-invariance checks, and a
+float Z_n is that exact value for the dyadic float weights, rounded once.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .enumeration import (ENUMERATION_CAP, count_forests,
-                          enumerate_degree_statistics, poly_mul)
+                          enumerate_degree_statistics)
 from .errors import (Diverged, OutOfDomain, PhiDiverges, RhoUnknown,
                      TooLarge, BadParameters, ZeroPartition)
 from .rng import RngStream
@@ -59,21 +60,18 @@ class WeightSequence:
     def __post_init__(self):
         if (self.explicit is None) == (self.generator is None):
             raise ValueError("give exactly one of explicit weights or a generator")
+        # a generator's later weights are checked where a series reaches them
+        vec = (tuple(self.explicit) if self.explicit is not None
+               else tuple(self.generator(k) for k in range(3)))
+        if any(isinstance(v, (bool, np.bool_)) or not 0 <= v < math.inf
+               for v in vec):
+            raise ValueError("weights must be finite numbers >= 0, not bools")
         if self.explicit is not None:
-            vec = tuple(self.explicit)
-            if any(isinstance(v, (bool, np.bool_)) or not 0 <= v < math.inf
-                   for v in vec):
-                raise ValueError("weights must be finite numbers >= 0, not bools")
             while len(vec) > 1 and vec[-1] == 0:
                 vec = vec[:-1]
-            if not vec or vec[0] <= 0:
-                raise ValueError("w_0 must be positive")
             object.__setattr__(self, "explicit", vec)
-        else:
-            if self.generator(0) <= 0:
-                raise ValueError("w_0 must be positive")
-            if self.generator(1) < 0 or self.generator(2) < 0:
-                raise ValueError("weights must be non-negative")
+        if not vec or vec[0] <= 0:
+            raise ValueError("w_0 must be positive")
 
     @staticmethod
     def from_list(weights: Sequence, rho_hint=None) -> "WeightSequence":
@@ -266,26 +264,32 @@ def _scalar_blocks(weight, base: float, end: int, diverge: bool):
     0 <= k < end, each value a Python scalar as in a term-by-term loop.
     Blocks start at 64 terms and double up to _BLOCK, so a sum that stops
     early computes few terms past its stop.  The first k whose weight or
-    power raises cuts its block short, and `error` is that exception
-    (None when none raised); with `diverge`, an OverflowError of float(w_k)
-    or base^k becomes Diverged."""
+    power raises, or whose float(w_k) is negative or NaN (a ValueError),
+    cuts its block short, and `error` is that exception (None when none
+    raised); with `diverge`, an OverflowError of float(w_k) or base^k
+    becomes Diverged."""
 
     def pair(k):
         wk = weight(k)
         try:
-            return float(wk), base ** k
+            wk, pk = float(wk), base ** k
         except OverflowError:
             if not diverge:
                 raise
             raise Diverged(f"series term overflowed at k={k}") from None
+        if not wk >= 0:
+            raise ValueError(f"w_{k} = {wk!r} is not a number >= 0")
+        return wk, pk
 
     lo, size = 0, 64
     while lo < end:
         ks = range(lo, min(lo + size, end))
         error = None
         try:  # whole-block comprehensions; a raise redoes the block by k
-            wks = [float(weight(k)) for k in ks]
+            wks = np.array([float(weight(k)) for k in ks])
             pks = [base ** k for k in ks]
+            if not (wks >= 0).all():  # a negative or NaN weight
+                raise ValueError
         except Exception:
             wks, pks = [], []
             for k in ks:
@@ -296,7 +300,7 @@ def _scalar_blocks(weight, base: float, end: int, diverge: bool):
                     break
                 wks.append(wk)
                 pks.append(pk)
-        yield (np.arange(lo, lo + len(wks)), np.array(wks, dtype=float),
+        yield (np.arange(lo, lo + len(wks)), np.asarray(wks, dtype=float),
                np.array(pks, dtype=float), error)
         lo, size = lo + size, min(2 * size, _BLOCK)
 
@@ -440,42 +444,40 @@ def partition_function(w: WeightSequence, n: int):
     """Z_n, the total weight of all n-node plane trees.
 
     Computed as (1/n) [z^{n-1}] Phi(z)^n with the series truncated at
-    degree n - 1 (Lagrange inversion).  Rational weights are scaled once by
-    the lcm D of their denominators to integers a_0..a_d (a_d the last
-    non-zero one below n, a_0 = D w_0 > 0), and c_m = [z^m] (sum a_k z^k)^n
-    follows from the power recurrence (J.C.P. Miller; Knuth, TAOCP 2,
-    4.6.1): c_0 = a_0^n and
+    degree n - 1 (Lagrange inversion).  The weights are scaled once by the
+    lcm D of their denominators to integers a_0..a_d (a_d the last non-zero
+    one below n, a_0 = D w_0 > 0), and c_m = [z^m] (sum a_k z^k)^n follows
+    from the power recurrence (J.C.P. Miller; Knuth, TAOCP 2, 4.6.1):
+    c_0 = a_0^n and
         m a_0 c_m = sum_{k=1}^{min(d, m)} (k (n + 1) - m) a_k c_{m-k},
     every division exact.  That is O(n d) big-integer products where
-    powering the dense series costs O(n^2 log n).  The result is the exact
-    c_{n-1} / (D^n n).  Other weights power the float series by repeated
-    squaring, and raise Diverged where the value overflows.  Cross-checked
-    against direct tree enumeration for small n in the tests.
+    powering the dense series costs O(n^2 log n).  Z_n = c_{n-1} / (D^n n)
+    is exact, an int or a Fraction, for rational weights.  Any other w_k
+    is read as float(w_k), a dyadic rational, so Z_n is the same exact
+    value rounded once: correctly rounded, and Diverged exactly when it
+    is past the float range.  Cross-checked against direct tree
+    enumeration for small n in the tests.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if w.is_rational():
-        coeffs = [Fraction(w.weight(k)) for k in range(n)]
-        scale = math.lcm(*(v.denominator for v in coeffs))
-        a = [v.numerator * (scale // v.denominator) for v in coeffs]
-        while a[-1] == 0:
-            a.pop()
-        out = Fraction(_power_coefficient(a, n), scale ** n * n)
+    rational = w.is_rational()
+    values = [w.weight(k) if rational else float(w.weight(k)) for k in range(n)]
+    for k, v in enumerate(values):
+        if not 0 <= v < math.inf:
+            raise ValueError(f"w_{k} = {v!r} is not a finite number >= 0")
+    coeffs = [Fraction(v) for v in values]
+    scale = math.lcm(*(v.denominator for v in coeffs))
+    a = [v.numerator * (scale // v.denominator) for v in coeffs]
+    while a[-1] == 0:
+        a.pop()
+    out = Fraction(_power_coefficient(a, n), scale ** n * n)
+    if rational:
         return int(out) if out.denominator == 1 else out
-    base = [float(w.weight(k)) for k in range(n)]
-    result = [1.0]
-    e = n
-    while e:
-        if e & 1:
-            result = poly_mul(result, base, n - 1)
-        e >>= 1
-        if e:
-            base = poly_mul(base, base, n - 1)
-    coef = result[n - 1] if len(result) > n - 1 else 0
-    if not math.isfinite(coef):
-        raise Diverged(f"Z_{n} overflows floating point; give the weights "
-                       "as integers or p/q fractions for the exact value")
-    return coef / n
+    try:
+        return float(out)
+    except OverflowError:
+        raise Diverged(f"Z_{n} overflows floating point; give the weights as "
+                       "integers or p/q fractions for the exact value") from None
 
 
 def _power_coefficient(a: list[int], n: int) -> int:

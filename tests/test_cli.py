@@ -71,6 +71,22 @@ def test_tails_at_binary_4095_and_a_large_beta_is_quick(tmp_path, capsys):
         ("tau>beta=2000", True)]
 
 
+def test_tails_drops_a_height_cell_no_replication_count_resolves(tmp_path,
+                                                                capsys):
+    # at binary n = 4,095 the beta = 20,000 height bound is 9.3e-14, under
+    # ten times the zero-hit Wilson ceiling 0.0019 of 2,000 replications,
+    # so the cell could never pass; the certified tau cell stays
+    path = tmp_path / "binary4095.json"
+    path.write_text(full_binary_statistics(4095).to_json())
+    code = main(["tails", "--stats", str(path), "--grid", "20000",
+                 "--reps", "2000"])
+    assert code in (0, 1)  # a nearly tight height>=ell cell may fail on noise
+    labels = [c["grid_value"] for c in json.loads(capsys.readouterr().out)[
+        "cells"]]
+    assert "height>beta=20000" not in labels
+    assert "tau>beta=20000" in labels
+
+
 def test_tails_accepts_a_beta_grid(binary15_file, capsys):
     code = main(["tails", "--stats", binary15_file, "--reps", "2000",
                  "--grid", "90, 150"])
@@ -310,13 +326,22 @@ def test_zn_prints_exact_rationals(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1/4"
 
 
+def test_zn_prints_correctly_rounded_floats(tmp_path, capsys):
+    # the float powering printed 8e-301 here
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"weights": [1e100, 1e-100]}))
+    code = main(["zn", "--weights", str(path), "--n", "5"])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "1e-300"
+
+
 @pytest.mark.parametrize("text", [
     '[1, "1/2"]',  # a list, not an object
     '"1/2"',  # a bare string
     '{"rho": "infinity"}',  # no "weights"
     '{"weights": [1, "1/0"]}',  # zero denominator
     '{"weights": [1, 1e400]}',  # overflows to inf while parsing
-    '{"weights": [1, 1e300]}',  # Z_5 overflows the float power
+    '{"weights": [1, 1e300]}',  # Z_5 = 1e1200 overflows a float
     '{"weights": [1, NaN, 1]}',  # json reads NaN as a float
     '{"weights": [1, Infinity]}',
     '{"weights": [1, true, 1]}',

@@ -433,15 +433,11 @@ class TestHeightAndStoppingLaws:
 
 
 class TestPolyMul:
-    def test_product_and_truncation(self):
+    def test_products(self):
         assert poly_mul([1, 2], [3, 0, 4]) == [3, 6, 4, 8]
-        assert poly_mul([1, 2], [3, 0, 4], trunc=1) == [3, 6]
         assert poly_mul([Fraction(1, 2)], [2, 4]) == [1, 2]
-
-    def test_terms_past_the_truncation_are_dropped(self):
-        # a's high terms lie wholly above trunc and must not wrap around
-        assert poly_mul([1, 0, 0, 5], [1, 1], trunc=1) == [1, 1]
-        assert poly_mul([0, 0, 7], [1], trunc=0) == [0]
+        assert poly_mul([1, 0, 0, 5], [1, 1]) == [1, 1, 0, 5, 5]
+        assert poly_mul([0, 0, 7], [1]) == [0, 0, 7]
 
 
 def repeat_time_survival_by_brute_force(stats, k):
@@ -508,12 +504,41 @@ class TestRepeatTimeSurvivals:
         with pytest.raises(InvalidStatistics):
             next(repeat_time_tails(stats))
 
-    @pytest.mark.parametrize("top", [0, 1, 5, 33, 64, 10_000])
-    def test_truncated_degree_polynomial_is_a_prefix(self, top):
-        for stats in (full_binary_statistics(255), heavy_tailed_statistics(255),
-                      DegreeStatistics({0: 9, 1: 3, 2: 2, 3: 1, 5: 1})):
-            full = _degree_polynomial(stats)
-            assert _degree_polynomial(stats, top) == full[:top + 1]
+    @pytest.mark.parametrize("census, n, steps", [
+        (full_binary_statistics, 255, 141),  # q was regrown at k = 33, 65
+        (full_binary_statistics, 127, 2001),
+        (heavy_tailed_statistics, 127, 2001),
+        (full_binary_statistics, 16_383, 401),
+        (heavy_tailed_statistics, 4095, 301)])
+    def test_matches_the_doubling_copy(self, census, n, steps):
+        stats = census(n)
+        assert (list(itertools.islice(repeat_time_survivals(stats), steps))
+                == list(itertools.islice(doubling_survivals(stats), steps)))
+
+
+def doubling_survivals(stats):
+    """Frozen copy of the earlier `repeat_time_survivals`, which rebuilt q
+    cut at degree top, each binomial row and pairwise product cut there,
+    whenever k passed top, with top = min(#internal, max(32, 2 top))."""
+    internal = stats.n - stats.count(0)
+    top, weight, row, den = -1, [], [1], 1
+    for k in itertools.count():
+        if top < min(k, internal):
+            top = min(internal, max(32, 2 * top))
+            rows = []
+            for c, m in stats.sorted_items():
+                if c:
+                    rows.append([math.comb(m, j) * c ** j
+                                 for j in range(min(m, top) + 1)])
+            while len(rows) > 1:
+                rows = [poly_mul(*rows[i:i + 2])[:top + 1]
+                        if i + 1 < len(rows) else rows[i]
+                        for i in range(0, len(rows), 2)]
+            weight = [q * math.factorial(j) for j, q in enumerate(rows[0])]
+        yield Fraction(sum(w * s for w, s in zip(weight, row)), den)
+        row = [0] + [j * s + t for j, s, t in
+                     zip(range(1, internal + 1), row[1:] + [0], row)]
+        den *= stats.n - 1
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,18 @@ class TestWeightSequence:
         with pytest.raises(ValueError, match="finite numbers"):
             WeightSequence.from_list(weights)
 
+    @pytest.mark.parametrize("fn", [
+        lambda k: math.nan if k == 1 else 2.0 ** -k,
+        lambda k: math.inf if k == 2 else 2.0 ** -k,
+        lambda k: -0.5 if k == 2 else 2.0 ** -k,
+        lambda k: True if k == 0 else 2.0 ** -k],
+        ids=["nan", "inf", "negative", "bool"])
+    def test_generator_heads_follow_the_explicit_rule(self, fn):
+        # w_0, w_1 and w_2 are checked on construction, as an explicit
+        # list is; the nan and the bool were accepted
+        with pytest.raises(ValueError, match="finite numbers"):
+            WeightSequence.from_generator(fn)
+
     def test_exact_weights_beyond_float_range_are_kept(self):
         w = WeightSequence.from_list([1, Fraction(1, 2), 10 ** 400])
         assert w.explicit == (1, Fraction(1, 2), 10 ** 400)
@@ -172,6 +184,19 @@ class TestSeries:
         calls[0] = 0
         assert phi(w, 1.0) == first and psi(w, 1.0) == nu_sigma_sq(w)[0]
         assert calls[0] == 0
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_a_bad_weight_is_named_where_the_sum_reaches_it(self, bad):
+        # the negative weight was summed (phi was 1.3254597981770833) and
+        # the nan made phi raise "did not converge"
+        w = WeightSequence.from_generator(
+            lambda k: bad if k == 7 else 2.0 ** -k)
+        with pytest.raises(ValueError, match="w_7 = "):
+            phi(w, 0.5)
+        far = WeightSequence.from_generator(
+            lambda k: bad if k == 5000 else 2.0 ** -k)
+        clean = WeightSequence.from_generator(lambda k: 2.0 ** -k)
+        assert phi(far, 0.5) == phi(clean, 0.5)
 
 
 class TestCriticality:
@@ -369,12 +394,11 @@ def _fraction_poly_mul(a, b, trunc):
 
 
 def partition_by_fractions(w, n):
-    """Frozen copy of the earlier Z_n code: Fraction (or float) series
-    powered term by term, no denominator clearing."""
-    exact = w.is_rational()
-    coeffs = [Fraction(w.weight(k)) if exact else float(w.weight(k))
-              for k in range(n)]
-    result = [Fraction(1)] if exact else [1.0]
+    """Frozen copy of the earlier exact Z_n code: the Fraction series
+    powered term by term, no denominator clearing.  A float weight enters
+    as the dyadic rational it stands for, so this is the exact value."""
+    coeffs = [Fraction(w.weight(k)) for k in range(n)]
+    result = [Fraction(1)]
     base = coeffs
     e = n
     while e:
@@ -383,11 +407,9 @@ def partition_by_fractions(w, n):
         e >>= 1
         if e:
             base = _fraction_poly_mul(base, base, n - 1)
-    coef = result[n - 1] if len(result) > n - 1 else (Fraction(0) if exact else 0.0)
-    if exact:
-        out = Fraction(coef, n)
-        return int(out) if out.denominator == 1 else out
-    return coef / n
+    coef = result[n - 1] if len(result) > n - 1 else Fraction(0)
+    out = Fraction(coef, n)
+    return int(out) if out.denominator == 1 else out
 
 
 def partitions_by_powering(w, top):
@@ -401,7 +423,7 @@ def partitions_by_powering(w, top):
     base = [v.numerator * (scale // v.denominator) for v in coeffs]
     power, out = [1], []
     for n in range(1, top + 1):
-        power = poly_mul(power, base, top - 1)
+        power = poly_mul(power, base)[:top]
         coef = power[n - 1] if len(power) > n - 1 else 0
         value = Fraction(coef, scale ** n * n)
         out.append(int(value) if value.denominator == 1 else value)
@@ -459,11 +481,46 @@ class TestPartitionFunction:
             z = partition_function(w, n)
             assert type(z) is type(want[n - 1]) and z == want[n - 1]
 
-    def test_float_values_match_earlier_code_exactly(self):
+    def test_float_values_are_the_exact_value_rounded_once(self):
         for w in (WeightSequence.from_list([1.0, 0.5]), census_weights()):
             for n in range(1, 41):
-                z, want = partition_function(w, n), partition_by_fractions(w, n)
-                assert isinstance(z, float) and z == want
+                z = partition_function(w, n)
+                assert type(z) is float
+                assert z == float(partition_by_fractions(w, n))
+
+    @pytest.mark.parametrize("weights, n, want", [
+        ([1e200, 1e-200], 3, 1e-200),  # the float powering gave 6.67e-201
+        ([1e100, 1e-100], 5, 1e-300),  # it gave 8e-301
+        ([1e-200, 1e200], 3, 1e200),   # it raised Diverged
+        ([1.0, 2.0 ** 511], 3, 2.0 ** 1022),  # the one tree: the path
+        ([1.0, 2.0 ** -537], 3, 2.0 ** -1074),  # the least subnormal
+        ([1.0, 1e-200], 3, 0.0),  # 1e-400 underflows to zero
+    ])
+    def test_float_values_over_the_whole_exponent_range(self, weights, n,
+                                                         want):
+        w = WeightSequence.from_list(weights)
+        z = partition_function(w, n)
+        assert type(z) is float and z == want
+        assert z == float(partition_by_fractions(w, n))
+
+    @pytest.mark.parametrize("weights, n", [
+        ([1.0, 2.0 ** 512], 3),  # 2^1024 is past the largest float
+        ([1e300, 1e300], 3),
+    ])
+    def test_diverged_exactly_where_the_exact_value_overflows(self, weights,
+                                                              n):
+        w = WeightSequence.from_list(weights)
+        assert partition_by_fractions(w, n) >= 2 ** 1024
+        with pytest.raises(Diverged, match=f"Z_{n} overflows"):
+            partition_function(w, n)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_bad_generator_weights_below_n_are_refused(self, bad):
+        w = WeightSequence.from_generator(
+            lambda k: bad if k == 4 else 2.0 ** -k)
+        assert partition_function(w, 4) == float(partition_by_fractions(w, 4))
+        with pytest.raises(ValueError, match="w_4 = "):
+            partition_function(w, 5)
 
     def test_statistics_weight(self):
         w = WeightSequence.from_list([2, 3, 5])
