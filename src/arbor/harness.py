@@ -101,6 +101,11 @@ class ExperimentConfig:
         return d
 
 
+# between the fields of a cell and between cells, indented for a field
+_CELL_SEP = ",\n      "
+_CELL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(_CELL_SEP, ": "))
+
+
 @dataclass
 class ExperimentReport:
     config: ExperimentConfig
@@ -113,8 +118,8 @@ class ExperimentReport:
         return all(c.verdict for c in self.cells)
 
     def to_jsonable(self) -> dict:
-        # cell fields are plain values, so the recursive copy `asdict` makes
-        # (half the time of a large report's to_json) is not needed
+        # cell fields are scalars, so the recursive copy `asdict` makes is
+        # not needed, and `to_json` can lay the cells out by hand
         names = [f.name for f in fields(Cell)]
         return {"config": self.config.to_jsonable(),
                 "cells": [{k: getattr(c, k) for k in names}
@@ -124,7 +129,20 @@ class ExperimentReport:
                 "wall_clock_seconds": self.wall_clock_seconds}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True, indent=2) + "\n"
+        """`json.dumps(self.to_jsonable(), sort_keys=True, indent=2)` plus a
+        newline, byte for byte.  `indent` would send the cells to json's
+        pure-Python encoder, so the C encoder writes them with `_CELL_SEP`;
+        a JSON string holds no raw newline, so only the list's ends and the
+        cell boundaries need re-indenting."""
+        doc = self.to_jsonable()
+        cells = _CELL_ENCODER.encode(doc.pop("cells"))
+        if cells != "[]":
+            cells = ("[\n    {\n      "
+                     + cells[2:-2].replace("}" + _CELL_SEP + "{",
+                                           "\n    },\n    {\n      ")
+                     + "\n    }\n  ]")
+        rest = json.dumps(doc, sort_keys=True, indent=2)  # "{\n  "config"...
+        return '{\n  "cells": ' + cells + "," + rest[1:] + "\n"
 
     def csv_text(self) -> str:
         lines = [",".join(CSV_COLUMNS)]

@@ -131,12 +131,13 @@ def _size_biased_walk(stats: DegreeStatistics, gen: np.random.Generator,
     O(reps) shuffle and no uniforms.
 
     Otherwise the state is kept for live rows only: a B x reps table of
-    remaining counts over the B distinct positive degrees, one contiguous
-    row per degree, so memory is O(reps * B) and a row costs only the steps
-    it takes before accepting.  A step picks each row's bucket with
-    whole-row sums over the first B - 1 buckets; the last bucket's
-    cumulative weight is the row's remaining total, which always exceeds
-    the drawn point, so it is never compared.
+    remaining edge weight c * (remaining count of c) over the B distinct
+    positive degrees, one contiguous row per degree, so memory is
+    O(reps * B) and a row costs only the steps it takes before accepting.
+    A step picks each row's bucket by adding up table rows over the first
+    B - 1 buckets; the last bucket's cumulative weight is the row's
+    remaining total, which always exceeds the drawn point, so it is never
+    compared.  Taking degree d then lowers one entry per row by d.
     """
     items = [(c, k) for c, k in stats.sorted_items() if c > 0]
     positives = sum(k for _, k in items)
@@ -150,9 +151,9 @@ def _size_biased_walk(stats: DegreeStatistics, gen: np.random.Generator,
         live = np.arange(reps)
         out = np.full(reps, last + 1, dtype=np.int64)
         deg = np.array([c for c, _ in items], dtype=np.int64)
-        counts = np.array([k for _, k in items], dtype=np.int64)
-        rem = np.repeat(counts.reshape(-1, 1), reps, axis=1)
-        weight = np.full(reps, counts @ deg, dtype=np.int64)
+        edges = np.array([c * k for c, k in items], dtype=np.int64)
+        rem = np.repeat(edges.reshape(-1, 1), reps, axis=1)
+        weight = np.full(reps, edges.sum(), dtype=np.int64)
         top = np.full(reps, lead or 0, dtype=np.int64)  # lead + S
     for i in range(1, last + 1):
         if lead is not None:
@@ -165,7 +166,9 @@ def _size_biased_walk(stats: DegreeStatistics, gen: np.random.Generator,
                     out[live[accept]] = i
                     keep = ~accept
                     live, top = live[keep], top[keep]
-                    rem, weight = rem[:, keep], weight[keep]
+                    # compress keeps the table C-contiguous, so the flat
+                    # view below writes through to it
+                    rem, weight = rem.compress(keep, axis=1), weight[keep]
         rows = live if shared else live.size
         if not rows:
             break
@@ -181,11 +184,10 @@ def _size_biased_walk(stats: DegreeStatistics, gen: np.random.Generator,
                 b = np.zeros(rows, dtype=np.intp)
                 cum = np.zeros(rows, dtype=np.int64)
                 for j in range(deg.size - 1):
-                    cum += rem[j] * deg[j]
+                    cum += rem[j]
                     b += cum <= v
-                for j in range(deg.size):
-                    rem[j] -= b == j
                 d = deg[b]
+                rem.reshape(-1)[b * rows + np.arange(rows)] -= d
                 weight -= d
         top += d - 1
         if record is not None:

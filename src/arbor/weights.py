@@ -63,8 +63,12 @@ class WeightSequence:
         # a generator's later weights are checked where a series reaches them
         vec = (tuple(self.explicit) if self.explicit is not None
                else tuple(self.generator(k) for k in range(3)))
-        if any(isinstance(v, (bool, np.bool_)) or not 0 <= v < math.inf
-               for v in vec):
+        try:
+            ok = all(not isinstance(v, (bool, np.bool_)) and 0 <= v < math.inf
+                     for v in vec)
+        except TypeError:  # a string or None does not compare with 0
+            ok = False
+        if not ok:
             raise ValueError("weights must be finite numbers >= 0, not bools")
         if self.explicit is not None:
             while len(vec) > 1 and vec[-1] == 0:
@@ -454,18 +458,26 @@ def partition_function(w: WeightSequence, n: int):
     powering the dense series costs O(n^2 log n).  Z_n = c_{n-1} / (D^n n)
     is exact, an int or a Fraction, for rational weights.  Any other w_k
     is read as float(w_k), a dyadic rational, so Z_n is the same exact
-    value rounded once: correctly rounded, and Diverged exactly when it
-    is past the float range.  Cross-checked against direct tree
-    enumeration for small n in the tests.
+    value rounded once: correctly rounded, and Diverged exactly when it,
+    or a float(w_k), is past the float range.  Cross-checked against
+    direct tree enumeration for small n in the tests.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     rational = w.is_rational()
-    values = [w.weight(k) if rational else float(w.weight(k)) for k in range(n)]
-    for k, v in enumerate(values):
+    coeffs = []
+    for k in range(n):
+        v = w.weight(k)
+        if not rational:
+            try:
+                v = float(v)
+            except OverflowError:
+                raise Diverged(f"w_{k} overflows floating point; give the "
+                               "weights as an explicit list of integers or "
+                               "p/q fractions for the exact value") from None
         if not 0 <= v < math.inf:
             raise ValueError(f"w_{k} = {v!r} is not a finite number >= 0")
-    coeffs = [Fraction(v) for v in values]
+        coeffs.append(Fraction(v))
     scale = math.lcm(*(v.denominator for v in coeffs))
     a = [v.numerator * (scale // v.denominator) for v in coeffs]
     while a[-1] == 0:

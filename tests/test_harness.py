@@ -34,6 +34,7 @@ from arbor.trees import DegreeStatistics, MarkedTree
 from arbor.weights import (WeightSequence, limit_degree_law,
                            simply_generated_sampler, solve_critical_tilt,
                            tilted_law)
+from test_golden import RUNS as GOLDEN_RUNS
 
 
 def strip_clock(report):
@@ -107,6 +108,36 @@ class TestReportSerialisation:
         rows = [",".join(CSV_COLUMNS)] + [
             ",".join(Cell(**asdict(c)).csv_row()) for c in report.cells]
         assert report.csv_text() == "\n".join(rows) + "\n"
+
+    @staticmethod
+    def indented_json(report):
+        return json.dumps(report.to_jsonable(), sort_keys=True,
+                          indent=2) + "\n"
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_golden_reports_match_indented_dumps(self, name):
+        report = GOLDEN_RUNS[name]()
+        assert report.to_json() == self.indented_json(report)
+
+    ODD_TEXT = ['say "hi"', "back\\slash", "two\nlines", "},\n      {",
+                "caf\u00e9", '"},\n      {\\é']
+
+    @pytest.mark.parametrize("cells", [
+        [],
+        [Cell("tail_sweep", 9, "height>=ell=3", 0.125, 0.1, 0.15, 0.5, True)],
+        [Cell("trend", 4, "nan", math.nan, -math.inf, math.inf, None, False),
+         Cell("trend", 5, 2.5, -0.0, 1e-300, 1.7976931348623157e308, None,
+              True)],
+        [Cell(text, i, text, 0.5, 0.25, 0.75, None, bool(i % 2))
+         for i, text in enumerate(ODD_TEXT)],
+    ], ids=["no-cells", "one-cell", "non-finite", "odd-strings"])
+    def test_hand_made_reports_match_indented_dumps(self, cells):
+        config = ExperimentConfig(kind="demo", seed=7, sizes=(9, 11),
+                                  grid=(0.5,), target={"0": 5, "2": 4},
+                                  threshold=math.inf)
+        report = ExperimentReport(config=config, cells=cells,
+                                  version="0.0", wall_clock_seconds=1.5)
+        assert report.to_json() == self.indented_json(report)
 
 
 class TestReferenceStatistics:

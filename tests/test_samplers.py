@@ -288,7 +288,7 @@ WALK_ORACLE_CLASSES = {
     "ternary16": DegreeStatistics({0: 11, 3: 5}),
     "ternary-forest5": DegreeStatistics({0: 4, 3: 1}),
     **{f"path{n}": DegreeStatistics({0: 1, 1: n - 1}) for n in (2, 10, 300)},
-    **{f"heavy{n}": heavy_tailed_statistics(n) for n in (127, 1023)},
+    **{f"heavy{n}": heavy_tailed_statistics(n) for n in (127, 1023, 4095)},
     "mixed15": DegreeStatistics({0: 9, 1: 2, 2: 2, 3: 1, 5: 1}),
 }
 

@@ -86,6 +86,16 @@ class TestWeightSequence:
         with pytest.raises(ValueError, match="finite numbers"):
             WeightSequence.from_generator(fn)
 
+    @pytest.mark.parametrize("bad", ["1", None, 1j, [1]],
+                             ids=["str", "none", "complex", "list"])
+    def test_non_numeric_weights_are_refused(self, bad):
+        # a string escaped as TypeError("'<=' not supported ...")
+        with pytest.raises(ValueError, match="finite numbers"):
+            WeightSequence.from_list([1, bad])
+        with pytest.raises(ValueError, match="finite numbers"):
+            WeightSequence.from_generator(
+                lambda k: bad if k == 2 else 2.0 ** -k)
+
     def test_exact_weights_beyond_float_range_are_kept(self):
         w = WeightSequence.from_list([1, Fraction(1, 2), 10 ** 400])
         assert w.explicit == (1, Fraction(1, 2), 10 ** 400)
@@ -521,6 +531,13 @@ class TestPartitionFunction:
         assert partition_function(w, 4) == float(partition_by_fractions(w, 4))
         with pytest.raises(ValueError, match="w_4 = "):
             partition_function(w, 5)
+
+    def test_generator_weight_past_float_range_is_diverged(self):
+        # (99!)^2 > 2^1024: float(w_99) escaped as a bare OverflowError
+        w = factorial_squared()
+        assert partition_function(w, 20) == 1.5608996841552915e+34
+        with pytest.raises(Diverged, match="w_99 overflows"):
+            partition_function(w, 200)
 
     def test_statistics_weight(self):
         w = WeightSequence.from_list([2, 3, 5])
