@@ -390,7 +390,9 @@ def run_tail_sweep(stats: DegreeStatistics,
       tau>beta=B:     `repeat_time_tails` vs the two-term bound: P(tau > k')
                       in its certified interval at the least k' <= k =
                       floor(threshold) whose upper end is at or below the
-                      bound, else the failing P(tau > k).  Needs a degree >= 2.
+                      bound, else the failing P(tau > k), or [0, hi] at the
+                      first k whose tail is below TAU_FLOOR, past which hi
+                      never moves.  Needs a degree >= 2.
 
     Each Monte Carlo cell reads its hit count from one table per sample:
     the reversed cumulative sums of a `bincount` of the heights (or
@@ -447,14 +449,17 @@ def run_tail_sweep(stats: DegreeStatistics,
 
 def _repeat_time_cells(stats: DegreeStatistics, inp: BoundInput,
                        betas: Sequence[float]) -> list[Cell]:
-    # P(tau > k) never increases in k, so the first k' <= k whose upper end
-    # is at or below the bound certifies P(tau > k); one walk serves all
-    want = [(f"tau>beta={_num(b)}", int(repeat_threshold(inp, b)),
+    # P(tau > k) never increases in k, so the first k' <= k = floor(cutoff)
+    # whose upper end is at or below the bound certifies P(tau > k); one walk
+    # serves all.  k + 1 > cutoff first holds at k = floor(cutoff), and never
+    # for an infinite cutoff.  Once lo is 0 the tails have dropped below
+    # TAU_FLOOR and hi stays put, so every cell still open fails there
+    want = [(f"tau>beta={_num(b)}", repeat_threshold(inp, b),
              repeat_time_tail_bound(inp, b)) for b in betas]
     cells: dict[int, Cell] = {}
     for k, (tail, lo, hi) in enumerate(repeat_time_tails(stats)):
-        for i, (label, top, bound) in enumerate(want):
-            if i not in cells and (hi <= bound or k == top):
+        for i, (label, cutoff, bound) in enumerate(want):
+            if i not in cells and (hi <= bound or k + 1 > cutoff or lo == 0):
                 cells[i] = Cell("tail_sweep", stats.n, label, tail, lo, hi,
                                 bound, hi <= bound)
         if len(cells) == len(want):

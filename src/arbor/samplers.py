@@ -12,7 +12,10 @@ Three families live here:
   the single-draw functions are that walk with one row.  On a census with
   one positive degree all rows share the threshold, so a step draws only
   how many rows accept, as one binomial, and one permutation of the
-  resulting histogram gives the rows.
+  resulting histogram gives the rows.  The walk's memory is bounded by the
+  rows and steps it walks: an int32 table of remaining edge weight,
+  compacted once half its rows have accepted, or a histogram as long as the
+  steps taken.
 * a Poisson-process reformulation of the stopping index
   (`sample_stopping_index_poissonized_batch`): degrees become subintervals
   of [0, 1), arrivals hit them, and sigma and the repeat time tau are read
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -128,17 +132,24 @@ def _size_biased_walk(stats: DegreeStatistics, gen: np.random.Generator,
     counts are the multinomial histogram of `reps` i.i.d. walks, and one
     uniform permutation of that histogram, spread out into rows, gives
     their arrangement.  Such a walk draws one binomial per step, one
-    O(reps) shuffle and no uniforms.
+    O(reps) shuffle and no uniforms, and its histogram is only as long as
+    the steps it takes: about sqrt(n) of them, not n.
 
-    Otherwise the state is kept for live rows only: a B x reps table of
-    remaining edge weight c * (remaining count of c) over the B distinct
-    positive degrees, one contiguous row per degree, so memory is
-    O(reps * B) and a row costs only the steps it takes before accepting.
-    A step picks each row's bucket by adding up table rows over the first
-    B - 1 buckets; the last bucket's cumulative weight is the row's
-    remaining total, which always exceeds the drawn point, so it is never
-    compared.  Taking degree d then lowers one entry per row by d.
+    Otherwise the state is a B x reps table of remaining edge weight
+    c * (remaining count of c) over the B distinct positive degrees, one
+    contiguous row per degree, in int32 unless n - 1 reaches 2**31 (no
+    entry, total or drawn point exceeds n - 1).  Accepted rows stay in the
+    table as dead columns, frozen, until at most half the columns are live;
+    then one `take` compacts the table, with lead + S, the row totals and
+    the column -> row map.  So at most one and a half tables are live, and
+    compaction costs O(B) per retired row.  A step draws uniforms for the
+    live columns only, in row order, and picks every column's bucket by
+    adding up table rows over the first B - 1 buckets; the last bucket's
+    cumulative weight is the column's remaining total, which always exceeds
+    the drawn point, so it is never compared.  Taking degree d then lowers
+    one entry of each live column by d.
     """
+    _check_reps(reps)
     items = [(c, k) for c, k in stats.sorted_items() if c > 0]
     positives = sum(k for _, k in items)
     shared = len(items) <= 1
@@ -146,29 +157,34 @@ def _size_biased_walk(stats: DegreeStatistics, gen: np.random.Generator,
         c = items[0][0] if items else 0
         top = lead or 0  # lead + S, the same for every row
         live = reps  # rows still walking
-        hits = np.zeros(last + 2, dtype=np.int64)  # rows accepted at step i
+        hits = array("q", [0])  # hits[i]: rows accepted at step i
     else:
-        live = np.arange(reps)
+        # edge weights sum to at most n - 1, so int32 holds every entry
+        dtype = np.int64 if stats.n - 1 >= 2**31 else np.int32
         out = np.full(reps, last + 1, dtype=np.int64)
-        deg = np.array([c for c, _ in items], dtype=np.int64)
-        edges = np.array([c * k for c, k in items], dtype=np.int64)
+        deg = np.array([c for c, _ in items], dtype=dtype)
+        edges = np.array([c * k for c, k in items], dtype=dtype)
         rem = np.repeat(edges.reshape(-1, 1), reps, axis=1)
-        weight = np.full(reps, edges.sum(), dtype=np.int64)
-        top = np.full(reps, lead or 0, dtype=np.int64)  # lead + S
+        weight = np.full(reps, edges.sum(), dtype=dtype)
+        top = np.full(reps, lead or 0, dtype=dtype)  # lead + S
+        row = np.arange(reps)  # the row each table column holds
+        live = np.arange(reps)  # the live columns, in row order
     for i in range(1, last + 1):
         if lead is not None:
             if shared:
-                hits[i] = gen.binomial(live, top / (last + 1 - i))
+                hits.append(gen.binomial(live, top / (last + 1 - i)))
                 live -= hits[i]
             else:
-                accept = gen.random(live.size) < top / (last + 1 - i)
+                accept = gen.random(live.size) < top[live] / (last + 1 - i)
                 if accept.any():
-                    out[live[accept]] = i
-                    keep = ~accept
-                    live, top = live[keep], top[keep]
-                    # compress keeps the table C-contiguous, so the flat
-                    # view below writes through to it
-                    rem, weight = rem.compress(keep, axis=1), weight[keep]
+                    out[row[live[accept]]] = i
+                    live = live[~accept]
+                    if 2 * live.size <= row.size:
+                        # take keeps the table C-contiguous, so the flat
+                        # view below writes through to it
+                        rem = rem.take(live, axis=1)
+                        top, weight, row = top[live], weight[live], row[live]
+                        live = np.arange(live.size)
         rows = live if shared else live.size
         if not rows:
             break
@@ -179,24 +195,36 @@ def _size_biased_walk(stats: DegreeStatistics, gen: np.random.Generator,
             else:
                 # an integer point in [0, w) picks the bucket by its
                 # cumulative weight; the clip guards u * w rounding up to w
-                u = gen.random(rows)
-                v = np.minimum((u * weight).astype(np.int64), weight - 1)
-                b = np.zeros(rows, dtype=np.intp)
-                cum = np.zeros(rows, dtype=np.int64)
+                cols = row.size
+                v = np.zeros(cols)
+                v[live] = gen.random(rows)
+                v = np.minimum((v * weight).astype(dtype), weight - 1)
+                b = np.zeros(cols, dtype=np.intp)
+                cum = np.zeros(cols, dtype=dtype)
                 for j in range(deg.size - 1):
                     cum += rem[j]
                     b += cum <= v
+                b = b[live]
                 d = deg[b]
-                rem.reshape(-1)[b * rows + np.arange(rows)] -= d
-                weight -= d
-        top += d - 1
+                rem.reshape(-1)[b * cols + live] -= d
+                weight[live] -= d
+        if shared:
+            top += d - 1
+        else:
+            top[live] += d - 1
         if record is not None:
             record.append(np.full(rows, d, dtype=np.int64))
     if shared:
-        hits[last + 1] = live
-        steps = np.arange(last + 2, dtype=np.int64)
+        hits.append(live)  # the rows no step accepted, at last + 1
+        steps = np.arange(len(hits), dtype=np.int64)
+        steps[-1] = last + 1
         return gen.permutation(np.repeat(steps, hits))
     return out
+
+
+def _check_reps(reps: int) -> None:
+    if reps < 0:
+        raise ValueError(f"reps must be at least 0, got {reps}")
 
 
 def sample_size_biased_order(stats: DegreeStatistics, rng: RngStream) -> tuple[int, ...]:
@@ -290,6 +318,7 @@ def sample_stopping_index_poissonized_batch(
     Path statistics have no left parts: sigma = n and tau = inf, with
     nothing drawn.
     """
+    _check_reps(reps)
     if stats.a != 1:
         raise InvalidStatistics("stopping index needs single-tree statistics")
     n = stats.n

@@ -366,12 +366,31 @@ sys.exit(arbor.cli.main(sys.argv[1:]))
 """
 
 
-def _run_without_scipy(*argv):
+def _run_without_scipy(*argv, timeout=120):
     src = os.path.dirname(os.path.dirname(os.path.abspath(arbor.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run([sys.executable, "-c", _NO_SCIPY, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("beta", ["1e10", "1e308"])
+def test_tails_fails_a_tau_cell_whose_bound_underflows(beta, tmp_path):
+    # at binary n = 9 the tau bound underflows to 0.0 and the cutoff is
+    # 2e10 or infinite; once the float tails drop below TAU_FLOOR their
+    # upper end stops moving, so the cell fails there instead of scanning
+    # on (a hang, or an OverflowError for the infinite cutoff)
+    path = tmp_path / "binary9.json"
+    path.write_text(json.dumps({"0": 5, "2": 4}))
+    run = _run_without_scipy("tails", "--stats", str(path), "--grid", beta,
+                             "--reps", "2000", timeout=5)
+    assert run.returncode == 1, run.stderr
+    assert run.stdout.startswith("{")  # the report, not a traceback
+    tau = [c for c in json.loads(run.stdout)["cells"]
+           if c["grid_value"].startswith("tau>")]
+    assert len(tau) == 1
+    assert tau[0]["bound"] == 0.0 and tau[0]["verdict"] is False
+    assert tau[0]["ci_lo"] == 0.0 < tau[0]["ci_hi"]
 
 
 def test_runs_without_scipy(stats_file, binary15_file):

@@ -395,21 +395,28 @@ class TestRepeatTimeCertification:
             cells = harness._repeat_time_cells(stats, inp, betas)
             for cell, beta, top, (k0, v0) in zip(cells, betas, tops, frozen):
                 b = harness.repeat_time_tail_bound(inp, beta)
-                k = next(k for k, (_, _, hi) in enumerate(tails)
-                         if hi <= b or k == top)
+                # a cell still open where the float tails drop below
+                # TAU_FLOOR (lo = 0) fails there: hi stays put after it
+                k = next(k for k, (_, lo, hi) in enumerate(tails)
+                         if hi <= b or k == top or lo == 0)
+                if name == "real":  # the floor never closes a real cell
+                    assert k == next(k for k, (_, _, hi) in enumerate(tails)
+                                     if hi <= b or k == top), beta
                 assert (cell.empirical, cell.ci_lo, cell.ci_hi) == tails[k]
                 assert cell.ci_lo <= survivals[k] <= cell.ci_hi, (name, beta)
                 assert cell.verdict == (cell.ci_hi <= b)
                 assert not cell.verdict or survivals[k] <= b
                 if name in ("at", "last") or b < TAU_FLOOR:
-                    assert k >= k0 and (v0 or not cell.verdict), (name, beta)
+                    assert k >= k0 or cell.ci_lo == 0, (name, beta)
+                    assert v0 or not cell.verdict, (name, beta)
                 else:
                     assert (k, cell.verdict) == (k0, v0), (name, beta)
             monkeypatch.undo()
 
     def test_broken_bound_finishes_quickly(self, monkeypatch):
-        # a bound of 0 certifies nothing: every cell reports P(tau > k) at
-        # its own floor(threshold), k = 3,619 to 15,518 at binary n = 4,095
+        # a bound of 0 certifies nothing: every cell fails at k = 2,421,
+        # the first k whose float tail is below TAU_FLOOR, short of its
+        # floor(threshold) (k = 3,619 to 15,518 at binary n = 4,095)
         stats = full_binary_statistics(4095)
         inp = BoundInput.from_stats(stats)
         monkeypatch.setattr(harness, "repeat_time_tail_bound",
@@ -418,7 +425,12 @@ class TestRepeatTimeCertification:
         cells = harness._repeat_time_cells(stats, inp, harness.DEFAULT_BETAS)
         assert time.process_time() - start < 1.0
         assert [c.verdict for c in cells] == [False] * 4
-        assert all(c.empirical < 1e-300 and c.ci_lo == 0 for c in cells)
+        k, (tail, _, hi) = next((k, t) for k, t in
+                                enumerate(repeat_time_tails(stats))
+                                if t[1] == 0)
+        assert k == 2421
+        assert all((c.empirical, c.ci_lo, c.ci_hi) == (tail, 0.0, hi)
+                   for c in cells)
 
 
 class TestConvergence:

@@ -290,6 +290,8 @@ WALK_ORACLE_CLASSES = {
     **{f"path{n}": DegreeStatistics({0: 1, 1: n - 1}) for n in (2, 10, 300)},
     **{f"heavy{n}": heavy_tailed_statistics(n) for n in (127, 1023, 4095)},
     "mixed15": DegreeStatistics({0: 9, 1: 2, 2: 2, 3: 1, 5: 1}),
+    # degree-1 draws leave lead + S flat, so rows accept a few at a time
+    "slow208": DegreeStatistics({0: 5, 1: 200, 2: 2, 3: 1}),
 }
 
 
@@ -360,10 +362,29 @@ class TestWalkOracle:
         check_walk(WALK_ORACLE_CLASSES[name], 53, 20_000, lead)
 
     @pytest.mark.parametrize("name", ["binary127", "ternary16",
-                                      "ternary-forest5", "path10", "heavy127"])
+                                      "ternary-forest5", "path10", "heavy127",
+                                      "slow208"])
     def test_recorded_orders(self, name):
         # every row of a recorded walk stays live for all n steps
         check_walk(WALK_ORACLE_CLASSES[name], 54, 20_000, None)
+
+    @pytest.mark.parametrize("lead", [1, 0])
+    def test_slowly_dying_rows_compact_the_table_many_times(self, lead):
+        # accepted rows stay as dead table columns until at most half the
+        # columns are live; replaying that rule on the frozen walk's
+        # accept counts shows how often the checked walk compacted
+        stats = WALK_ORACLE_CLASSES["slow208"]
+        last = stats.n - 1 if lead == 0 else stats.n
+        want = frozen_size_biased_walk(stats, RngStream(56, 0).gen, 20_000,
+                                       lead, last)
+        cols = live = 20_000
+        compactions = 0
+        for hits in np.bincount(want)[1:]:
+            live -= hits
+            if hits and 2 * live <= cols:
+                cols, compactions = live, compactions + 1
+        assert compactions >= 10
+        check_walk(stats, 56, 20_000, lead)
 
     def test_odd_uniform_count_keeps_the_buffered_half(self):
         # an odd number of 32-bit draws leaves half a word buffered; a walk
@@ -377,6 +398,105 @@ class TestWalkOracle:
         assert new_gen.bit_generator.state == old_gen.bit_generator.state
         assert np.array_equal(new_gen.integers(0, 2**31, 5, dtype=np.uint32),
                               old_gen.integers(0, 2**31, 5, dtype=np.uint32))
+
+
+class FixedUniforms:
+    """A generator stand-in that hands out the given uniform arrays in turn."""
+
+    def __init__(self, *draws):
+        self.draws = [np.asarray(u, dtype=float) for u in draws]
+
+    def random(self, size):
+        u = self.draws.pop(0)
+        assert u.shape == (size,)
+        return u
+
+
+class TestWalkWidth:
+    """With two or more positive degrees the walk keeps its table in int32
+    unless n - 1 reaches 2**31; a census with more edges takes int64."""
+
+    # 2**31 + 1 edges: int32 would wrap the row's total weight
+    WIDE = DegreeStatistics({0: 2**31, 2**30: 1, 2**30 + 1: 1})
+
+    def test_first_draw_splits_at_its_exact_weight(self):
+        # P(D_1 = 2**30) = 2**30 / (2**31 + 1): the integer point
+        # floor(u * (2**31 + 1)) takes 2**30 below 2**30 and 2**30 + 1 from
+        # it on; the second step takes the other degree, the third a zero
+        w = 2**31 + 1
+        first = [0.0, (2**30 - 0.5) / w, (2**30 + 0.5) / w, 0.5,
+                 np.nextafter(1.0, 0.0)]
+        record = []
+        out = samplers._size_biased_walk(
+            self.WIDE, FixedUniforms(first, [0.5] * 5), 5, None, 3, record)
+        lo, hi = 2**30, 2**30 + 1
+        assert record[0].tolist() == [lo, lo, hi, hi, hi]
+        assert record[1].tolist() == [hi, hi, lo, lo, lo]
+        assert record[2].tolist() == [0] * 5
+        assert out.tolist() == [4] * 5
+
+    def test_walks_end_where_the_thresholds_reach_one(self):
+        # after both positive degrees lead + S is lead + 2**31 - 1, which
+        # makes the third threshold exactly one for either walk
+        rng = RngStream(57, 0)
+        heights = sample_mark_height_batch(self.WIDE, rng, 5)
+        sigmas = sample_stopping_index_batch(self.WIDE, rng, 5)
+        assert set(heights.tolist()) <= {0, 1, 2}
+        assert set(sigmas.tolist()) <= {2, 3}
+
+
+class TestWalkMemory:
+    """The walk's traced peak is bounded by the rows and steps it walks."""
+
+    @staticmethod
+    def peak(sampler, stats, reps):
+        sampler(stats, RngStream(58, 1), 10)  # lazy imports stay untraced
+        rng = RngStream(58, 0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            sampler(stats, rng, reps)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("sampler", [sample_mark_height_batch,
+                                         sample_stopping_index_batch])
+    def test_heavy_table_at_n4095(self, sampler):
+        # an int32 table of 18 degrees by 20,000 rows is 1.44 MB; compacting
+        # at half keeps at most one and a half of it live
+        stats = heavy_tailed_statistics(4095)
+        assert self.peak(sampler, stats, 20_000) <= 3.5e6
+
+    @pytest.mark.parametrize("sampler", [sample_mark_height_batch,
+                                         sample_stopping_index_batch])
+    def test_one_degree_histogram_at_n1048575(self, sampler):
+        # the walk stops after a few thousand of its million steps
+        stats = full_binary_statistics(1_048_575)
+        assert self.peak(sampler, stats, 20_000) <= 2e6
+
+
+class TestNegativeReps:
+    SAMPLERS = [sample_mark_height_batch, sample_stopping_index_batch,
+                sample_stopping_index_poissonized_batch]
+
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    @pytest.mark.parametrize("stats", [full_binary_statistics(15), MIXED,
+                                       DegreeStatistics({0: 1, 1: 4})])
+    def test_refused_before_any_draw(self, sampler, stats):
+        rng = RngStream(59, 0)
+        state = rng.gen.bit_generator.state
+        with pytest.raises(ValueError, match="reps"):
+            sampler(stats, rng, -1)
+        assert rng.gen.bit_generator.state == state
+
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    @pytest.mark.parametrize("stats", [full_binary_statistics(15), MIXED])
+    def test_zero_reps_give_empty_arrays(self, sampler, stats):
+        out = sampler(stats, RngStream(59, 0), 0)
+        for a in out if isinstance(out, tuple) else (out,):
+            assert a.shape == (0,)
 
 
 class ZeroUniforms:
