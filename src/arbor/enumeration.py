@@ -17,11 +17,14 @@ Counting facts used throughout (a = number of trees, n = number of nodes):
 The law of the threshold sampler index admits a closed form: with q_k the
 z^k coefficient of prod_{c>=1} (1 + c z)^{n(c)}, the probability that the
 first k size-biased draws from m candidates are all rejected is
-    s_k = q_k / C(m, k) = k! q_k / falling(m, k).
+    s_k = q_k / C(m, k) = k! q_k / perm(m, k).
 This is the usage-vector recursion summed in closed form (each usage vector w
-contributes multinomial(k; w) * prod c^{w(c)} * prod falling(n(c), w(c)),
-i.e. the z^k coefficient of the product of binomials).  One index law
-(`_index_law`) hands out the masses
+contributes multinomial(k; w) * prod c^{w(c)} * prod perm(n(c), w(c)),
+i.e. the z^k coefficient of the product of binomials).  One rule builds q,
+node by node: the largest class (c0, K0) starts it as the row C(K0, j) c0^j,
+and each other node of degree c maps q_j to q_j + c q_{j-1}.
+`_degree_polynomial` applies it in integers, `_stopping_survivals` in floats
+to s directly.  One index law (`_index_law`) hands out the masses
     s_k - s_{k+1} = (q_k (m - k) - q_{k+1} (k + 1)) / (C(m, k) (m - k)),
 each built in integers and reduced once, never as a difference of two
 reduced survival fractions; the mark height reads it at m = n, shifted down
@@ -117,14 +120,6 @@ def multinomial(total: int, parts: Sequence[int]) -> int:
     return out
 
 
-def falling(n: int, k: int) -> int:
-    """Falling factorial n (n-1) ... (n-k+1); zero once k exceeds n."""
-    out = 1
-    for j in range(k):
-        out *= n - j
-    return out
-
-
 def count_forests(stats: DegreeStatistics) -> int:
     """Number of forests of `stats.a` plane trees with the given statistics."""
     n = stats.n
@@ -178,7 +173,7 @@ def spine_probability(stats: DegreeStatistics, degrees: Sequence[int]) -> Fracti
     """P(mark depth >= k and the spine degrees equal `degrees`) for a uniform
     marked tree, as an exact rational.
 
-    Closed form: prod_i d_i * prod_c falling(n(c), w(c)) / falling(n, k).
+    Closed form: prod_i d_i * prod_c perm(n(c), w(c)) / perm(n, k).
     """
     if stats.a != 1:
         raise InvalidStatistics("spine probability needs single-tree statistics")
@@ -186,8 +181,8 @@ def spine_probability(stats: DegreeStatistics, degrees: Sequence[int]) -> Fracti
     k = len(degrees)
     num = math.prod(degrees)
     for c, used in usage.items():
-        num *= falling(stats.count(c), used)
-    return Fraction(num, falling(stats.n, k))
+        num *= math.perm(stats.count(c), used)
+    return Fraction(num, math.perm(stats.n, k))
 
 
 def enumerate_degree_statistics(max_nodes: int) -> Iterator[DegreeStatistics]:
@@ -272,63 +267,28 @@ def exact_mark_height_distribution(stats: DegreeStatistics) -> ExactDistribution
     return ExactDistribution.from_pmf(depth_law(enumerate_trees(stats)))
 
 
-def poly_mul(a: list, b: list) -> list:
-    """Schoolbook product of two coefficient lists, skipping zero terms."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
-
 def _degree_polynomial(stats: DegreeStatistics) -> list[int]:
-    """Coefficients of prod_{c>=1} (1 + c z)^{n(c)} as exact integers: a
-    balanced product of the binomial rows sum_j C(n(c), j) c^j z^j."""
-    rows = []
-    for c, k in stats.sorted_items():
-        if c == 0:
-            continue
-        row = [1]
-        for j in range(k):
-            row.append(row[-1] * (k - j) * c // (j + 1))
-        rows.append(row)
-    while len(rows) > 1:  # multiplied in pairs, round by round
-        rows = [poly_mul(*rows[i:i + 2]) if i + 1 < len(rows) else rows[i]
-                for i in range(0, len(rows), 2)]
-    return rows[0] if rows else [1]
-
-
-def repeat_time_survivals(stats: DegreeStatistics) -> Iterator[Fraction]:
-    """P(tau > k) for k = 0, 1, 2, ... of the Poisson repeat time tau.
-
-    Each arrival lands in one of n - 1 equal slots, d_i of them node i's;
-    tau is the first arrival on one of i's d_i - 1 left slots after any
-    arrival on i.  A k-sequence that does not fire splits by node into j
-    blocks, each a first hit then right-slot repeats, so P(tau > k) =
-    sum_j q_j j! S(k, j) / (n - 1)^k, S the Stirling numbers of the second
-    kind.  S grows a row per k, and q_j j! joins the weights as index j
-    enters the row."""
-    if stats.a != 1 or stats.n < 2:
-        raise InvalidStatistics("repeat time needs a single tree, n >= 2")
-    q = _degree_polynomial(stats)  # degree #internal
-    weight, row, den = [], [1], 1  # row[j] = S(k, j)
-    for k in itertools.count():
-        if k < len(q):
-            weight.append(q[k] * math.factorial(k))
-        yield Fraction(sum(w * s for w, s in zip(weight, row)), den)
-        row = [0] + [j * s + t for j, s, t in
-                     zip(range(1, len(q)), row[1:] + [0], row)]
-        den *= stats.n - 1
+    """Coefficients q of prod_{c>=1} (1 + c z)^{n(c)} as exact integers, by
+    the node-by-node rule of the module docstring."""
+    classes = sorted(((k, c) for c, k in stats.sorted_items() if c),
+                     reverse=True)
+    if not classes:
+        return [1]
+    (k0, c0), *rest = classes
+    q = [1]
+    for j in range(k0):
+        q.append(q[-1] * (k0 - j) * c0 // (j + 1))
+    for c in (c for k, c in rest for _ in range(k)):
+        q = [a + c * b for a, b in zip(q + [0], [0] + q)]
+    return q
 
 
 def _stopping_survivals(stats: DegreeStatistics) -> np.ndarray:
-    """P(sigma > j) = s_j = q_j / C(n - 1, j) for j <= #internal, in floats.
-    A node of degree c maps q_j to q_j + c q_{j-1}, so s_j to s_j + c w_j
-    s_{j-1}, w_j = j / (n - j).  The largest class (c0, K0) starts s as one
-    cumprod of c0 (K0 - j) / (n - 1 - j); each other node adds one step."""
+    """P(sigma > j) = s_j = q_j / C(n - 1, j) for j <= #internal, in floats,
+    by the node-by-node rule that builds q: a node of degree c maps q_j to
+    q_j + c q_{j-1}, so s_j to s_j + c w_j s_{j-1}, w_j = j / (n - j).  The
+    largest class (c0, K0) starts s as one cumprod of c0 (K0 - j) /
+    (n - 1 - j); each other node adds one step."""
     (k0, c0), *rest = sorted(((k, c) for c, k in stats.sorted_items() if c),
                              reverse=True)
     j = np.arange(k0 + sum(k for k, _ in rest) + 1.0)
@@ -347,11 +307,12 @@ def repeat_time_tails(stats: DegreeStatistics) -> Iterator[tuple[float, float, f
     O_{k+1}(j) = (j O_k(j) + (n - j) O_k(j - 1)) / (n - 1) from O_0 =
     delta_0, cut at j = P = #internal where P(sigma > j) ends.  As
     P(N_k = j) = C(n - 1, j) j! S(k, j) / (n - 1)^k, t = O_k . P(sigma > .)
-    is the Stirling sum of `repeat_time_survivals` term by term.  All terms
-    are positive and pass at most 4P + 3k + P + 1 roundings (survivals,
-    occupancy, dot), so t is within a relative delta_k = 2 (5P + 4k + 4)
-    2^-53 and hi = min(1, t (1 + delta_k)).  Below TAU_FLOOR subnormals
-    break that: lo = 0 and hi keeps its last value (the tail never rises)."""
+    is the exact sum_j q_j j! S(k, j) / (n - 1)^k term by term, S the
+    Stirling numbers of the second kind.  All terms are positive and pass at
+    most 4P + 3k + P + 1 roundings (survivals, occupancy, dot), so t is
+    within a relative delta_k = 2 (5P + 4k + 4) 2^-53 and hi = min(1,
+    t (1 + delta_k)).  Below TAU_FLOOR subnormals break that: lo = 0 and hi
+    keeps its last value (the tail never rises)."""
     if stats.a != 1 or stats.n < 2:
         raise InvalidStatistics("repeat time needs a single tree, n >= 2")
     s = _stopping_survivals(stats)

@@ -54,6 +54,10 @@ from .trees import (DegreeStatistics, MarkedTree, PlaneTree, _is_integer,
                     build_tree)
 
 _STRETCHED_CUTOFF = 20_000  # exp(-sqrt(k)) is below 1e-60 past this
+# sum of exp(-sqrt(k)) over 1 <= k < _STRETCHED_CUTOFF: the stretched law's
+# tail mass is coef times this
+_STRETCHED_SUM = float(np.sum(np.exp(-np.sqrt(
+    np.arange(1, _STRETCHED_CUTOFF)))))
 
 # Euler-Maclaurin denominators (2j)! / B_2j of the Hurwitz zeta tail
 _EM_TERMS = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
@@ -133,7 +137,9 @@ def _size_biased_walk(stats: DegreeStatistics, gen: np.random.Generator,
     uniform permutation of that histogram, spread out into rows, gives
     their arrangement.  Such a walk draws one binomial per step, one
     O(reps) shuffle and no uniforms, and its histogram is only as long as
-    the steps it takes: about sqrt(n) of them, not n.
+    the steps it takes: about sqrt(n) of them, not n.  With c <= 1 a zero
+    threshold never rises (the stopping walk on a path), so the walk stops
+    at once; the binomials it skips would draw nothing.
 
     Otherwise the state is a B x reps table of remaining edge weight
     c * (remaining count of c) over the B distinct positive degrees, one
@@ -172,6 +178,8 @@ def _size_biased_walk(stats: DegreeStatistics, gen: np.random.Generator,
     for i in range(1, last + 1):
         if lead is not None:
             if shared:
+                if top == 0 and c <= 1:
+                    break  # a zero threshold that can never rise (paths)
                 hits.append(gen.binomial(live, top / (last + 1 - i)))
                 live -= hits[i]
             else:
@@ -459,8 +467,7 @@ class OffspringDistribution:
         k = np.arange(1, _STRETCHED_CUTOFF)
         w = np.exp(-np.sqrt(k))
         coef = mean / float(np.dot(k, w))
-        mass = coef * float(np.sum(w))
-        if mass >= 1:
+        if coef * _STRETCHED_SUM >= 1:
             raise InvalidDistribution("stretched tail mass reaches one")
         return cls("stretched", (float(coef), float(mean)), None,
                    f"stretched_exp(mean={mean})")
@@ -519,8 +526,7 @@ class OffspringDistribution:
             coef, _ = self.params
             out = np.zeros(top + 1)
             out[1:] = coef * np.exp(-np.sqrt(k[1:]))
-            out[0] = 1.0 - coef * float(np.sum(
-                np.exp(-np.sqrt(np.arange(1, _STRETCHED_CUTOFF)))))
+            out[0] = 1.0 - coef * _STRETCHED_SUM
             return out
         if self.kind == "anchored":
             anchor, anchor_mass, tail_start, coef, alpha, _ = self.params

@@ -5,7 +5,8 @@ brute-force tree enumeration, the binomial closed forms, and a direct
 probabilistic recursion over the size-biased degree process that shares no
 code with either.  Frozen copies of the earlier per-factor, falling-factorial
 law code and of the survival-differencing code pin the closed forms bit for
-bit at sizes enumeration cannot reach.
+bit at sizes enumeration cannot reach, and the node-by-node degree
+polynomial must equal the frozen balanced product of per-class rows.
 """
 
 import inspect
@@ -28,12 +29,15 @@ from arbor.enumeration import (ENUMERATION_CAP, TAU_FLOOR, ExactDistribution,
                                enumerate_trees_of_size,
                                exact_mark_height_distribution,
                                exact_stopping_index_distribution,
-                               exact_threshold_sampler_distribution, falling,
-                               multinomial, poly_mul, repeat_time_survivals,
-                               repeat_time_tails, spine_probability)
+                               exact_threshold_sampler_distribution,
+                               multinomial, repeat_time_tails,
+                               spine_probability)
 from arbor.errors import InvalidStatistics, TooLarge, UsageExceeded
 from arbor.harness import full_binary_statistics, heavy_tailed_statistics
 from arbor.trees import DegreeStatistics, MarkedTree
+
+from polynomial_reference import (pairwise_degree_polynomial, poly_mul,
+                                  repeat_time_survivals)
 
 
 def catalan(m: int) -> int:
@@ -125,7 +129,7 @@ def _per_factor_polynomial(stats):
 
 def _falling_survival(poly, m):
     return [Fraction(math.factorial(k) * (poly[k] if k < len(poly) else 0),
-                     falling(m, k)) for k in range(m + 1)]
+                     math.perm(m, k)) for k in range(m + 1)]
 
 
 def threshold_law_by_falling(stats):
@@ -191,11 +195,6 @@ def _random_classes_with_ones(count, seed):
 # ---------------------------------------------------------------------------
 
 class TestCounting:
-    def test_falling_factorial(self):
-        assert falling(5, 0) == 1
-        assert falling(5, 2) == 20
-        assert falling(3, 4) == 0
-
     def test_multinomial(self):
         assert multinomial(4, [2, 1, 1]) == 12
         with pytest.raises(ValueError):
@@ -438,6 +437,43 @@ class TestPolyMul:
         assert poly_mul([Fraction(1, 2)], [2, 4]) == [1, 2]
         assert poly_mul([1, 0, 0, 5], [1, 1]) == [1, 1, 0, 5, 5]
         assert poly_mul([0, 0, 7], [1]) == [0, 0, 7]
+
+
+class TestDegreePolynomial:
+    """The node-by-node q equals the frozen balanced product of per-class
+    binomial rows, integer for integer."""
+
+    def test_every_small_class(self):
+        classes = all_stats_upto(12)
+        assert len(classes) == 195  # one per partition of n - 1, n <= 12
+        for stats in classes:
+            assert (_degree_polynomial(stats)
+                    == pairwise_degree_polynomial(stats)), stats.counts
+
+    @pytest.mark.parametrize("census", [full_binary_statistics,
+                                        heavy_tailed_statistics])
+    @pytest.mark.parametrize("n", [127, 255, 511, 1023, 2047, 4095])
+    def test_censuses(self, census, n):
+        stats = census(n)
+        assert _degree_polynomial(stats) == pairwise_degree_polynomial(stats)
+
+    def test_one_node_of_each_degree(self):
+        counts = {c: 1 for c in range(2, 400)}
+        counts[0] = 1 + sum(c - 1 for c in counts)
+        stats = DegreeStatistics(counts)
+        q = _degree_polynomial(stats)
+        assert len(q) == 399 and q[-1] == math.prod(range(2, 400))
+        assert q == pairwise_degree_polynomial(stats)
+
+    def test_forest(self):
+        stats = DegreeStatistics({0: 5, 2: 2})
+        assert stats.a == 3
+        assert _degree_polynomial(stats) == [1, 4, 4]
+        assert pairwise_degree_polynomial(stats) == [1, 4, 4]
+
+    def test_single_node(self):
+        assert _degree_polynomial(DegreeStatistics({0: 1})) == [1]
+        assert pairwise_degree_polynomial(DegreeStatistics({0: 1})) == [1]
 
 
 def repeat_time_survival_by_brute_force(stats, k):

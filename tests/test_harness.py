@@ -19,8 +19,7 @@ import pytest
 from arbor import harness, samplers
 from arbor.bounds import BoundInput
 from arbor.enumeration import (TAU_FLOOR, enumerate_degree_statistics,
-                               enumerate_trees, repeat_time_survivals,
-                               repeat_time_tails)
+                               enumerate_trees, repeat_time_tails)
 from arbor.errors import BadParameters, PathDegenerate, ZeroPartition
 from arbor.harness import (_CLASS_LAWS, _LADDERS, CONCENTRATION_CLASSES,
                            CSV_COLUMNS, Cell, ExperimentConfig,
@@ -34,6 +33,7 @@ from arbor.trees import DegreeStatistics, MarkedTree
 from arbor.weights import (WeightSequence, limit_degree_law,
                            simply_generated_sampler, solve_critical_tilt,
                            tilted_law)
+from polynomial_reference import repeat_time_survivals
 from test_golden import RUNS as GOLDEN_RUNS
 
 

@@ -23,8 +23,7 @@ from scipy.special import zeta
 import arbor.samplers as samplers
 from arbor.enumeration import (enumerate_trees, enumerate_trees_of_size,
                                exact_stopping_index_distribution,
-                               exact_threshold_sampler_distribution,
-                               repeat_time_survivals)
+                               exact_threshold_sampler_distribution)
 from arbor.errors import (AttemptsExhausted, InvalidDistribution,
                           InvalidStatistics, ZeroPartition)
 from arbor.harness import (_CLASS_LAWS, _LADDERS, full_binary_statistics,
@@ -45,6 +44,7 @@ from arbor.weights import WeightSequence, solve_critical_tilt, tilted_law
 
 from chisq import chi_square_gof, chi_square_two_sample
 from poisson_reference import interval_poissonized_batch
+from polynomial_reference import repeat_time_survivals
 
 STATS = DegreeStatistics({0: 3, 1: 1, 2: 2})  # n = 6, ten trees
 P_FLOOR = 1e-3
@@ -536,6 +536,41 @@ class TestZeroUniform:
     def test_mark_walk_stops_at_the_first_index(self, stats):
         # lead 1 makes the first threshold 1 / n, so i = 1 accepts: height 0
         assert np.all(sample_mark_height_batch(stats, self.rng, 4) == 0)
+
+
+class CountingBinomials:
+    """A generator stand-in that counts binomial draws and hands every
+    draw to a real generator."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.binomials = 0
+
+    def random(self, size):
+        return self.gen.random(size)
+
+    def binomial(self, n, p):
+        self.binomials += 1
+        return self.gen.binomial(n, p)
+
+    def permutation(self, x):
+        return self.gen.permutation(x)
+
+
+def test_path_stopping_walk_returns_at_once():
+    """On a path the stopping walk's threshold is 0 at every step and never
+    rises, so the walk takes no step: no binomial, every row at the
+    sentinel n, and the generator left as the final shuffle alone leaves
+    it."""
+    n, reps = 1_000_000, 1000
+    gen = CountingBinomials(RngStream(1, 0).gen)
+    out = sample_stopping_index_batch(DegreeStatistics({0: 1, 1: n - 1}),
+                                      types.SimpleNamespace(gen=gen), reps)
+    assert gen.binomials == 0
+    assert out.dtype == np.int64 and np.all(out == n)
+    ref = RngStream(1, 0).gen
+    ref.permutation(np.full(reps, n))
+    assert gen.gen.bit_generator.state == ref.bit_generator.state
 
 
 ONE_DEGREE_LAW_CLASSES = {

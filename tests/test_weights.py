@@ -17,7 +17,7 @@ from scipy.special import zeta
 from arbor import samplers
 from arbor import weights as weights_module
 from arbor.enumeration import (count_forests, enumerate_degree_statistics,
-                               enumerate_trees_of_size, poly_mul)
+                               enumerate_trees_of_size)
 from arbor.errors import (BadParameters, Diverged, OutOfDomain, PhiDiverges,
                           RhoUnknown, TooLarge, ZeroPartition)
 from arbor.rng import RngStream
@@ -32,6 +32,7 @@ from arbor.weights import (WeightSequence, concentrate_degrees,
                            tilt_invariance_check, tilted_law)
 
 from chisq import chi_square_gof
+from polynomial_reference import poly_mul
 
 BINARY = WeightSequence.from_list([1, 0, 1])
 ALL_ONES = WeightSequence.from_list([1] * 9)
