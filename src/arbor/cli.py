@@ -78,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="exhaustive small-n equivalence suite")
     p.add_argument("--max-n", type=int, default=8,
                    help="largest node count, at most 10 (default 8)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="report base path")
 
     p = sub.add_parser("tails", help="Monte Carlo height and sigma tails, "
@@ -141,8 +140,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "equiv":
-            return _emit(run_equivalence_suite(args.max_n, seed=args.seed),
-                         args.out)
+            return _emit(run_equivalence_suite(args.max_n), args.out)
         if args.command == "tails":
             grid = _parse_list(args.grid, float, "empty grid") or DEFAULT_BETAS
             report = run_tail_sweep(_load_stats(args.stats), betas=grid,

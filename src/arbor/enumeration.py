@@ -121,13 +121,9 @@ def multinomial(total: int, parts: Sequence[int]) -> int:
 
 
 def count_forests(stats: DegreeStatistics) -> int:
-    """Number of forests of `stats.a` plane trees with the given statistics."""
-    n = stats.n
-    num = stats.a * math.factorial(n - 1)
-    den = 1
-    for _, k in stats.sorted_items():
-        den *= math.factorial(k)
-    q, r = divmod(num, den)
+    """Number of forests of `stats.a` plane trees with the given statistics:
+    a / n of `count_marked_first_tree`."""
+    q, r = divmod(stats.a * count_marked_first_tree(stats), stats.n)
     if r:
         raise InvalidStatistics(f"count formula not integral for {stats.counts}")
     return q
@@ -152,21 +148,17 @@ def usage_vector(stats: DegreeStatistics, degrees: Sequence[int]) -> Counter:
 
 
 def count_spine_class(stats: DegreeStatistics, degrees: Sequence[int]) -> int:
-    """Marked trees whose root-to-mark path starts with the given degrees.
+    """Marked trees whose root-to-mark path starts with the given degrees:
+    `spine_probability` times `count_marked_first_tree`.
 
     The mark must sit at depth >= len(degrees); entry j of `degrees` is the
     out-degree of the depth-j node on the path.
     """
     if stats.a != 1:
         raise InvalidStatistics("spine counting needs single-tree statistics")
-    usage = usage_vector(stats, degrees)
-    k = len(degrees)
-    prod = math.prod(degrees)
-    if prod == 0:
-        return 0
-    remaining = [stats.count(c) - usage.get(c, 0)
-                 for c in sorted(set(stats.counts) | set(usage))]
-    return prod * multinomial(stats.n - k, remaining)
+    count = spine_probability(stats, degrees) * count_marked_first_tree(stats)
+    assert count.denominator == 1, "spine class count is not an integer"
+    return count.numerator
 
 
 def spine_probability(stats: DegreeStatistics, degrees: Sequence[int]) -> Fraction:
@@ -186,19 +178,24 @@ def spine_probability(stats: DegreeStatistics, degrees: Sequence[int]) -> Fracti
 
 
 def enumerate_degree_statistics(max_nodes: int) -> Iterator[DegreeStatistics]:
-    """All single-tree degree statistics with at most max_nodes nodes.
+    """All single-tree degree statistics with at most max_nodes nodes, in
+    increasing node count, each size as `_statistics_of_size` lists it."""
+    for n in range(1, max_nodes + 1):
+        yield from _statistics_of_size(n)
+
+
+def _statistics_of_size(n: int) -> Iterator[DegreeStatistics]:
+    """All single-tree degree statistics with exactly n nodes.
 
     Internal degrees of an n-node tree form a partition of n - 1 into parts
-    >= 1; leaves fill the remainder.  Yielded in increasing node count, then
-    lexicographic partition order.
+    >= 1; leaves fill the remainder.  Yielded in lexicographic partition
+    order.
     """
-    yield DegreeStatistics({0: 1})
-    for n in range(2, max_nodes + 1):
-        for partition in _partitions(n - 1):
-            counts = Counter(partition)
-            counts[0] = n - len(partition)
-            if counts[0] >= 1:
-                yield DegreeStatistics(counts)
+    for partition in _partitions(n - 1):
+        counts = Counter(partition)
+        counts[0] = n - len(partition)
+        if counts[0] >= 1:
+            yield DegreeStatistics(counts)
 
 
 def _partitions(total: int, smallest: int = 1) -> Iterator[tuple[int, ...]]:
@@ -248,9 +245,8 @@ def enumerate_trees_of_size(n: int) -> Iterator[PlaneTree]:
     """All plane trees on exactly n nodes (every degree statistics)."""
     if n > ENUMERATION_CAP:
         raise TooLarge(f"{n} nodes exceeds enumeration cap {ENUMERATION_CAP}")
-    for stats in enumerate_degree_statistics(n):
-        if stats.n == n:
-            yield from enumerate_trees(stats)
+    for stats in _statistics_of_size(n):
+        yield from enumerate_trees(stats)
 
 
 def depth_law(trees) -> dict[int, Fraction]:

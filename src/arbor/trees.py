@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvalidStatistics, InvalidWord, KTooLarge
+from .errors import InvalidStatistics, InvalidWord, KTooLarge, OutOfRange
 
 
 class Norms(NamedTuple):
@@ -264,8 +264,11 @@ class MarkedTree:
         """Degrees of the first k strict ancestors on the root-to-mark path.
 
         Entry j is the degree of the depth-j node on the path, so all entries
-        are >= 1.  Raises KTooLarge when k exceeds the mark's depth.
+        are >= 1.  Raises OutOfRange for k < 0 and KTooLarge when k exceeds
+        the mark's depth.
         """
+        if k < 0:
+            raise OutOfRange(f"asked for {k} spinal degrees")
         if k > self.mark_depth:
             raise KTooLarge(
                 f"asked for {k} spinal degrees, mark depth is {self.mark_depth}"

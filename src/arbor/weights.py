@@ -24,8 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .enumeration import (ENUMERATION_CAP, count_forests,
-                          enumerate_degree_statistics)
+from .enumeration import ENUMERATION_CAP, _statistics_of_size, count_forests
 from .errors import (Diverged, OutOfDomain, PhiDiverges, RhoUnknown,
                      TooLarge, BadParameters, ZeroPartition)
 from .rng import RngStream
@@ -605,9 +604,7 @@ def _class_weights(w: WeightSequence, n: int) -> dict:
     """Each n-node statistics class of positive weight -> its tree count
     times the common weight prod_c w_c^{n(c)} of its trees."""
     table = {}
-    for stats in enumerate_degree_statistics(n):
-        if stats.n != n:
-            continue
+    for stats in _statistics_of_size(n):
         wt = count_forests(stats) * statistics_weight(w, stats)
         if wt > 0:
             table[stats] = wt

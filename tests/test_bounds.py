@@ -35,7 +35,6 @@ class TestBoundInput:
         inp = inp_for({0: 5, 2: 4})
         assert (inp.p1, inp.p2sq, inp.n1, inp.n) == (8, 16, 0, 9)
         assert inp.v == Fraction(16, 8)
-        assert inp.dmax == 2
         assert inp.branch_scale == pytest.approx(8 / 4)
 
     def test_v_is_exact_for_near_path_statistics(self):
@@ -152,6 +151,12 @@ class TestRepeatTimeBound:
     def test_vacuous_below_floor(self):
         inp = inp_for({0: 5, 2: 4})
         assert repeat_time_tail_bound(inp, 10.0) == 1.0
+
+    def test_vacuous_at_floor(self):
+        # the floor is shared with the height bound: neither holds there
+        inp = BoundInput.from_stats(DegreeStatistics({0: 64, 2: 63}))
+        assert repeat_time_tail_bound(inp, BETA_FLOOR) == 1.0
+        assert height_tail_bound(inp, BETA_FLOOR) == 1.0
 
     @given(st.floats(71.0, 1e5), st.floats(1.001, 3.0))
     def test_monotone_in_beta(self, beta, step):

@@ -36,6 +36,16 @@ def test_equiv_prints_report_and_exits_zero(capsys):
     assert doc["config"]["kind"] == "equivalence"
 
 
+def test_equiv_takes_no_seed(capsys):
+    # the suite draws nothing at random; its config records seed 0
+    with pytest.raises(SystemExit) as exit_info:
+        main(["equiv", "--max-n", "3", "--seed", "1"])
+    assert exit_info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    main(["equiv", "--max-n", "3"])
+    assert json.loads(capsys.readouterr().out)["config"]["seed"] == 0
+
+
 def test_equiv_rejects_oversized_request(capsys):
     code = main(["equiv", "--max-n", "99"])
     assert code == 2

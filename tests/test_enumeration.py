@@ -239,6 +239,24 @@ class TestCounting:
     def test_trees_of_size(self):
         assert len(list(enumerate_trees_of_size(5))) == catalan(4)
 
+    def test_statistics_of_one_size_are_the_filtered_list(self):
+        """Each size is listed in one place; the frozen all-sizes listing,
+        filtered to one size, gives the same classes in the same order."""
+        def frozen(max_nodes):
+            yield DegreeStatistics({0: 1})
+            for n in range(2, max_nodes + 1):
+                for partition in enumeration._partitions(n - 1):
+                    counts = Counter(partition)
+                    counts[0] = n - len(partition)
+                    if counts[0] >= 1:
+                        yield DegreeStatistics(counts)
+
+        for n in range(1, 15):
+            want = list(frozen(n))
+            assert list(enumerate_degree_statistics(n)) == want
+            assert list(enumeration._statistics_of_size(n)) \
+                == [s for s in want if s.n == n]
+
     def test_statistics_enumeration_counts_partitions(self):
         # single-tree statistics on n nodes biject with partitions of n - 1
         per_n = Counter(s.n for s in all_stats_upto(9))

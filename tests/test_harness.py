@@ -160,7 +160,7 @@ class TestReferenceStatistics:
 
 class TestEquivalenceSuite:
     def test_small_run_passes(self):
-        report = run_equivalence_suite(max_n=5, seed=0)
+        report = run_equivalence_suite(max_n=5)
         assert report.passed
         # four comparison cells per statistics class, twelve classes
         assert len(report.cells) == 48
@@ -194,7 +194,7 @@ class TestEquivalenceSuite:
 
         monkeypatch.setattr(harness, "enumerate_trees", counting)
         monkeypatch.setattr(enumeration, "enumerate_trees", counting)
-        report = run_equivalence_suite(max_n=6, seed=0)
+        report = run_equivalence_suite(max_n=6)
         assert report.passed
         assert len(seen) == len(report.cells) // 4
         assert set(seen.values()) == {1}

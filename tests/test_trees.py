@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from arbor.enumeration import enumerate_trees_of_size
-from arbor.errors import InvalidStatistics, InvalidWord, KTooLarge
+from arbor.errors import InvalidStatistics, InvalidWord, KTooLarge, OutOfRange
 from arbor.rng import RngStream
 from arbor.samplers import OffspringDistribution, conditioned_sampler
 from arbor.trees import (DegreeStatistics, MarkedTree, PlaneTree, build_tree,
@@ -386,6 +386,13 @@ class TestMarkedTree:
         assert mt.spinal_degrees(2) == (2, 1)
         with pytest.raises(KTooLarge):
             mt.spinal_degrees(3)
+
+    def test_spinal_degrees_refuse_negative_k(self):
+        # a negative k must not slice the ancestry from its end
+        mt = MarkedTree(build_tree([2, 1, 0, 0]), 2)
+        for k in (-1, -2, -3):
+            with pytest.raises(OutOfRange):
+                mt.spinal_degrees(k)
 
     @given(degree_words(), st.integers(0, 30))
     def test_spinal_degrees_are_positive(self, word, mark_raw):
