@@ -125,8 +125,8 @@ def repeat_time_tail_bound(inp: BoundInput, beta: float) -> float:
 def _pair_terms(t: float, degrees: Sequence[int]):
     """(n, the degrees >= 2, their largest dmax (0 if none), v) for the
     pair-survival forms, where v = sum of the squared big degrees over
-    n - 1; refuses t < 0, then fewer than two nodes."""
-    if t < 0:
+    n - 1; refuses t < 0 and NaN, then fewer than two nodes."""
+    if not t >= 0:
         raise OutOfRange("t must be non-negative")
     n = len(degrees)
     if n < 2:
@@ -138,8 +138,10 @@ def _pair_terms(t: float, degrees: Sequence[int]):
 def pair_survival(t: float, degrees: Sequence[int]) -> float:
     """prod over degrees d_i >= 2 of (1 + p_i t) e^{-p_i t} with
     p_i = d_i / (2(n-1)): the probability that no interval has collected two
-    arrivals by Poisson time t, in product form."""
+    arrivals by Poisson time t, in product form; t = inf is refused."""
     n, big, _, _ = _pair_terms(t, degrees)
+    if math.isinf(t):
+        raise OutOfRange("t must be finite")
     out = 1.0
     for d in big:
         p = d / (2 * (n - 1))
@@ -147,10 +149,10 @@ def pair_survival(t: float, degrees: Sequence[int]) -> float:
     return out
 
 
-def pair_survival_log_series(t: float, degrees: Sequence[int],
-                             terms: int = 60) -> float:
+def pair_survival_log_series(t: float, degrees: Sequence[int]) -> float:
     """log pair_survival as the alternating power series
-    sum_{k>=2} ((-1)^{k+1}/k) sum_i (p_i t)^k, valid for t < 2(n-1)/dmax."""
+    sum_{k>=2} ((-1)^{k+1}/k) sum_i (p_i t)^k cut after 60 terms, valid for
+    t < 2(n-1)/dmax."""
     n, big, dmax, _ = _pair_terms(t, degrees)
     if not big:
         return 0.0
@@ -158,7 +160,7 @@ def pair_survival_log_series(t: float, degrees: Sequence[int],
         raise OutOfRange("series only converges for t < 2(n-1)/dmax")
     x = [d * t / (2 * (n - 1)) for d in big]
     total = 0.0
-    for k in range(2, terms + 2):
+    for k in range(2, 62):
         total += ((-1) ** (k + 1) / k) * sum(xi ** k for xi in x)
     return total
 
@@ -190,10 +192,12 @@ def pair_survival_log_band(t: float, degrees: Sequence[int]) -> tuple[float, flo
 
 def poisson_tail_bound(t: float, h: float) -> float:
     """exp(-t ((h/t) log(h/t) - h/t + 1)), an upper bound on
-    P(Poisson(t) > h) valid for h >= t > 0."""
+    P(Poisson(t) > h) valid for finite h >= t > 0."""
     if t <= 0:
         raise OutOfRange("t must be positive")
     if h < t:
         raise OutOfRange("bound only valid for h >= t")
+    if not (math.isfinite(t) and math.isfinite(h)):
+        raise OutOfRange("t and h must be finite")
     r = h / t
     return math.exp(-t * (r * math.log(r) - r + 1))

@@ -614,28 +614,26 @@ def _truncated_masses(mu: OffspringDistribution, n: int) -> np.ndarray:
 
 def _reachable_sum(coins: Sequence[int], target: int) -> bool:
     """Can `target` be written as a sum of the given positive integers,
-    with repetition?  Bitset dynamic programming."""
+    with repetition?  A bitset of the sums up to `target`: coin c joins in
+    the doubling shifts c, 2c, 4c, ..., after which the set holds every
+    earlier sum plus any multiple of c, so a coin costs O(log(target / c))
+    shifts.  A coin that is already a sum of smaller ones adds nothing and
+    is skipped.  Cheap enough at n = 10^6 to run on every call, uncached.
+    """
     if target == 0:
         return True
     reach = 1
     mask = (1 << (target + 1)) - 1
     for c in sorted(set(coins)):
-        if c <= 0 or c > target:
+        if c <= 0 or c > target or (reach >> c) & 1:
             continue
-        prev = -1
-        while prev != reach:
-            prev = reach
-            reach = (reach | (reach << c)) & mask
+        shift = c
+        while shift <= target:
+            reach = (reach | (reach << shift)) & mask
+            shift *= 2
         if (reach >> target) & 1:
             return True
     return bool((reach >> target) & 1)
-
-
-@functools.lru_cache(maxsize=64)
-def _reachable_support(coins: tuple[int, ...], target: int) -> bool:
-    """`_reachable_sum` once per (support, target), for samplers that
-    check it on every tree."""
-    return _reachable_sum(coins, target)
 
 
 def expected_rejection_rows(mu: OffspringDistribution, n: int) -> float | None:
@@ -686,12 +684,13 @@ def sample_conditioned_bienayme(mu: OffspringDistribution, n: int,
     about 2 ms.
 
     Raises ZeroPartition before the first proposal when n - 1 is not a sum
-    of positive degrees with mass below n (with mass at degree 1 every
-    target is reachable, so the check is skipped).
+    of positive degrees with mass below n.  `_reachable_sum` decides this
+    on every call, uncached; with mass at degree 1 every target is
+    reachable, so the check is skipped.
     """
     q = _truncated_masses(mu, n)
-    if n > 1 and q[1] == 0 and not _reachable_support(
-            tuple((np.flatnonzero(q[1:]) + 1).tolist()), n - 1):
+    if n > 1 and q[1] == 0 and not _reachable_sum(
+            (np.flatnonzero(q[1:]) + 1).tolist(), n - 1):
         raise ZeroPartition(
             f"sum {n - 1} is unreachable with this offspring law")
     gen = rng.gen

@@ -44,12 +44,12 @@ def _is_integer(v) -> bool:
 class DegreeStatistics:
     """Sparse degree counts c -> n(c) for a forest of `trees` plane trees.
 
-    Counts with value zero are dropped.  The tree count is derived from the
-    counts; passing `trees` explicitly just asserts the expected value.
+    Counts with value zero are dropped.  The tree count `trees` is derived
+    from the counts and stored, never passed.
     """
 
     counts: Mapping[int, int]
-    trees: int = field(default=-1)
+    trees: int = field(init=False)
 
     def __post_init__(self):
         cleaned = {}
@@ -69,10 +69,6 @@ class DegreeStatistics:
         if derived < 1:
             raise InvalidStatistics(
                 f"counts {cleaned} give tree count {derived}, need >= 1"
-            )
-        if self.trees not in (-1, derived):
-            raise InvalidStatistics(
-                f"counts {cleaned} give tree count {derived}, not {self.trees}"
             )
         object.__setattr__(self, "counts", cleaned)
         object.__setattr__(self, "trees", derived)

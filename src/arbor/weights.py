@@ -127,8 +127,7 @@ class WeightSequence:
         return math.exp(-best), True
 
     def is_rational(self) -> bool:
-        return self.explicit is not None and all(_is_exact(v) or isinstance(v, int)
-                                                 for v in self.explicit)
+        return self.explicit is not None and all(map(_is_exact, self.explicit))
 
     def to_json(self) -> dict:
         if self.explicit is None:
@@ -383,17 +382,16 @@ def nu_sigma_sq(w: WeightSequence) -> tuple[float, float]:
     return float(last), math.inf
 
 
-def limit_degree_law(w: WeightSequence,
-                     top: int | None = None) -> OffspringDistribution:
+def limit_degree_law(w: WeightSequence) -> OffspringDistribution:
     """The probability law pi(k) = w_k rho^k / Phi(rho).
 
     rho = 0 degenerates to the point mass at zero.  Finite support (rho
     infinite) and boundary-divergent Phi both raise PhiDiverges; callers
-    should tilt below rho instead.  `top` forces the mass vector to extend
-    at least that far (the remainder is renormalised away).
+    should tilt below rho instead.
 
-    The masses stop at the first k >= max(8, top) whose partial sum is
-    within 1e-12 of one.  Like the series of `_series_sum` they come in
+    The masses stop at the first k >= 8 whose partial sum is within 1e-12
+    of one (at the latest at _SERIES_CAP; the remainder is renormalised
+    away).  Like the series of `_series_sum` they come in
     `_scalar_blocks`, float(w_k) and rho^k as Python scalars, with the
     partial sums by np.add.accumulate, so the stop and every mass are
     bit-identical to a term-by-term loop.
@@ -409,14 +407,12 @@ def limit_degree_law(w: WeightSequence,
         raise PhiDiverges(f"Phi diverges at rho={rho}") from exc
     masses = []
     partial = 0.0
-    hi = _SERIES_CAP if top is None else max(top, 64)
-    first = max(8, top or 0)
-    for ks, wks, pks, error in _scalar_blocks(w.weight, rho, hi + 1,
+    for ks, wks, pks, error in _scalar_blocks(w.weight, rho, _SERIES_CAP + 1,
                                               diverge=False):
         with np.errstate(over="ignore", invalid="ignore"):
             block = wks * pks / total
             partials = np.add.accumulate(np.concatenate(([partial], block)))[1:]
-        done = np.flatnonzero((ks >= first) & (1.0 - partials < 1e-12))
+        done = np.flatnonzero((ks >= 8) & (1.0 - partials < 1e-12))
         if done.size:
             masses.extend(block[:done[0] + 1].tolist())
             break
@@ -629,8 +625,7 @@ def exact_tree_law(w: WeightSequence, n: int) -> dict[DegreeStatistics, Fraction
     weights, by enumeration.  Small n only."""
     if n > ENUMERATION_CAP:
         raise TooLarge(f"exact law needs n <= {ENUMERATION_CAP}")
-    if not all(_is_exact(w.weight(k)) or isinstance(w.weight(k), int)
-               for k in range(n)):
+    if not all(_is_exact(w.weight(k)) for k in range(n)):
         raise OutOfDomain("exact law needs rational weights")
     table = _class_weights(w, n)
     total = Fraction(sum(table.values()))

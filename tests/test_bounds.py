@@ -192,7 +192,7 @@ class TestPairSurvival:
             return
         n = len(degrees)
         t = frac * 1.3 * (n - 1) / max(big)
-        series = pair_survival_log_series(t, degrees, terms=60)
+        series = pair_survival_log_series(t, degrees)
         assert abs(math.log(pair_survival(t, degrees)) - series) < 1e-10
 
     @given(degree_lists, st.floats(0.0, 1.0))
@@ -226,6 +226,18 @@ class TestPairSurvival:
         with pytest.raises(OutOfRange):
             pair_survival(0.0, [0])  # single node
 
+    @pytest.mark.parametrize("form", [pair_survival, pair_survival_log_series,
+                                      pair_survival_upper,
+                                      pair_survival_log_band])
+    def test_nan_time_is_refused(self, form):
+        with pytest.raises(OutOfRange, match="t must be non-negative"):
+            form(math.nan, [2, 0, 0])
+
+    def test_infinite_time_is_refused_by_the_product(self):
+        # the product computed inf * 0 = nan here
+        with pytest.raises(OutOfRange, match="t must be finite"):
+            pair_survival(math.inf, [2, 0, 0])
+
 
 class TestPoissonTailBound:
     def test_boundary_is_one(self):
@@ -249,3 +261,12 @@ class TestPoissonTailBound:
             poisson_tail_bound(5.0, 4.0)
         with pytest.raises(OutOfRange):
             poisson_tail_bound(0.0, 1.0)
+
+    @pytest.mark.parametrize("t, h", [(1.0, math.nan), (math.nan, 1.0),
+                                      (math.nan, math.nan), (1.0, math.inf),
+                                      (math.inf, math.inf),
+                                      (-math.inf, 1.0), (1.0, -math.inf)])
+    def test_non_finite_arguments_are_refused(self, t, h):
+        # NaN and an infinite h with finite t returned nan before
+        with pytest.raises(OutOfRange):
+            poisson_tail_bound(t, h)

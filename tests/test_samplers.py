@@ -8,6 +8,7 @@ come from the enumeration module, which has its own independent oracles.
 import hashlib
 import importlib.util
 import math
+import time
 import tracemalloc
 import types
 from collections import Counter
@@ -40,7 +41,8 @@ from arbor.samplers import (OffspringDistribution, _hurwitz, block_sizes,
                             sample_stopping_index_poissonized_batch,
                             sample_uniform_marked_tree, sample_uniform_tree)
 from arbor.trees import DegreeStatistics, build_tree
-from arbor.weights import WeightSequence, solve_critical_tilt, tilted_law
+from arbor.weights import (WeightSequence, simply_generated_sampler,
+                           solve_critical_tilt, tilted_law)
 
 from chisq import chi_square_gof, chi_square_two_sample
 from poisson_reference import interval_poissonized_batch
@@ -552,6 +554,22 @@ class CountingBinomials:
     def binomial(self, n, p):
         self.binomials += 1
         return self.gen.binomial(n, p)
+
+    def permutation(self, x):
+        return self.gen.permutation(x)
+
+
+class CountingMultinomials:
+    """A generator stand-in that counts multinomial draws and hands every
+    draw to a real generator."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.multinomials = 0
+
+    def multinomial(self, n, pvals, size=None):
+        self.multinomials += 1
+        return self.gen.multinomial(n, pvals, size=size)
 
     def permutation(self, x):
         return self.gen.permutation(x)
@@ -1078,28 +1096,20 @@ class TestHurwitzZeta:
 
 
 class TestConditionedBienayme:
-    def test_reachability_is_decided_once_per_support_and_size(self,
-                                                              monkeypatch):
-        calls = []
-        real = samplers._reachable_sum
-        monkeypatch.setattr(samplers, "_reachable_sum",
-                            lambda coins, target: calls.append(
-                                (coins, target)) or real(coins, target))
-        samplers._reachable_support.cache_clear()
+    def test_size_check_is_uncached_and_comes_before_any_proposal(self):
+        assert not hasattr(samplers, "_reachable_support")
         mu = OffspringDistribution.from_masses({0: 0.5, 2: 0.5})
         words = [sample_conditioned_bienayme(mu, 21, RngStream(7, r)).luka
                  for r in range(6)]
-        sample_conditioned_bienayme(mu, 41, RngStream(7, 0))
-        assert calls == [((2,), 20), ((2,), 40)]
-        samplers._reachable_support.cache_clear()
-        monkeypatch.undo()
         assert words == [frozen_full_column_bienayme(mu, 21,
                                                      RngStream(7, r)).luka
                          for r in range(6)]
-        with pytest.raises(ZeroPartition):
-            sample_conditioned_bienayme(mu, 20, RngStream(7, 0))
-        with pytest.raises(ZeroPartition):  # answered from the cache
-            sample_conditioned_bienayme(mu, 20, RngStream(7, 1))
+        for r in range(2):  # asked again, decided again
+            gen = CountingMultinomials(RngStream(7, r).gen)
+            with pytest.raises(ZeroPartition):
+                sample_conditioned_bienayme(mu, 20,
+                                            types.SimpleNamespace(gen=gen))
+            assert gen.multinomials == 0
 
     def test_geometric_offspring_gives_uniform_trees(self):
         """prod mu(d_i) = p^n (1-p)^(n-1) for every n-node tree, so the
@@ -1208,6 +1218,64 @@ def frozen_full_column_bienayme(mu, n, rng, max_attempts=10_000_000):
         rows = min(2 * rows, max(16, 65_536 // n))
     raise AttemptsExhausted(
         f"no degree sequence summed to {n - 1} in {max_attempts} attempts")
+
+
+def frozen_fixpoint_reachable_sum(coins, target):
+    """`_reachable_sum` as it was when each coin shifted the bitset by c
+    until nothing changed, O(target / c) shifts a coin, kept verbatim as
+    the reference for the doubling shifts."""
+    if target == 0:
+        return True
+    reach = 1
+    mask = (1 << (target + 1)) - 1
+    for c in sorted(set(coins)):
+        if c <= 0 or c > target:
+            continue
+        prev = -1
+        while prev != reach:
+            prev = reach
+            reach = (reach | (reach << c)) & mask
+        if (reach >> target) & 1:
+            return True
+    return bool((reach >> target) & 1)
+
+
+class TestReachableSum:
+    def test_matches_the_frozen_fixpoint_loop(self):
+        """Seeded inputs with zero, negative and oversized coins, repeats,
+        no coins, and target 0; small targets so the frozen loop stays
+        fast, and both answers common."""
+        gen = np.random.default_rng(33)
+        answers = Counter()
+        for _ in range(20_000):
+            target = int(gen.integers(0, 400))
+            coins = gen.integers(-3, target + 6,
+                                 size=int(gen.integers(0, 6))).tolist()
+            if gen.random() < 0.5:  # one lattice, so misses are common
+                coins = [c * int(gen.integers(2, 7)) for c in coins]
+            want = frozen_fixpoint_reachable_sum(coins, target)
+            assert samplers._reachable_sum(coins, target) == want, \
+                (coins, target)
+            answers[want] += 1
+        assert min(answers.values()) > 2_000, answers
+
+    @pytest.mark.parametrize("coins, target, want", [
+        ((), 0, True), ((), 5, False), ((0, -2), 3, False),
+        ((7,), 6, False), ((2,), 1_000_000, True), ((2,), 999_999, False),
+        ((4, 6), 999_999, False), ((4, 6), 999_998, True),
+        ((6, 10, 15), 29, False), ((6, 10, 15), 31, True),
+        ((2, 4, 6, 8), 2_000_001, False), ((3, 1_000_000), 1_000_003, True)])
+    def test_hand_values(self, coins, target, want):
+        assert samplers._reachable_sum(coins, target) is want
+
+    def test_even_weights_refuse_two_million_nodes_at_once(self):
+        """Z_n = 0 for n - 1 odd: the fixpoint loop took 37-47 s on this
+        input on a 2-vCPU VM; the doubling shifts leave the support scan."""
+        w = WeightSequence.from_list([1, 0, 1])
+        start = time.perf_counter()
+        with pytest.raises(ZeroPartition):
+            simply_generated_sampler(w, 2_000_000)
+        assert time.perf_counter() - start < 2.0
 
 
 def random_finite_law(seed):

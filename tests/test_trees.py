@@ -260,10 +260,9 @@ class TestDegreeStatistics:
     def test_forest_count(self):
         assert DegreeStatistics({0: 3, 2: 1}).a == 2
 
-    def test_explicit_count_must_match(self):
-        DegreeStatistics({0: 2, 2: 1}, trees=1)
-        with pytest.raises(InvalidStatistics):
-            DegreeStatistics({0: 2, 2: 1}, trees=2)
+    def test_tree_count_is_derived_never_passed(self):
+        with pytest.raises(TypeError):
+            DegreeStatistics({0: 2, 2: 1}, trees=1)
 
     def test_zero_counts_dropped(self):
         s = DegreeStatistics({0: 1, 3: 0})

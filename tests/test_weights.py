@@ -383,12 +383,11 @@ class TestBlockSeriesMatchesScalarLoop:
         assert weights_module._series_sum(w, 0.995, 0) == (
             199.99999999961176, True)
 
-    @pytest.mark.parametrize("top", [None, 0, 5, 64, 5000])
-    def test_limit_law_masses_are_the_loops(self, top):
+    def test_limit_law_masses_are_the_loops(self):
         w = census_weights()
-        law = limit_degree_law(w, top)
+        law = limit_degree_law(w)
         expected = samplers.OffspringDistribution.from_masses(
-            _loop_limit_masses(w, top), renormalize=True)
+            _loop_limit_masses(w), renormalize=True)
         assert law.masses == expected.masses
 
 
