@@ -60,9 +60,11 @@ class ExactDistribution:
     def __post_init__(self):
         if len(self.support) != len(self.mass):
             raise ValueError("support and mass lengths differ")
-        if any(m < 0 for m in self.mass):
+        if not all(map(_is_exact_type, set(map(type, self.mass)))):
+            raise ValueError("masses must be ints or Fractions")
+        if any(m.numerator < 0 for m in self.mass):
             raise ValueError("negative mass")
-        if sum(self.mass, Fraction(0)) != 1:
+        if not _sums_to_one(self.mass):
             raise ValueError("masses do not sum to one")
         if list(self.support) != sorted(set(self.support)):
             raise ValueError("support must be strictly increasing")
@@ -101,13 +103,35 @@ class ExactDistribution:
     @classmethod
     def from_json(cls, text: str) -> "ExactDistribution":
         raw = json.loads(text)
+        if not all(type(v) is int for v in raw["num"] + raw["den"]):
+            raise ValueError("num and den must be integers")
         mass = tuple(Fraction(p, q) for p, q in zip(raw["num"], raw["den"]))
         return cls(tuple(int(x) for x in raw["support"]), mass)
 
     @classmethod
     def from_pmf(cls, pmf: Mapping[int, Fraction]) -> "ExactDistribution":
-        items = sorted((x, m) for x, m in pmf.items() if m != 0)
+        # an inexact zero is kept, so that the constructor refuses it
+        items = sorted((x, m) for x, m in pmf.items()
+                       if m or not _is_exact_type(type(m)))
         return cls(tuple(x for x, _ in items), tuple(m for _, m in items))
+
+
+def _is_exact_type(kind: type) -> bool:
+    return issubclass(kind, (int, Fraction)) and kind is not bool
+
+
+def _sums_to_one(mass: Sequence[Fraction]) -> bool:
+    """sum(mass) == 1 in integers: (numerator, denominator) pairs are
+    joined pairwise over the lcm of their denominators, one gcd a pair, and
+    nothing is reduced before the final compare."""
+    pairs = [(m.numerator, m.denominator) for m in mass]
+    while len(pairs) > 1:
+        joined = []
+        for (a, b), (c, d) in zip(pairs[::2], pairs[1::2]):
+            g = math.gcd(b, d)
+            joined.append((a * (d // g) + c * (b // g), b // g * d))
+        pairs = joined + pairs[len(pairs) & ~1:]
+    return len(pairs) == 1 and pairs[0][0] == pairs[0][1]
 
 
 def multinomial(total: int, parts: Sequence[int]) -> int:
@@ -207,38 +231,43 @@ def _partitions(total: int, smallest: int = 1) -> Iterator[tuple[int, ...]]:
             yield (part,) + rest
 
 
+def word_table(n: int, counts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Every preorder degree word of an n-node plane tree that uses degree c
+    at most counts[c] times, as the rows of an R x n table in lexicographic
+    order, with the R x len(counts) counts each row left unused.
+
+    One position at a time, every prefix grows by each degree it has left
+    whose step keeps the Lukasiewicz path x at 0 or above and low enough to
+    come down: with `left` positions still to fill, each lowering x by at
+    most one, x must stay below `left`, so the last step lands on -1.
+    `np.nonzero` lists the grown rows parent by parent, degree by degree,
+    which keeps them in lexicographic order."""
+    degrees = np.arange(len(counts))
+    words = np.zeros((1, 0), dtype=np.int64)
+    unused = np.array([counts], dtype=np.int64)
+    x = np.zeros(1, dtype=np.int64)
+    for left in range(n - 1, -1, -1):
+        step = x[:, None] + degrees - 1
+        row, c = np.nonzero((unused > 0) & (step < left)
+                            & (step >= (0 if left else -1)))
+        words = np.column_stack([words[row], c])
+        unused = unused[row]
+        unused[np.arange(row.size), c] -= 1
+        x = step[row, c]
+    return words, unused
+
+
 def enumerate_trees(stats: DegreeStatistics) -> Iterator[PlaneTree]:
     """All plane trees with the given degree statistics, in lexicographic
-    order of their degree words.  Raises TooLarge above the node cap."""
+    order of their degree words: the rows of `word_table`.  Raises
+    TooLarge above the node cap."""
     if stats.a != 1:
         raise InvalidStatistics("enumeration covers single trees only")
     if stats.n > ENUMERATION_CAP:
         raise TooLarge(f"{stats.n} nodes exceeds enumeration cap {ENUMERATION_CAP}")
-    n = stats.n
-    remaining = dict(stats.sorted_items())
-    word: list[int] = []
-
-    def extend(prefix_sum: int) -> Iterator[PlaneTree]:
-        pos = len(word)
-        if pos == n:
-            yield PlaneTree(tuple(word))
-            return
-        for c in sorted(remaining):
-            if remaining[c] == 0:
-                continue
-            s = prefix_sum + c - 1
-            # proper prefixes must stay >= 0; the last entry must land on -1
-            if pos < n - 1 and s < 0:
-                continue
-            if pos == n - 1 and s != -1:
-                continue
-            remaining[c] -= 1
-            word.append(c)
-            yield from extend(s)
-            word.pop()
-            remaining[c] += 1
-
-    yield from extend(0)
+    counts = [stats.count(c) for c in range(stats.max_degree + 1)]
+    for word in word_table(stats.n, counts)[0].tolist():
+        yield PlaneTree(tuple(word))
 
 
 def enumerate_trees_of_size(n: int) -> Iterator[PlaneTree]:
@@ -249,18 +278,13 @@ def enumerate_trees_of_size(n: int) -> Iterator[PlaneTree]:
         yield from enumerate_trees(stats)
 
 
-def depth_law(trees) -> dict[int, Fraction]:
-    """Exact law of the depth of a uniform node of a uniform tree among
-    `trees`, all of one size: one `depth_table` call."""
-    depths = depth_table([t.luka for t in trees])
-    return {d: Fraction(c, depths.size)
-            for d, c in Counter(depths.ravel().tolist()).items()}
-
-
 def exact_mark_height_distribution(stats: DegreeStatistics) -> ExactDistribution:
     """Law of the depth of a uniform mark in a uniform tree, by enumerating
-    every (tree, node) pair."""
-    return ExactDistribution.from_pmf(depth_law(enumerate_trees(stats)))
+    every (tree, node) pair: one `depth_table` call over their words."""
+    depths = depth_table([t.luka for t in enumerate_trees(stats)])
+    counts = np.bincount(depths.ravel()).tolist()
+    return ExactDistribution.from_pmf(
+        {d: Fraction(c, depths.size) for d, c in enumerate(counts)})
 
 
 def _degree_polynomial(stats: DegreeStatistics) -> list[int]:

@@ -10,6 +10,7 @@ from the wall_clock_seconds field.  Every draw runs in the calling process.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import time
@@ -24,10 +25,10 @@ from . import __version__
 from .bounds import (BoundInput, height_tail_bound, height_tail_bound_no_ones,
                      height_threshold, repeat_threshold, repeat_time_tail_bound,
                      stopping_tail_bound_no_ones)
-from .enumeration import (ExactDistribution, count_forests, depth_law,
-                          enumerate_degree_statistics, enumerate_trees,
+from .enumeration import (ExactDistribution, count_forests,
+                          enumerate_degree_statistics,
                           exact_threshold_sampler_distribution,
-                          repeat_time_tails, spine_probability)
+                          repeat_time_tails, spine_probability, word_table)
 from .errors import BadParameters
 from .rng import RngStream
 # the three batch samplers stay bound here, where benchmark tracers patch them
@@ -268,6 +269,10 @@ def run_equivalence_suite(max_n: int = 8) -> ExperimentReport:
                  enumeration ratios over all (tree, mark) pairs, including
                  the total-mass check that nothing is unaccounted for.
 
+    Each size is one `word_table` of all its trees, every degree allowed;
+    a row's class is the degree counts it used.  One `depth_table` call
+    and one `bincount` over (class, depth) give every class's depth
+    histogram, and `_spine_prefixes` counts every class's spine prefixes.
     Discrepancy cells record the worst absolute difference as a float; the
     verdict requires the exact rational difference to be zero.  max_n above
     10 is refused since the suite walks every tree.  Nothing is drawn at
@@ -277,24 +282,38 @@ def run_equivalence_suite(max_n: int = 8) -> ExperimentReport:
         raise BadParameters("equivalence suite runs at 1 <= max_n <= 10")
     start = time.perf_counter()
     cells: list[Cell] = []
-    for stats in enumerate_degree_statistics(max_n):
-        n = stats.n
-        label = "+".join(f"{c}x{k}" for c, k in stats.sorted_items())
-        trees = list(enumerate_trees(stats))
-        formula = count_forests(stats)
-        cells.append(Cell("equivalence", n, f"count {label}",
-                          float(len(trees)), float(len(trees)),
-                          float(len(trees)), float(formula),
-                          len(trees) == formula))
-        depths = depth_law(trees)
-        height_law = ExactDistribution.from_pmf(depths)
-        threshold_law = exact_threshold_sampler_distribution(stats)
-        tv = _total_variation(height_law.pmf(), threshold_law.pmf())
-        cells.append(_discrepancy_cell(n, f"threshold-vs-height {label}", tv))
-        tv2 = _total_variation(height_law.pmf(), depths)
-        cells.append(_discrepancy_cell(n, f"histogram-vs-height {label}", tv2))
-        cells.append(_discrepancy_cell(n, f"spine {label}",
-                                       _spine_discrepancy(stats, trees)))
+    for n, group in itertools.groupby(enumerate_degree_statistics(max_n),
+                                      key=lambda stats: stats.n):
+        classes = list(group)
+        words, unused = word_table(n, [n] * n)
+        cls = np.full(len(words), -1)
+        for i, stats in enumerate(classes):
+            counts = [stats.count(c) for c in range(n)]
+            cls[(n - unused == counts).all(axis=1)] = i
+        depths = depth_table(words)
+        sizes = np.bincount(cls, minlength=len(classes)).tolist()
+        histograms = np.bincount((cls[:, None] * n + depths).ravel(),
+                                 minlength=len(classes) * n).reshape(-1, n)
+        spines = _spine_prefixes(words, depths, cls, min(4, n - 1))
+        for stats, size, histogram, seen in zip(
+                classes, sizes, histograms.tolist(), spines, strict=True):
+            label = "+".join(f"{c}x{k}" for c, k in stats.sorted_items())
+            formula = count_forests(stats)
+            cells.append(Cell("equivalence", n, f"count {label}",
+                              float(size), float(size), float(size),
+                              float(formula), size == formula))
+            depth_pmf = {d: Fraction(k, size * n)
+                         for d, k in enumerate(histogram) if k}
+            height_law = ExactDistribution.from_pmf(depth_pmf)
+            threshold_law = exact_threshold_sampler_distribution(stats)
+            tv = _total_variation(height_law.pmf(), threshold_law.pmf())
+            cells.append(_discrepancy_cell(n, f"threshold-vs-height {label}",
+                                           tv))
+            tv2 = _total_variation(height_law.pmf(), depth_pmf)
+            cells.append(_discrepancy_cell(n, f"histogram-vs-height {label}",
+                                           tv2))
+            cells.append(_discrepancy_cell(
+                n, f"spine {label}", _spine_discrepancy(stats, seen, size)))
     return _finish(cells, start, kind="equivalence", seed=0,
                    replications=1, sizes=(max_n,))
 
@@ -310,38 +329,44 @@ def _discrepancy_cell(n: int, label: str, disc: Fraction) -> Cell:
     return _verdict_cell("equivalence", n, label, float(disc), 0.0, disc == 0)
 
 
-def _spine_prefixes(trees, top: int) -> Counter:
-    """Marks over all (tree, mark) pairs counted by each spine prefix of
-    length 1..top: the out-degrees of the mark's first k ancestors, root
-    first.  A mark deeper than k counts towards its length-k prefix."""
-    # one preorder pass per tree files every mark under the degrees of its
-    # first min(depth, top) ancestors, then each key feeds its prefixes
-    keys: Counter = Counter()
-    for tree in trees:
-        degs: list[int] = []  # degrees of the open ancestors, root first
-        left: list[int] = []  # children each open ancestor has still to see
-        for d in tree.luka:
-            while left and left[-1] == 0:
-                left.pop()
-                degs.pop()
-            keys[tuple(degs[:top])] += 1
-            if left:
-                left[-1] -= 1
-            if d:
-                degs.append(d)
-                left.append(d)
-    seen: Counter = Counter()
-    for key, cnt in keys.items():
-        for k in range(1, len(key) + 1):
-            seen[key[:k]] += cnt
+def _spine_prefixes(words: np.ndarray, depths: np.ndarray, cls: np.ndarray,
+                    top: int) -> list[Counter]:
+    """Marks over all (tree, mark) pairs counted, for each class of `cls`
+    (one entry per row of `words`), by each spine prefix of length 1..top:
+    the out-degrees of the mark's first k ancestors, root first.  A mark
+    deeper than k counts towards its length-k prefix.
+
+    In preorder, a node's ancestor at depth j is the last node of depth j
+    at or before it.  A prefix is read as the number with digits d + 1 in
+    base n + 1, so prefixes of different lengths never meet, and one
+    `np.unique` over (class, prefix) keys counts them all; the keys stay in
+    int64 while classes x (n + 1)^top does, ample for the suite's sizes."""
+    n = words.shape[1]
+    base, width = n + 1, (n + 1) ** top
+    nodes = np.arange(n)
+    prefix = np.zeros_like(words)
+    keys = [np.zeros(0, dtype=np.int64)]
+    for j in range(top):
+        above = np.maximum.accumulate(np.where(depths == j, nodes, 0), axis=1)
+        prefix = prefix * base + np.take_along_axis(words, above, axis=1) + 1
+        keys.append((cls[:, None] * width + prefix)[depths > j])
+    found, counts = np.unique(np.concatenate(keys), return_counts=True)
+    seen = [Counter() for _ in range(int(cls.max()) + 1)]
+    for key, count in zip(found.tolist(), counts.tolist()):
+        c, rest = divmod(key, width)
+        digits: list[int] = []
+        while rest:
+            rest, d = divmod(rest, base)
+            digits.append(d - 1)
+        seen[c][tuple(reversed(digits))] = count
     return seen
 
 
-def _spine_discrepancy(stats: DegreeStatistics, trees) -> Fraction:
+def _spine_discrepancy(stats: DegreeStatistics, seen: Counter,
+                       trees: int) -> Fraction:
     n = stats.n
-    total = n * len(trees)
+    total = n * trees
     top = min(4, n - 1)
-    seen = _spine_prefixes(trees, top)
     worst = Fraction(0)
     for k in range(1, top + 1):
         mass = Fraction(0)

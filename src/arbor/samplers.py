@@ -614,18 +614,26 @@ def _truncated_masses(mu: OffspringDistribution, n: int) -> np.ndarray:
 
 def _reachable_sum(coins: Sequence[int], target: int) -> bool:
     """Can `target` be written as a sum of the given positive integers,
-    with repetition?  A bitset of the sums up to `target`: coin c joins in
-    the doubling shifts c, 2c, 4c, ..., after which the set holds every
-    earlier sum plus any multiple of c, so a coin costs O(log(target / c))
-    shifts.  A coin that is already a sum of smaller ones adds nothing and
-    is skipped.  Cheap enough at n = 10^6 to run on every call, uncached.
+    with repetition?  Every sum is a multiple of g, the gcd of the usable
+    coins, so a target off that lattice is refused at once; otherwise coins
+    and target are divided by g.  Then a bitset of the sums up to `target`:
+    coin c joins in the doubling shifts c, 2c, 4c, ..., after which the set
+    holds every earlier sum plus any multiple of c, so a coin costs
+    O(log(target / c)) shifts.  A coin that is already a sum of smaller
+    ones adds nothing and is skipped.  Cheap enough at n = 10^6 to run on
+    every call, uncached.
     """
     if target == 0:
         return True
+    coins = sorted({c for c in coins if 0 < c <= target})
+    g = math.gcd(*coins)
+    if not coins or target % g:
+        return False
+    target //= g
     reach = 1
     mask = (1 << (target + 1)) - 1
-    for c in sorted(set(coins)):
-        if c <= 0 or c > target or (reach >> c) & 1:
+    for c in (c // g for c in coins):
+        if (reach >> c) & 1:
             continue
         shift = c
         while shift <= target:

@@ -6,16 +6,21 @@ probabilistic recursion over the size-biased degree process that shares no
 code with either.  Frozen copies of the earlier per-factor, falling-factorial
 law code and of the survival-differencing code pin the closed forms bit for
 bit at sizes enumeration cannot reach, and the node-by-node degree
-polynomial must equal the frozen balanced product of per-class rows.
+polynomial must equal the frozen balanced product of per-class rows.  The
+word-table enumerator must list the trees of the frozen recursive one, in
+its order, and the integer law checks must refuse what the frozen `Fraction`
+sum refused.
 """
 
 import inspect
 import itertools
+import json
 import math
 import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,7 +28,7 @@ from hypothesis import strategies as st
 from arbor import enumeration
 from arbor.enumeration import (ENUMERATION_CAP, TAU_FLOOR, ExactDistribution,
                                _degree_polynomial, _index_law,
-                               _stopping_survivals, count_forests,
+                               _stopping_survivals, _sums_to_one, count_forests,
                                count_marked_first_tree, count_spine_class,
                                enumerate_degree_statistics, enumerate_trees,
                                enumerate_trees_of_size,
@@ -31,10 +36,10 @@ from arbor.enumeration import (ENUMERATION_CAP, TAU_FLOOR, ExactDistribution,
                                exact_stopping_index_distribution,
                                exact_threshold_sampler_distribution,
                                multinomial, repeat_time_tails,
-                               spine_probability)
+                               spine_probability, word_table)
 from arbor.errors import InvalidStatistics, TooLarge, UsageExceeded
 from arbor.harness import full_binary_statistics, heavy_tailed_statistics
-from arbor.trees import DegreeStatistics, MarkedTree
+from arbor.trees import DegreeStatistics, MarkedTree, PlaneTree
 
 from polynomial_reference import (pairwise_degree_polynomial, poly_mul,
                                   repeat_time_survivals)
@@ -190,6 +195,36 @@ def _random_classes_with_ones(count, seed):
     return out
 
 
+def frozen_recursive_trees(stats):
+    """`enumerate_trees` as it was when one generator frame per position
+    extended the word, kept verbatim as the reference for the word table."""
+    n = stats.n
+    remaining = dict(stats.sorted_items())
+    word: list[int] = []
+
+    def extend(prefix_sum):
+        pos = len(word)
+        if pos == n:
+            yield PlaneTree(tuple(word))
+            return
+        for c in sorted(remaining):
+            if remaining[c] == 0:
+                continue
+            s = prefix_sum + c - 1
+            # proper prefixes must stay >= 0; the last entry must land on -1
+            if pos < n - 1 and s < 0:
+                continue
+            if pos == n - 1 and s != -1:
+                continue
+            remaining[c] -= 1
+            word.append(c)
+            yield from extend(s)
+            word.pop()
+            remaining[c] += 1
+
+    yield from extend(0)
+
+
 # ---------------------------------------------------------------------------
 # counting
 # ---------------------------------------------------------------------------
@@ -238,6 +273,41 @@ class TestCounting:
 
     def test_trees_of_size(self):
         assert len(list(enumerate_trees_of_size(5))) == catalan(4)
+
+    def test_word_table_matches_the_frozen_recursion(self):
+        """Tree for tree and in the same order, on every class up to the
+        enumeration cap of 12 nodes."""
+        assert inspect.isgeneratorfunction(enumerate_trees)
+        classes = all_stats_upto(ENUMERATION_CAP)
+        assert len(classes) == 1 + sum(len(list(enumeration._partitions(m)))
+                                       for m in range(1, ENUMERATION_CAP))
+        for stats in classes:
+            assert list(enumerate_trees(stats)) \
+                == list(frozen_recursive_trees(stats)), stats
+
+    def test_word_table_with_every_degree_allowed(self):
+        """All n-node words in lexicographic order, each row's unused
+        counts leaving the degree counts it used."""
+        for n in range(1, 10):
+            words, unused = word_table(n, [n] * n)
+            assert words.shape == (catalan(n - 1), n)
+            rows = [tuple(w) for w in words.tolist()]
+            assert rows == sorted(set(rows))
+            assert rows == sorted(t.luka for t in enumerate_trees_of_size(n))
+            used = n - unused
+            assert all(np.bincount(w, minlength=n).tolist() == u
+                       for w, u in zip(words, used.tolist()))
+
+    def test_word_table_respects_the_counts(self):
+        words, unused = word_table(4, [2, 1, 1])
+        assert words.tolist() == [[1, 2, 0, 0], [2, 0, 1, 0], [2, 1, 0, 0]]
+        assert unused.tolist() == [[0, 0, 0]] * 3
+        words, unused = word_table(3, [3, 3, 3])
+        assert words.tolist() == [[1, 1, 0], [2, 0, 0]]
+        assert unused.tolist() == [[2, 1, 3], [1, 3, 2]]
+        # four nodes cannot make five: no prefix grows to the end
+        words, unused = word_table(5, [2, 1, 1])
+        assert words.shape == (0, 5) and unused.shape == (0, 3)
 
     def test_statistics_of_one_size_are_the_filtered_list(self):
         """Each size is listed in one place; the frozen all-sizes listing,
@@ -362,6 +432,78 @@ class TestExactDistribution:
     def test_from_pmf_drops_zero_mass(self):
         law = ExactDistribution.from_pmf({3: Fraction(1), 7: Fraction(0)})
         assert law.support == (3,)
+        law = ExactDistribution.from_pmf({3: 1, 5: 0, 7: Fraction(0, 5)})
+        assert law.pmf() == {3: 1}
+        assert law.to_json() == '{"support": [3], "num": [1], "den": [1]}'
+
+    @staticmethod
+    def random_masses(gen):
+        """Positive fractions that sum to one, or miss it by a random
+        fraction, by 2^-200 either way, or by one big-denominator term."""
+        size = 1 if gen.random() < 0.125 else gen.randint(2, 40)
+        den = gen.choice([6, 2 ** 64 + 13, math.comb(300, 150)])
+        cuts = sorted(gen.randint(1, den - 1) for _ in range(size - 1))
+        mass = [Fraction(b - a, den) for a, b in zip([0] + cuts, cuts + [den])]
+        mass = [m for m in mass if m] or [Fraction(1)]
+        gen.shuffle(mass)
+        kind = gen.randrange(5)
+        i = gen.randrange(len(mass))
+        if kind == 1:
+            mass[i] += Fraction(1, 2 ** 200)
+        elif kind == 2 and mass[i] > Fraction(1, 2 ** 200):
+            mass[i] -= Fraction(1, 2 ** 200)
+        elif kind == 3:
+            mass[i] *= Fraction(gen.randint(1, 9), gen.randint(1, 9))
+        elif kind == 4:
+            mass.append(Fraction(gen.randint(1, 3), math.comb(500, 250)))
+        return mass
+
+    def test_integer_sum_check_matches_the_frozen_fraction_sum(self):
+        """On 2,000 seeded lists, the pairwise integer sum and the
+        constructor refuse exactly what `sum(mass, Fraction(0)) != 1`
+        refused."""
+        gen = random.Random(34)
+        answers = Counter()
+        for _ in range(2_000):
+            mass = self.random_masses(gen)
+            want = sum(mass, Fraction(0)) == 1
+            assert _sums_to_one(mass) is want, mass
+            support = tuple(range(len(mass)))
+            if want:
+                assert ExactDistribution(support, tuple(mass)).mass == \
+                    tuple(mass)
+            else:
+                with pytest.raises(ValueError, match="do not sum to one"):
+                    ExactDistribution(support, tuple(mass))
+            answers[want, len(mass) == 1] += 1
+        assert min(answers.values()) >= 50, answers
+        for mass in ([Fraction(1)], [1], [Fraction(1, 2)], [Fraction(3, 2)],
+                     [], [Fraction(1, 2 ** 200), 1 - Fraction(1, 2 ** 200)],
+                     [Fraction(1, 2), Fraction(1, 2) - Fraction(1, 2 ** 200)],
+                     [Fraction(3, 2), Fraction(-1, 2)]):
+            assert _sums_to_one(mass) is (sum(mass, Fraction(0)) == 1), mass
+
+    @pytest.mark.parametrize("mass", [
+        (Fraction(1, 2), 0.5), (0.5, 0.5), (1.0, 0), (True, 0), (False, 1),
+        (Fraction(1, 2), "1/2"), (Fraction(1, 2), None)])
+    def test_inexact_masses_are_refused(self, mass):
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            ExactDistribution((0, 1), mass)
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            ExactDistribution.from_pmf(dict(enumerate(mass)))
+
+    def test_an_inexact_zero_is_refused_not_dropped(self):
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            ExactDistribution.from_pmf({0: Fraction(1), 1: 0.0})
+
+    @pytest.mark.parametrize("num, den", [
+        ([1, 1.0], [2, 2]), ([1, 1], [2, 2.0]), ([0.5], [1]), ([True], [1]),
+        (["1"], [1])])
+    def test_from_json_refuses_non_integer_fields(self, num, den):
+        text = json.dumps({"support": list(range(len(num))), "num": num,
+                           "den": den})
+        with pytest.raises(ValueError, match="must be integers"):
+            ExactDistribution.from_json(text)
 
 
 class TestHeightAndStoppingLaws:

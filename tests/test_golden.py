@@ -52,6 +52,8 @@ RUNS = {
     "tails-binary9": lambda: run_tail_sweep(
         full_binary_statistics(9), replications=500, seed=5),
     "equivalence-6": lambda: run_equivalence_suite(6),
+    # the suite's cap: every tree of up to 10 nodes, one word table a size
+    "equivalence-10": lambda: run_equivalence_suite(10),
 }
 
 GOLDEN = {
@@ -79,6 +81,8 @@ GOLDEN = {
         "703e8889a1156fe402d7a7a230c8e9798d333cc5c8d8a1a75966fdd3f4b26ebc",
     "equivalence-6":
         "c611d85ece8e992e0fc3df8132e9abdd52819ec462a43c425adfbe0e4bf49c77",
+    "equivalence-10":
+        "20e9b7ff05f16dc40c518ccc5669ca0561198a76bfe3636ece41331bddc1b096",
 }
 
 SAMPLE_GOLDEN = (

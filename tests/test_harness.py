@@ -19,7 +19,7 @@ import pytest
 from arbor import harness, samplers
 from arbor.bounds import BoundInput
 from arbor.enumeration import (TAU_FLOOR, enumerate_degree_statistics,
-                               enumerate_trees, repeat_time_tails)
+                               enumerate_trees, repeat_time_tails, word_table)
 from arbor.errors import BadParameters, PathDegenerate, ZeroPartition
 from arbor.harness import (_CLASS_LAWS, _LADDERS, CONCENTRATION_CLASSES,
                            CSV_COLUMNS, Cell, ExperimentConfig,
@@ -29,7 +29,7 @@ from arbor.harness import (_CLASS_LAWS, _LADDERS, CONCENTRATION_CLASSES,
                            run_equivalence_suite, run_tail_sweep)
 from arbor.rng import RngStream
 from arbor.samplers import OffspringDistribution, conditional_sum_table
-from arbor.trees import DegreeStatistics, MarkedTree
+from arbor.trees import DegreeStatistics, MarkedTree, depth_table
 from arbor.weights import (WeightSequence, limit_degree_law,
                            simply_generated_sampler, solve_critical_tilt,
                            tilted_law)
@@ -169,35 +169,48 @@ class TestEquivalenceSuite:
                          "spine"}
 
     def test_spine_prefixes_match_the_per_mark_ancestry_loop(self):
-        """The one-pass counter equals the frozen per-mark loop, which walks
+        """The table counter equals the frozen per-mark loop, which walks
         each (tree, mark) pair's ancestry, on every class up to 10 nodes,
-        with the suite's prefix cap and with none."""
-        for stats in enumerate_degree_statistics(10):
-            trees = list(enumerate_trees(stats))
-            spines = [tuple(tree.luka[v] for v in
-                            MarkedTree(tree, mark).ancestry()[:-1])
-                      for tree in trees for mark in range(stats.n)]
-            for top in {min(4, stats.n - 1), stats.n - 1}:
-                want: Counter = Counter()
-                for spine in spines:
-                    for k in range(1, min(top, len(spine)) + 1):
-                        want[spine[:k]] += 1
-                assert harness._spine_prefixes(trees, top) == want
+        with the suite's prefix cap and with none; each size's classes share
+        one table, so the class keys must keep them apart."""
+        for n, group in itertools.groupby(enumerate_degree_statistics(10),
+                                          key=lambda stats: stats.n):
+            per_class = [list(enumerate_trees(stats)) for stats in group]
+            words = np.array([t.luka for trees in per_class for t in trees])
+            cls = np.repeat(np.arange(len(per_class)),
+                            [len(trees) for trees in per_class])
+            depths = depth_table(words)
+            for top in {min(4, n - 1), n - 1}:
+                got = harness._spine_prefixes(words, depths, cls, top)
+                assert len(got) == len(per_class)
+                for trees, seen in zip(per_class, got):
+                    want: Counter = Counter()
+                    for tree in trees:
+                        for mark in range(n):
+                            spine = tuple(tree.luka[v] for v in MarkedTree(
+                                tree, mark).ancestry()[:-1])
+                            for k in range(1, min(top, len(spine)) + 1):
+                                want[spine[:k]] += 1
+                    assert seen == want, (n, top)
 
-    def test_each_class_is_enumerated_once(self, monkeypatch):
-        from arbor import enumeration
-        seen = Counter()
+    def test_each_size_is_one_word_table(self, monkeypatch):
+        """Every size is built once, with every degree allowed, and its
+        rows fill each class's count cell."""
+        sizes = Counter()
 
-        def counting(stats):
-            seen[tuple(stats.sorted_items())] += 1
-            return enumerate_trees(stats)
+        def counting(n, counts):
+            sizes[n] += 1
+            assert list(counts) == [n] * n
+            return word_table(n, counts)
 
-        monkeypatch.setattr(harness, "enumerate_trees", counting)
-        monkeypatch.setattr(enumeration, "enumerate_trees", counting)
+        monkeypatch.setattr(harness, "word_table", counting)
         report = run_equivalence_suite(max_n=6)
         assert report.passed
-        assert len(seen) == len(report.cells) // 4
-        assert set(seen.values()) == {1}
+        assert sizes == Counter(range(1, 7))
+        counts = [c for c in report.cells
+                  if str(c.grid_value).startswith("count ")]
+        assert sum(c.empirical for c in counts) == sum(
+            math.comb(2 * n - 2, n - 1) // n for n in range(1, 7))
 
     def test_size_guard(self):
         with pytest.raises(BadParameters):

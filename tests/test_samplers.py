@@ -1268,6 +1268,26 @@ class TestReachableSum:
     def test_hand_values(self, coins, target, want):
         assert samplers._reachable_sum(coins, target) is want
 
+    @pytest.mark.parametrize("target", range(90, 99))
+    @pytest.mark.parametrize("coins", [
+        (3, 6, 9), (6, 9), (9, 12, 15), (21, 27, 30, 33), (3,), (0, -3, 3)])
+    def test_multiples_of_three_on_every_residue(self, coins, target):
+        """The gcd of the usable coins decides targets off its lattice;
+        on it, coins and target are divided by it."""
+        want = frozen_fixpoint_reachable_sum(coins, target)
+        assert samplers._reachable_sum(coins, target) is want
+        if target % 3:
+            assert want is False
+
+    def test_a_lattice_miss_is_refused_at_once(self):
+        """Every even coin below two million against an odd target: the
+        doubling shifts tested each coin's bit, O(target / 64) words a
+        coin, about 25 s on a 2-vCPU VM; the gcd refuses it outright."""
+        start = time.perf_counter()
+        assert samplers._reachable_sum(range(2, 2_000_000, 2),
+                                       1_999_999) is False
+        assert time.perf_counter() - start < 1.0
+
     def test_even_weights_refuse_two_million_nodes_at_once(self):
         """Z_n = 0 for n - 1 odd: the fixpoint loop took 37-47 s on this
         input on a 2-vCPU VM; the doubling shifts leave the support scan."""
