@@ -73,7 +73,10 @@ def _sub_gaussian(inp: BoundInput, ell: float, x: float) -> float:
 
 
 def height_threshold(inp: BoundInput, beta: float) -> float:
-    """The height cutoff that `height_tail_bound` speaks about."""
+    """The height cutoff that `height_tail_bound` speaks about; a NaN beta
+    is refused (OutOfRange)."""
+    if beta != beta:
+        raise OutOfRange("beta must not be NaN")
     return beta * inp.branch_scale
 
 
@@ -99,7 +102,10 @@ def stopping_tail_bound_no_ones(inp: BoundInput, ell: float) -> float:
 
 
 def repeat_threshold(inp: BoundInput, beta: float) -> float:
-    """The repeat-time cutoff beta * sqrt((n-1)/v)."""
+    """The repeat-time cutoff beta * sqrt((n-1)/v); a NaN beta is refused
+    (OutOfRange)."""
+    if beta != beta:
+        raise OutOfRange("beta must not be NaN")
     if inp.v == 0:
         return math.inf
     return beta * math.sqrt((inp.n - 1) / float(inp.v))

@@ -102,11 +102,23 @@ class ExactDistribution:
 
     @classmethod
     def from_json(cls, text: str) -> "ExactDistribution":
+        """Read the object `to_json` writes: "support", "num" and "den"
+        lists of equal length, integer entries, every den >= 1.  Anything
+        else raises ValueError."""
         raw = json.loads(text)
-        if not all(type(v) is int for v in raw["num"] + raw["den"]):
-            raise ValueError("num and den must be integers")
-        mass = tuple(Fraction(p, q) for p, q in zip(raw["num"], raw["den"]))
-        return cls(tuple(int(x) for x in raw["support"]), mass)
+        keys = ("support", "num", "den")
+        if not (isinstance(raw, dict)
+                and all(isinstance(raw.get(k), list) for k in keys)):
+            raise ValueError('expected an object of "support", "num" and '
+                             '"den" lists')
+        support, num, den = (raw[k] for k in keys)
+        if not len(support) == len(num) == len(den):
+            raise ValueError("support, num and den lengths differ")
+        if not all(type(v) is int for v in support + num + den):
+            raise ValueError("support, num and den must be integers")
+        if not all(q >= 1 for q in den):
+            raise ValueError("every den must be >= 1")
+        return cls(tuple(support), tuple(map(Fraction, num, den)))
 
     @classmethod
     def from_pmf(cls, pmf: Mapping[int, Fraction]) -> "ExactDistribution":

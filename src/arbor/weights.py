@@ -97,9 +97,7 @@ class WeightSequence:
     @property
     def max_degree(self) -> int | None:
         """Largest degree with positive weight, or None for generator form."""
-        if self.explicit is None:
-            return None
-        return max(k for k, v in enumerate(self.explicit) if v > 0)
+        return None if self.explicit is None else len(self.explicit) - 1
 
     def resolve_rho(self) -> tuple[float, bool]:
         """(radius of convergence, estimated?).
@@ -221,8 +219,7 @@ def _generator_sum(w: WeightSequence, t, power: int) -> tuple[float, bool]:
     total = 0.0
     quiet = 0
     marks: list[tuple[int, float]] = []  # (index, term) checkpoints for the tail fit
-    for ks, wks, tks, error in _scalar_blocks(w.generator, float(t),
-                                              w.cap + 1, diverge=True):
+    for ks, wks, tks, error in _scalar_blocks(w.generator, float(t), w.cap + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             terms = ks ** power * wks * tks
             totals = np.add.accumulate(np.concatenate(([total], terms)))[1:]
@@ -261,49 +258,40 @@ def _generator_sum(w: WeightSequence, t, power: int) -> tuple[float, bool]:
     return total, False
 
 
-def _scalar_blocks(weight, base: float, end: int, diverge: bool):
+def _scalar_blocks(weight, base: float, end: int):
     """Yield (k, float(w_k), base^k, error) for consecutive blocks of
     0 <= k < end, each value a Python scalar as in a term-by-term loop.
-    Blocks start at 64 terms and double up to _BLOCK, so a sum that stops
-    early computes few terms past its stop.  The first k whose weight or
-    power raises, or whose float(w_k) is negative or NaN (a ValueError),
-    cuts its block short, and `error` is that exception (None when none
-    raised); with `diverge`, an OverflowError of float(w_k) or base^k
-    becomes Diverged."""
-
-    def pair(k):
-        wk = weight(k)
-        try:
-            wk, pk = float(wk), base ** k
-        except OverflowError:
-            if not diverge:
-                raise
-            raise Diverged(f"series term overflowed at k={k}") from None
-        if not wk >= 0:
-            raise ValueError(f"w_{k} = {wk!r} is not a number >= 0")
-        return wk, pk
-
+    Every float term w_k t^k of a series, limit law or tilted law is read
+    here, each weight called once.  Blocks start at 64 terms and double up to _BLOCK, so a
+    sum that stops early computes few terms past its stop.  The first k
+    whose weight raises, whose float(w_k) or base^k overflows (Diverged),
+    or whose float(w_k) is negative or NaN (a ValueError) cuts its block
+    short, and `error` is that exception (None when none raised)."""
     lo, size = 0, 64
     while lo < end:
-        ks = range(lo, min(lo + size, end))
+        wks, pks = [], []
+        add_w, add_p = wks.append, pks.append
         error = None
-        try:  # whole-block comprehensions; a raise redoes the block by k
-            wks = np.array([float(weight(k)) for k in ks])
-            pks = [base ** k for k in ks]
-            if not (wks >= 0).all():  # a negative or NaN weight
-                raise ValueError
-        except Exception:
-            wks, pks = [], []
-            for k in ks:
+        for k in range(lo, min(lo + size, end)):
+            try:
+                wk = weight(k)
                 try:
-                    wk, pk = pair(k)
-                except Exception as exc:
-                    error = exc
-                    break
-                wks.append(wk)
-                pks.append(pk)
-        yield (np.arange(lo, lo + len(wks)), np.asarray(wks, dtype=float),
-               np.array(pks, dtype=float), error)
+                    wk, pk = float(wk), base ** k
+                except OverflowError:
+                    raise Diverged(f"series term overflowed at k={k}") from None
+            except Exception as exc:
+                error = exc
+                break
+            add_w(wk)
+            add_p(pk)
+        ws = np.array(wks, dtype=float)
+        bad = np.flatnonzero(~(ws >= 0))  # a negative or NaN weight
+        if bad.size:
+            j = int(bad[0])
+            error = ValueError(f"w_{lo + j} = {wks[j]!r} is not a number >= 0")
+            ws, pks = ws[:j], pks[:j]
+        yield (np.arange(lo, lo + ws.size), ws, np.array(pks, dtype=float),
+               error)
         lo, size = lo + size, min(2 * size, _BLOCK)
 
 
@@ -407,8 +395,7 @@ def limit_degree_law(w: WeightSequence) -> OffspringDistribution:
         raise PhiDiverges(f"Phi diverges at rho={rho}") from exc
     masses = []
     partial = 0.0
-    for ks, wks, pks, error in _scalar_blocks(w.weight, rho, _SERIES_CAP + 1,
-                                              diverge=False):
+    for ks, wks, pks, error in _scalar_blocks(w.weight, rho, _SERIES_CAP + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             block = wks * pks / total
             partials = np.add.accumulate(np.concatenate(([partial], block)))[1:]
@@ -425,14 +412,22 @@ def limit_degree_law(w: WeightSequence) -> OffspringDistribution:
 
 
 def tilted_law(w: WeightSequence, t, top: int) -> OffspringDistribution:
-    """Offspring law proportional to w_k t^k on k <= top."""
+    """Offspring law proportional to w_k t^k on k <= top.  The masses
+    float(w_k) * t^k are read by `_scalar_blocks`, for an explicit sequence
+    only up to its max_degree."""
     if t <= 0:
         raise OutOfDomain("tilt must be positive")
-    masses = [float(w.weight(k)) * float(t) ** k for k in range(top + 1)]
-    if not all(math.isfinite(m) for m in masses):
+    masses = np.zeros(top + 1)
+    end = top + 1 if w.explicit is None else min(top + 1, len(w.explicit))
+    for ks, wks, pks, error in _scalar_blocks(w.weight, float(t), end):
+        if error is not None:
+            raise error
+        with np.errstate(over="ignore", invalid="ignore"):
+            masses[ks] = wks * pks
+    if not np.isfinite(masses).all():
         raise Diverged("tilted masses overflow; use a smaller tilt")
-    return OffspringDistribution.from_masses(masses, label=f"tilt({t})",
-                                             renormalize=True)
+    return OffspringDistribution.from_masses(
+        masses.tolist(), label=f"tilt({t})", renormalize=True)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +572,8 @@ def simply_generated_sampler(w: WeightSequence, n: int):
         raise ValueError("need n >= 1")
     if n == 1:
         return lambda rng: build_tree((0,))
-    support = [k for k in range(1, n) if w.weight(k) > 0]
+    end = n if w.explicit is None else min(n, len(w.explicit))
+    support = [k for k in range(1, end) if w.weight(k) > 0]
     if not _reachable_sum(support, n - 1):
         raise ZeroPartition(f"Z_{n} = 0 for these weights")
     rho, _ = w.resolve_rho()

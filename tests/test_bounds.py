@@ -71,6 +71,11 @@ class TestHeightTailBound:
         inp = inp_for({0: 5, 2: 4})
         assert height_threshold(inp, 10.0) == pytest.approx(20.0)
 
+    def test_nan_beta_threshold_is_refused(self):
+        # the threshold was a silent nan
+        with pytest.raises(OutOfRange):
+            height_threshold(inp_for({0: 5, 2: 4}), math.nan)
+
     def test_path_raises_even_below_floor(self):
         inp = inp_for({0: 1, 1: 6})
         with pytest.raises(PathDegenerate):
@@ -141,6 +146,12 @@ class TestRepeatTimeBound:
         assert inp.v == 0
         assert repeat_threshold(inp, 100.0) == math.inf
         assert repeat_time_tail_bound(inp, 100.0) == 0.0
+
+    @pytest.mark.parametrize("counts", [{0: 5, 2: 4}, {0: 1, 1: 4}])
+    def test_nan_beta_threshold_is_refused(self, counts):
+        # the threshold was a silent nan (inf when v = 0)
+        with pytest.raises(OutOfRange):
+            repeat_threshold(inp_for(counts), math.nan)
 
     def test_arithmetic_example(self):
         inp = inp_for({0: 5, 2: 4})

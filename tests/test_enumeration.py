@@ -505,6 +505,26 @@ class TestExactDistribution:
         with pytest.raises(ValueError, match="must be integers"):
             ExactDistribution.from_json(text)
 
+    @pytest.mark.parametrize("raw", [
+        # zip dropped the extra numerator and loaded {0: 1}
+        {"support": [0], "num": [1, 5], "den": [1]},
+        {"support": [0, 1], "num": [1], "den": [1]},
+        # the support entry was truncated to 0
+        {"support": [0.9], "num": [1], "den": [1]},
+        {"support": [True], "num": [1], "den": [1]},
+        # -1/-1 loaded as 1
+        {"support": [0], "num": [-1], "den": [-1]},
+        # ZeroDivisionError
+        {"support": [0], "num": [1], "den": [0]},
+        # TypeError
+        [[0], [1], [1]], "law", 3,
+        {"support": 0, "num": [1], "den": [1]},
+        # KeyError
+        {"support": [0], "num": [1]}])
+    def test_from_json_refuses_malformed_laws(self, raw):
+        with pytest.raises(ValueError):
+            ExactDistribution.from_json(json.dumps(raw))
+
 
 class TestHeightAndStoppingLaws:
     def test_worked_small_example(self):

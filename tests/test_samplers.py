@@ -1279,6 +1279,34 @@ class TestReachableSum:
         if target % 3:
             assert want is False
 
+    @pytest.mark.parametrize("coins", [
+        (1,), (1, 5), (2, 4, 6), (6, 4, 2), (3, 9, 12), (5, 5, 10), (7, 14)])
+    def test_a_coin_equal_to_the_gcd_reaches_its_whole_lattice(self, coins):
+        """After the gcd division such a coin is 1, which reaches every
+        target on the lattice without a bitset."""
+        for target in range(80):
+            want = frozen_fixpoint_reachable_sum(coins, target)
+            assert samplers._reachable_sum(coins, target) is want
+            assert want is (target % math.gcd(*coins) == 0)
+
+    @pytest.mark.parametrize("top", [7, 100, 2_001])
+    def test_reachable_coins_on_one_lattice_match(self, top):
+        """Every even coin plus one odd coin: every even coin after 2 is
+        already a sum, and the odd one closes the target."""
+        coins = list(range(2, top, 2)) + [top - 1]
+        for target in (top - 1, top - 2, top - 3, 2 * top):
+            assert (samplers._reachable_sum(coins, target)
+                    is frozen_fixpoint_reachable_sum(coins, target))
+
+    def test_reachable_coins_are_skipped_without_a_copy(self):
+        """Each skipped coin's `(reach >> c) & 1` copied the bitset: 0.1,
+        0.34 and 1.08 s at N = 10^5, 2 * 10^5 and 4 * 10^5 on a 2-vCPU VM,
+        where a one-element test takes about 0.04 s at 4 * 10^5."""
+        n = 400_000
+        start = time.perf_counter()
+        assert samplers._reachable_sum(list(range(2, n, 2)) + [n - 1], n - 1)
+        assert time.perf_counter() - start < 0.5
+
     def test_a_lattice_miss_is_refused_at_once(self):
         """Every even coin below two million against an odd target: the
         doubling shifts tested each coin's bit, O(target / 64) words a

@@ -6,6 +6,7 @@ surgery is verified by explicit big-integer and Fraction identities.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -204,6 +205,9 @@ class TestSeries:
             lambda k: bad if k == 7 else 2.0 ** -k)
         with pytest.raises(ValueError, match="w_7 = "):
             phi(w, 0.5)
+        # the tilt raised InvalidDistribution, or "overflow" for the nan
+        with pytest.raises(ValueError, match="w_7 = "):
+            tilted_law(w, 0.5, 20)
         far = WeightSequence.from_generator(
             lambda k: bad if k == 5000 else 2.0 ** -k)
         clean = WeightSequence.from_generator(lambda k: 2.0 ** -k)
@@ -389,6 +393,67 @@ class TestBlockSeriesMatchesScalarLoop:
         expected = samplers.OffspringDistribution.from_masses(
             _loop_limit_masses(w), renormalize=True)
         assert law.masses == expected.masses
+
+
+def _comprehension_tilted_law(w, t, top):
+    """`tilted_law` as it was before its masses came from `_scalar_blocks`:
+    one comprehension over every k <= top, kept verbatim as the reference."""
+    masses = [float(w.weight(k)) * float(t) ** k for k in range(top + 1)]
+    if not all(math.isfinite(m) for m in masses):
+        raise Diverged("tilted masses overflow; use a smaller tilt")
+    return samplers.OffspringDistribution.from_masses(
+        masses, label=f"tilt({t})", renormalize=True)
+
+
+class TestOneWeightReader:
+    @pytest.mark.parametrize("w, t, top", [
+        (census_weights(), 1.0, 1_999),
+        (WeightSequence.from_list([1, Fraction(1, 2), Fraction(1, 3),
+                                   Fraction(1, 5)]), 0.7, 3),
+        (WeightSequence.from_list([1, Fraction(1, 2), Fraction(1, 3),
+                                   Fraction(1, 5)]), 0.7, 40),
+        (WeightSequence.from_list([0.5, 0.25, 0.125]), 1.3, 2),
+        (WeightSequence.from_generator(lambda k: 2.0 ** -k), 1.99, 1_000)])
+    def test_tilted_law_is_the_comprehensions(self, w, t, top):
+        assert tilted_law(w, t, top) == _comprehension_tilted_law(w, t, top)
+
+    def test_explicit_tilt_stops_at_the_largest_degree(self):
+        # 3.684^k overflowed at k = 545 although w_k = 0 from k = 4 on
+        w = WeightSequence.from_list([1, 0, 0, Fraction(1, 100)])
+        t = solve_critical_tilt(w)
+        law = tilted_law(w, t, 999)
+        assert len(law.masses) == 1000 and not any(law.masses[4:])
+        assert law.masses[:4] == _comprehension_tilted_law(w, t, 3).masses
+        tree = simply_generated_sampler(w, 1000)(RngStream(1, 0))
+        assert Counter(tree.luka) == {0: 667, 3: 333}
+
+    def test_generator_tilt_overflow_is_diverged(self):
+        # 4^512 overflowed as a bare OverflowError
+        w = WeightSequence.from_generator(lambda k: 2.0 ** -k)
+        with pytest.raises(Diverged, match="k=512"):
+            tilted_law(w, 4.0, 600)
+
+    def test_limit_law_overflow_is_diverged(self):
+        # Phi(rho) converges by the tail fit, then rho^k overflowed as a
+        # bare OverflowError in the mass loop
+        w = WeightSequence.from_generator(
+            lambda k: 1.0 if k == 0 else k ** -2.2 * 1.005 ** -k,
+            rho_hint=1.005)
+        with pytest.raises(Diverged, match="overflowed at k=142312"):
+            limit_degree_law(w)
+
+    def test_each_weight_is_called_once(self):
+        calls = []
+
+        def weight(k):
+            calls.append(k)
+            return 0.5 ** k if k < 20 else 1 / 0
+
+        w = WeightSequence.from_generator(weight)
+        calls.clear()  # the constructor checks w_0, w_1, w_2
+        with pytest.raises(ZeroDivisionError):
+            weights_module._series_sum(w, 1.0, 0)
+        assert calls == list(range(21))
 
 
 def _fraction_poly_mul(a, b, trunc):
