@@ -36,7 +36,7 @@ from .samplers import (OffspringDistribution, conditioned_sampler,
                        sample_mark_height_batch, sample_stopping_index_batch,
                        sample_stopping_index_poissonized_batch)
 from .stats import wilson_interval
-from .trees import DegreeStatistics, PlaneTree, depth_table
+from .trees import DegreeStatistics, depth_table, validate_words
 from .weights import (WeightSequence, exact_tree_law, limit_degree_law,
                       simply_generated_sampler)
 
@@ -496,11 +496,14 @@ def _repeat_time_cells(stats: DegreeStatistics, inp: BoundInput,
 # conditioned trees: convergence ladders and concentration batteries
 # ---------------------------------------------------------------------------
 
-def _draw_trees(measure, draw, seed: int, cell: int, reps: int) -> list:
-    """measure(draw(substream r of RngStream(seed, cell))) for r < reps;
-    `draw` is a `conditioned_sampler` or a `simply_generated_sampler`."""
+def _draw_trees(draw, seed: int, cell: int, reps: int) -> np.ndarray:
+    """The reps x n stack of the words draw(substream r of RngStream(seed,
+    cell)), r < reps, checked in one `validate_words` pass; `draw` is a
+    `conditioned_sampler` or a `simply_generated_sampler`."""
     base = RngStream(seed, cell)
-    return [measure(draw(base.substream(r))) for r in range(reps)]
+    words = np.stack([draw(base.substream(r)) for r in range(reps)])
+    validate_words(words)
+    return words
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -508,7 +511,7 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
             float(values.std(ddof=1) / math.sqrt(len(values))))
 
 
-def _ladder_measure(words: list) -> tuple[np.ndarray, ...]:
+def _ladder_measure(words: np.ndarray) -> tuple[np.ndarray, ...]:
     """Heights, widths and mean depths of a rung's trees in one
     `depth_table` pass; depth sums are exact, so the means are too."""
     depths = depth_table(words)
@@ -553,7 +556,8 @@ def run_convergence(mu: OffspringDistribution | None = None,
 
     Rung j (a size, or an eps) draws from stream j, by the route
     `conditioned_sampler` picks for it: at the defaults, halving for the
-    heavy rungs at n = 800 and 3,200 and rejection for the rest.  Per size,
+    heavy rungs at n = 800 and 3,200 and rejection for the rest.  A rung's
+    words are one stack, handed to one `depth_table` call.  Per size,
     mean cells carry a normal-approximation 95% interval and median cells a
     degenerate one; trend cells compare the means.  Near-path refuses a mu
     or several sizes, the other families a grid, and every family a size
@@ -589,8 +593,7 @@ def run_convergence(mu: OffspringDistribution | None = None,
     trend = []  # per rung: Chat, or the (wid, ht) means
     for j, (law, n) in enumerate(rungs):
         hts, wids, deps = _ladder_measure(_draw_trees(
-            lambda t: t.luka, conditioned_sampler(law, n), seed, j,
-            replications))
+            conditioned_sampler(law, n), seed, j, replications))
         if family == "near-path":
             scale = math.sqrt(grid[j]) / math.sqrt(n)
             mean, se = _mean_se(deps)
@@ -680,17 +683,21 @@ def run_concentration(class_name: str,
           max over k <= 3 of |n(k)/n - pi(k)| < tolerance, pi the boundary
           degree law.  Trees come from `simply_generated_sampler`, which
           solves the tilt and builds the route once per call: halving over
-          one `conditional_sum_table` from n = 118 (1.7 ms per tree at
+          one `conditional_sum_table` from n = 118 (0.8 ms per word at
           n = 2,000), rejection below it, where 400 trees each drew 47,
           111, 256 and 492 rows per tree at n = 20, 40, 80 and 117
-          (0.1-0.7 ms on 2 CPUs).  pi is solved once per process.
+          (0.05-0.35 ms per word on a 2-vCPU VM).  pi is solved once per
+          process.
       leaf: factorial-squared weights (zero radius); exact expected leaf
           fraction strictly increasing over n = 6..12.  Deterministic, no
           Monte Carlo; n and replications are ignored.
 
     The other Monte Carlo classes take the route `conditioned_sampler`
     picks: at the defaults and n = 2,000, second-moment and stretched are
-    drawn by halving and branching by rejection.
+    drawn by halving and branching by rejection.  A class's replications
+    are one stack of words from `_draw_trees`, and its event reads n(k),
+    p2sq and n1 off every row at once, with p1 = n - 1; the counts are
+    exact, so the event is the same float comparison as on `Norms`.
 
     The census and leaf classes fix their weights and refuse a mu.  Every
     class refuses (BadParameters) a threshold outside [0, 1], a factor or
@@ -744,9 +751,10 @@ def run_concentration(class_name: str,
         weights, pis = _census_constants()
         draw = simply_generated_sampler(weights, n)
 
-        def holds(s: DegreeStatistics) -> bool:
-            return max(abs(s.count(k) / n - pis[k])
-                       for k in range(4)) < tolerance
+        def holds(words: np.ndarray) -> np.ndarray:
+            counts = np.stack([(words == k).sum(axis=1) for k in range(4)],
+                              axis=1)
+            return np.abs(counts / n - pis).max(axis=1) < tolerance
         target = {"weights": "k^-3", "pi": list(pis), "tolerance": tolerance}
     else:
         mu = mu or _CLASS_LAWS[class_name]()
@@ -756,21 +764,22 @@ def run_concentration(class_name: str,
                 raise BadParameters("branching class requires mu(0) + mu(1) < 1")
             event = {"floor": 4.0 * (1.0 - mu0 - mu1 - eps)}
 
-            def holds(s: DegreeStatistics) -> bool:
-                return (x := s.norms()).p2sq - x.n1 >= event["floor"] * x.p1
+            def holds(words: np.ndarray) -> np.ndarray:
+                return ((words * words).sum(axis=1) - (words == 1).sum(axis=1)
+                        >= event["floor"] * (n - 1))
         else:
             event = {"factor": factor}
 
-            def holds(s: DegreeStatistics) -> bool:
-                return (x := s.norms()).p2sq >= factor * x.p1
+            def holds(words: np.ndarray) -> np.ndarray:
+                return (words * words).sum(axis=1) >= factor * (n - 1)
         if mu.mean() > 1.0 + 1e-9:
             raise BadParameters("concentration classes are subcritical or "
                                 f"critical; mean is {mu.mean():.4f}")
         draw = conditioned_sampler(mu, n)
         target = mu.to_jsonable()
         target["event"] = event
-    hits = sum(map(holds, _draw_trees(PlaneTree.degree_statistics, draw,
-                                      seed, 0, replications)))
+    hits = int(np.count_nonzero(holds(_draw_trees(draw, seed, 0,
+                                                  replications))))
     frac = hits / replications
     lo, hi = wilson_interval(hits, replications)
     cells.append(Cell("concentration", n, f"{class_name} pass-fraction",

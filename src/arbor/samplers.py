@@ -25,9 +25,10 @@ Three families live here:
   lengths; the single draw `sample_stopping_index_poissonized` is the batch
   with one row.
 * direct tree construction: uniform trees with fixed degree statistics via
-  shuffle-and-rotate, and conditioned branching-process trees either by
-  rejection on multinomial degree-count vectors or by splitting the degree
-  sum in halves over a table of truncated convolution powers;
+  shuffle-and-rotate, and the int64 degree words of conditioned
+  branching-process trees either by rejection on multinomial degree-count
+  vectors or by splitting the degree sum in halves over a table of
+  truncated convolution powers;
   `expected_rejection_rows` predicts the rejection cost that picks between
   them.
 
@@ -359,15 +360,25 @@ def rotate_to_valid_word(degrees: Sequence[int]) -> tuple[int, ...]:
     return tuple(_rotation(np.asarray(degrees, dtype=np.int64)).tolist())
 
 
-def sample_uniform_tree(stats: DegreeStatistics, rng: RngStream) -> PlaneTree:
-    """Uniform plane tree with the given degree statistics: shuffle the
-    degree multiset, then rotate to the valid word."""
+def _shuffled_word(degrees: np.ndarray, counts, rng: RngStream) -> np.ndarray:
+    """The word step of every uniform tree: shuffle the multiset of int64
+    `degrees` (ascending) repeated `counts` times, then rotate it to the
+    valid word."""
+    return _rotation(rng.gen.permutation(np.repeat(degrees, counts)))
+
+
+def sample_uniform_word(stats: DegreeStatistics, rng: RngStream) -> np.ndarray:
+    """The int64 degree word of a uniform plane tree with the given degree
+    statistics."""
     if stats.a != 1:
         raise InvalidStatistics("uniform tree sampling needs a = 1")
     degrees, counts = zip(*stats.sorted_items())
-    perm = rng.gen.permutation(np.repeat(np.array(degrees, dtype=np.int64),
-                                         counts))
-    return build_tree(_rotation(perm))
+    return _shuffled_word(np.array(degrees, dtype=np.int64), counts, rng)
+
+
+def sample_uniform_tree(stats: DegreeStatistics, rng: RngStream) -> PlaneTree:
+    """Uniform plane tree with the given degree statistics."""
+    return build_tree(sample_uniform_word(stats, rng))
 
 
 def sample_uniform_marked_tree(stats: DegreeStatistics, rng: RngStream) -> MarkedTree:
@@ -405,6 +416,10 @@ class OffspringDistribution:
     @classmethod
     def from_masses(cls, masses, label: str = "explicit",
                     renormalize: bool = False) -> "OffspringDistribution":
+        """Masses mu(0), mu(1), ... from a sequence, a dict degree -> mass
+        or a float64 array, which is checked as it is.  Anything else is
+        read mass by mass through float(), refusing bools.  The total is a
+        left-to-right running sum, as in a Python loop."""
         if isinstance(masses, dict):
             for k in masses:
                 if not _is_integer(k) or k < 0:
@@ -413,23 +428,29 @@ class OffspringDistribution:
             vec = [0.0] * (max(masses, default=-1) + 1)
             for k, v in masses.items():
                 vec[k] = v
+            masses = vec
+        if (isinstance(masses, np.ndarray) and masses.dtype == np.float64
+                and masses.ndim == 1):
+            vec = masses
         else:
             vec = list(masses)
-        if any(isinstance(v, (bool, np.bool_)) for v in vec):
-            raise InvalidDistribution("offspring masses must be numbers, not bools")
-        vec = [float(v) for v in vec]
-        if not all(0 <= v < math.inf for v in vec):
+            if any(isinstance(v, (bool, np.bool_)) for v in vec):
+                raise InvalidDistribution(
+                    "offspring masses must be numbers, not bools")
+            vec = np.array([float(v) for v in vec], dtype=np.float64)
+        if not ((vec >= 0) & (vec < math.inf)).all():
             raise InvalidDistribution("offspring masses must be finite, >= 0")
-        total = sum(vec)
+        with np.errstate(over="ignore"):  # an infinite total is refused
+            total = float(np.add.accumulate(vec)[-1]) if vec.size else 0
         if renormalize:
             if total <= 0:
                 raise InvalidDistribution("offspring masses sum to zero")
-            vec = [v / total for v in vec]
+            vec = vec / total
         elif abs(total - 1.0) > 1e-12:
             raise InvalidDistribution(f"offspring masses sum to {total!r}")
-        if not vec or vec[0] <= 0:
+        if not vec.size or vec[0] <= 0:
             raise InvalidDistribution("offspring law needs positive mass at zero")
-        return cls("explicit", (), tuple(vec), label)
+        return cls("explicit", (), tuple(vec.tolist()), label)
 
     @classmethod
     def geometric(cls, p: float) -> "OffspringDistribution":
@@ -675,24 +696,26 @@ def expected_rejection_rows(mu: OffspringDistribution, n: int) -> float | None:
 
 def sample_conditioned_bienayme(mu: OffspringDistribution, n: int,
                                 rng: RngStream,
-                                max_attempts: int = 10_000_000) -> PlaneTree:
-    """Branching-process tree with offspring law mu conditioned on n nodes.
+                                max_attempts: int = 10_000_000) -> np.ndarray:
+    """The int64 degree word of a branching-process tree with offspring law
+    mu conditioned on n nodes; `build_tree` makes it a PlaneTree.
 
     Count-vector rejection (Devroye, SIAM J. Comput. 41, 2012): propose the
     degree counts of n i.i.d. draws as one multinomial row, accept when the
-    degrees sum to n - 1, then draw the tree by `sample_uniform_tree` of
-    that row's counts.  Given its degree counts the tree is uniform, so its
-    law is proportional to prod mu(deg).  The proposal is truncated at degree
-    n - 1 and renormalised, which only raises acceptance.  Rows come in
-    chunks of 16 doubling to max(16, 65536 // n); `max_attempts` caps them.
+    degrees sum to n - 1, then shuffle and rotate that row's multiset, the
+    word step of `sample_uniform_word`.  Given its degree counts the tree
+    is uniform, so its law is proportional to prod mu(deg).  The proposal
+    is truncated at degree n - 1 and renormalised, which only raises
+    acceptance.  Rows come in chunks of 16 doubling to max(16, 65536 // n);
+    `max_attempts` caps them.
     A row has a column for each degree with positive mass and one for
     degree n - 1, always last.  numpy draws one binomial per column but the
     last, and a zero-mass column draws nothing, so these rows are the ones
     a row over all n degrees would draw, at O(support) instead of O(n).
     `expected_rejection_rows` predicts how many rows a tree takes: the
     heavy law (full support) at n = 3,200 takes about 1,700 rows
-    (predicted 1,046), 18 ms per tree, where the halving sampler takes
-    about 2 ms (means of 200 and 100 trees on a 2-vCPU machine).
+    (predicted 1,046), 16 ms per word, where the halving sampler takes
+    about 1.2 ms (means of 40 words on a 2-vCPU VM).
 
     Raises ZeroPartition before the first proposal when n - 1 is not a sum
     of positive degrees with mass below n.  `_reachable_sum` decides this
@@ -713,8 +736,7 @@ def sample_conditioned_bienayme(mu: OffspringDistribution, n: int,
         counts = gen.multinomial(n, q[cols], size=take)
         hits = np.flatnonzero(counts @ cols == n - 1)
         if hits.size:
-            return sample_uniform_tree(DegreeStatistics(
-                dict(zip(cols.tolist(), counts[hits[0]].tolist()))), rng)
+            return _shuffled_word(cols, counts[hits[0]], rng)
         attempts += take
         rows = min(2 * rows, max(16, 65_536 // n))
     raise AttemptsExhausted(
@@ -735,18 +757,20 @@ def block_sizes(n: int) -> list[int]:
 def conditional_sum_table(mu: OffspringDistribution, n: int) -> np.ndarray:
     """Row i is the law on 0..n-1 of a sum of block_sizes(n)[i] i.i.d.
     mu-draws, renormalised; the row for m convolves those for m // 2 and
-    m - m // 2.
+    m - m // 2.  There is no row for n itself, which no split reads, so
+    the table of n = 1 is empty.
 
     Entries above n - 1 are dropped; degrees are nonnegative, so truncation
     never leaks back into the retained range and the kept entries are exact
     up to rounding.  Each row is rescaled to sum to one, which is harmless
     because the sequential sampler only ever uses within-row ratios.  At
-    n = 10,000 the 22 rows take 0.6 s and 1.8 MB.
+    n = 10,000 the 21 rows take 0.6 s and 1.7 MB.
     """
     first = _truncated_masses(mu, n)
-    sizes = block_sizes(n)
+    sizes = block_sizes(n)[:-1]
     table = np.zeros((len(sizes), n))
-    table[0] = first  # sizes[0] == 1
+    if sizes:
+        table[0] = first  # sizes[0] == 1
     for i, m in enumerate(sizes[1:], 1):
         row = np.convolve(table[sizes.index(m // 2)],
                           table[sizes.index(m - m // 2)])[:n]
@@ -757,8 +781,9 @@ def conditional_sum_table(mu: OffspringDistribution, n: int) -> np.ndarray:
 
 def sample_conditioned_bienayme_sequential(
         mu: OffspringDistribution, n: int, rng: RngStream,
-        table: np.ndarray | None = None) -> PlaneTree:
-    """Same law as sample_conditioned_bienayme, built by halving the sum.
+        table: np.ndarray | None = None) -> np.ndarray:
+    """Same law as sample_conditioned_bienayme, drawn by halving the sum;
+    returns the int64 degree word.
 
     One block of n degrees starts with target sum n - 1.  A block of size
     m >= 2 splits its target t between halves of m1 = m // 2 and m - m1
@@ -766,11 +791,12 @@ def sample_conditioned_bienayme_sequential(
     P(S_m1 = a) P(S_(m-m1) = t - a) from conditional_sum_table; a block of
     size one is a degree.  The splits multiply to prod mu(d_i) over the
     normaliser, an exchangeable law, so block order does not matter before
-    the rotation.  Each level is one ragged cumulative sum, so a tree costs
-    O(n log n) however far the total sits in the proposal's tail: on 2
-    CPUs, 1.7 ms at n = 2,000 and 5.2 ms at n = 10,000 for the census law,
-    0.7 ms at n = 800 and 1.5 ms at n = 3,200 for the heavy law.  Pass a
-    precomputed `table` when drawing many trees at one (mu, n).
+    the rotation.  Each level is one ragged cumulative sum, so a word costs
+    O(n log n) however far the total sits in the proposal's tail: on a
+    2-vCPU VM, 0.8 ms at n = 2,000 and 3.1 ms at n = 10,000 for the census
+    law, 0.6 ms at n = 800 and 1.2 ms at n = 3,200 for the heavy law (means
+    of 100 words).  Pass a precomputed `table` when drawing many words at
+    one (mu, n).
 
     Raises ZeroPartition when no degree sequence can reach the target sum,
     a case the rejection sampler can only burn attempts on.
@@ -779,7 +805,7 @@ def sample_conditioned_bienayme_sequential(
         raise ValueError("need at least one node")
     if table is None:
         table = conditional_sum_table(mu, n)
-    sizes = block_sizes(n)
+    sizes = block_sizes(n)[:-1]
     row_of = np.zeros(n + 1, dtype=np.int64)
     row_of[sizes] = np.arange(len(sizes))
     flat = table.ravel()
@@ -815,20 +841,22 @@ def sample_conditioned_bienayme_sequential(
         a = np.minimum(np.searchsorted(cdf, u, side="right") - starts, t)
         m = np.concatenate([m1, m2])
         t = np.concatenate([a, t - a])
-    return build_tree(_rotation(np.concatenate(degrees)))
+    return _rotation(np.concatenate(degrees))
 
 
-# proposal rows per tree above which halving beats rejection: a row costs
-# O(n) at full support and a halving tree O(n log n), and the two cross at
-# 200-400 rows
+# predicted proposal rows per word above which `conditioned_sampler` halves:
+# a row costs O(support) and a halving word O(n log n).  The rule fixes the
+# route, and so the draws, of every report; since both routes return words,
+# halving is the cheaper at the heavy law already at n = 200, 118 predicted
+# rows (0.33 against 0.48 ms a word on a 2-vCPU VM)
 _HALVING_ROWS = 256
 
 
 def conditioned_sampler(mu: OffspringDistribution, n: int):
-    """rng -> a mu-tree conditioned on n nodes, by the cheaper route:
-    rejection unless `expected_rejection_rows` predicts more than
-    _HALVING_ROWS rows per tree, else halving over one
-    `conditional_sum_table(mu, n)` shared by every tree drawn."""
+    """rng -> the int64 degree word of a mu-tree conditioned on n nodes, by
+    the cheaper route: rejection unless `expected_rejection_rows` predicts
+    more than _HALVING_ROWS rows per tree, else halving over one
+    `conditional_sum_table(mu, n)` shared by every word drawn."""
     rows = expected_rejection_rows(mu, n)
     if rows is None or rows <= _HALVING_ROWS:
         return functools.partial(sample_conditioned_bienayme, mu, n)

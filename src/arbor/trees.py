@@ -117,8 +117,44 @@ class DegreeStatistics:
         return hash(tuple(self.sorted_items()))
 
 
+def _word_error(words: np.ndarray) -> tuple[int, str] | None:
+    """The first row of an R x n degree array that is not a valid word, and
+    what is wrong with it, or None when every row is valid."""
+    n = words.shape[1]
+    if not n:
+        return 0, "empty degree word"
+    # no prefix can drop below zero after a degree >= n, so capping degrees
+    # at n moves no error and keeps the int64 prefix sums from wrapping
+    walk = np.cumsum(np.minimum(words, n) - 1, axis=1)
+    neg = words < 0
+    drop = walk[:, :-1] < 0
+    bad = np.flatnonzero(neg.any(axis=1) | drop.any(axis=1)
+                         | (walk[:, -1] != -1))
+    if not bad.size:
+        return None
+    r = int(bad[0])
+    neg, drop = np.flatnonzero(neg[r]), np.flatnonzero(drop[r])
+    # the first offending position wins; at a tie the negative degree does
+    if neg.size and (not drop.size or neg[0] <= drop[0]):
+        i = int(neg[0])
+        return r, f"negative degree {words[r, i]} at position {i}"
+    if drop.size:
+        return r, f"prefix sum drops below zero at position {int(drop[0])}"
+    return r, (f"degree word sums to {sum(words[r].tolist())}, "
+               f"expected {n - 1} edges")
+
+
+def validate_words(words: np.ndarray) -> None:
+    """Check an R x n int64 stack of degree words in one pass; InvalidWord
+    names the first invalid row and what `build_tree` would say of it."""
+    error = _word_error(words)
+    if error is not None:
+        raise InvalidWord(f"row {error[0]}: {error[1]}")
+
+
 def _validate_word(word: Iterable[int]) -> tuple[int, ...]:
-    """The checked word as a tuple; an int64 array is checked as it is."""
+    """The checked word as a tuple: the one-row call of `validate_words`'s
+    rule.  An int64 array is checked as it is."""
     if not (isinstance(word, np.ndarray) and word.dtype == np.int64
             and word.ndim == 1):
         word = tuple(map(int, word))
@@ -126,26 +162,10 @@ def _validate_word(word: Iterable[int]) -> tuple[int, ...]:
         d = np.asarray(word, dtype=np.int64)
     except OverflowError:  # a degree past int64: keep exact Python ints
         d = np.array(word, dtype=object)
-    n = len(d)
-    if not n:
-        raise InvalidWord("empty degree word")
-    # no prefix can drop below zero after a degree >= n, so capping degrees
-    # at n moves no error and keeps the int64 prefix sums from wrapping
-    walk = np.cumsum(np.minimum(d, n) - 1)
-    neg = np.flatnonzero(d < 0)
-    drop = np.flatnonzero(walk[:-1] < 0)
-    # the first offending position wins; at a tie the negative degree does
-    if neg.size and (not drop.size or neg[0] <= drop[0]):
-        i = int(neg[0])
-        raise InvalidWord(f"negative degree {d[i]} at position {i}")
-    if drop.size:
-        raise InvalidWord(
-            f"prefix sum drops below zero at position {int(drop[0])}")
-    word = tuple(d.tolist())
-    if walk[-1] != -1:
-        raise InvalidWord(f"degree word sums to {sum(word)}, "
-                          f"expected {n - 1} edges")
-    return word
+    error = _word_error(d.reshape(1, -1))
+    if error is not None:
+        raise InvalidWord(error[1])
+    return tuple(d.tolist())
 
 
 def depth_table(words: Sequence[Sequence[int]]) -> np.ndarray:

@@ -29,8 +29,8 @@ from .errors import (Diverged, OutOfDomain, PhiDiverges, RhoUnknown,
                      TooLarge, BadParameters, ZeroPartition)
 from .rng import RngStream
 from .samplers import (OffspringDistribution, _reachable_sum,
-                       conditioned_sampler, sample_uniform_tree)
-from .trees import DegreeStatistics, PlaneTree, build_tree
+                       conditioned_sampler, sample_uniform_word)
+from .trees import DegreeStatistics
 
 _REL_TOL = 1e-14
 _SERIES_CAP = 1_000_000
@@ -401,14 +401,14 @@ def limit_degree_law(w: WeightSequence) -> OffspringDistribution:
             partials = np.add.accumulate(np.concatenate(([partial], block)))[1:]
         done = np.flatnonzero((ks >= 8) & (1.0 - partials < 1e-12))
         if done.size:
-            masses.extend(block[:done[0] + 1].tolist())
+            masses.append(block[:done[0] + 1])
             break
         if error is not None:
             raise error
-        masses.extend(block.tolist())
+        masses.append(block)
         partial = float(partials[-1])
-    return OffspringDistribution.from_masses(masses, label="limit_law",
-                                             renormalize=True)
+    return OffspringDistribution.from_masses(
+        np.concatenate(masses), label="limit_law", renormalize=True)
 
 
 def tilted_law(w: WeightSequence, t, top: int) -> OffspringDistribution:
@@ -427,7 +427,7 @@ def tilted_law(w: WeightSequence, t, top: int) -> OffspringDistribution:
     if not np.isfinite(masses).all():
         raise Diverged("tilted masses overflow; use a smaller tilt")
     return OffspringDistribution.from_masses(
-        masses.tolist(), label=f"tilt({t})", renormalize=True)
+        masses, label=f"tilt({t})", renormalize=True)
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +558,9 @@ def _psi_or_inf(w: WeightSequence, t) -> float:
 
 
 def simply_generated_sampler(w: WeightSequence, n: int):
-    """rng -> a tree with P(t) = w(t) / Z_n among n-node plane trees, with
-    all the work that depends only on (w, n) done once, here.
+    """rng -> the int64 degree word of a tree drawn with P(t) = w(t) / Z_n
+    among n-node plane trees, with all the work that depends only on
+    (w, n) done once, here.
 
     Positive radius: tilt the weights into an offspring law (the tilt
     cancels in the conditioned law) and draw by the route
@@ -571,7 +572,7 @@ def simply_generated_sampler(w: WeightSequence, n: int):
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
-        return lambda rng: build_tree((0,))
+        return lambda rng: np.zeros(1, dtype=np.int64)
     end = n if w.explicit is None else min(n, len(w.explicit))
     support = [k for k in range(1, end) if w.weight(k) > 0]
     if not _reachable_sum(support, n - 1):
@@ -583,12 +584,13 @@ def simply_generated_sampler(w: WeightSequence, n: int):
         table = _class_weights(w, n)
         return functools.partial(_sample_class, table, float(sum(table.values())))
     if max(support) == 1:  # the path is the only tree
-        return lambda rng: build_tree((1,) * (n - 1) + (0,))
+        return lambda rng: np.append(np.ones(n - 1, dtype=np.int64), 0)
     return conditioned_sampler(tilted_law(w, solve_critical_tilt(w), n - 1), n)
 
 
-def sample_simply_generated(w: WeightSequence, n: int, rng: RngStream) -> PlaneTree:
-    """One draw of `simply_generated_sampler(w, n)`."""
+def sample_simply_generated(w: WeightSequence, n: int,
+                            rng: RngStream) -> np.ndarray:
+    """One word drawn by `simply_generated_sampler(w, n)`."""
     return simply_generated_sampler(w, n)(rng)
 
 
@@ -605,15 +607,16 @@ def _class_weights(w: WeightSequence, n: int) -> dict:
     return table
 
 
-def _sample_class(table: dict, total: float, rng: RngStream) -> PlaneTree:
-    """A uniform tree of a `_class_weights` class; `total` sums the table."""
+def _sample_class(table: dict, total: float, rng: RngStream) -> np.ndarray:
+    """The word of a uniform tree of a `_class_weights` class; `total` sums
+    the table."""
     u = rng.gen.uniform() * total
     acc = 0.0
     for stats, wt in table.items():  # the last class if rounding runs out
         acc += float(wt)
         if u < acc:
             break
-    return sample_uniform_tree(stats, rng)
+    return sample_uniform_word(stats, rng)
 
 
 def exact_tree_law(w: WeightSequence, n: int) -> dict[DegreeStatistics, Fraction]:

@@ -32,6 +32,9 @@ RUNS = {
     # rejection at n = 200, halving at n = 800, one depth pass per rung
     "converge-heavy-halving": lambda: run_convergence(
         family="heavy", sizes=(200, 800), replications=3, seed=4),
+    # halving at n = 800 and 3,200
+    "converge-heavy-3200": lambda: run_convergence(
+        family="heavy", sizes=(800, 3200), replications=3, seed=4),
     "converge-control": lambda: run_convergence(
         family="control", sizes=(21, 41), replications=8, seed=3),
     "converge-near-path": lambda: run_convergence(
@@ -44,6 +47,9 @@ RUNS = {
     # n = 2,000 draws by halving over one shared table
     "concentrate-stretched-halving": lambda: run_concentration(
         "stretched", n=2000, replications=3, seed=2),
+    # census weights at n = 2,000, tilted and drawn by halving
+    "concentrate-census-halving": lambda: run_concentration(
+        "census", n=2000, replications=3, seed=1, tolerance=0.01),
     "concentrate-branching": lambda: run_concentration(
         "branching", n=60, replications=6, seed=2),
     "concentrate-census": lambda: run_concentration(
@@ -61,6 +67,8 @@ GOLDEN = {
         "abd9fbe517faa5c77774a108310fb6ca84e26d196180444ab606dadb0f68d362",
     "converge-heavy-halving":
         "bb1762d9cc9fbf7e4532e9dd14449c374636f6ed69cbe897ffd38b1002f93b1c",
+    "converge-heavy-3200":
+        "3e1cbfd700b955723f9ecad3d45594448235bd311af6f565eb860df4450bc43d",
     "converge-control":
         "1b454433d1ae32cf61beadbbb669e444c2c91a892bffadf6c7091f5d0bec38fe",
     "converge-near-path":
@@ -71,6 +79,8 @@ GOLDEN = {
         "05f843cde358a7946c4e4f0d9f8c31834c39bc4d9bfe22db07f03ff84d959dbd",
     "concentrate-stretched-halving":
         "8610addbf9cd547c508ccdafa9362a7a268161c6c1bf51ebe81c6b893bc07e50",
+    "concentrate-census-halving":
+        "4f43a482d565bded1bc8d6ac4a78cc29c656b732f94397fbfdbb8c1b7404db99",
     "concentrate-branching":
         "3f9d1fab020083e605937459d7a26c23a0feca4534cc3066a57d96306b62fc98",
     "concentrate-census":

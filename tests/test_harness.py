@@ -20,7 +20,8 @@ from arbor import harness, samplers
 from arbor.bounds import BoundInput
 from arbor.enumeration import (TAU_FLOOR, enumerate_degree_statistics,
                                enumerate_trees, repeat_time_tails, word_table)
-from arbor.errors import BadParameters, PathDegenerate, ZeroPartition
+from arbor.errors import (BadParameters, InvalidWord, PathDegenerate,
+                          ZeroPartition)
 from arbor.harness import (_CLASS_LAWS, _LADDERS, CONCENTRATION_CLASSES,
                            CSV_COLUMNS, Cell, ExperimentConfig,
                            ExperimentReport, full_binary_statistics,
@@ -29,7 +30,7 @@ from arbor.harness import (_CLASS_LAWS, _LADDERS, CONCENTRATION_CLASSES,
                            run_equivalence_suite, run_tail_sweep)
 from arbor.rng import RngStream
 from arbor.samplers import OffspringDistribution, conditional_sum_table
-from arbor.trees import DegreeStatistics, MarkedTree, depth_table
+from arbor.trees import DegreeStatistics, MarkedTree, build_tree, depth_table
 from arbor.weights import (WeightSequence, limit_degree_law,
                            simply_generated_sampler, solve_critical_tilt,
                            tilted_law)
@@ -606,10 +607,58 @@ class TestConcentration:
             frozen = functools.partial(
                 samplers.sample_conditioned_bienayme_sequential, law, n,
                 table=samplers.conditional_sum_table(law, n))
-            words = [harness._draw_trees(lambda t: t.luka, draw, seed, 0, 4)
+            words = [harness._draw_trees(draw, seed, 0, 4)
                      for draw in (frozen,
                                   simply_generated_sampler(weights, n))]
-            assert words[0] == words[1], n
+            assert np.array_equal(words[0], words[1]), n
+
+    def test_drawn_stack_is_checked(self):
+        words = iter([[1, 0], [1, 0], [0, 1]])
+        with pytest.raises(InvalidWord, match="^row 2: prefix sum drops"):
+            harness._draw_trees(
+                lambda rng: np.array(next(words), dtype=np.int64), 0, 0, 3)
+
+    @pytest.mark.parametrize("class_name, n", [
+        ("second-moment", 300), ("stretched", 300), ("branching", 300),
+        ("census", 60), ("census", 300)])
+    def test_stack_events_are_the_norms_events(self, class_name, n):
+        """Each event read off the stack of words agrees, tree by tree,
+        with the same comparison on the tree's counts and `Norms`, also at
+        a parameter equal to some tree's own statistic."""
+        reps, seed = 24, 6
+        if class_name == "census":
+            weights, pis = harness._census_constants()
+            draw = simply_generated_sampler(weights, n)
+        else:
+            mu = _CLASS_LAWS[class_name]()
+            draw = samplers.conditioned_sampler(mu, n)
+        stats = [build_tree(w).degree_statistics()
+                 for w in harness._draw_trees(draw, seed, 0, reps)]
+        norms = [s.norms() for s in stats]
+        if class_name == "census":
+            gaps = [max(abs(s.count(k) / n - pis[k]) for k in range(4))
+                    for s in stats]
+            grid = [{"tolerance": g} for g in sorted(gaps)[::5]]
+        elif class_name == "branching":
+            slack = 1.0 - mu.mass(0) - mu.mass(1)
+            grid = [{"eps": slack - (x.p2sq - x.n1) / x.p1 / 4}
+                    for x in sorted(norms)[::5]]
+        else:
+            grid = [{"factor": x.p2sq / x.p1} for x in sorted(norms)[::5]]
+        split = False
+        for kwargs in grid:
+            report = run_concentration(class_name, n=n, replications=reps,
+                                       seed=seed, **kwargs)
+            if class_name == "census":
+                want = [g < kwargs["tolerance"] for g in gaps]
+            elif class_name == "branching":
+                floor = report.config.target["event"]["floor"]
+                want = [x.p2sq - x.n1 >= floor * x.p1 for x in norms]
+            else:
+                want = [x.p2sq >= kwargs["factor"] * x.p1 for x in norms]
+            assert report.cells[0].empirical == sum(want) / reps, kwargs
+            split |= 0 < sum(want) < reps
+        assert split
 
     def test_class_names_cover_the_cli_choices(self):
         assert CONCENTRATION_CLASSES == ("second-moment", "stretched",

@@ -5,6 +5,7 @@ thresholds, so they are deterministic; the exact laws they compare against
 come from the enumeration module, which has its own independent oracles.
 """
 
+import functools
 import hashlib
 import importlib.util
 import math
@@ -39,11 +40,14 @@ from arbor.samplers import (OffspringDistribution, _hurwitz, block_sizes,
                             sample_stopping_index_batch,
                             sample_stopping_index_poissonized,
                             sample_stopping_index_poissonized_batch,
-                            sample_uniform_marked_tree, sample_uniform_tree)
-from arbor.trees import DegreeStatistics, build_tree
-from arbor.weights import (WeightSequence, simply_generated_sampler,
-                           solve_critical_tilt, tilted_law)
+                            sample_uniform_marked_tree, sample_uniform_tree,
+                            sample_uniform_word)
+from arbor.trees import DegreeStatistics, PlaneTree, build_tree
+from arbor.weights import (WeightSequence, limit_degree_law,
+                           simply_generated_sampler, solve_critical_tilt,
+                           tilted_law)
 
+import tree_sampler_reference as frozen_trees
 from chisq import chi_square_gof, chi_square_two_sample
 from poisson_reference import interval_poissonized_batch
 from polynomial_reference import repeat_time_survivals
@@ -56,10 +60,14 @@ def float_pmf(law):
     return {k: float(v) for k, v in law.pmf().items()}
 
 
+def census_weights():
+    return WeightSequence.from_generator(
+        lambda k: 1.0 if k == 0 else float(k) ** -3.0, rho_hint=1.0)
+
+
 def census_law(n):
     """The k^-3 census weights tilted to their critical law on 0..n-1."""
-    w = WeightSequence.from_generator(
-        lambda k: 1.0 if k == 0 else float(k) ** -3.0, rho_hint=1.0)
+    w = census_weights()
     return tilted_law(w, solve_critical_tilt(w), n - 1)
 
 
@@ -1050,6 +1058,75 @@ class TestOffspringDistribution:
                                                              abs=1e-2)
 
 
+def mass_bits(mu):
+    return np.array(mu.masses).view(np.uint64).tolist()
+
+
+class TestFromMassesArrayPath:
+    """A float64 array is checked in numpy; a list is read mass by mass.
+    Both must give what the frozen list path gave, bit for bit, and the
+    same refusals with the same messages."""
+
+    def test_array_masses_are_the_list_masses(self):
+        gen = np.random.default_rng(41)
+        for trial in range(300):
+            raw = gen.random(int(gen.integers(1, 60))) ** 3
+            raw[gen.random(raw.size) < 0.3] = 0.0
+            raw[0] += 1e-3
+            laws = [build(vec, renormalize=True)
+                    for vec in (raw, raw.tolist())
+                    for build in (OffspringDistribution.from_masses,
+                                  frozen_trees.from_masses)]
+            assert len({tuple(mass_bits(mu)) for mu in laws}) == 1, trial
+        for vec in ([0.1] * 10, [0.5, 0.25, 0.25], [1.0], [0.3, 0.7 + 5e-13]):
+            laws = [build(v) for v in (np.array(vec), vec)
+                    for build in (OffspringDistribution.from_masses,
+                                  frozen_trees.from_masses)]
+            assert len({tuple(mass_bits(mu)) for mu in laws}) == 1, vec
+            assert all(mu.kind == "explicit" and mu.label == "explicit"
+                       for mu in laws)
+
+    @pytest.mark.parametrize("vec, renormalize", [
+        ([0.5, -0.1, 0.6], False), ([0.5, -0.1, 0.6], True),
+        ([0.5, math.nan, 0.5], False), ([0.5, math.nan, 0.5], True),
+        ([0.5, math.inf, 0.5], False), ([0.5, math.inf, 0.5], True),
+        ([0.5, 0.4], False), ([0.5, 0.5 + 2e-12], False),
+        ([0.0, 1.0], False), ([0.0, 1.0], True), ([0.0, 0.0], True),
+        ([], False), ([], True), ([1e308, 1e308, 1.0], False),
+        ([1e308, 1e308, 1.0], True)],
+        ids=["negative", "negative-renormalize", "nan", "nan-renormalize",
+             "inf", "inf-renormalize", "sum-off", "sum-just-off",
+             "zero-at-0", "zero-at-0-renormalize", "all-zero", "empty",
+             "empty-renormalize", "sum-overflows",
+             "sum-overflows-renormalize"])
+    def test_same_refusals_and_messages(self, vec, renormalize):
+        with pytest.raises(InvalidDistribution) as want:
+            frozen_trees.from_masses(vec, renormalize=renormalize)
+        for given in (np.array(vec, dtype=np.float64), vec):
+            with pytest.raises(InvalidDistribution) as got:
+                OffspringDistribution.from_masses(given,
+                                                  renormalize=renormalize)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("masses", [
+        [True, False], [0.5, np.True_, 0.5], np.array([True, False]),
+        np.array([0.5, True, 0.5], dtype=object)],
+        ids=["list", "numpy-bool-in-list", "bool-array", "object-array"])
+    def test_bools_are_still_refused(self, masses):
+        with pytest.raises(InvalidDistribution, match="not bools"):
+            OffspringDistribution.from_masses(masses, renormalize=True)
+
+    def test_weight_laws_equal_the_frozen_list_path(self):
+        w = census_weights()
+        for live, frozen in (
+                (limit_degree_law(w), frozen_trees.limit_degree_law(w)),
+                (tilted_law(w, 1.0, 1999),
+                 frozen_trees.tilted_law(w, 1.0, 1999))):
+            assert mass_bits(live) == mass_bits(frozen)
+            assert live == frozen
+        assert len(limit_degree_law(w).masses) == 35_584
+
+
 class TestHurwitzZeta:
     """The Cephes port against scipy.special.zeta, which wraps the same
     routine: the floats must agree bit for bit."""
@@ -1099,7 +1176,8 @@ class TestConditionedBienayme:
     def test_size_check_is_uncached_and_comes_before_any_proposal(self):
         assert not hasattr(samplers, "_reachable_support")
         mu = OffspringDistribution.from_masses({0: 0.5, 2: 0.5})
-        words = [sample_conditioned_bienayme(mu, 21, RngStream(7, r)).luka
+        words = [build_tree(sample_conditioned_bienayme(mu, 21,
+                                                        RngStream(7, r))).luka
                  for r in range(6)]
         assert words == [frozen_full_column_bienayme(mu, 21,
                                                      RngStream(7, r)).luka
@@ -1119,7 +1197,7 @@ class TestConditionedBienayme:
         assert len(words) == 14
         index = {w: i for i, w in enumerate(words)}
         rng = RngStream(17, 0)
-        draws = [index[sample_conditioned_bienayme(mu, 5, rng).luka]
+        draws = [index[tuple(sample_conditioned_bienayme(mu, 5, rng).tolist())]
                  for _ in range(5000)]
         assert chi_square_gof(draws, {i: 1 / 14 for i in range(14)}) > P_FLOOR
 
@@ -1129,9 +1207,8 @@ class TestConditionedBienayme:
         index = {w: i for i, w in enumerate(words)}
         table = conditional_sum_table(mu, 5)
         rng = RngStream(18, 0)
-        draws = [
-            index[sample_conditioned_bienayme_sequential(mu, 5, rng, table).luka]
-            for _ in range(5000)]
+        draws = [index[tuple(sample_conditioned_bienayme_sequential(
+            mu, 5, rng, table).tolist())] for _ in range(5000)]
         assert chi_square_gof(draws, {i: 1 / 14 for i in range(14)}) > P_FLOOR
 
     def test_sequential_vs_rejection_two_sample(self):
@@ -1139,37 +1216,41 @@ class TestConditionedBienayme:
         words = [t.luka for t in enumerate_trees_of_size(7)]
         index = {w: i for i, w in enumerate(words)}
         rng_a, rng_b = RngStream(19, 0), RngStream(19, 1)
-        a = [index[sample_conditioned_bienayme(mu, 7, rng_a).luka]
+        a = [index[tuple(sample_conditioned_bienayme(mu, 7, rng_a).tolist())]
              for _ in range(3000)]
-        b = [index[sample_conditioned_bienayme_sequential(mu, 7, rng_b).luka]
-             for _ in range(3000)]
+        b = [index[tuple(sample_conditioned_bienayme_sequential(
+            mu, 7, rng_b).tolist())] for _ in range(3000)]
         assert chi_square_two_sample(a, b) > P_FLOOR
 
     @pytest.mark.parametrize("family", ["census", "sparse"])
     @pytest.mark.parametrize("route", ["rejection", "sequential"])
     def test_matches_exact_law(self, family, route):
-        """Both samplers against prod mu(d_i) / Z over all 7-node trees."""
+        """Both samplers against prod mu(d_i) / Z over all 7-node trees;
+        each word is keyed by its base-7 digits, with no tree per draw."""
         mu = (census_law(7) if family == "census" else
               OffspringDistribution.from_masses({0: 0.5, 1: 0.2, 3: 0.3}))
         law = conditioned_law(mu, 7)
-        index = {w: i for i, w in enumerate(law)}
+        digits = 7 ** np.arange(7)
         rng = RngStream(24, 0)
         if route == "rejection":
-            draws = [index[sample_conditioned_bienayme(mu, 7, rng).luka]
+            words = [sample_conditioned_bienayme(mu, 7, rng)
                      for _ in range(20_000)]
         else:
             table = conditional_sum_table(mu, 7)
-            draws = [index[sample_conditioned_bienayme_sequential(
-                mu, 7, rng, table).luka] for _ in range(20_000)]
-        assert chi_square_gof(draws, {index[w]: p for w, p in law.items()}) \
-            > P_FLOOR
+            words = [sample_conditioned_bienayme_sequential(mu, 7, rng, table)
+                     for _ in range(20_000)]
+        index = {int(np.array(w) @ digits): i for i, w in enumerate(law)}
+        draws = [index[k] for k in (np.stack(words) @ digits).tolist()]
+        assert chi_square_gof(draws, {i: p for i, p in enumerate(
+            law.values())}) > P_FLOOR
 
     def test_size_is_exact(self):
         mu = OffspringDistribution.power_law(2.5, 0.95)
         rng = RngStream(20, 0)
         for n in (1, 2, 17):
-            assert sample_conditioned_bienayme(mu, n, rng).n == n
-            assert sample_conditioned_bienayme_sequential(mu, n, rng).n == n
+            assert build_tree(sample_conditioned_bienayme(mu, n, rng)).n == n
+            assert build_tree(
+                sample_conditioned_bienayme_sequential(mu, n, rng)).n == n
 
     def test_unreachable_size_raises(self):
         # support {0, 2}: degree sums are even, but a 4-node tree needs 3;
@@ -1190,8 +1271,88 @@ class TestConditionedBienayme:
 
     def test_single_node(self):
         mu = OffspringDistribution.geometric(0.9)
-        assert sample_conditioned_bienayme_sequential(mu, 1,
-                                                      RngStream(0, 0)).luka == (0,)
+        word = sample_conditioned_bienayme_sequential(mu, 1, RngStream(0, 0))
+        assert word.dtype == np.int64 and word.tolist() == [0]
+
+
+def _factorial_squared():
+    return WeightSequence.from_generator(
+        lambda k: Fraction(math.factorial(k)) ** 2, rho_hint=0.0)
+
+
+def _conditioned_route(law, n):
+    return lambda module: module.conditioned_sampler(law, n)
+
+
+def _simply_generated_route(w, n):
+    return lambda module: module.simply_generated_sampler(w, n)
+
+
+LIVE_SAMPLERS = types.SimpleNamespace(
+    conditioned_sampler=samplers.conditioned_sampler,
+    simply_generated_sampler=simply_generated_sampler)
+WORD_ROUTES = {  # route -> samplers -> (rng -> draw)
+    "rejection-heavy-n200": _conditioned_route(_LADDERS["heavy"][0](), 200),
+    "rejection-control-n201": _conditioned_route(
+        _LADDERS["control"][0](), 201),
+    "rejection-branching-n60": _conditioned_route(
+        _CLASS_LAWS["branching"](), 60),
+    "halving-heavy-n800": _conditioned_route(_LADDERS["heavy"][0](), 800),
+    "halving-heavy-n3200": _conditioned_route(_LADDERS["heavy"][0](), 3200),
+    "halving-stretched-n2000": _conditioned_route(
+        _CLASS_LAWS["stretched"](), 2000),
+    "census-n40": _simply_generated_route(census_weights(), 40),
+    "census-n118": _simply_generated_route(census_weights(), 118),
+    "census-n2000": _simply_generated_route(census_weights(), 2000),
+    "tilt-finite-n6": _simply_generated_route(
+        WeightSequence.from_list([1, 1, 1]), 6),
+    "zero-radius-n6": _simply_generated_route(_factorial_squared(), 6),
+    "zero-radius-n8": _simply_generated_route(_factorial_squared(), 8),
+    "path-n5": _simply_generated_route(WeightSequence.from_list([1, 1]), 5),
+    "one-node": _simply_generated_route(WeightSequence.from_list([1, 0, 1]),
+                                        1),
+}
+
+
+class TestWordsMatchTheFrozenTreeSamplers:
+    """Each route's word is the `.luka` of the tree the frozen samplers
+    of tests/tree_sampler_reference.py drew, and the stream is left in
+    the same state."""
+
+    @pytest.mark.parametrize("route", sorted(WORD_ROUTES))
+    def test_words_are_the_frozen_trees(self, route):
+        draw = WORD_ROUTES[route](LIVE_SAMPLERS)
+        frozen = WORD_ROUTES[route](frozen_trees)
+        if isinstance(draw, functools.partial):  # the same route
+            assert draw.func.__name__ == frozen.func.__name__
+        for seed in (0, 7, 2024):
+            a, b = RngStream(seed, 3), RngStream(seed, 3)
+            for _ in range(2):
+                word = draw(a)
+                assert word.dtype == np.int64 and word.ndim == 1
+                assert tuple(word.tolist()) == frozen(b).luka, seed
+            assert a.gen.random() == b.gen.random()
+
+    def test_public_samplers_return_the_frozen_words(self):
+        mu = _LADDERS["heavy"][0]()
+        for seed in range(4):
+            assert tuple(sample_conditioned_bienayme(
+                mu, 200, RngStream(seed, 0)).tolist()) == \
+                frozen_trees.sample_conditioned_bienayme(
+                    mu, 200, RngStream(seed, 0)).luka
+            assert tuple(sample_conditioned_bienayme_sequential(
+                mu, 300, RngStream(seed, 0)).tolist()) == \
+                frozen_trees.sample_conditioned_bienayme_sequential(
+                    mu, 300, RngStream(seed, 0)).luka
+
+    def test_uniform_tree_wraps_the_word_step(self):
+        for seed in range(4):
+            word = sample_uniform_word(STATS, RngStream(seed, 0))
+            assert word.dtype == np.int64
+            assert sample_uniform_tree(STATS, RngStream(seed, 0)).luka \
+                == tuple(word.tolist()) \
+                == frozen_trees.sample_uniform_tree(STATS,
+                                                    RngStream(seed, 0)).luka
 
 
 def frozen_full_column_bienayme(mu, n, rng, max_attempts=10_000_000):
@@ -1353,9 +1514,10 @@ SUPPORT_ROW_LAWS = (
 
 def _tree_or_error(sampler, mu, n, rng, max_attempts):
     try:
-        return sampler(mu, n, rng, max_attempts=max_attempts).luka
+        tree = sampler(mu, n, rng, max_attempts=max_attempts)
     except (ZeroPartition, AttemptsExhausted) as exc:
         return type(exc), str(exc)
+    return tree.luka if isinstance(tree, PlaneTree) else build_tree(tree).luka
 
 
 class TestSupportOnlyRejectionRows:
@@ -1442,12 +1604,14 @@ class TestConditionalSumTable:
     def test_matches_exact_convolution(self):
         """Each float row equals the exact truncated convolution power for
         its block size, computed in rationals: clipping cannot leak mass
-        back below the cut because degree draws are nonnegative."""
+        back below the cut because degree draws are nonnegative.  No split
+        reads a row for n itself, so there is none."""
         mu = OffspringDistribution.from_masses({0: 0.5, 1: 0.25, 2: 0.25})
         n = 9
         table = conditional_sum_table(mu, n)
         sizes = block_sizes(n)
         assert sizes == [1, 2, 3, 4, 5, 9]
+        sizes.pop()
         assert table.shape == (len(sizes), n)
         base = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]
         row = [Fraction(1)] + [Fraction(0)] * (n - 1)
@@ -1471,25 +1635,25 @@ class TestConditionalSumTable:
         # remaining law here is the point mass at zero
         mu = OffspringDistribution.from_masses({0: 0.01, 60: 0.99})
         table = conditional_sum_table(mu, 5)
-        assert len(table) == len(block_sizes(5))
+        assert len(table) == len(block_sizes(5)) - 1
         assert (table[:, 0] == 1.0).all()
         assert (table[:, 1:] == 0.0).all()
 
     def test_census_tree_at_n10000(self):
         """A size the n x n table could not reach (800 MB at n = 10,000):
-        the halving table has one row per visited block size and a census
-        tree is drawn well inside 32 MB."""
+        the halving table has one row per visited block size below n, and
+        a census tree is drawn well inside 32 MB."""
         n = 10_000
         law = census_law(n)
         tracemalloc.start()
         try:
             table = conditional_sum_table(law, n)
-            tree = sample_conditioned_bienayme_sequential(
+            word = sample_conditioned_bienayme_sequential(
                 law, n, RngStream(23, 0), table)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert table.shape == (len(block_sizes(n)), n) == (22, n)
-        assert tree.n == n
-        assert sum(tree.luka) == n - 1
+        assert table.shape == (len(block_sizes(n)) - 1, n) == (21, n)
+        assert build_tree(word).n == n
+        assert word.sum() == n - 1
         assert peak < 32 * 2**20

@@ -12,7 +12,7 @@ from arbor.errors import InvalidStatistics, InvalidWord, KTooLarge, OutOfRange
 from arbor.rng import RngStream
 from arbor.samplers import OffspringDistribution, conditioned_sampler
 from arbor.trees import (DegreeStatistics, MarkedTree, PlaneTree, build_tree,
-                         depth_table, dump_trees, parse_trees)
+                         depth_table, dump_trees, parse_trees, validate_words)
 
 # Any multiset of positive internal degrees extends to exactly one
 # single-tree degree statistics: n = sum(parts) + 1 nodes, leaves fill in.
@@ -152,6 +152,62 @@ class TestWordValidation:
         assert tree.luka == tuple(word)
 
 
+class TestStackValidation:
+    """`validate_words` checks an R x n stack in one pass and names the
+    first row `build_tree` would refuse, with its message."""
+
+    WORDS = [(2, 1, 0, 0), (1, 1, 1, 0), (3, 0, 0, 0), (1, 2, 0, 0)]
+
+    def test_valid_rows_pass(self):
+        validate_words(np.array(self.WORDS, dtype=np.int64))
+        validate_words(np.zeros((3, 1), dtype=np.int64))
+
+    def test_a_row_rotated_one_place_off_is_named(self):
+        stack = np.array(self.WORDS, dtype=np.int64)
+        stack[2] = np.roll(stack[2], 1)  # (0, 3, 0, 0)
+        with pytest.raises(InvalidWord) as got:
+            validate_words(stack)
+        assert str(got.value) == ("row 2: prefix sum drops below zero at "
+                                  "position 0")
+
+    def test_a_row_summing_to_n_is_named(self):
+        stack = np.array(self.WORDS, dtype=np.int64)
+        stack[3, 0] += 1  # (2, 2, 0, 0): 4 edges on 4 nodes
+        with pytest.raises(InvalidWord) as got:
+            validate_words(stack)
+        assert str(got.value) == ("row 3: degree word sums to 4, expected 3 "
+                                  "edges")
+
+    @given(st.lists(degree_words(), min_size=1, max_size=5),
+           st.lists(st.tuples(st.integers(0, 4),
+                              st.sampled_from(["roll", "bump", "negate"])),
+                    max_size=3))
+    def test_names_the_first_row_build_tree_refuses(self, words, edits):
+        n = max(len(w) for w in words)
+        stack = np.array([w[:-1] + (1,) * (n - len(w)) + (0,) for w in words],
+                         dtype=np.int64)
+        for r, how in edits:
+            row = stack[r % len(stack)]
+            if how == "roll":
+                row[:] = np.roll(row, 1)
+            elif how == "bump":
+                row[-1] += 1
+            else:
+                row[-1] = -1
+        errors = []
+        for r, row in enumerate(stack):
+            try:
+                build_tree(row)
+            except InvalidWord as exc:
+                errors.append(f"row {r}: {exc}")
+        if errors:
+            with pytest.raises(InvalidWord) as got:
+                validate_words(stack)
+            assert str(got.value) == errors[0]
+        else:
+            validate_words(stack)
+
+
 class TestPlaneTreeGeometry:
     def test_hand_example(self):
         # root -> (chain of length 2, leaf)
@@ -237,7 +293,7 @@ class TestDepthTable:
         mu = OffspringDistribution.from_masses({0: 0.5, 2: 0.5})
         draw = conditioned_sampler(mu, 3201)
         base = RngStream(8, 0)
-        self.check([draw(base.substream(r)).luka for r in range(20)])
+        self.check([draw(base.substream(r)).tolist() for r in range(20)])
 
     @given(st.lists(degree_words(), min_size=1, max_size=5))
     def test_stacked_batch_equals_its_rows(self, words):

@@ -22,7 +22,7 @@ from arbor.enumeration import (count_forests, enumerate_degree_statistics,
 from arbor.errors import (BadParameters, Diverged, OutOfDomain, PhiDiverges,
                           RhoUnknown, TooLarge, ZeroPartition)
 from arbor.rng import RngStream
-from arbor.trees import DegreeStatistics
+from arbor.trees import DegreeStatistics, build_tree
 from arbor.weights import (WeightSequence, concentrate_degrees,
                            concentration_count_ratio_ok,
                            concentration_weight_ratio, exact_tree_law,
@@ -424,8 +424,8 @@ class TestOneWeightReader:
         law = tilted_law(w, t, 999)
         assert len(law.masses) == 1000 and not any(law.masses[4:])
         assert law.masses[:4] == _comprehension_tilted_law(w, t, 3).masses
-        tree = simply_generated_sampler(w, 1000)(RngStream(1, 0))
-        assert Counter(tree.luka) == {0: 667, 3: 333}
+        word = simply_generated_sampler(w, 1000)(RngStream(1, 0))
+        assert Counter(build_tree(word).luka) == {0: 667, 3: 333}
 
     def test_generator_tilt_overflow_is_diverged(self):
         # 4^512 overflowed as a bare OverflowError
@@ -657,7 +657,7 @@ class TestSimplyGeneratedSampler:
         rng = RngStream(seed, 0)
         got = []
         for _ in range(draws):
-            tree = sample_simply_generated(w, n, rng)
+            tree = build_tree(sample_simply_generated(w, n, rng))
             got.append(index[tree.degree_statistics()])
         return chi_square_gof(got, pmf)
 
@@ -670,15 +670,16 @@ class TestSimplyGeneratedSampler:
 
     def test_path_weights_short_circuit(self):
         w = WeightSequence.from_list([1, 1])
-        tree = sample_simply_generated(w, 5, RngStream(0, 0))
-        assert tree.luka == (1, 1, 1, 1, 0)
+        word = sample_simply_generated(w, 5, RngStream(0, 0))
+        assert word.dtype == np.int64 and word.tolist() == [1, 1, 1, 1, 0]
 
     def test_zero_partition_raises(self):
         with pytest.raises(ZeroPartition):
             sample_simply_generated(BINARY, 4, RngStream(0, 0))
 
     def test_single_node(self):
-        assert sample_simply_generated(BINARY, 1, RngStream(0, 0)).luka == (0,)
+        word = sample_simply_generated(BINARY, 1, RngStream(0, 0))
+        assert word.dtype == np.int64 and word.tolist() == [0]
 
     def test_zero_radius_cap(self):
         with pytest.raises(TooLarge):
@@ -698,7 +699,7 @@ class TestSimplyGeneratedSampler:
         draw = simply_generated_sampler(w, n)
         a, b = RngStream(9, 0), RngStream(9, 0)
         for _ in range(4):
-            assert sample_simply_generated(w, n, a).luka == draw(b).luka
+            assert np.array_equal(sample_simply_generated(w, n, a), draw(b))
         assert a.gen.random() == b.gen.random()
 
     def test_zero_radius_draws_match_the_frozen_enumeration_route(self):
@@ -716,7 +717,7 @@ class TestSimplyGeneratedSampler:
         for n in (2, 5, 8):
             draw = simply_generated_sampler(w, n)
             for seed in range(5):
-                assert (draw(RngStream(seed, 1)).luka
+                assert (build_tree(draw(RngStream(seed, 1))).luka
                         == frozen(w, n, RngStream(seed, 1)).luka)
 
     @pytest.mark.parametrize("w, n", [(WeightSequence.from_list([1, 1, 1]), 6),
@@ -730,7 +731,7 @@ class TestSimplyGeneratedSampler:
             return solve_critical_tilt(weights)
         monkeypatch.setattr(weights_module, "solve_critical_tilt", spy)
         draw = simply_generated_sampler(w, n)
-        trees = [draw(RngStream(4, r)) for r in range(6)]
+        trees = [build_tree(draw(RngStream(4, r))) for r in range(6)]
         assert calls == [w] and all(t.n == n for t in trees)
 
     def test_errors_come_before_the_first_draw(self):
@@ -756,7 +757,7 @@ class TestSimplyGeneratedSampler:
             monkeypatch.setattr(samplers, name, spy)
         w = WeightSequence.from_generator(
             lambda k: 1.0 if k == 0 else float(k) ** -3.0, rho_hint=1.0)
-        tree = sample_simply_generated(w, n, RngStream(3, 0))
+        tree = build_tree(sample_simply_generated(w, n, RngStream(3, 0)))
         assert calls == [route]
         assert tree.n == n
 
