@@ -10,8 +10,8 @@ Counting facts used throughout (a = number of trees, n = number of nodes):
 
 * forests with degree statistics n(.):   (a / n) * n! / prod_c n(c)!
 * forests with a marked first tree:      n! / prod_c n(c)!
-* marked trees whose spine starts with degrees d = (d_1..d_k):
-      prod_i d_i * multinomial(n - k; n(.) - usage(d))
+* marked forests whose spine starts with degrees d = (d_1..d_k):
+      a * prod_i d_i * multinomial(n - k; n(.) - usage(d))
   where usage(d, c) counts occurrences of c in d.
 
 The law of the threshold sampler index admits a closed form: with q_k the
@@ -28,7 +28,8 @@ to s directly.  One index law (`_index_law`) hands out the masses
     s_k - s_{k+1} = (q_k (m - k) - q_{k+1} (k + 1)) / (C(m, k) (m - k)),
 each built in integers and reduced once, never as a difference of two
 reduced survival fractions; the mark height reads it at m = n, shifted down
-by one, and the stopping index at m = n - 1.
+by one, and the stopping index at m = n - 1.  The walk's threshold has no
+tree count a in it, so at m = n this is a forest's mark-height law too.
 """
 
 from __future__ import annotations
@@ -184,27 +185,25 @@ def usage_vector(stats: DegreeStatistics, degrees: Sequence[int]) -> Counter:
 
 
 def count_spine_class(stats: DegreeStatistics, degrees: Sequence[int]) -> int:
-    """Marked trees whose root-to-mark path starts with the given degrees:
-    `spine_probability` times `count_marked_first_tree`.
+    """Marked forests whose root-to-mark path starts with the given degrees:
+    `spine_probability` times the n * `count_forests` = a n! / prod n(c)!
+    marked forests (marked trees when a = 1).
 
-    The mark must sit at depth >= len(degrees); entry j of `degrees` is the
-    out-degree of the depth-j node on the path.
+    The mark must sit at depth >= len(degrees) in its own tree; entry j of
+    `degrees` is the out-degree of the depth-j node on the path.
     """
-    if stats.a != 1:
-        raise InvalidStatistics("spine counting needs single-tree statistics")
-    count = spine_probability(stats, degrees) * count_marked_first_tree(stats)
+    count = spine_probability(stats, degrees) * stats.n * count_forests(stats)
     assert count.denominator == 1, "spine class count is not an integer"
     return count.numerator
 
 
 def spine_probability(stats: DegreeStatistics, degrees: Sequence[int]) -> Fraction:
     """P(mark depth >= k and the spine degrees equal `degrees`) for a uniform
-    marked tree, as an exact rational.
+    marked forest (a tree when a = 1), as an exact rational; the depth and
+    the spine are the mark's within its own tree.
 
     Closed form: prod_i d_i * prod_c perm(n(c), w(c)) / perm(n, k).
     """
-    if stats.a != 1:
-        raise InvalidStatistics("spine probability needs single-tree statistics")
     usage = usage_vector(stats, degrees)
     k = len(degrees)
     num = math.prod(degrees)
@@ -274,7 +273,7 @@ def enumerate_trees(stats: DegreeStatistics) -> Iterator[PlaneTree]:
     order of their degree words: the rows of `word_table`.  Raises
     TooLarge above the node cap."""
     if stats.a != 1:
-        raise InvalidStatistics("enumeration covers single trees only")
+        raise InvalidStatistics("no forest enumerator: single trees only")
     if stats.n > ENUMERATION_CAP:
         raise TooLarge(f"{stats.n} nodes exceeds enumeration cap {ENUMERATION_CAP}")
     counts = [stats.count(c) for c in range(stats.max_degree + 1)]
@@ -346,7 +345,7 @@ def repeat_time_tails(stats: DegreeStatistics) -> Iterator[tuple[float, float, f
     t (1 + delta_k)).  Below TAU_FLOOR subnormals break that: lo = 0 and hi
     keeps its last value (the tail never rises)."""
     if stats.a != 1 or stats.n < 2:
-        raise InvalidStatistics("repeat time needs a single tree, n >= 2")
+        raise InvalidStatistics("repeat time needs n >= 2; no forest tau law")
     s = _stopping_survivals(stats)
     top, j = len(s) - 1, np.arange(len(s), dtype=float)
     occ = np.zeros(top + 2)  # occ[1 + j] = P(N_k = j); occ[0] = 0 pads j = -1
@@ -368,8 +367,6 @@ def _index_law(stats: DegreeStatistics, last: int) -> dict[int, Fraction]:
     index k + 1 takes s_k - s_{k+1} as in the module docstring with
     m = last, C(last, k) updated in place, and the never-accepted mass
     s_last = q_last sits at last + 1."""
-    if stats.a != 1:
-        raise InvalidStatistics("the index law needs a single tree")
     q = _degree_polynomial(stats)
     q += [0] * (last + 2 - len(q))
     pmf = {last + 1: Fraction(q[last])}
@@ -383,8 +380,8 @@ def _index_law(stats: DegreeStatistics, last: int) -> dict[int, Fraction]:
 
 
 def exact_threshold_sampler_distribution(stats: DegreeStatistics) -> ExactDistribution:
-    """Law of the mark height produced by the accept-threshold sampler: the
-    index law over n candidates, shifted down by one.  The degree
+    """Law of the accept-threshold sampler's mark height, tree or forest:
+    the index law over n candidates, shifted down by one.  The degree
     polynomial stops below z^n, so no mass is left at n + 1."""
     return ExactDistribution.from_pmf(
         {i - 1: m for i, m in _index_law(stats, stats.n).items()})
@@ -399,4 +396,6 @@ def exact_stopping_index_distribution(stats: DegreeStatistics) -> ExactDistribut
     When no threshold ever fires the index is reported as n (path
     statistics), with mass q_{n-1} / C(n - 1, n - 1) = q_{n-1}.
     """
+    if stats.a != 1:
+        raise InvalidStatistics("no forest law of sigma is stated (a != 1)")
     return ExactDistribution.from_pmf(_index_law(stats, stats.n - 1))

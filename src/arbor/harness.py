@@ -432,7 +432,7 @@ def run_tail_sweep(stats: DegreeStatistics,
     where the beta threshold divides by zero spread.
     """
     if stats.a != 1:
-        raise BadParameters("tail sweep needs single-tree statistics")
+        raise BadParameters("tail sweep needs a = 1: no forest bound is stated")
     if replications < 1:
         raise BadParameters("need at least one replication")
     if not all(0 < beta < math.inf for beta in betas):

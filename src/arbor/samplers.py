@@ -3,19 +3,20 @@
 Three families live here:
 
 * size-biased threshold walks: draw the degree multiset in size-biased
-  order and stop at accept/reject thresholds.  `sample_mark_height` returns
-  the depth of a uniform mark in a uniform tree without ever building the
-  tree; `sample_stopping_index` is the strict-threshold variant whose tail
-  dominates the mark height.  Every one of them, `sample_size_biased_order`
-  included, runs on one step-synchronous walk that draws a step for all
-  replications at once and retires each row at its first accepted index;
-  the single-draw functions are that walk with one row.  On a census with
-  one positive degree all rows share the threshold, so a step draws only
-  how many rows accept, as one binomial, and one permutation of the
-  resulting histogram gives the rows.  The walk's memory is bounded by the
-  rows and steps it walks: an int32 table of remaining edge weight,
-  compacted once half its rows have accepted, or a histogram as long as the
-  steps taken.
+  order and stop at accept/reject thresholds 1 - (edge weight not yet
+  drawn) / (candidates left).  `sample_mark_height` returns the depth of a
+  uniform mark in a uniform tree or forest without building it;
+  `sample_stopping_index` is the single-tree strict-threshold variant
+  whose tail dominates the mark height.  Every one of them,
+  `sample_size_biased_order` included, runs on one step-synchronous walk
+  that draws a step for all replications at once and retires each row at
+  its first accepted index; the single-draw functions are that walk with
+  one row.  On a census with one positive
+  degree all rows share the threshold, so a step draws only how many rows
+  accept, as one binomial, and one permutation of the resulting histogram
+  gives the rows.  The walk's memory is bounded by the rows and steps it
+  walks: an int32 table of remaining edge weight, compacted once half its
+  rows have accepted, or a histogram as long as the steps taken.
 * a Poisson-process reformulation of the stopping index
   (`sample_stopping_index_poissonized_batch`): degrees become subintervals
   of [0, 1), arrivals hit them, and sigma and the repeat time tau are read
@@ -113,48 +114,49 @@ def _hurwitz(x: float, q: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _size_biased_walk(stats: DegreeStatistics, gen: np.random.Generator,
-                      reps: int, lead: int | None, last: int,
+                      reps: int, last: int,
                       record: list | None = None) -> np.ndarray:
     """First accepted index of `reps` independent size-biased threshold walks.
 
     Each row draws the degrees D_1, D_2, ... in size-biased order: degree c
     with probability c * (remaining count of c) over the remaining edge
     total, and 0 once that total is used up.  Step i = 1..last first draws a
-    uniform U in [0, 1) and accepts when U < (lead + S) / (last + 1 - i),
-    with S = sum_{j<i} (D_j - 1), so a zero threshold never accepts and a
-    threshold of one always does.  Returns each row's accepted index, or
-    last + 1 where no step accepted.  With lead None no step accepts, and
-    `record`, when given, receives each step's degrees.
+    uniform U in [0, 1) and accepts when U < 1 - R / m, m = last + 1 - i and
+    R the edge weight not yet drawn, so a zero threshold never accepts and a
+    threshold of one always does.  R starts at n - a, so m - R is
+    (last - n + a) + sum_{j<i} (D_j - 1).  Returns each row's accepted
+    index, or last + 1 where no step accepted.  With `record` given no step
+    accepts, and each step's degrees are appended to it.
 
     Every step of a row with edges left takes one positive degree, so all
     live rows use up their edges together, at step p = number of
     positive-degree nodes, and draw only zeroes after it.  With at most one
     distinct positive degree c (binary, any full c-ary census, the path)
     nothing random is left in the degrees: every row takes c up to step p
-    and 0 after it, so lead + S is one int that all rows share.  The rows
-    are then exchangeable and the state is a count of live rows: the number
-    that accept at step i is Binomial(live, threshold), so the per-step
-    counts are the multinomial histogram of `reps` i.i.d. walks, and one
-    uniform permutation of that histogram, spread out into rows, gives
-    their arrangement.  Such a walk draws one binomial per step, one
-    O(reps) shuffle and no uniforms, and its histogram is only as long as
-    the steps it takes: about sqrt(n) of them, not n.  With c <= 1 a zero
-    threshold never rises (the stopping walk on a path), so the walk stops
-    at once; the binomials it skips would draw nothing.
+    and 0 after it, so R is one int that all rows share.  The rows are then
+    exchangeable and the state is a count of live rows: the number that
+    accept at step i is Binomial(live, threshold), so the per-step counts
+    are the multinomial histogram of `reps` i.i.d. walks, and one uniform
+    permutation of that histogram, spread out into rows, gives their
+    arrangement.  Such a walk draws one binomial per step, one O(reps)
+    shuffle and no uniforms, and its histogram is only as long as the steps
+    it takes: about sqrt(n) of them, not n.  With c <= 1 a zero threshold
+    never rises (the stopping walk on a path), so the walk stops at once;
+    the binomials it skips would draw nothing.
 
     Otherwise the state is a B x reps table of remaining edge weight
     c * (remaining count of c) over the B distinct positive degrees, one
-    contiguous row per degree, in int32 unless n - 1 reaches 2**31 (no
-    entry, total or drawn point exceeds n - 1).  Accepted rows stay in the
-    table as dead columns, frozen, until at most half the columns are live;
-    then one `take` compacts the table, with lead + S, the row totals and
-    the column -> row map.  So at most one and a half tables are live, and
-    compaction costs O(B) per retired row.  A step draws uniforms for the
-    live columns only, in row order, and picks every column's bucket by
-    adding up table rows over the first B - 1 buckets; the last bucket's
-    cumulative weight is the column's remaining total, which always exceeds
-    the drawn point, so it is never compared.  Taking degree d then lowers
-    one entry of each live column by d.
+    contiguous row per degree, in int32 unless n reaches 2**31 (no entry,
+    total, drawn point or m exceeds n).  Accepted rows stay in the table as
+    dead columns, frozen, until at most half the columns are live; then one
+    `take` compacts the table, with the row totals R and the column -> row
+    map.  So at most one and a half tables are live, and compaction costs
+    O(B) per retired row.  A step draws uniforms for the live columns only,
+    in row order, and picks every column's bucket by adding up table rows
+    over the first B - 1 buckets; the last bucket's cumulative weight is the
+    column's remaining total, which always exceeds the drawn point, so it is
+    never compared.  Taking degree d then lowers one entry of each live
+    column, and its total, by d.
     """
     _check_reps(reps)
     items = [(c, k) for c, k in stats.sorted_items() if c > 0]
@@ -162,29 +164,29 @@ def _size_biased_walk(stats: DegreeStatistics, gen: np.random.Generator,
     shared = len(items) <= 1
     if shared:
         c = items[0][0] if items else 0
-        top = lead or 0  # lead + S, the same for every row
+        left = c * positives  # R, the same for every row
         live = reps  # rows still walking
         hits = array("q", [0])  # hits[i]: rows accepted at step i
     else:
         # edge weights sum to at most n - 1, so int32 holds every entry
-        dtype = np.int64 if stats.n - 1 >= 2**31 else np.int32
+        dtype = np.int64 if stats.n >= 2**31 else np.int32
         out = np.full(reps, last + 1, dtype=np.int64)
         deg = np.array([c for c, _ in items], dtype=dtype)
         edges = np.array([c * k for c, k in items], dtype=dtype)
         rem = np.repeat(edges.reshape(-1, 1), reps, axis=1)
-        weight = np.full(reps, edges.sum(), dtype=dtype)
-        top = np.full(reps, lead or 0, dtype=dtype)  # lead + S
+        weight = np.full(reps, edges.sum(), dtype=dtype)  # R
         row = np.arange(reps)  # the row each table column holds
         live = np.arange(reps)  # the live columns, in row order
     for i in range(1, last + 1):
-        if lead is not None:
+        m = last + 1 - i
+        if record is None:
             if shared:
-                if top == 0 and c <= 1:
+                if m == left and c <= 1:
                     break  # a zero threshold that can never rise (paths)
-                hits.append(gen.binomial(live, top / (last + 1 - i)))
+                hits.append(gen.binomial(live, (m - left) / m))
                 live -= hits[i]
             else:
-                accept = gen.random(live.size) < top[live] / (last + 1 - i)
+                accept = gen.random(live.size) < (m - weight[live]) / m
                 if accept.any():
                     out[row[live[accept]]] = i
                     live = live[~accept]
@@ -192,7 +194,7 @@ def _size_biased_walk(stats: DegreeStatistics, gen: np.random.Generator,
                         # take keeps the table C-contiguous, so the flat
                         # view below writes through to it
                         rem = rem.take(live, axis=1)
-                        top, weight, row = top[live], weight[live], row[live]
+                        weight, row = weight[live], row[live]
                         live = np.arange(live.size)
         rows = live if shared else live.size
         if not rows:
@@ -201,6 +203,7 @@ def _size_biased_walk(stats: DegreeStatistics, gen: np.random.Generator,
         if i <= positives:
             if shared:
                 d = c
+                left -= c
             else:
                 # an integer point in [0, w) picks the bucket by its
                 # cumulative weight; the clip guards u * w rounding up to w
@@ -217,10 +220,6 @@ def _size_biased_walk(stats: DegreeStatistics, gen: np.random.Generator,
                 d = deg[b]
                 rem.reshape(-1)[b * cols + live] -= d
                 weight[live] -= d
-        if shared:
-            top += d - 1
-        else:
-            top[live] += d - 1
         if record is not None:
             record.append(np.full(rows, d, dtype=np.int64))
     if shared:
@@ -244,16 +243,17 @@ def sample_size_biased_order(stats: DegreeStatistics, rng: RngStream) -> tuple[i
     left and they are appended in place.
     """
     steps: list[np.ndarray] = []
-    _size_biased_walk(stats, rng.gen, 1, None, stats.n, steps)
+    _size_biased_walk(stats, rng.gen, 1, stats.n, steps)
     return tuple(int(d[0]) for d in steps)
 
 
 def sample_mark_height(stats: DegreeStatistics, rng: RngStream) -> int:
-    """Depth of a uniform mark in a uniform tree with these statistics.
+    """Depth of a uniform mark in a uniform forest with these statistics,
+    within the mark's tree (a uniform tree when a = 1).
 
     Walks the size-biased degrees D_1, D_2, ... and accepts index i with
-    probability (1 + sum_{j<i} (D_j - 1)) / (n + 1 - i); the returned height
-    is one less than the first accepted index.
+    probability 1 - R / (n + 1 - i), R the degree sum not yet drawn; the
+    returned height is one less than the first accepted index.
     """
     return int(sample_mark_height_batch(stats, rng, 1)[0])
 
@@ -271,10 +271,8 @@ def sample_stopping_index(stats: DegreeStatistics, rng: RngStream) -> int:
 def sample_mark_height_batch(stats: DegreeStatistics, rng: RngStream,
                              reps: int) -> np.ndarray:
     """`reps` independent `sample_mark_height` draws as an int array."""
-    if stats.a != 1:
-        raise InvalidStatistics("mark height needs single-tree statistics")
     # the threshold at i = n equals one, so every row accepts by then
-    return _size_biased_walk(stats, rng.gen, reps, 1, stats.n) - 1
+    return _size_biased_walk(stats, rng.gen, reps, stats.n) - 1
 
 
 def sample_stopping_index_batch(stats: DegreeStatistics, rng: RngStream,
@@ -282,8 +280,8 @@ def sample_stopping_index_batch(stats: DegreeStatistics, rng: RngStream,
     """`reps` independent `sample_stopping_index` draws (sentinel n when
     nothing fires) as an int array."""
     if stats.a != 1:
-        raise InvalidStatistics("stopping index needs single-tree statistics")
-    return _size_biased_walk(stats, rng.gen, reps, 0, stats.n - 1)
+        raise InvalidStatistics("no forest law of sigma is stated (a != 1)")
+    return _size_biased_walk(stats, rng.gen, reps, stats.n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +317,8 @@ def sample_stopping_index_poissonized_batch(
     probability (S - s) / (n - 1) and changes nothing otherwise.  Between
     first hits the arrivals are memoryless, so
       * intervals are first hit in size-biased order, and stage s ends in a
-        repeat with probability (S - s) / (n - 1 - s), the threshold of
-        `sample_stopping_index_batch`, which therefore draws sigma;
+        repeat with probability (S - s) / (n - 1 - s) = 1 - R / (n - 1 - s)
+        for R = n - 1 - S: the stopping walk's threshold, so it draws sigma;
       * stage s lasts Geometric((n - 1 - s) / (n - 1)) arrivals whatever
         the degrees and however it ends, so tau adds one such draw for each
         stage s < sigma.
@@ -329,7 +327,7 @@ def sample_stopping_index_poissonized_batch(
     """
     _check_reps(reps)
     if stats.a != 1:
-        raise InvalidStatistics("stopping index needs single-tree statistics")
+        raise InvalidStatistics("no forest sigma or tau is defined (a != 1)")
     n = stats.n
     if n < 2:
         raise InvalidStatistics("the Poisson construction needs two nodes")
@@ -371,7 +369,7 @@ def sample_uniform_word(stats: DegreeStatistics, rng: RngStream) -> np.ndarray:
     """The int64 degree word of a uniform plane tree with the given degree
     statistics."""
     if stats.a != 1:
-        raise InvalidStatistics("uniform tree sampling needs a = 1")
+        raise InvalidStatistics("a uniform forest needs one more draw (a != 1)")
     degrees, counts = zip(*stats.sorted_items())
     return _shuffled_word(np.array(degrees, dtype=np.int64), counts, rng)
 
@@ -637,13 +635,14 @@ def _reachable_sum(coins: Sequence[int], target: int) -> bool:
     """Can `target` be written as a sum of the given positive integers,
     with repetition?  Every sum is a multiple of g, the gcd of the usable
     coins, so a target off that lattice is refused at once; otherwise coins
-    and target are divided by g, and a coin that is then 1 reaches every
-    target.  Else a numpy bool array of the sums up to `target`: coin c
-    joins in the in-place doubling ORs by c, 2c, 4c, ..., after which the
-    array holds every earlier sum plus any multiple of c, so a coin costs
-    O(log(target / c)) passes.  A coin that is already a sum of smaller
-    ones adds nothing and is skipped by a one-element test.  Cheap enough
-    at n = 10^6 to run on every call, uncached.
+    and target are divided by g.  By Schur's bound on the Frobenius number
+    of coprime coins, every target >= (c_min - 1)(c_max - 1) is a sum, so
+    it is accepted at once.  Else a numpy bool array of the sums up to
+    `target`: coin c joins in the in-place doubling ORs by c, 2c, 4c, ...,
+    after which the array holds every earlier sum plus any multiple of c,
+    so a coin costs O(log(target / c)) passes.  A coin that is already a
+    sum of smaller ones adds nothing and is skipped by a one-element test.
+    Cheap enough at n = 10^6 to run on every call, uncached.
     """
     if target == 0:
         return True
@@ -651,12 +650,12 @@ def _reachable_sum(coins: Sequence[int], target: int) -> bool:
     g = math.gcd(*coins)
     if not coins or target % g:
         return False
-    if coins[0] == g:
+    coins, target = [c // g for c in coins], target // g
+    if target >= (coins[0] - 1) * (coins[-1] - 1):
         return True
-    target //= g
     reach = np.zeros(target + 1, dtype=bool)
     reach[0] = True
-    for c in (c // g for c in coins):
+    for c in coins:
         if reach[c]:
             continue
         shift = c

@@ -5,8 +5,10 @@
 and spine-class counts off the marked-tree count.  This module keeps the
 forms they replaced, one function per bound with its own checks, as the
 reference they are tested against value for value and exception for
-exception.  The one known difference: `repeat_time_tail_bound` here tests
-beta < BETA_FLOOR, so at the floor itself it is not the vacuous 1.
+exception.  The known differences: `repeat_time_tail_bound` here tests
+beta < BETA_FLOOR, so at the floor itself it is not the vacuous 1, and
+`count_spine_class` here counts forests' marked spines, a times the tree
+form, where the frozen form refused a != 1.
 """
 
 from __future__ import annotations
@@ -132,9 +134,8 @@ def count_forests(stats) -> int:
 
 
 def count_spine_class(stats, degrees: Sequence[int]) -> int:
-    """prod_i d_i * multinomial(n - k; n(.) - usage(d))."""
-    if stats.a != 1:
-        raise InvalidStatistics("spine counting needs single-tree statistics")
+    """a * prod_i d_i * multinomial(n - k; n(.) - usage(d)): each of the a
+    trees can hold the mark."""
     usage = usage_vector(stats, degrees)
     k = len(degrees)
     prod = math.prod(degrees)
@@ -142,4 +143,4 @@ def count_spine_class(stats, degrees: Sequence[int]) -> int:
         return 0
     remaining = [stats.count(c) - usage.get(c, 0)
                  for c in sorted(set(stats.counts) | set(usage))]
-    return prod * multinomial(stats.n - k, remaining)
+    return stats.a * prod * multinomial(stats.n - k, remaining)

@@ -8,8 +8,9 @@ n = 127 to 65,535; beta across 1e-3..1e12 with -1, 0, NaN, +-inf and the
 neighbours of BETA_FLOOR; ell from 0 to n + 1 plus fractions whose squares
 are exact; pair-survival times at and beside (n-1)/dmax and 2(n-1)/dmax.
 The allowed differences: the repeat bound at beta = BETA_FLOOR is now the
-vacuous 1 like the height bound, and the pair-survival forms refuse the
-times where the frozen forms returned NaN (see `_refused`).
+vacuous 1 like the height bound, the pair-survival forms refuse the times
+where the frozen forms returned NaN (see `_refused`), and the spine-class
+counts of forests, once refused, are a times the tree form.
 """
 
 import itertools

@@ -41,6 +41,7 @@ from arbor.errors import InvalidStatistics, TooLarge, UsageExceeded
 from arbor.harness import full_binary_statistics, heavy_tailed_statistics
 from arbor.trees import DegreeStatistics, MarkedTree, PlaneTree
 
+from forest_reference import forest_classes, forest_words, marked_spines
 from polynomial_reference import (pairwise_degree_polynomial, poly_mul,
                                   repeat_time_survivals)
 
@@ -262,7 +263,7 @@ class TestCounting:
         assert words == sorted(set(words))
 
     def test_enumeration_rejects_forests(self):
-        with pytest.raises(InvalidStatistics):
+        with pytest.raises(InvalidStatistics, match="no forest enumerator"):
             list(enumerate_trees(DegreeStatistics({0: 2})))
 
     def test_enumeration_cap(self):
@@ -370,9 +371,16 @@ class TestSpineFormulas:
         with pytest.raises(UsageExceeded):
             spine_probability(s, (2, 2, 2))
 
-    def test_single_tree_precondition(self):
-        with pytest.raises(InvalidStatistics):
-            spine_probability(DegreeStatistics({0: 2}), ())
+    def test_forests_take_the_tree_formula(self):
+        # two single nodes: two marked forests, every mark a root; {0: 3,
+        # 2: 1} is a cherry and a single node in either order, eight marked
+        # forests, four of them marked below the cherry's root
+        pair = DegreeStatistics({0: 2})
+        assert spine_probability(pair, ()) == 1
+        assert count_spine_class(pair, ()) == 2
+        cherry = DegreeStatistics({0: 3, 2: 1})
+        assert spine_probability(cherry, (2,)) == Fraction(1, 2)
+        assert count_spine_class(cherry, (2,)) == 4
 
     def test_grouped_enumeration_matches_closed_form(self):
         """Exhaustive check on one statistics: every spine class of every
@@ -400,6 +408,61 @@ class TestSpineFormulas:
 # ---------------------------------------------------------------------------
 # exact distributions
 # ---------------------------------------------------------------------------
+
+def positive_prefixes(stats):
+    """Every sequence of positive degrees that `stats` has enough nodes of,
+    the empty one first: every spine prefix of positive probability."""
+    left = {c: k for c, k in stats.counts.items() if c}
+    prefix = []
+
+    def grow():
+        yield tuple(prefix)
+        for c in sorted(left):
+            if left[c]:
+                left[c] -= 1
+                prefix.append(c)
+                yield from grow()
+                prefix.pop()
+                left[c] += 1
+
+    return list(grow())
+
+
+FOREST_CLASSES = forest_classes(10)
+
+
+class TestForestGate:
+    """Every forest of a >= 2 trees on up to 10 nodes, enumerated by brute
+    force (`forest_reference`): the counts, the mark-height law and every
+    spine class.  A forest's mark sits in one of its trees, and its depth
+    and spine are read in that tree."""
+
+    def test_every_forest_class_of_up_to_ten_nodes(self):
+        assert len(FOREST_CLASSES) == 187
+        words = 0
+        for stats in FOREST_CLASSES:
+            forests = forest_words(stats)
+            words += len(forests)
+            assert len(forests) == count_forests(stats), stats.counts
+            spines = Counter(spine for word in forests
+                             for spine in marked_spines(word))
+            marked = stats.n * len(forests)
+            depths = Counter()
+            for spine, k in spines.items():
+                depths[len(spine)] += k
+            law = exact_threshold_sampler_distribution(stats)
+            assert law.pmf() == {h: Fraction(k, marked)
+                                 for h, k in depths.items()}, stats.counts
+            # a prefix's class: every marked forest whose spine starts so
+            for prefix in positive_prefixes(stats):
+                want = sum(k for spine, k in spines.items()
+                           if spine[:len(prefix)] == prefix)
+                assert count_spine_class(stats, prefix) == want, \
+                    (stats.counts, prefix)
+                assert spine_probability(stats, prefix) == \
+                    Fraction(want, marked), (stats.counts, prefix)
+        assert words == 16_795
+
 
 class TestExactDistribution:
     def law(self):
@@ -717,7 +780,7 @@ class TestRepeatTimeSurvivals:
     def test_forests_and_single_nodes_are_refused(self, stats):
         with pytest.raises(InvalidStatistics):
             next(repeat_time_survivals(stats))
-        with pytest.raises(InvalidStatistics):
+        with pytest.raises(InvalidStatistics, match="no forest tau law"):
             next(repeat_time_tails(stats))
 
     @pytest.mark.parametrize("census, n, steps", [
@@ -814,6 +877,32 @@ def broken_copy(old, new):
 
 MIXED = DegreeStatistics({0: 9, 1: 2, 2: 2, 3: 1, 5: 1})
 TERNARY = DegreeStatistics({0: 11, 3: 5})
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP finding 1: the float class row of `_stopping_survivals` sticks "
+    "at the smallest subnormal and later nodes amplify it; item 18's "
+    "rescaled engine mends it"))
+def test_stopping_survivals_on_many_high_degree_nodes():
+    """Every P(sigma > j) of {0: 3,901, 2: 2,000, 20: 100} (n = 6,001) at or
+    above TAU_FLOOR must lie within the relative 2 (5P + 4) 2^-53 that
+    `repeat_time_tails` allows of the exact q_j / C(n - 1, j), which int
+    true division rounds correctly.  Today 82 of the 1,293 miss by more
+    than 1e-3; the worst, j = 1,226, is 0.0 where the exact is 1.40e-252."""
+    stats = DegreeStatistics({0: 3901, 2: 2000, 20: 100})
+    n, internal = stats.n, stats.n - stats.count(0)
+    got = _stopping_survivals(stats)
+    delta = 2 * (5 * internal + 4) * 2.0 ** -53
+    binom, checked, misses = 1, 0, []
+    for j, q in enumerate(_degree_polynomial(stats)):
+        exact = q / binom
+        if exact >= TAU_FLOOR:
+            checked += 1
+            if not abs(got[j] - exact) <= delta * exact:
+                misses.append(j)
+        binom = binom * (n - 1 - j) // (j + 1)
+    assert checked == 1293
+    assert misses == []
 
 
 class TestRepeatTimeTails:

@@ -271,7 +271,7 @@ class TestTailSweep:
             run_tail_sweep(DegreeStatistics({0: 1, 1: 5}), replications=10)
 
     def test_parameter_guards(self):
-        with pytest.raises(BadParameters):
+        with pytest.raises(BadParameters, match="no forest bound"):
             run_tail_sweep(DegreeStatistics({0: 2}), replications=10)
         with pytest.raises(BadParameters):
             run_tail_sweep(full_binary_statistics(5), replications=0)

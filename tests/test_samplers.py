@@ -49,6 +49,7 @@ from arbor.weights import (WeightSequence, limit_degree_law,
 
 import tree_sampler_reference as frozen_trees
 from chisq import chi_square_gof, chi_square_two_sample
+from forest_reference import forest_classes
 from poisson_reference import interval_poissonized_batch
 from polynomial_reference import repeat_time_survivals
 
@@ -123,9 +124,15 @@ class TestMarkHeightSampler:
     def test_single_node(self):
         assert sample_mark_height(DegreeStatistics({0: 1}), RngStream(0, 0)) == 0
 
-    def test_rejects_forests(self):
-        with pytest.raises(InvalidStatistics):
-            sample_mark_height(DegreeStatistics({0: 2}), RngStream(0, 0))
+    def test_forests_draw_the_forest_law(self):
+        # two single nodes: every mark is a root; the walk on {0: 4, 1: 1,
+        # 2: 1} (a = 3) matches the law `TestForestGate` checks against
+        # enumerated forests
+        assert sample_mark_height(DegreeStatistics({0: 2}), RngStream(0, 0)) == 0
+        stats = DegreeStatistics({0: 4, 1: 1, 2: 1})
+        draws = sample_mark_height_batch(stats, RngStream(5, 1), 10_000)
+        exact = float_pmf(exact_threshold_sampler_distribution(stats))
+        assert chi_square_gof(draws, exact) > P_FLOOR
 
 
 SINGLE_DRAW_CLASSES = (STATS, DegreeStatistics({0: 1, 1: 4}),
@@ -300,7 +307,8 @@ WALK_ORACLE_CLASSES = {
     **{f"path{n}": DegreeStatistics({0: 1, 1: n - 1}) for n in (2, 10, 300)},
     **{f"heavy{n}": heavy_tailed_statistics(n) for n in (127, 1023, 4095)},
     "mixed15": DegreeStatistics({0: 9, 1: 2, 2: 2, 3: 1, 5: 1}),
-    # degree-1 draws leave lead + S flat, so rows accept a few at a time
+    # degree-1 draws leave the thresholds' numerators flat, so rows accept a
+    # few at a time
     "slow208": DegreeStatistics({0: 5, 1: 200, 2: 2, 3: 1}),
 }
 
@@ -327,8 +335,9 @@ def check_walk(stats, seed, reps, lead):
     for bit, output, record and generator state alike.  A one-degree walk
     draws no uniforms; its size-biased order (lead None) is fixed, so its
     output and record still match the frozen walk's."""
-    # lead 1 and 0 are the mark-height and stopping walks; lead None is the
-    # size-biased order, which records every step
+    # the frozen walk's lead 1 and 0 are the mark-height and stopping
+    # walks, last = n and n - 1; lead None is the size-biased order, which
+    # the walk runs when handed a record
     last = stats.n - 1 if lead == 0 else stats.n
     one_degree = sum(1 for c in stats.counts if c > 0) <= 1
     new_gen = RngStream(seed, 0).gen
@@ -336,8 +345,8 @@ def check_walk(stats, seed, reps, lead):
     new_rec = [] if lead is None else None
     old_rec = [] if lead is None else None
     out = samplers._size_biased_walk(
-        stats, NoUniforms(new_gen) if one_degree else new_gen, reps, lead,
-        last, new_rec)
+        stats, NoUniforms(new_gen) if one_degree else new_gen, reps, last,
+        new_rec)
     want = frozen_size_biased_walk(stats, old_gen, reps, lead, last, old_rec)
     assert out.dtype == want.dtype and out.shape == want.shape
     if one_degree:
@@ -403,11 +412,110 @@ class TestWalkOracle:
         for gen in (new_gen, old_gen):
             gen.integers(0, 2**31, 3, dtype=np.uint32)
         assert new_gen.bit_generator.state["has_uint32"] == 1
-        samplers._size_biased_walk(MIXED, new_gen, 7, 1, MIXED.n)
+        samplers._size_biased_walk(MIXED, new_gen, 7, MIXED.n)
         frozen_size_biased_walk(MIXED, old_gen, 7, 1, MIXED.n)
         assert new_gen.bit_generator.state == old_gen.bit_generator.state
         assert np.array_equal(new_gen.integers(0, 2**31, 5, dtype=np.uint32),
                               old_gen.integers(0, 2**31, 5, dtype=np.uint32))
+
+
+class RecordingBinomials(NoUniforms):
+    """`NoUniforms` that also records each binomial's probability."""
+
+    def __init__(self, gen):
+        super().__init__(gen)
+        self.probs = []
+
+    def binomial(self, n, p):
+        self.probs.append(p)
+        return self.gen.binomial(n, p)
+
+
+FOREST_CLASSES = forest_classes(10)
+
+
+class TestForestGate:
+    """The mark-height walk on forests of a >= 2 trees is the frozen walk
+    with lead a: its threshold 1 - R / m has no a in it.  The laws it
+    draws are checked against enumerated forests in test_enumeration."""
+
+    def test_table_walks_equal_the_frozen_walk_at_lead_a(self):
+        checked = 0
+        for stats in FOREST_CLASSES:
+            if sum(1 for c in stats.counts if c > 0) <= 1:
+                continue
+            for seed in range(3):
+                new_gen = RngStream(70 + seed, 0).gen
+                old_gen = RngStream(70 + seed, 0).gen
+                out = samplers._size_biased_walk(stats, new_gen, 7, stats.n)
+                want = frozen_size_biased_walk(stats, old_gen, 7, stats.a,
+                                               stats.n)
+                assert np.array_equal(out, want), stats.counts
+                assert (new_gen.bit_generator.state
+                        == old_gen.bit_generator.state), stats.counts
+                checked += 1
+        assert checked == 3 * 101
+
+    def test_shared_walks_draw_the_lead_a_thresholds(self):
+        # one positive degree c: the frozen walk's threshold at step i is
+        # (a + S) / (n + 1 - i), S rising by c - 1 up to step p, then
+        # falling by one
+        checked = 0
+        for stats in FOREST_CLASSES:
+            items = [(c, k) for c, k in stats.counts.items() if c > 0]
+            if len(items) > 1:
+                continue
+            c, p = items[0] if items else (0, 0)
+            want, top = [], stats.a
+            for i in range(1, stats.n + 1):
+                want.append(top / (stats.n + 1 - i))
+                top += (c if i <= p else 0) - 1
+            for seed in range(3):
+                gen = RecordingBinomials(RngStream(73 + seed, 0).gen)
+                out = samplers._size_biased_walk(stats, gen, 7, stats.n)
+                assert gen.probs == want[:len(gen.probs)], stats.counts
+                assert gen.probs and np.all((out >= 1) & (out <= stats.n))
+                checked += 1
+        assert checked == 3 * 86
+
+    @pytest.mark.parametrize("counts, seed", [
+        ({0: 100, 1: 20, 2: 70, 3: 10}, 76),  # a = 10, table walk
+        ({0: 101, 2: 99}, 77)])  # a = 2, shared walk
+    def test_draws_match_the_exact_law_at_two_hundred_nodes(self, counts,
+                                                            seed):
+        stats = DegreeStatistics(counts)
+        assert stats.n == 200 and stats.a > 1
+        draws = sample_mark_height_batch(stats, RngStream(seed, 0), 20_000)
+        exact = float_pmf(exact_threshold_sampler_distribution(stats))
+        assert chi_square_gof(draws, exact) > P_FLOOR
+
+
+FOREST = DegreeStatistics({0: 5, 2: 2})  # a = 3
+
+
+class TestForestRefusals:
+    """What has no forest law stated refuses a != 1, and says why;
+    `enumerate_trees`, `repeat_time_tails` and `run_tail_sweep` are pinned
+    beside their other tests, and the Poisson batch on {0: 2}, which its
+    path return would answer, in `TestPoissonized`."""
+
+    @pytest.mark.parametrize("call, why", [
+        (lambda: sample_uniform_word(FOREST, RngStream(0, 0)),
+         "a uniform forest needs one more draw"),
+        (lambda: exact_stopping_index_distribution(FOREST),
+         "no forest law of sigma"),
+        (lambda: sample_stopping_index(FOREST, RngStream(0, 0)),
+         "no forest law of sigma"),
+        (lambda: sample_stopping_index_batch(FOREST, RngStream(0, 0), 5),
+         "no forest law of sigma"),
+        (lambda: sample_stopping_index_poissonized_batch(
+            FOREST, RngStream(0, 0), 5), "no forest sigma or tau")],
+        ids=["sample_uniform_word", "exact_stopping_index_distribution",
+             "sample_stopping_index", "sample_stopping_index_batch",
+             "sample_stopping_index_poissonized_batch"])
+    def test_refuses_a_forest(self, call, why):
+        with pytest.raises(InvalidStatistics, match=why):
+            call()
 
 
 class FixedUniforms:
@@ -424,7 +532,7 @@ class FixedUniforms:
 
 class TestWalkWidth:
     """With two or more positive degrees the walk keeps its table in int32
-    unless n - 1 reaches 2**31; a census with more edges takes int64."""
+    unless n reaches 2**31; a larger census takes int64."""
 
     # 2**31 + 1 edges: int32 would wrap the row's total weight
     WIDE = DegreeStatistics({0: 2**31, 2**30: 1, 2**30 + 1: 1})
@@ -438,7 +546,7 @@ class TestWalkWidth:
                  np.nextafter(1.0, 0.0)]
         record = []
         out = samplers._size_biased_walk(
-            self.WIDE, FixedUniforms(first, [0.5] * 5), 5, None, 3, record)
+            self.WIDE, FixedUniforms(first, [0.5] * 5), 5, 3, record)
         lo, hi = 2**30, 2**30 + 1
         assert record[0].tolist() == [lo, lo, hi, hi, hi]
         assert record[1].tolist() == [hi, hi, lo, lo, lo]
@@ -446,8 +554,8 @@ class TestWalkWidth:
         assert out.tolist() == [4] * 5
 
     def test_walks_end_where_the_thresholds_reach_one(self):
-        # after both positive degrees lead + S is lead + 2**31 - 1, which
-        # makes the third threshold exactly one for either walk
+        # after both positive degrees no edge weight is left, which makes
+        # the third threshold exactly one for either walk
         rng = RngStream(57, 0)
         heights = sample_mark_height_batch(self.WIDE, rng, 5)
         sigmas = sample_stopping_index_batch(self.WIDE, rng, 5)
@@ -533,7 +641,7 @@ class TestZeroUniform:
     rng = types.SimpleNamespace(gen=ZeroUniforms())
 
     @pytest.mark.parametrize("stats, index", [
-        # the degree-1 node comes first and leaves lead + S at 0, a 2 follows
+        # the degree-1 node comes first and leaves the threshold at 0, a 2 follows
         (STATS, 3),
         (full_binary_statistics(15), 2),
         (DegreeStatistics({0: 1, 1: 4}), 5)])  # a path never fires
@@ -544,7 +652,7 @@ class TestZeroUniform:
     @pytest.mark.parametrize("stats", [STATS, full_binary_statistics(15),
                                        DegreeStatistics({0: 1, 1: 4})])
     def test_mark_walk_stops_at_the_first_index(self, stats):
-        # lead 1 makes the first threshold 1 / n, so i = 1 accepts: height 0
+        # R = n - 1 makes the first threshold 1 / n, so i = 1 accepts: height 0
         assert np.all(sample_mark_height_batch(stats, self.rng, 4) == 0)
 
 
@@ -1458,6 +1566,34 @@ class TestReachableSum:
         for target in (top - 1, top - 2, top - 3, 2 * top):
             assert (samplers._reachable_sum(coins, target)
                     is frozen_fixpoint_reachable_sum(coins, target))
+
+    def test_schur_bound_matches_the_frozen_fixpoint_loop(self):
+        """Seeded coprime coin sets (after the gcd division) with targets
+        just below and at or above (c_min - 1)(c_max - 1), where the walk
+        answers at once: both sides must match the frozen loop."""
+        gen = np.random.default_rng(34)
+        sides = Counter()
+        for _ in range(2_000):
+            coins = sorted(set(gen.integers(2, 30, size=int(
+                gen.integers(1, 5))).tolist()))
+            g = math.gcd(*coins)
+            bound = (coins[0] // g - 1) * (coins[-1] // g - 1)
+            for target in range(max(0, bound - 3) * g, (bound + 3) * g):
+                want = frozen_fixpoint_reachable_sum(coins, target)
+                assert samplers._reachable_sum(coins, target) is want, \
+                    (coins, target)
+                if target % g == 0:
+                    sides[target // g >= bound, want] += 1
+        assert sides[True, False] == 0
+        assert min(sides.values()) > 100, sides
+
+    def test_a_target_past_the_schur_bound_needs_no_bitset(self):
+        """A bitset to 10^12 would need 10^12 bytes; the Schur bound of
+        coins 2 and 3 is 2."""
+        start = time.perf_counter()
+        assert samplers._reachable_sum([2, 3], 10**12) is True
+        assert samplers._reachable_sum([6, 9], 10**12 + 1) is False
+        assert time.perf_counter() - start < 0.1
 
     def test_reachable_coins_are_skipped_without_a_copy(self):
         """Each skipped coin's `(reach >> c) & 1` copied the bitset: 0.1,
