@@ -2,9 +2,10 @@
 concentration batteries, reported as JSON plus a flat CSV of verdict cells.
 
 Every runner returns an ExperimentReport whose JSON form depends only on the
-configuration and seed: replications draw from RNG substreams keyed by
-replication index, so rerunning a report reproduces it byte for byte apart
-from the wall_clock_seconds field.  Every draw runs in the calling process.
+configuration and seed: each tail sweep, ladder rung and concentration
+class draws its replications as one batch from the RNG stream keyed by
+(seed, cell), so rerunning a report reproduces it byte for byte apart from
+the wall_clock_seconds field.  Every draw runs in the calling process.
 """
 
 from __future__ import annotations
@@ -497,11 +498,10 @@ def _repeat_time_cells(stats: DegreeStatistics, inp: BoundInput,
 # ---------------------------------------------------------------------------
 
 def _draw_trees(draw, seed: int, cell: int, reps: int) -> np.ndarray:
-    """The reps x n stack of the words draw(substream r of RngStream(seed,
-    cell)), r < reps, checked in one `validate_words` pass; `draw` is a
-    `conditioned_sampler` or a `simply_generated_sampler`."""
-    base = RngStream(seed, cell)
-    words = np.stack([draw(base.substream(r)) for r in range(reps)])
+    """The reps x n stack of words draw(RngStream(seed, cell), reps), one
+    batch from one stream, checked in one `validate_words` pass; `draw` is
+    a `conditioned_sampler` or a `simply_generated_sampler`."""
+    words = draw(RngStream(seed, cell), reps)
     validate_words(words)
     return words
 
@@ -554,10 +554,13 @@ def run_convergence(mu: OffspringDistribution | None = None,
                   2000).  Reports Chat = mean_depth * sqrt(eps) / sqrt(n)
                   per eps and passes when max/min < 2.
 
-    Rung j (a size, or an eps) draws from stream j, by the route
-    `conditioned_sampler` picks for it: at the defaults, halving for the
-    heavy rungs at n = 800 and 3,200 and rejection for the rest.  A rung's
-    words are one stack, handed to one `depth_table` call.  Per size,
+    Rung j (a size, or an eps) draws its replications as one batch from
+    stream j, by the route `conditioned_sampler` picks for it: at the
+    defaults, halving for the three heavy rungs and rejection for the
+    control and near-path rungs.  For 20 words with the table, on a 2-vCPU
+    VM, heavy n = 800 takes about 6 ms and n = 3,200 about 50 ms, 30 of
+    them the table; control n = 3,201 takes 4 ms.  A rung's words are one
+    stack, handed to one `depth_table` call.  Per size,
     mean cells carry a normal-approximation 95% interval and median cells a
     degenerate one; trend cells compare the means.  Near-path refuses a mu
     or several sizes, the other families a grid, and every family a size
@@ -683,19 +686,19 @@ def run_concentration(class_name: str,
           max over k <= 3 of |n(k)/n - pi(k)| < tolerance, pi the boundary
           degree law.  Trees come from `simply_generated_sampler`, which
           solves the tilt and builds the route once per call: halving over
-          one `conditional_sum_table` from n = 118 (0.8 ms per word at
-          n = 2,000), rejection below it, where 400 trees each drew 47,
-          111, 256 and 492 rows per tree at n = 20, 40, 80 and 117
-          (0.05-0.35 ms per word on a 2-vCPU VM).  pi is solved once per
-          process.
+          one `conditional_sum_table` from n = 18 (20 words in about
+          18 ms at n = 2,000 with the table, on a 2-vCPU VM), rejection
+          below it.  pi is solved
+          once per process.
       leaf: factorial-squared weights (zero radius); exact expected leaf
           fraction strictly increasing over n = 6..12.  Deterministic, no
           Monte Carlo; n and replications are ignored.
 
     The other Monte Carlo classes take the route `conditioned_sampler`
     picks: at the defaults and n = 2,000, second-moment and stretched are
-    drawn by halving and branching by rejection.  A class's replications
-    are one stack of words from `_draw_trees`, and its event reads n(k),
+    drawn by halving (20 words in about 18 ms with the table) and
+    branching by rejection (about 3 ms).  A class's replications are one
+    batch of words from `_draw_trees`, and its event reads n(k),
     p2sq and n1 off every row at once, with p1 = n - 1; the counts are
     exact, so the event is the same float comparison as on `Norms`.
 

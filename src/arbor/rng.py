@@ -29,6 +29,8 @@ class RngStream:
 
         substream(i) of stream s is stream s * 1,000,003 + i + 1, so pairs
         can collide: RngStream(seed, 0).substream(0) is RngStream(seed, 1).
+        Only `arbor sample` uses it, a substream per printed tree; the
+        harness draws each battery cell as one batch from its own stream.
         Collision-free spawn keys (stream, index) would move every
         substream draw, so they are left to a change that moves them anyway.
         """

@@ -29,7 +29,8 @@ Three families live here:
   shuffle-and-rotate, and the int64 degree words of conditioned
   branching-process trees either by rejection on multinomial degree-count
   vectors or by splitting the degree sum in halves over a table of
-  truncated convolution powers;
+  truncated convolution powers.  Both draw R words as one R x n batch
+  from one stream, and each single tree is the batch's one-row call;
   `expected_rejection_rows` predicts the rejection cost that picks between
   them.
 
@@ -348,9 +349,16 @@ def sample_stopping_index_poissonized_batch(
 
 def _rotation(d: np.ndarray) -> np.ndarray:
     """The one cyclic rotation of an int64 degree array that is a valid word
-    (cycle lemma): it starts after the walk of (d_i - 1) first bottoms out."""
-    j = int(np.argmin(np.cumsum(d - 1)))
-    return np.concatenate([d[j + 1:], d[:j + 1]])
+    (cycle lemma): it starts after the walk of (d_i - 1) first bottoms out.
+    A 2-D array is rotated row by row, each row on its own walk."""
+    n = d.shape[-1]
+    j = (np.cumsum(d, axis=-1) - np.arange(1, n + 1)).argmin(axis=-1) + 1
+    if d.ndim == 1:
+        return np.concatenate([d[j:], d[:j]])
+    # row r is the n-window at j[r] of d[r] written out twice
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([d, d], axis=1), n, axis=1)
+    return windows[np.arange(len(d)), j]
 
 
 def rotate_to_valid_word(degrees: Sequence[int]) -> tuple[int, ...]:
@@ -358,11 +366,16 @@ def rotate_to_valid_word(degrees: Sequence[int]) -> tuple[int, ...]:
     return tuple(_rotation(np.asarray(degrees, dtype=np.int64)).tolist())
 
 
-def _shuffled_word(degrees: np.ndarray, counts, rng: RngStream) -> np.ndarray:
-    """The word step of every uniform tree: shuffle the multiset of int64
-    `degrees` (ascending) repeated `counts` times, then rotate it to the
-    valid word."""
-    return _rotation(rng.gen.permutation(np.repeat(degrees, counts)))
+def _shuffled_words(degrees: np.ndarray, counts, n: int,
+                    rng: RngStream) -> np.ndarray:
+    """The word step of every uniform tree, once per row of `counts`:
+    shuffle the n-node multiset of int64 `degrees` (ascending), each
+    repeated by the row's count, row after row from the one stream, then
+    rotate every row to its valid word."""
+    words = np.empty((len(counts), n), dtype=np.int64)
+    for word, row in zip(words, counts):
+        word[:] = rng.gen.permutation(np.repeat(degrees, row))
+    return _rotation(words)
 
 
 def sample_uniform_word(stats: DegreeStatistics, rng: RngStream) -> np.ndarray:
@@ -371,7 +384,8 @@ def sample_uniform_word(stats: DegreeStatistics, rng: RngStream) -> np.ndarray:
     if stats.a != 1:
         raise InvalidStatistics("a uniform forest needs one more draw (a != 1)")
     degrees, counts = zip(*stats.sorted_items())
-    return _shuffled_word(np.array(degrees, dtype=np.int64), counts, rng)
+    return _shuffled_words(np.array(degrees, dtype=np.int64), [counts],
+                           stats.n, rng)[0]
 
 
 def sample_uniform_tree(stats: DegreeStatistics, rng: RngStream) -> PlaneTree:
@@ -693,54 +707,89 @@ def expected_rejection_rows(mu: OffspringDistribution, n: int) -> float | None:
     return math.exp(log_rows) if log_rows < 700 else math.inf
 
 
-def sample_conditioned_bienayme(mu: OffspringDistribution, n: int,
-                                rng: RngStream,
-                                max_attempts: int = 10_000_000) -> np.ndarray:
-    """The int64 degree word of a branching-process tree with offspring law
-    mu conditioned on n nodes; `build_tree` makes it a PlaneTree.
+def _rejection_columns(q: np.ndarray) -> np.ndarray:
+    """The degrees a proposal row of the n-degree truncated law q counts:
+    each degree with positive mass, and n - 1, always last."""
+    return np.append(np.flatnonzero(q[:-1]), q.size - 1)
+
+
+def sample_count_vectors(mu: OffspringDistribution, n: int, rng: RngStream,
+                         reps: int, max_attempts: int = 10_000_000
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """(degrees, counts): the degree counts of `reps` branching-process
+    trees with offspring law mu conditioned on n nodes, one row each.
 
     Count-vector rejection (Devroye, SIAM J. Comput. 41, 2012): propose the
-    degree counts of n i.i.d. draws as one multinomial row, accept when the
-    degrees sum to n - 1, then shuffle and rotate that row's multiset, the
-    word step of `sample_uniform_word`.  Given its degree counts the tree
-    is uniform, so its law is proportional to prod mu(deg).  The proposal
-    is truncated at degree n - 1 and renormalised, which only raises
-    acceptance.  Rows come in chunks of 16 doubling to max(16, 65536 // n);
-    `max_attempts` caps them.
-    A row has a column for each degree with positive mass and one for
-    degree n - 1, always last.  numpy draws one binomial per column but the
-    last, and a zero-mass column draws nothing, so these rows are the ones
-    a row over all n degrees would draw, at O(support) instead of O(n).
-    `expected_rejection_rows` predicts how many rows a tree takes: the
-    heavy law (full support) at n = 3,200 takes about 1,700 rows
-    (predicted 1,046), 16 ms per word, where the halving sampler takes
-    about 1.2 ms (means of 40 words on a 2-vCPU VM).
+    degree counts of n i.i.d. draws as one multinomial row and accept when
+    the degrees sum to n - 1.  The proposal is truncated at degree n - 1
+    and renormalised, which only raises acceptance.  Proposal rows come in
+    chunks of 16 doubling to max(16, 65536 // n) from one stream; the
+    accepted rows are kept in order until `reps` are in, and the hits past
+    them in the last chunk are dropped.  `max_attempts` caps the proposal
+    rows of the whole batch.
+    `degrees` are the int64 columns, ascending: each degree with positive
+    mass and n - 1.  numpy draws one binomial per column but the last, and
+    a zero-mass column draws nothing, so these rows are the ones a row over
+    all n degrees would draw, at O(support) instead of O(n).
+    `expected_rejection_rows` predicts how many rows a tree takes.
 
     Raises ZeroPartition before the first proposal when n - 1 is not a sum
     of positive degrees with mass below n.  `_reachable_sum` decides this
     on every call, uncached; with mass at degree 1 every target is
     reachable, so the check is skipped.
     """
+    _check_reps(reps)
     q = _truncated_masses(mu, n)
     if n > 1 and q[1] == 0 and not _reachable_sum(
             (np.flatnonzero(q[1:]) + 1).tolist(), n - 1):
         raise ZeroPartition(
             f"sum {n - 1} is unreachable with this offspring law")
     gen = rng.gen
-    cols = np.append(np.flatnonzero(q[:-1]), n - 1)
+    cols = _rejection_columns(q)
+    kept = [np.zeros((0, cols.size), dtype=np.int64)]
+    need = reps
     attempts = 0
     rows = 16
-    while attempts < max_attempts:
+    while need:
+        if attempts >= max_attempts:
+            raise AttemptsExhausted(f"no degree sequence summed to {n - 1} "
+                                    f"in {max_attempts} attempts")
         take = min(rows, max_attempts - attempts)
         counts = gen.multinomial(n, q[cols], size=take)
-        hits = np.flatnonzero(counts @ cols == n - 1)
-        if hits.size:
-            return _shuffled_word(cols, counts[hits[0]], rng)
+        hits = np.flatnonzero(counts @ cols == n - 1)[:need]
+        kept.append(counts[hits])
+        need -= hits.size
         attempts += take
         rows = min(2 * rows, max(16, 65_536 // n))
-    raise AttemptsExhausted(
-        f"no degree sequence summed to {n - 1} in {max_attempts} attempts"
-    )
+    return cols, np.concatenate(kept)
+
+
+def sample_conditioned_bienayme_batch(mu: OffspringDistribution, n: int,
+                                      rng: RngStream, reps: int,
+                                      max_attempts: int = 10_000_000
+                                      ) -> np.ndarray:
+    """The reps x n int64 degree words of `reps` branching-process trees
+    with offspring law mu conditioned on n nodes, by count-vector rejection.
+
+    `sample_count_vectors` draws the rows' degree counts; each row then
+    takes the word step of `sample_uniform_word`, in row order: given its
+    degree counts the tree is uniform, so its law is proportional to
+    prod mu(deg).  The heavy law (full support) at n = 3,200 takes about
+    1,700 proposal rows a tree (1,046 predicted), 16 ms a word, where the
+    halving sampler takes about 1.2 ms (means of 40 words on a 2-vCPU VM).
+    """
+    degrees, counts = sample_count_vectors(mu, n, rng, reps, max_attempts)
+    return _shuffled_words(degrees, counts, n, rng)
+
+
+def sample_conditioned_bienayme(mu: OffspringDistribution, n: int,
+                                rng: RngStream,
+                                max_attempts: int = 10_000_000) -> np.ndarray:
+    """The int64 degree word of a branching-process tree with offspring law
+    mu conditioned on n nodes, the one-row call of
+    `sample_conditioned_bienayme_batch`; `build_tree` makes it a
+    PlaneTree."""
+    return sample_conditioned_bienayme_batch(mu, n, rng, 1, max_attempts)[0]
 
 
 def block_sizes(n: int) -> list[int]:
@@ -778,28 +827,49 @@ def conditional_sum_table(mu: OffspringDistribution, n: int) -> np.ndarray:
     return table
 
 
-def sample_conditioned_bienayme_sequential(
-        mu: OffspringDistribution, n: int, rng: RngStream,
-        table: np.ndarray | None = None) -> np.ndarray:
-    """Same law as sample_conditioned_bienayme, drawn by halving the sum;
-    returns the int64 degree word.
+# split weights a level of one halving chunk may hold.  A row's level holds
+# at most 2n - 1 of them (its targets add up to n - 1, plus one a block), so
+# a chunk takes 2**15 // n rows: 40 at n = 800, 10 at n = 3,200.  Larger
+# chunks buy nothing there, since every level allocates its arrays afresh:
+# in a fresh process 20 heavy words at n = 3,200 took 24-25 ms in one
+# chunk (5,813 page faults) against 22 ms in two (3,335; 2-vCPU VM).
+# 200 heavy words at n = 3,200 (20 chunks) peak at 23 MB traced, 20.5 MB
+# of it the stack and its rotation, where one chunk of all 200 rows took
+# 70 MB
+_SPLIT_BUDGET = 2**16
 
-    One block of n degrees starts with target sum n - 1.  A block of size
-    m >= 2 splits its target t between halves of m1 = m // 2 and m - m1
-    degrees, drawing a with probability proportional to
-    P(S_m1 = a) P(S_(m-m1) = t - a) from conditional_sum_table; a block of
-    size one is a degree.  The splits multiply to prod mu(d_i) over the
+
+def sample_conditioned_bienayme_sequential_batch(
+        mu: OffspringDistribution, n: int, rng: RngStream, reps: int,
+        table: np.ndarray | None = None) -> np.ndarray:
+    """The reps x n int64 degree words of `reps` trees with the law of
+    `sample_conditioned_bienayme_batch`, drawn by halving the sum.
+
+    Each row starts as one block of n degrees with target sum n - 1.  A
+    block of size m >= 2 splits its target t between halves of
+    m1 = m // 2 and m - m1 degrees, drawing a with probability proportional
+    to P(S_m1 = a) P(S_(m-m1) = t - a) from conditional_sum_table; a block
+    of size one is a degree.  The splits multiply to prod mu(d_i) over the
     normaliser, an exchangeable law, so block order does not matter before
-    the rotation.  Each level is one ragged cumulative sum, so a word costs
-    O(n log n) however far the total sits in the proposal's tail: on a
-    2-vCPU VM, 0.8 ms at n = 2,000 and 3.1 ms at n = 10,000 for the census
-    law, 0.6 ms at n = 800 and 1.2 ms at n = 3,200 for the heavy law (means
-    of 100 words).  Pass a precomputed `table` when drawing many words at
-    one (mu, n).
+    the rotation.  A level splits every live block of every row in one
+    ragged cumulative sum and one uniform a block, in block order, with
+    the first halves before the second; leaves carry their row id, and a
+    stable sort by it gives each row its degrees in the order a one-row
+    call collects them.  So a word costs O(n log n) however far the total
+    sits in the proposal's tail, and a one-row call is the single draw.
+    The running sum covers all of a chunk's blocks, each of weight one, so
+    a block's cdf is resolved to about (blocks in the chunk) * eps, at most
+    about reps * n * eps in total variation per split.  Rows are split in
+    chunks of _SPLIT_BUDGET // (2n), drawn in order from the one stream.
+    On a 2-vCPU VM, 20 words take 4.7 ms at heavy n = 800, 19 ms at
+    heavy n = 3,200 and 11 ms for the census law at n = 2,000, against
+    10.5, 24 and 17 ms for 20 one-row calls.  Pass a precomputed `table`
+    when drawing many batches at one (mu, n).
 
     Raises ZeroPartition when no degree sequence can reach the target sum,
     a case the rejection sampler can only burn attempts on.
     """
+    _check_reps(reps)
     if n < 1:
         raise ValueError("need at least one node")
     if table is None:
@@ -809,55 +879,88 @@ def sample_conditioned_bienayme_sequential(
     row_of[sizes] = np.arange(len(sizes))
     flat = table.ravel()
     gen = rng.gen
-    m = np.array([n])
-    t = np.array([n - 1])
-    degrees = []
-    while True:
-        leaf = m == 1
-        degrees.append(t[leaf])
-        m, t = m[~leaf], t[~leaf]
-        if not m.size:
-            break
-        m1 = m // 2
-        m2 = m - m1
-        lens = t + 1
-        starts = np.cumsum(lens) - lens
-        # flat indices of (row m1, k) and (row m2, t - k), k = at - start
-        at = np.arange(lens.sum())
-        w = (flat[(row_of[m1] * n - starts).repeat(lens) + at]
-             * flat[(row_of[m2] * n + t + starts).repeat(lens) - at])
-        total = np.add.reduceat(w, starts)
-        # a zero total at the first level means P(S_n = n - 1) == 0
-        if not total.all():
-            raise ZeroPartition(
-                f"sum {n - 1} is unreachable with this offspring law")
-        # each block's weights sum to one, so rounding in the running sum
-        # stays near the block count times the float epsilon
-        cdf = np.cumsum(w / total.repeat(lens))
-        end = cdf[starts + lens - 1]
-        begin = np.concatenate([[0.0], end[:-1]])
-        u = begin + gen.random(m.size) * (end - begin)
-        a = np.minimum(np.searchsorted(cdf, u, side="right") - starts, t)
-        m = np.concatenate([m1, m2])
-        t = np.concatenate([a, t - a])
-    return _rotation(np.concatenate(degrees))
+    chunk = max(1, _SPLIT_BUDGET // (2 * n))
+    words = np.empty((reps, n), dtype=np.int64)
+    for first in range(0, reps, chunk):
+        rows = min(chunk, reps - first)
+        m = np.full(rows, n)
+        t = np.full(rows, n - 1)
+        row = np.arange(rows)
+        degrees, owners = [], []
+        while True:
+            leaf = m == 1
+            degrees.append(t[leaf])
+            owners.append(row[leaf])
+            live = ~leaf
+            m, t, row = m[live], t[live], row[live]
+            if not m.size:
+                break
+            m1 = m // 2
+            m2 = m - m1
+            lens = t + 1
+            starts = np.cumsum(lens) - lens
+            # flat indices of (row m1, k) and (row m2, t - k), k = at - start,
+            # built and used in place: a level is a dozen passes over them
+            at = np.arange(lens.sum())
+            index = (row_of[m1] * n - starts).repeat(lens)
+            index += at
+            w = flat.take(index)
+            index = (row_of[m2] * n + t + starts).repeat(lens)
+            index -= at
+            w *= flat.take(index)
+            total = np.add.reduceat(w, starts)
+            # a zero total at the first level means P(S_n = n - 1) == 0
+            if not total.all():
+                raise ZeroPartition(
+                    f"sum {n - 1} is unreachable with this offspring law")
+            w /= total.repeat(lens)
+            cdf = np.cumsum(w, out=w)
+            end = cdf[starts + lens - 1]
+            begin = np.concatenate([[0.0], end[:-1]])
+            u = begin + gen.random(m.size) * (end - begin)
+            a = np.minimum(np.searchsorted(cdf, u, side="right") - starts, t)
+            m = np.concatenate([m1, m2])
+            t = np.concatenate([a, t - a])
+            row = np.concatenate([row, row])
+        order = np.argsort(np.concatenate(owners), kind="stable")
+        words[first:first + rows] = np.concatenate(degrees)[order].reshape(
+            rows, n)
+    return _rotation(words)
 
 
-# predicted proposal rows per word above which `conditioned_sampler` halves:
-# a row costs O(support) and a halving word O(n log n).  The rule fixes the
-# route, and so the draws, of every report; since both routes return words,
-# halving is the cheaper at the heavy law already at n = 200, 118 predicted
-# rows (0.33 against 0.48 ms a word on a 2-vCPU VM)
-_HALVING_ROWS = 256
+def sample_conditioned_bienayme_sequential(
+        mu: OffspringDistribution, n: int, rng: RngStream,
+        table: np.ndarray | None = None) -> np.ndarray:
+    """Same law as sample_conditioned_bienayme, drawn by halving the sum:
+    the one-row call of `sample_conditioned_bienayme_sequential_batch`,
+    returning the int64 degree word."""
+    return sample_conditioned_bienayme_sequential_batch(mu, n, rng, 1,
+                                                        table)[0]
+
+
+# the route rule: a rejection word costs about (predicted proposal rows) x
+# (support columns) binomial draws, a halving word about n log n split
+# weights plus its share of one table.  Timed in batches of 20 words with
+# the table on a 2-vCPU VM, the routes tie near rows * cols = 16 n (census
+# n = 16, ratio 15: 0.53 against 0.55 ms); rejection wins below it (census
+# n = 10, ratio 9: 0.25 against 0.37 ms) and halving above it (heavy n = 50,
+# ratio 39: 0.84 against 1.14 ms; heavy n = 200, ratio 118: 1.9 against
+# 5.4 ms).  At their default sizes the light laws of the batteries sit
+# below a ratio of 2 and the full-support ones above 100.  The rule fixes
+# the route, and so the draws, of every report
+_HALVING_RATIO = 16
 
 
 def conditioned_sampler(mu: OffspringDistribution, n: int):
-    """rng -> the int64 degree word of a mu-tree conditioned on n nodes, by
-    the cheaper route: rejection unless `expected_rejection_rows` predicts
-    more than _HALVING_ROWS rows per tree, else halving over one
-    `conditional_sum_table(mu, n)` shared by every word drawn."""
+    """(rng, reps) -> the reps x n int64 degree words of mu-trees
+    conditioned on n nodes, drawn as one batch from the one stream, by the
+    cheaper route: rejection unless `expected_rejection_rows` predicts
+    rows * cols > _HALVING_RATIO * n (cols the proposal's support columns),
+    else halving over one `conditional_sum_table(mu, n)` shared by every
+    batch drawn."""
     rows = expected_rejection_rows(mu, n)
-    if rows is None or rows <= _HALVING_ROWS:
-        return functools.partial(sample_conditioned_bienayme, mu, n)
-    return functools.partial(sample_conditioned_bienayme_sequential, mu, n,
-                             table=conditional_sum_table(mu, n))
+    cols = _rejection_columns(_truncated_masses(mu, n)).size
+    if rows is None or rows * cols <= _HALVING_RATIO * n:
+        return functools.partial(sample_conditioned_bienayme_batch, mu, n)
+    return functools.partial(sample_conditioned_bienayme_sequential_batch,
+                             mu, n, table=conditional_sum_table(mu, n))

@@ -558,21 +558,22 @@ def _psi_or_inf(w: WeightSequence, t) -> float:
 
 
 def simply_generated_sampler(w: WeightSequence, n: int):
-    """rng -> the int64 degree word of a tree drawn with P(t) = w(t) / Z_n
-    among n-node plane trees, with all the work that depends only on
-    (w, n) done once, here.
+    """(rng, reps) -> the reps x n int64 degree words of trees drawn with
+    P(t) = w(t) / Z_n among n-node plane trees, one batch from the one
+    stream, with all the work that depends only on (w, n) done once, here.
 
     Positive radius: tilt the weights into an offspring law (the tilt
-    cancels in the conditioned law) and draw by the route
-    `conditioned_sampler` picks (the k^-3 weights halve from n = 118).
+    cancels in the conditioned law) and draw by the batch route
+    `conditioned_sampler` picks (the k^-3 weights halve from n = 18).
     Zero radius: no tilt exists, so draw a degree-statistics class from
-    the enumerated `_class_weights`, then a uniform tree in it; TooLarge
-    above ENUMERATION_CAP nodes.
+    the enumerated `_class_weights`, then a uniform tree in it, a row at a
+    time; TooLarge above ENUMERATION_CAP nodes.  One node and the path
+    repeat their one word.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
-        return lambda rng: np.zeros(1, dtype=np.int64)
+        return lambda rng, reps: np.zeros((reps, 1), dtype=np.int64)
     end = n if w.explicit is None else min(n, len(w.explicit))
     support = [k for k in range(1, end) if w.weight(k) > 0]
     if not _reachable_sum(support, n - 1):
@@ -582,16 +583,19 @@ def simply_generated_sampler(w: WeightSequence, n: int):
         if n > ENUMERATION_CAP:
             raise TooLarge(f"zero-radius sampling is capped at {ENUMERATION_CAP}")
         table = _class_weights(w, n)
-        return functools.partial(_sample_class, table, float(sum(table.values())))
+        return functools.partial(_sample_class_batch, table,
+                                 float(sum(table.values())), n)
     if max(support) == 1:  # the path is the only tree
-        return lambda rng: np.append(np.ones(n - 1, dtype=np.int64), 0)
+        path = np.append(np.ones(n - 1, dtype=np.int64), 0)
+        return lambda rng, reps: np.tile(path, (reps, 1))
     return conditioned_sampler(tilted_law(w, solve_critical_tilt(w), n - 1), n)
 
 
 def sample_simply_generated(w: WeightSequence, n: int,
                             rng: RngStream) -> np.ndarray:
-    """One word drawn by `simply_generated_sampler(w, n)`."""
-    return simply_generated_sampler(w, n)(rng)
+    """One word drawn by `simply_generated_sampler(w, n)`: its one-row
+    batch."""
+    return simply_generated_sampler(w, n)(rng, 1)[0]
 
 
 def _class_weights(w: WeightSequence, n: int) -> dict:
@@ -607,16 +611,21 @@ def _class_weights(w: WeightSequence, n: int) -> dict:
     return table
 
 
-def _sample_class(table: dict, total: float, rng: RngStream) -> np.ndarray:
-    """The word of a uniform tree of a `_class_weights` class; `total` sums
-    the table."""
-    u = rng.gen.uniform() * total
-    acc = 0.0
-    for stats, wt in table.items():  # the last class if rounding runs out
-        acc += float(wt)
-        if u < acc:
-            break
-    return sample_uniform_word(stats, rng)
+def _sample_class_batch(table: dict, total: float, n: int, rng: RngStream,
+                        reps: int) -> np.ndarray:
+    """The reps x n words of uniform trees of `_class_weights` classes, a
+    row at a time: each draws its class, then its word; `total` sums the
+    table."""
+    words = np.empty((reps, n), dtype=np.int64)
+    for word in words:
+        u = rng.gen.uniform() * total
+        acc = 0.0
+        for stats, wt in table.items():  # the last class if rounding runs out
+            acc += float(wt)
+            if u < acc:
+                break
+        word[:] = sample_uniform_word(stats, rng)
+    return words
 
 
 def exact_tree_law(w: WeightSequence, n: int) -> dict[DegreeStatistics, Fraction]:

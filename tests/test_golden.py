@@ -29,7 +29,7 @@ def report_digest(report) -> str:
 RUNS = {
     "converge-heavy": lambda: run_convergence(
         family="heavy", sizes=(30, 60), replications=6, seed=4),
-    # rejection at n = 200, halving at n = 800, one depth pass per rung
+    # halving at n = 200 and 800, one batch and one depth pass per rung
     "converge-heavy-halving": lambda: run_convergence(
         family="heavy", sizes=(200, 800), replications=3, seed=4),
     # halving at n = 800 and 3,200
@@ -64,23 +64,23 @@ RUNS = {
 
 GOLDEN = {
     "converge-heavy":
-        "abd9fbe517faa5c77774a108310fb6ca84e26d196180444ab606dadb0f68d362",
+        "75fcf6aa22c9d9c3c14f33ee6b756b3704b12281376cfa7ebfaec6df5eb5cec4",
     "converge-heavy-halving":
-        "bb1762d9cc9fbf7e4532e9dd14449c374636f6ed69cbe897ffd38b1002f93b1c",
+        "7b7ff77662636d65b8cf860b3933051aba439f3a0317395b99dfa51991856bd9",
     "converge-heavy-3200":
-        "3e1cbfd700b955723f9ecad3d45594448235bd311af6f565eb860df4450bc43d",
+        "2d960639c62411b59eea027f64453294ad075defce49b99f899afee0ee4f9099",
     "converge-control":
-        "1b454433d1ae32cf61beadbbb669e444c2c91a892bffadf6c7091f5d0bec38fe",
+        "c81e26c23c65947870c03b2fc4faab839b08fce4c98cc95de3139cbf9b7d0fd0",
     "converge-near-path":
-        "6b32129c00b4190a6c7f1bdd025face0b296e846ec2d79e84e2367b4865d622f",
+        "3b52273e7b523ec14163ac311bc0b93c6d9f2cea07427b5461121bb0e807a49c",
     "concentrate-second-moment":
         "8ac61c301c385d898c3331bc266c9df5c97b5f4fed6f2a1a3f7e611d8850ecd4",
     "concentrate-stretched":
-        "05f843cde358a7946c4e4f0d9f8c31834c39bc4d9bfe22db07f03ff84d959dbd",
+        "7359d3f666d0393e940117e203c4bb55223617136bf6c0eefe5abade032c7f2e",
     "concentrate-stretched-halving":
         "8610addbf9cd547c508ccdafa9362a7a268161c6c1bf51ebe81c6b893bc07e50",
     "concentrate-census-halving":
-        "4f43a482d565bded1bc8d6ac4a78cc29c656b732f94397fbfdbb8c1b7404db99",
+        "25a1aea88d400045bc80428b1a1be1ef21b730b7530972dded3283de44de1fce",
     "concentrate-branching":
         "3f9d1fab020083e605937459d7a26c23a0feca4534cc3066a57d96306b62fc98",
     "concentrate-census":

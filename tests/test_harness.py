@@ -605,7 +605,7 @@ class TestConcentration:
         for n, seed in ((118, 3), (200, 5), (2000, 2)):
             law = tilted_law(weights, solve_critical_tilt(weights), n - 1)
             frozen = functools.partial(
-                samplers.sample_conditioned_bienayme_sequential, law, n,
+                samplers.sample_conditioned_bienayme_sequential_batch, law, n,
                 table=samplers.conditional_sum_table(law, n))
             words = [harness._draw_trees(draw, seed, 0, 4)
                      for draw in (frozen,
@@ -613,10 +613,18 @@ class TestConcentration:
             assert np.array_equal(words[0], words[1]), n
 
     def test_drawn_stack_is_checked(self):
-        words = iter([[1, 0], [1, 0], [0, 1]])
+        words = np.array([[1, 0], [1, 0], [0, 1]], dtype=np.int64)
         with pytest.raises(InvalidWord, match="^row 2: prefix sum drops"):
-            harness._draw_trees(
-                lambda rng: np.array(next(words), dtype=np.int64), 0, 0, 3)
+            harness._draw_trees(lambda rng, reps: words[:reps], 0, 0, 3)
+
+    def test_a_battery_draws_one_batch_from_its_cell_stream(self):
+        draws = []
+
+        def draw(rng, reps):
+            draws.append((rng.seed, rng.stream, reps))
+            return np.tile(np.array([1, 0], dtype=np.int64), (reps, 1))
+        assert harness._draw_trees(draw, 7, 2, 5).shape == (5, 2)
+        assert draws == [(7, 2, 5)]
 
     @pytest.mark.parametrize("class_name, n", [
         ("second-moment", 300), ("stretched", 300), ("branching", 300),
@@ -666,10 +674,12 @@ class TestConcentration:
 
 
 class TestRouteChoice:
-    """Rejection or halving by the predicted rows per tree, as
+    """Rejection or halving by the predicted rejection cost, proposal rows
+    per tree times support columns against 16 n, as
     `samplers.conditioned_sampler` picks it; the route is pinned at every
-    default rung and class, and the halving route's table is built once
-    per rung or census call, in samplers."""
+    default rung and class and where the census crosses over, and the
+    halving route's table is built once per rung or census call, in
+    samplers."""
 
     @staticmethod
     def halves(law, n):
@@ -677,10 +687,10 @@ class TestRouteChoice:
             draw = simply_generated_sampler(harness._census_constants()[0], n)
         else:
             draw = samplers.conditioned_sampler(law, n)
-        return draw.func is samplers.sample_conditioned_bienayme_sequential
+        return draw.func is samplers.sample_conditioned_bienayme_sequential_batch
 
     @pytest.mark.parametrize("family, law, n, halving", [
-        ("heavy", _LADDERS["heavy"][0](), 200, False),
+        ("heavy", _LADDERS["heavy"][0](), 200, True),
         ("heavy", _LADDERS["heavy"][0](), 800, True),
         ("heavy", _LADDERS["heavy"][0](), 3200, True),
         ("control", _LADDERS["control"][0](), 201, False),
@@ -692,7 +702,9 @@ class TestRouteChoice:
         ("second-moment", _CLASS_LAWS["second-moment"](), 2000, True),
         ("stretched", _CLASS_LAWS["stretched"](), 2000, True),
         ("branching", _CLASS_LAWS["branching"](), 2000, False),
-        ("census", None, 117, False),
+        ("census", None, 17, False),
+        ("census", None, 18, True),
+        ("census", None, 117, True),
         ("census", None, 118, True),
         ("census", None, 2000, True)])
     def test_default_routes(self, family, law, n, halving):
@@ -722,8 +734,8 @@ class TestRouteChoice:
         run_concentration("branching", n=60, replications=3, seed=2)
         assert tables == []
 
-    @pytest.mark.parametrize("n, built", [(2000, [2000]), (40, [])],
-                             ids=["halving-n2000", "rejection-n40"])
+    @pytest.mark.parametrize("n, built", [(2000, [2000]), (10, [])],
+                             ids=["halving-n2000", "rejection-n10"])
     def test_census_builds_its_table_in_samplers(self, tables, n, built):
         run_concentration("census", n=n, replications=3, seed=1,
                           tolerance=1.0)

@@ -34,7 +34,10 @@ from arbor.rng import RngStream
 from arbor.samplers import (OffspringDistribution, _hurwitz, block_sizes,
                             conditional_sum_table, rotate_to_valid_word,
                             sample_conditioned_bienayme,
+                            sample_conditioned_bienayme_batch,
                             sample_conditioned_bienayme_sequential,
+                            sample_conditioned_bienayme_sequential_batch,
+                            sample_count_vectors,
                             sample_mark_height, sample_mark_height_batch,
                             sample_size_biased_order, sample_stopping_index,
                             sample_stopping_index_batch,
@@ -42,10 +45,10 @@ from arbor.samplers import (OffspringDistribution, _hurwitz, block_sizes,
                             sample_stopping_index_poissonized_batch,
                             sample_uniform_marked_tree, sample_uniform_tree,
                             sample_uniform_word)
-from arbor.trees import DegreeStatistics, PlaneTree, build_tree
+from arbor.trees import DegreeStatistics, PlaneTree, build_tree, validate_words
 from arbor.weights import (WeightSequence, limit_degree_law,
-                           simply_generated_sampler, solve_critical_tilt,
-                           tilted_law)
+                           sample_simply_generated, simply_generated_sampler,
+                           solve_critical_tilt, tilted_law)
 
 import tree_sampler_reference as frozen_trees
 from chisq import chi_square_gof, chi_square_two_sample
@@ -1333,22 +1336,18 @@ class TestConditionedBienayme:
     @pytest.mark.parametrize("family", ["census", "sparse"])
     @pytest.mark.parametrize("route", ["rejection", "sequential"])
     def test_matches_exact_law(self, family, route):
-        """Both samplers against prod mu(d_i) / Z over all 7-node trees;
-        each word is keyed by its base-7 digits, with no tree per draw."""
+        """Both batch samplers against prod mu(d_i) / Z over all 7-node
+        trees, 20,000 words as one batch; each word is keyed by its base-7
+        digits, with no tree per draw."""
         mu = (census_law(7) if family == "census" else
               OffspringDistribution.from_masses({0: 0.5, 1: 0.2, 3: 0.3}))
         law = conditioned_law(mu, 7)
         digits = 7 ** np.arange(7)
-        rng = RngStream(24, 0)
-        if route == "rejection":
-            words = [sample_conditioned_bienayme(mu, 7, rng)
-                     for _ in range(20_000)]
-        else:
-            table = conditional_sum_table(mu, 7)
-            words = [sample_conditioned_bienayme_sequential(mu, 7, rng, table)
-                     for _ in range(20_000)]
+        sampler = (sample_conditioned_bienayme_batch if route == "rejection"
+                   else sample_conditioned_bienayme_sequential_batch)
+        words = sampler(mu, 7, RngStream(24, 0), 20_000)
         index = {int(np.array(w) @ digits): i for i, w in enumerate(law)}
-        draws = [index[k] for k in (np.stack(words) @ digits).tolist()]
+        draws = [index[k] for k in (words @ digits).tolist()]
         assert chi_square_gof(draws, {i: p for i, p in enumerate(
             law.values())}) > P_FLOOR
 
@@ -1399,8 +1398,8 @@ def _simply_generated_route(w, n):
 LIVE_SAMPLERS = types.SimpleNamespace(
     conditioned_sampler=samplers.conditioned_sampler,
     simply_generated_sampler=simply_generated_sampler)
-WORD_ROUTES = {  # route -> samplers -> (rng -> draw)
-    "rejection-heavy-n200": _conditioned_route(_LADDERS["heavy"][0](), 200),
+WORD_ROUTES = {  # route -> samplers -> ((rng, reps) -> words)
+    "halving-heavy-n200": _conditioned_route(_LADDERS["heavy"][0](), 200),
     "rejection-control-n201": _conditioned_route(
         _LADDERS["control"][0](), 201),
     "rejection-branching-n60": _conditioned_route(
@@ -1409,6 +1408,7 @@ WORD_ROUTES = {  # route -> samplers -> (rng -> draw)
     "halving-heavy-n3200": _conditioned_route(_LADDERS["heavy"][0](), 3200),
     "halving-stretched-n2000": _conditioned_route(
         _CLASS_LAWS["stretched"](), 2000),
+    "census-n17": _simply_generated_route(census_weights(), 17),
     "census-n40": _simply_generated_route(census_weights(), 40),
     "census-n118": _simply_generated_route(census_weights(), 118),
     "census-n2000": _simply_generated_route(census_weights(), 2000),
@@ -1422,23 +1422,37 @@ WORD_ROUTES = {  # route -> samplers -> (rng -> draw)
 }
 
 
+def _single_conditioned(law, n):
+    """The single-draw sampler of the route `conditioned_sampler` picks."""
+    if samplers.conditioned_sampler(law, n).func is \
+            sample_conditioned_bienayme_batch:
+        return functools.partial(sample_conditioned_bienayme, law, n)
+    return functools.partial(sample_conditioned_bienayme_sequential, law, n)
+
+
+SINGLE_SAMPLERS = types.SimpleNamespace(
+    conditioned_sampler=_single_conditioned,
+    simply_generated_sampler=lambda w, n: functools.partial(
+        sample_simply_generated, w, n))
+
+
 class TestWordsMatchTheFrozenTreeSamplers:
-    """Each route's word is the `.luka` of the tree the frozen samplers
-    of tests/tree_sampler_reference.py drew, and the stream is left in
-    the same state."""
+    """Each route's one-row batch is the `.luka` of the tree the frozen
+    samplers of tests/tree_sampler_reference.py drew, and the stream is
+    left in the same state."""
 
     @pytest.mark.parametrize("route", sorted(WORD_ROUTES))
     def test_words_are_the_frozen_trees(self, route):
         draw = WORD_ROUTES[route](LIVE_SAMPLERS)
         frozen = WORD_ROUTES[route](frozen_trees)
         if isinstance(draw, functools.partial):  # the same route
-            assert draw.func.__name__ == frozen.func.__name__
+            assert draw.func.__name__ == frozen.func.__name__ + "_batch"
         for seed in (0, 7, 2024):
             a, b = RngStream(seed, 3), RngStream(seed, 3)
             for _ in range(2):
-                word = draw(a)
-                assert word.dtype == np.int64 and word.ndim == 1
-                assert tuple(word.tolist()) == frozen(b).luka, seed
+                words = draw(a, 1)
+                assert words.dtype == np.int64 and words.ndim == 2
+                assert tuple(words[0].tolist()) == frozen(b).luka, seed
             assert a.gen.random() == b.gen.random()
 
     def test_public_samplers_return_the_frozen_words(self):
@@ -1461,6 +1475,94 @@ class TestWordsMatchTheFrozenTreeSamplers:
                 == tuple(word.tolist()) \
                 == frozen_trees.sample_uniform_tree(STATS,
                                                     RngStream(seed, 0)).luka
+
+
+SPARSE_LAW = OffspringDistribution.from_masses({0: 0.5, 1: 0.2, 3: 0.3})
+
+
+class TestBatchedWords:
+    """A route's batch of R words comes from one stream: its one-row call
+    is the single draw, its rows are valid words, and they are independent
+    draws of one law however the halving rows are chunked."""
+
+    @pytest.mark.parametrize("route", sorted(WORD_ROUTES))
+    def test_one_row_batch_is_the_single_draw(self, route):
+        draw = WORD_ROUTES[route](LIVE_SAMPLERS)
+        single = WORD_ROUTES[route](SINGLE_SAMPLERS)
+        for seed in (0, 7, 2024):
+            a, b = RngStream(seed, 5), RngStream(seed, 5)
+            for _ in range(2):
+                assert np.array_equal(draw(a, 1)[0], single(b)), seed
+            assert a.gen.random() == b.gen.random()
+
+    @pytest.mark.parametrize("route", sorted(WORD_ROUTES))
+    def test_twenty_rows_are_valid_words(self, route):
+        words = WORD_ROUTES[route](LIVE_SAMPLERS)(RngStream(11, 0), 20)
+        assert words.dtype == np.int64 and words.shape[0] == 20
+        validate_words(words)
+        if route not in ("one-node", "path-n5"):  # one tree each
+            assert len({w.tobytes() for w in words}) > 1
+
+    @pytest.mark.parametrize("sampler", [
+        sample_conditioned_bienayme_batch,
+        sample_conditioned_bienayme_sequential_batch],
+        ids=["rejection", "halving"])
+    def test_consecutive_rows_are_independent(self, sampler):
+        """Pairs (row 2i, row 2i + 1) of one batch against pairs of rows of
+        two other batches, keyed by their count of degree 3 (0, 1 or 2 in
+        a 7-node tree of the sparse law): a two-sample chi-square at
+        P_FLOOR."""
+        def threes(stream, reps):
+            return (sampler(SPARSE_LAW, 7, RngStream(26, stream), reps)
+                    == 3).sum(axis=1)
+        one = threes(0, 20_000)
+        adjacent = 3 * one[0::2] + one[1::2]
+        apart = 3 * threes(1, 10_000) + threes(2, 10_000)
+        assert chi_square_two_sample(adjacent.tolist(),
+                                     apart.tolist()) > P_FLOOR
+
+    def test_count_vectors_are_the_rejection_rows(self):
+        degrees, counts = sample_count_vectors(SPARSE_LAW, 7,
+                                               RngStream(3, 0), 50)
+        assert degrees.tolist() == [0, 1, 3, 6]
+        assert counts.shape == (50, 4)
+        assert (counts.sum(axis=1) == 7).all()
+        assert (counts @ degrees == 6).all()
+        words = sample_conditioned_bienayme_batch(SPARSE_LAW, 7,
+                                                  RngStream(3, 0), 50)
+        assert np.array_equal(
+            np.stack([(words == d).sum(axis=1) for d in degrees], axis=1),
+            counts)
+
+    def test_chunked_halving_draws_the_same_law(self, monkeypatch):
+        """One chunk against chunks of 100 rows (a split budget of
+        2 * 7 * 100 weights): the first chunk is the 100-row batch, both
+        stacks are valid, and their trees agree by a two-sample chi-square
+        at P_FLOOR."""
+        digits = 7 ** np.arange(7)
+
+        def batch(budget, stream, reps):
+            monkeypatch.setattr(samplers, "_SPLIT_BUDGET", budget)
+            words = sample_conditioned_bienayme_sequential_batch(
+                SPARSE_LAW, 7, RngStream(27, stream), reps)
+            validate_words(words)
+            return words
+
+        assert np.array_equal(batch(1400, 0, 250)[:100], batch(2**30, 0, 100))
+        chunked = batch(1400, 1, 20_000) @ digits
+        whole = batch(2**30, 2, 20_000) @ digits
+        keys = {k: i for i, k in enumerate(np.unique(np.concatenate(
+            [chunked, whole])).tolist())}
+        assert chi_square_two_sample([keys[k] for k in chunked.tolist()],
+                                     [keys[k] for k in whole.tolist()]) \
+            > P_FLOOR
+
+    def test_empty_batches(self):
+        for sampler in (sample_conditioned_bienayme_batch,
+                        sample_conditioned_bienayme_sequential_batch):
+            assert sampler(SPARSE_LAW, 7, RngStream(0, 0), 0).shape == (0, 7)
+        with pytest.raises(ValueError):
+            sample_count_vectors(SPARSE_LAW, 7, RngStream(0, 0), -1)
 
 
 def frozen_full_column_bienayme(mu, n, rng, max_attempts=10_000_000):

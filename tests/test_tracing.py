@@ -78,10 +78,20 @@ def layer_runs():
     binary = full_binary_statistics(63)
     heavy = H.heavy_tailed_statistics(63)
     weights = W.WeightSequence.from_list([1, Fraction(1, 2), Fraction(1, 3)])
+    heavy_law = H._LADDERS["heavy"][0]()
     return {
-        # rejection at n = 200 and halving over a sum table at n = 800
+        # halving over a sum table at n = 200 and 800, one batch a rung
         "heavy-ladder": lambda: H.run_convergence(
             sizes=(200, 800), replications=4, seed=3, family="heavy").cells,
+        "control-ladder": lambda: H.run_convergence(
+            sizes=(21, 41), replications=4, seed=3, family="control").cells,
+        # the single-tree samplers the tracer binds by name: one-row calls
+        # of the batches the batteries draw
+        "single-words": lambda: [
+            S.sample_conditioned_bienayme(heavy_law, 60,
+                                          RngStream(4, 0)).tolist(),
+            S.sample_conditioned_bienayme_sequential(heavy_law, 300,
+                                                     RngStream(4, 1)).tolist()],
         "census": lambda: H.run_concentration(
             "census", n=400, replications=3, seed=5).cells,
         "branching": lambda: H.run_concentration(
@@ -123,8 +133,13 @@ def test_every_layer_runs_traced_and_untraced_alike():
             "samplers.poissonized_batch"} <= names
     ladder = {span[tracing.NAME] for span in tracer.spans
               if span[tracing.CASE].startswith("heavy-ladder")}
+    assert {"harness.run_convergence",
+            "samplers.conditional_sum_table"} <= ladder
+    single = {span[tracing.NAME] for span in tracer.spans
+              if span[tracing.CASE].startswith("single-words")}
     assert {"samplers.conditioned_bienayme",
-            "samplers.conditioned_sequential"} <= ladder
+            "samplers.conditioned_sequential",
+            "samplers.conditional_sum_table"} <= single
     plain = {name: run() for name, run in layer_runs().items()}
     for name in plain:
         assert traced[name] == plain[name], name

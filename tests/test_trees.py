@@ -291,9 +291,8 @@ class TestDepthTable:
 
     def test_conditioned_trees_at_n3201(self):
         mu = OffspringDistribution.from_masses({0: 0.5, 2: 0.5})
-        draw = conditioned_sampler(mu, 3201)
-        base = RngStream(8, 0)
-        self.check([draw(base.substream(r)).tolist() for r in range(20)])
+        self.check(conditioned_sampler(mu, 3201)(RngStream(8, 0),
+                                                 20).tolist())
 
     @given(st.lists(degree_words(), min_size=1, max_size=5))
     def test_stacked_batch_equals_its_rows(self, words):

@@ -424,7 +424,7 @@ class TestOneWeightReader:
         law = tilted_law(w, t, 999)
         assert len(law.masses) == 1000 and not any(law.masses[4:])
         assert law.masses[:4] == _comprehension_tilted_law(w, t, 3).masses
-        word = simply_generated_sampler(w, 1000)(RngStream(1, 0))
+        word = simply_generated_sampler(w, 1000)(RngStream(1, 0), 1)[0]
         assert Counter(build_tree(word).luka) == {0: 667, 3: 333}
 
     def test_generator_tilt_overflow_is_diverged(self):
@@ -690,7 +690,7 @@ class TestSimplyGeneratedSampler:
         "path": (WeightSequence.from_list([1, 1]), 5),
         "zero-radius": (factorial_squared(), 6),
         "tilt-finite": (WeightSequence.from_list([1, 1, 1]), 6),
-        "tilt-census-rejection": (census_weights(), 40),
+        "tilt-census-rejection": (census_weights(), 10),
         "tilt-census-halving": (census_weights(), 200)}
 
     @pytest.mark.parametrize("route", sorted(ROUTES))
@@ -699,7 +699,8 @@ class TestSimplyGeneratedSampler:
         draw = simply_generated_sampler(w, n)
         a, b = RngStream(9, 0), RngStream(9, 0)
         for _ in range(4):
-            assert np.array_equal(sample_simply_generated(w, n, a), draw(b))
+            assert np.array_equal(sample_simply_generated(w, n, a),
+                                  draw(b, 1)[0])
         assert a.gen.random() == b.gen.random()
 
     def test_zero_radius_draws_match_the_frozen_enumeration_route(self):
@@ -717,7 +718,7 @@ class TestSimplyGeneratedSampler:
         for n in (2, 5, 8):
             draw = simply_generated_sampler(w, n)
             for seed in range(5):
-                assert (build_tree(draw(RngStream(seed, 1))).luka
+                assert (build_tree(draw(RngStream(seed, 1), 1)[0]).luka
                         == frozen(w, n, RngStream(seed, 1)).luka)
 
     @pytest.mark.parametrize("w, n", [(WeightSequence.from_list([1, 1, 1]), 6),
@@ -731,7 +732,8 @@ class TestSimplyGeneratedSampler:
             return solve_critical_tilt(weights)
         monkeypatch.setattr(weights_module, "solve_critical_tilt", spy)
         draw = simply_generated_sampler(w, n)
-        trees = [build_tree(draw(RngStream(4, r))) for r in range(6)]
+        trees = [build_tree(word) for r in range(3)
+                 for word in draw(RngStream(4, r), 2)]
         assert calls == [w] and all(t.n == n for t in trees)
 
     def test_errors_come_before_the_first_draw(self):
@@ -743,14 +745,16 @@ class TestSimplyGeneratedSampler:
             simply_generated_sampler(BINARY, 0)
 
     @pytest.mark.parametrize("n, route", [
-        (40, "sample_conditioned_bienayme"),
-        (2000, "sample_conditioned_bienayme_sequential")])
+        (10, "sample_conditioned_bienayme_batch"),
+        (40, "sample_conditioned_bienayme_sequential_batch"),
+        (2000, "sample_conditioned_bienayme_sequential_batch")])
     def test_census_weights_take_the_predicted_route(self, monkeypatch, n,
                                                      route):
-        # rejection would need about 1.2e11 proposal rows at n = 2,000
+        # rejection would need about 1.2e11 proposal rows at n = 2,000; at
+        # n = 40, 43 rows of 40 columns already cost more than halving
         calls = []
-        for name in ("sample_conditioned_bienayme",
-                     "sample_conditioned_bienayme_sequential"):
+        for name in ("sample_conditioned_bienayme_batch",
+                     "sample_conditioned_bienayme_sequential_batch"):
             def spy(*args, real=getattr(samplers, name), name=name, **kw):
                 calls.append(name)
                 return real(*args, **kw)

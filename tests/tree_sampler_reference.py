@@ -5,8 +5,10 @@ samplers that return degree words.
 Only the tree-building steps, the sum table with its row for n, and the
 list path of `OffspringDistribution.from_masses` (with the two weight laws
 that called it) are frozen here.  The helpers whose code did not move
-(`_truncated_masses`, `_reachable_sum`, `block_sizes`, the route rule and
-the series machinery of `arbor.weights`) are imported from the package.
+(`_truncated_masses`, `_reachable_sum`, `block_sizes` and the series
+machinery of `arbor.weights`) are imported from the package.  The route is
+the one the package's `conditioned_sampler` picks, so every route's single
+draw is compared with the frozen sampler of the same route.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from arbor.enumeration import ENUMERATION_CAP
 from arbor.errors import (AttemptsExhausted, Diverged, InvalidDistribution,
                           InvalidStatistics, OutOfDomain, PhiDiverges,
                           TooLarge, ZeroPartition)
-from arbor.samplers import (_HALVING_ROWS, OffspringDistribution,
-                            _reachable_sum, _truncated_masses, block_sizes,
-                            expected_rejection_rows)
+from arbor import samplers
+from arbor.samplers import (OffspringDistribution, _reachable_sum,
+                            _truncated_masses, block_sizes)
 from arbor.trees import DegreeStatistics, _is_integer, build_tree
 from arbor.weights import (_SERIES_CAP, _class_weights, _scalar_blocks, phi,
                            solve_critical_tilt)
@@ -192,8 +194,8 @@ def sample_conditioned_bienayme_sequential(mu, n, rng, table=None):
 
 
 def conditioned_sampler(mu, n):
-    rows = expected_rejection_rows(mu, n)
-    if rows is None or rows <= _HALVING_ROWS:
+    live = samplers.conditioned_sampler(mu, n)
+    if live.func is samplers.sample_conditioned_bienayme_batch:
         return functools.partial(sample_conditioned_bienayme, mu, n)
     return functools.partial(sample_conditioned_bienayme_sequential, mu, n,
                              table=conditional_sum_table(mu, n))
