@@ -348,13 +348,11 @@ def sample_stopping_index_poissonized_batch(
 # ---------------------------------------------------------------------------
 
 def _rotation(d: np.ndarray) -> np.ndarray:
-    """The one cyclic rotation of an int64 degree array that is a valid word
-    (cycle lemma): it starts after the walk of (d_i - 1) first bottoms out.
-    A 2-D array is rotated row by row, each row on its own walk."""
-    n = d.shape[-1]
-    j = (np.cumsum(d, axis=-1) - np.arange(1, n + 1)).argmin(axis=-1) + 1
-    if d.ndim == 1:
-        return np.concatenate([d[j:], d[:j]])
+    """Each row of an int64 stack of degree rows turned to its one cyclic
+    rotation that is a valid word (cycle lemma): it starts after the walk of
+    (d_i - 1) first bottoms out."""
+    n = d.shape[1]
+    j = (np.cumsum(d, axis=1) - np.arange(1, n + 1)).argmin(axis=1) + 1
     # row r is the n-window at j[r] of d[r] written out twice
     windows = np.lib.stride_tricks.sliding_window_view(
         np.concatenate([d, d], axis=1), n, axis=1)
@@ -363,7 +361,7 @@ def _rotation(d: np.ndarray) -> np.ndarray:
 
 def rotate_to_valid_word(degrees: Sequence[int]) -> tuple[int, ...]:
     """`_rotation` of any degree sequence, as a tuple."""
-    return tuple(_rotation(np.asarray(degrees, dtype=np.int64)).tolist())
+    return tuple(_rotation(np.asarray(degrees, dtype=np.int64)[None])[0].tolist())
 
 
 def _shuffled_words(degrees: np.ndarray, counts, n: int,

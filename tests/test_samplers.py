@@ -1387,33 +1387,43 @@ def _factorial_squared():
         lambda k: Fraction(math.factorial(k)) ** 2, rho_hint=0.0)
 
 
-def _conditioned_route(law, n):
-    return lambda module: module.conditioned_sampler(law, n)
+def _conditioned_route(law, n, route):
+    return lambda module: module.conditioned_sampler(law, n, route)
 
 
-def _simply_generated_route(w, n):
-    return lambda module: module.simply_generated_sampler(w, n)
+def _simply_generated_route(w, n, route=None):
+    return lambda module: module.simply_generated_sampler(w, n, route)
 
 
+# Each entry names the route its conditioned draw takes, rejection or
+# halving (None where no conditioned draw is made).  The package picks its
+# own route and ignores the name; the frozen and single-draw samplers take
+# it, so comparing them with the package also checks the package's rule.
 LIVE_SAMPLERS = types.SimpleNamespace(
-    conditioned_sampler=samplers.conditioned_sampler,
-    simply_generated_sampler=simply_generated_sampler)
+    conditioned_sampler=lambda law, n, route: samplers.conditioned_sampler(
+        law, n),
+    simply_generated_sampler=lambda w, n, route: simply_generated_sampler(
+        w, n))
 WORD_ROUTES = {  # route -> samplers -> ((rng, reps) -> words)
-    "halving-heavy-n200": _conditioned_route(_LADDERS["heavy"][0](), 200),
+    "halving-heavy-n200": _conditioned_route(_LADDERS["heavy"][0](), 200,
+                                             "halving"),
     "rejection-control-n201": _conditioned_route(
-        _LADDERS["control"][0](), 201),
+        _LADDERS["control"][0](), 201, "rejection"),
     "rejection-branching-n60": _conditioned_route(
-        _CLASS_LAWS["branching"](), 60),
-    "halving-heavy-n800": _conditioned_route(_LADDERS["heavy"][0](), 800),
-    "halving-heavy-n3200": _conditioned_route(_LADDERS["heavy"][0](), 3200),
+        _CLASS_LAWS["branching"](), 60, "rejection"),
+    "halving-heavy-n800": _conditioned_route(_LADDERS["heavy"][0](), 800,
+                                             "halving"),
+    "halving-heavy-n3200": _conditioned_route(_LADDERS["heavy"][0](), 3200,
+                                              "halving"),
     "halving-stretched-n2000": _conditioned_route(
-        _CLASS_LAWS["stretched"](), 2000),
-    "census-n17": _simply_generated_route(census_weights(), 17),
-    "census-n40": _simply_generated_route(census_weights(), 40),
-    "census-n118": _simply_generated_route(census_weights(), 118),
-    "census-n2000": _simply_generated_route(census_weights(), 2000),
+        _CLASS_LAWS["stretched"](), 2000, "halving"),
+    "census-n17": _simply_generated_route(census_weights(), 17, "rejection"),
+    "census-n40": _simply_generated_route(census_weights(), 40, "halving"),
+    "census-n118": _simply_generated_route(census_weights(), 118, "halving"),
+    "census-n2000": _simply_generated_route(census_weights(), 2000,
+                                            "halving"),
     "tilt-finite-n6": _simply_generated_route(
-        WeightSequence.from_list([1, 1, 1]), 6),
+        WeightSequence.from_list([1, 1, 1]), 6, "rejection"),
     "zero-radius-n6": _simply_generated_route(_factorial_squared(), 6),
     "zero-radius-n8": _simply_generated_route(_factorial_squared(), 8),
     "path-n5": _simply_generated_route(WeightSequence.from_list([1, 1]), 5),
@@ -1422,17 +1432,16 @@ WORD_ROUTES = {  # route -> samplers -> ((rng, reps) -> words)
 }
 
 
-def _single_conditioned(law, n):
-    """The single-draw sampler of the route `conditioned_sampler` picks."""
-    if samplers.conditioned_sampler(law, n).func is \
-            sample_conditioned_bienayme_batch:
+def _single_conditioned(law, n, route):
+    """The single-draw sampler of the named route."""
+    if route == "rejection":
         return functools.partial(sample_conditioned_bienayme, law, n)
     return functools.partial(sample_conditioned_bienayme_sequential, law, n)
 
 
 SINGLE_SAMPLERS = types.SimpleNamespace(
     conditioned_sampler=_single_conditioned,
-    simply_generated_sampler=lambda w, n: functools.partial(
+    simply_generated_sampler=lambda w, n, route: functools.partial(
         sample_simply_generated, w, n))
 
 

@@ -6,9 +6,10 @@ Only the tree-building steps, the sum table with its row for n, and the
 list path of `OffspringDistribution.from_masses` (with the two weight laws
 that called it) are frozen here.  The helpers whose code did not move
 (`_truncated_masses`, `_reachable_sum`, `block_sizes` and the series
-machinery of `arbor.weights`) are imported from the package.  The route is
-the one the package's `conditioned_sampler` picks, so every route's single
-draw is compared with the frozen sampler of the same route.
+machinery of `arbor.weights`) are imported from the package.  The route of
+a conditioned draw, rejection or halving, is named by the caller, not picked
+by a rule, so a check of the package's route rule against these samplers
+means something.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from arbor.enumeration import ENUMERATION_CAP
 from arbor.errors import (AttemptsExhausted, Diverged, InvalidDistribution,
                           InvalidStatistics, OutOfDomain, PhiDiverges,
                           TooLarge, ZeroPartition)
-from arbor import samplers
 from arbor.samplers import (OffspringDistribution, _reachable_sum,
                             _truncated_masses, block_sizes)
 from arbor.trees import DegreeStatistics, _is_integer, build_tree
@@ -193,10 +193,10 @@ def sample_conditioned_bienayme_sequential(mu, n, rng, table=None):
     return build_tree(_rotation(np.concatenate(degrees)))
 
 
-def conditioned_sampler(mu, n):
-    live = samplers.conditioned_sampler(mu, n)
-    if live.func is samplers.sample_conditioned_bienayme_batch:
+def conditioned_sampler(mu, n, route):
+    if route == "rejection":
         return functools.partial(sample_conditioned_bienayme, mu, n)
+    assert route == "halving", route
     return functools.partial(sample_conditioned_bienayme_sequential, mu, n,
                              table=conditional_sum_table(mu, n))
 
@@ -211,7 +211,7 @@ def _sample_class(table, total, rng):
     return sample_uniform_tree(stats, rng)
 
 
-def simply_generated_sampler(w, n):
+def simply_generated_sampler(w, n, route=None):
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
@@ -228,4 +228,5 @@ def simply_generated_sampler(w, n):
         return functools.partial(_sample_class, table, float(sum(table.values())))
     if max(support) == 1:
         return lambda rng: build_tree((1,) * (n - 1) + (0,))
-    return conditioned_sampler(tilted_law(w, solve_critical_tilt(w), n - 1), n)
+    return conditioned_sampler(tilted_law(w, solve_critical_tilt(w), n - 1), n,
+                               route)
