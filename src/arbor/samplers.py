@@ -361,7 +361,8 @@ def _rotation(d: np.ndarray) -> np.ndarray:
 
 def rotate_to_valid_word(degrees: Sequence[int]) -> tuple[int, ...]:
     """`_rotation` of any degree sequence, as a tuple."""
-    return tuple(_rotation(np.asarray(degrees, dtype=np.int64)[None])[0].tolist())
+    word = np.asarray(degrees, dtype=np.int64)[None]
+    return tuple(_rotation(word)[0].tolist())
 
 
 def _shuffled_words(degrees: np.ndarray, counts, n: int,
