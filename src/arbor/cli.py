@@ -16,17 +16,17 @@ and exit 0 only when every verdict passes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from fractions import Fraction
 
 from .errors import ArborError, BadParameters
 from .harness import (CONCENTRATION_CLASSES, DEFAULT_BETAS, ExperimentReport,
                       run_concentration, run_convergence,
                       run_equivalence_suite, run_tail_sweep)
 from .rng import RngStream
-from .samplers import OffspringDistribution, sample_uniform_tree
-from .trees import DegreeStatistics, dump_trees
+from .samplers import OffspringDistribution, sample_uniform_word_batch
+from .trees import DegreeStatistics, validate_words
 from .weights import WeightSequence, partition_function
 
 
@@ -56,6 +56,21 @@ def _parse_list(text: str | None, kind, empty: str) -> tuple | None:
     if not vals:
         raise BadParameters(empty)
     return vals
+
+
+_SAMPLE_BUDGET = 2**16  # elements of one `arbor sample` chunk
+
+
+def _sample_lines(stats: DegreeStatistics, seed: int, count: int):
+    """`count` uniform words from stream (seed, 0) as one batch, drawn,
+    checked and formatted a chunk at a time, so memory does not grow with
+    `count`; line k is the same for any count past k."""
+    rng = RngStream(seed, 0)
+    rows = max(1, _SAMPLE_BUDGET // stats.n)
+    for start in range(0, count, rows):
+        words = sample_uniform_word_batch(stats, rng, min(rows, count - start))
+        validate_words(words)
+        yield "".join(" ".join(map(str, w)) + "\n" for w in words.tolist())
 
 
 def _emit(report: ExperimentReport, out: str | None) -> int:
@@ -169,22 +184,17 @@ def main(argv=None) -> int:
         if args.command == "sample":
             if args.count < 1:
                 raise BadParameters("need at least one tree")
-            stats = _load_stats(args.stats)
-            rng = RngStream(args.seed, 0)
-            text = dump_trees(sample_uniform_tree(stats, rng.substream(i))
-                              for i in range(args.count))
-            if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
+            chunks = _sample_lines(_load_stats(args.stats), args.seed,
+                                   args.count)
+            first = next(chunks)  # a forest is refused before --out opens
+            with (open(args.out, "w") if args.out
+                  else contextlib.nullcontext(sys.stdout)) as fh:
+                fh.write(first)
+                fh.writelines(chunks)
             return 0
         if args.command == "zn":
-            value = partition_function(_load_weights(args.weights), args.n)
-            if isinstance(value, Fraction) and value.denominator != 1:
-                print(f"{value.numerator}/{value.denominator}")
-            else:
-                print(int(value) if isinstance(value, Fraction) else value)
+            # a Fraction prints as p/q, or as p when q is 1
+            print(partition_function(_load_weights(args.weights), args.n))
             return 0
     except (ArborError, OSError, ValueError) as exc:
         # OSError and ValueError cover unreadable or malformed input files

@@ -29,8 +29,8 @@ Three families live here:
   shuffle-and-rotate, and the int64 degree words of conditioned
   branching-process trees either by rejection on multinomial degree-count
   vectors or by splitting the degree sum in halves over a table of
-  truncated convolution powers.  Both draw R words as one R x n batch
-  from one stream, and each single tree is the batch's one-row call;
+  truncated convolution powers.  All three draw R words as one R x n
+  batch from one stream, and each single tree is the batch's one-row call;
   `expected_rejection_rows` predicts the rejection cost that picks between
   them.
 
@@ -365,26 +365,34 @@ def rotate_to_valid_word(degrees: Sequence[int]) -> tuple[int, ...]:
     return tuple(_rotation(word)[0].tolist())
 
 
-def _shuffled_words(degrees: np.ndarray, counts, n: int,
+def _shuffled_words(degrees: np.ndarray, counts: np.ndarray, n: int,
                     rng: RngStream) -> np.ndarray:
-    """The word step of every uniform tree, once per row of `counts`:
-    shuffle the n-node multiset of int64 `degrees` (ascending), each
-    repeated by the row's count, row after row from the one stream, then
-    rotate every row to its valid word."""
-    words = np.empty((len(counts), n), dtype=np.int64)
-    for word, row in zip(words, counts):
-        word[:] = rng.gen.permutation(np.repeat(degrees, row))
-    return _rotation(words)
+    """The word step of every uniform tree, once per row of the R x k int64
+    array `counts`: each row's n-node multiset of int64 `degrees`
+    (ascending) shuffled in row order by one `permuted` call, then rotated
+    to its valid word."""
+    words = np.repeat(np.tile(degrees, len(counts)), counts.ravel())
+    words = words.reshape(len(counts), n)
+    return _rotation(rng.gen.permuted(words, axis=1, out=words))
+
+
+def sample_uniform_word_batch(stats: DegreeStatistics, rng: RngStream,
+                              reps: int) -> np.ndarray:
+    """The reps x n int64 degree words of `reps` uniform plane trees with
+    the given degree statistics, from one stream; row r is the same
+    whatever `reps` is past r."""
+    _check_reps(reps)
+    if stats.a != 1:
+        raise InvalidStatistics("a uniform forest needs one more draw (a != 1)")
+    degrees, counts = zip(*stats.sorted_items())
+    return _shuffled_words(np.array(degrees, dtype=np.int64),
+                           np.tile(counts, (reps, 1)), stats.n, rng)
 
 
 def sample_uniform_word(stats: DegreeStatistics, rng: RngStream) -> np.ndarray:
     """The int64 degree word of a uniform plane tree with the given degree
-    statistics."""
-    if stats.a != 1:
-        raise InvalidStatistics("a uniform forest needs one more draw (a != 1)")
-    degrees, counts = zip(*stats.sorted_items())
-    return _shuffled_words(np.array(degrees, dtype=np.int64), [counts],
-                           stats.n, rng)[0]
+    statistics, the one-row call of `sample_uniform_word_batch`."""
+    return sample_uniform_word_batch(stats, rng, 1)[0]
 
 
 def sample_uniform_tree(stats: DegreeStatistics, rng: RngStream) -> PlaneTree:

@@ -294,14 +294,6 @@ class MarkedTree:
 
 
 def parse_trees(text: str) -> list[PlaneTree]:
-    """Read the one-tree-per-line degree-word format."""
-    trees = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line:
-            trees.append(PlaneTree.from_line(line))
-    return trees
-
-
-def dump_trees(trees: Iterable[PlaneTree]) -> str:
-    return "\n".join(t.to_line() for t in trees) + "\n"
+    """Read the one-tree-per-line degree-word format, blank lines skipped."""
+    return [PlaneTree.from_line(line) for line in text.splitlines()
+            if line.strip()]

@@ -8,9 +8,15 @@ import time
 
 import pytest
 
+import numpy as np
+
 import arbor
+import arbor.cli
 from arbor.cli import main
-from arbor.harness import CSV_COLUMNS, full_binary_statistics
+from arbor.harness import (CSV_COLUMNS, full_binary_statistics,
+                           heavy_tailed_statistics)
+from arbor.rng import RngStream
+from arbor.samplers import sample_uniform_word_batch
 from arbor.trees import DegreeStatistics, PlaneTree
 
 
@@ -309,6 +315,45 @@ def test_sample_to_file_matches_stdout(tmp_path, stats_file, capsys):
     assert main(["sample", "--stats", stats_file, "--count", "3",
                  "--seed", "9"]) == 0
     assert out.read_text() == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("budget", [2**16, 14, 7])
+def test_sample_writes_the_rows_of_one_batch(budget, stats_file, monkeypatch,
+                                             capsys):
+    # 9,362, 2 and 1 rows a chunk of 7-node words
+    monkeypatch.setattr(arbor.cli, "_SAMPLE_BUDGET", budget)
+    assert main(["sample", "--stats", stats_file, "--count", "5",
+                 "--seed", "9"]) == 0
+    words = sample_uniform_word_batch(DegreeStatistics({0: 4, 2: 3}),
+                                      RngStream(9, 0), 5)
+    got = np.array([line.split() for line in
+                    capsys.readouterr().out.splitlines()], dtype=np.int64)
+    assert np.array_equal(got, words)
+
+
+def test_sample_count_k_is_the_first_k_lines(tmp_path, capsys):
+    # heavy n = 4,095 is 16 rows a chunk: 40 rows span three chunks
+    path = tmp_path / "heavy4095.json"
+    path.write_text(heavy_tailed_statistics(4095).to_json())
+    out = {}
+    for count in (40, 10):
+        assert main(["sample", "--stats", str(path), "--count", str(count),
+                     "--seed", "3"]) == 0
+        out[count] = capsys.readouterr().out.splitlines(keepends=True)
+    assert len(out[40]) == 40
+    assert out[40][:10] == out[10]
+
+
+def test_sample_refuses_a_forest_before_writing(tmp_path, capsys):
+    path = tmp_path / "forest.json"
+    path.write_text(json.dumps({"0": 5, "2": 2}))  # a = 3
+    out = tmp_path / "trees.txt"
+    for extra in ([], ["--out", str(out)]):
+        assert main(["sample", "--stats", str(path), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "a uniform forest needs one more draw" in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

@@ -95,8 +95,9 @@ GOLDEN = {
         "20e9b7ff05f16dc40c518ccc5669ca0561198a76bfe3636ece41331bddc1b096",
 }
 
+# the 8 rows of one uniform-word batch from stream (7, 0)
 SAMPLE_GOLDEN = (
-    "7a36050c3808356b1424b11a980e97be9806d08eb31d8a646d53ee35b8465e3f")
+    "d58e8991dfc6b79810b5e9d98ab6ebb89473d094af66210d516fe58e142cabdf")
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))

@@ -15,6 +15,7 @@ import types
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -44,8 +45,9 @@ from arbor.samplers import (OffspringDistribution, _hurwitz, block_sizes,
                             sample_stopping_index_poissonized,
                             sample_stopping_index_poissonized_batch,
                             sample_uniform_marked_tree, sample_uniform_tree,
-                            sample_uniform_word)
-from arbor.trees import DegreeStatistics, PlaneTree, build_tree, validate_words
+                            sample_uniform_word, sample_uniform_word_batch)
+from arbor.trees import (DegreeStatistics, PlaneTree, build_tree, depth_table,
+                         validate_words)
 from arbor.weights import (WeightSequence, limit_degree_law,
                            sample_simply_generated, simply_generated_sampler,
                            solve_critical_tilt, tilted_law)
@@ -505,6 +507,8 @@ class TestForestRefusals:
     @pytest.mark.parametrize("call, why", [
         (lambda: sample_uniform_word(FOREST, RngStream(0, 0)),
          "a uniform forest needs one more draw"),
+        (lambda: sample_uniform_word_batch(FOREST, RngStream(0, 0), 5),
+         "a uniform forest needs one more draw"),
         (lambda: exact_stopping_index_distribution(FOREST),
          "no forest law of sigma"),
         (lambda: sample_stopping_index(FOREST, RngStream(0, 0)),
@@ -513,7 +517,8 @@ class TestForestRefusals:
          "no forest law of sigma"),
         (lambda: sample_stopping_index_poissonized_batch(
             FOREST, RngStream(0, 0), 5), "no forest sigma or tau")],
-        ids=["sample_uniform_word", "exact_stopping_index_distribution",
+        ids=["sample_uniform_word", "sample_uniform_word_batch",
+             "exact_stopping_index_distribution",
              "sample_stopping_index", "sample_stopping_index_batch",
              "sample_stopping_index_poissonized_batch"])
     def test_refuses_a_forest(self, call, why):
@@ -991,6 +996,119 @@ class TestUniformTree:
         b = [sample_uniform_tree(STATS, RngStream(16, i)).luka for i in range(5)]
         assert a == b
 
+    @pytest.mark.parametrize("stats", [STATS, heavy_tailed_statistics(1023),
+                                       DegreeStatistics({0: 1})],
+                             ids=["n6", "heavy-n1023", "n1"])
+    def test_one_row_batch_is_the_single_draw(self, stats):
+        for seed in range(4):
+            a, b = RngStream(seed, 0), RngStream(seed, 0)
+            for _ in range(3):
+                words = sample_uniform_word_batch(stats, a, 1)
+                assert words.dtype == np.int64 and words.shape == (1, stats.n)
+                assert np.array_equal(words[0], sample_uniform_word(stats, b))
+            assert a.gen.random() == b.gen.random()
+
+    def test_rows_do_not_depend_on_the_chunking(self):
+        """A batch drawn in chunks from one stream is the one batch, and
+        its first rows are the smaller batch."""
+        stats = heavy_tailed_statistics(1023)
+        whole = sample_uniform_word_batch(stats, RngStream(4, 0), 40)
+        rng = RngStream(4, 0)
+        chunks = [sample_uniform_word_batch(stats, rng, k)
+                  for k in (16, 0, 16, 8)]
+        assert np.array_equal(np.concatenate(chunks), whole)
+        assert np.array_equal(
+            sample_uniform_word_batch(stats, RngStream(4, 0), 10), whole[:10])
+        validate_words(whole)
+        assert all(Counter(w) == stats.counts for w in whole.tolist())
+
+    def test_empty_batch(self):
+        words = sample_uniform_word_batch(STATS, RngStream(0, 0), 0)
+        assert words.shape == (0, STATS.n) and words.dtype == np.int64
+        with pytest.raises(ValueError):
+            sample_uniform_word_batch(STATS, RngStream(0, 0), -1)
+
+
+def _uniform_rows(stats, reps):
+    degrees, counts = zip(*stats.sorted_items())
+    return degrees, [counts] * reps, stats.n
+
+
+def _count_vector_rows(law, n):
+    return (*sample_count_vectors(law, n, RngStream(5, 0), 20), n)
+
+
+SHUFFLE_ROWS = {  # case -> () -> (degrees, R x k counts, n)
+    "uniform-n6": lambda: _uniform_rows(STATS, 50),
+    "uniform-heavy-n1023": lambda: _uniform_rows(
+        heavy_tailed_statistics(1023), 20),
+    "count-vectors-control-n3201": lambda: _count_vector_rows(
+        _LADDERS["control"][0](), 3201),
+    "count-vectors-branching-n2000": lambda: _count_vector_rows(
+        _CLASS_LAWS["branching"](), 2000),
+    "zero-rows": lambda: ([0, 2], np.zeros((0, 2)), 9),
+    "n1": lambda: _uniform_rows(DegreeStatistics({0: 1}), 7),
+}
+
+
+class TestShuffledWords:
+    """The word step of uniform and rejection-drawn trees shuffles every
+    row with one `permuted` call; it draws the words, and leaves the
+    stream, as a `gen.permutation` per row did."""
+
+    @pytest.mark.parametrize("case", sorted(SHUFFLE_ROWS))
+    def test_matches_the_frozen_row_loop(self, case):
+        degrees, counts, n = SHUFFLE_ROWS[case]()
+        degrees, counts = (np.asarray(a, dtype=np.int64)
+                           for a in (degrees, counts))
+        for seed in (0, 7):
+            a, b = RngStream(seed, 2), RngStream(seed, 2)
+            words = samplers._shuffled_words(degrees, counts, n, a)
+            want = frozen_trees.shuffled_words(degrees, counts, n, b)
+            assert words.dtype == np.int64 and words.shape == (len(counts), n)
+            assert np.array_equal(words, want), seed
+            assert a.gen.random() == b.gen.random()
+
+
+class TestKeyIdentityAtLargeN:
+    """The paper's key identity above the enumeration cap: the depth of a
+    uniform mark in a uniform tree has the law of the threshold walk's mark
+    height.  5,000 uniform marked trees at n = 1,023, drawn as one batch in
+    chunks of 2^19 elements from one stream (each chunk's marks after its
+    words) and read by one `depth_table` a chunk, against the exact tails
+    of `exact_threshold_sampler_distribution`: at every level l with
+    0 < P(H >= l) < 1 the binomial z of the hits lies within the two-sided
+    Bonferroni bound at family level 1e-3 over those levels (about 4.7 at
+    500 levels), and no depth lies where the law has no mass."""
+
+    REPS, BUDGET, SEED, ALPHA = 5000, 2**19, 7, 1e-3
+
+    @pytest.mark.parametrize("census", [full_binary_statistics,
+                                        heavy_tailed_statistics],
+                             ids=["binary", "heavy"])
+    def test_mark_depth_tails_are_the_exact_tails(self, census):
+        stats = census(1023)
+        rows = self.BUDGET // stats.n
+        rng = RngStream(self.SEED, 0)
+        depths = []
+        for start in range(0, self.REPS, rows):
+            k = min(rows, self.REPS - start)
+            words = sample_uniform_word_batch(stats, rng, k)
+            marks = rng.gen.integers(0, stats.n, k)
+            depths.append(depth_table(words)[np.arange(k), marks])
+        hits = np.bincount(np.concatenate(depths), minlength=stats.n)
+        pmf = np.zeros(stats.n)
+        for h, m in exact_threshold_sampler_distribution(stats).pmf().items():
+            pmf[h] = float(m)
+        tail = np.cumsum(pmf[::-1])[::-1]
+        tail_hits = np.cumsum(hits[::-1])[::-1]
+        assert not tail_hits[tail == 0].any()
+        test = (tail > 0) & (tail < 1)
+        p, got = tail[test], tail_hits[test]
+        z = (got - self.REPS * p) / np.sqrt(self.REPS * p * (1 - p))
+        bound = NormalDist().inv_cdf(1 - self.ALPHA / (2 * test.sum()))
+        assert np.abs(z).max() <= bound, (np.abs(z).max(), bound)
+
 
 class TestOffspringDistribution:
     def test_from_masses_validation(self):
@@ -1317,21 +1435,21 @@ class TestConditionedBienayme:
         words = [t.luka for t in enumerate_trees_of_size(5)]
         index = {w: i for i, w in enumerate(words)}
         table = conditional_sum_table(mu, 5)
-        rng = RngStream(18, 0)
-        draws = [index[tuple(sample_conditioned_bienayme_sequential(
-            mu, 5, rng, table).tolist())] for _ in range(5000)]
+        batch = sample_conditioned_bienayme_sequential_batch(
+            mu, 5, RngStream(18, 0), 5000, table)
+        draws = [index[tuple(w)] for w in batch.tolist()]
         assert chi_square_gof(draws, {i: 1 / 14 for i in range(14)}) > P_FLOOR
 
     def test_sequential_vs_rejection_two_sample(self):
         mu = OffspringDistribution.from_masses({0: 0.5, 1: 0.2, 3: 0.3})
         words = [t.luka for t in enumerate_trees_of_size(7)]
         index = {w: i for i, w in enumerate(words)}
-        rng_a, rng_b = RngStream(19, 0), RngStream(19, 1)
-        a = [index[tuple(sample_conditioned_bienayme(mu, 7, rng_a).tolist())]
-             for _ in range(3000)]
-        b = [index[tuple(sample_conditioned_bienayme_sequential(
-            mu, 7, rng_b).tolist())] for _ in range(3000)]
-        assert chi_square_two_sample(a, b) > P_FLOOR
+        a = sample_conditioned_bienayme_batch(mu, 7, RngStream(19, 0), 3000)
+        b = sample_conditioned_bienayme_sequential_batch(mu, 7,
+                                                         RngStream(19, 1), 3000)
+        assert chi_square_two_sample([index[tuple(w)] for w in a.tolist()],
+                                     [index[tuple(w)] for w in b.tolist()]) \
+            > P_FLOOR
 
     @pytest.mark.parametrize("family", ["census", "sparse"])
     @pytest.mark.parametrize("route", ["rejection", "sequential"])

@@ -22,7 +22,7 @@ from arbor.enumeration import (count_forests, enumerate_degree_statistics,
 from arbor.errors import (BadParameters, Diverged, OutOfDomain, PhiDiverges,
                           RhoUnknown, TooLarge, ZeroPartition)
 from arbor.rng import RngStream
-from arbor.trees import DegreeStatistics, build_tree
+from arbor.trees import DegreeStatistics, build_tree, validate_words
 from arbor.weights import (WeightSequence, concentrate_degrees,
                            concentration_count_ratio_ok,
                            concentration_weight_ratio, exact_tree_law,
@@ -654,11 +654,9 @@ class TestSimplyGeneratedSampler:
         index = {s: i for i, s in enumerate(sorted(
             law, key=lambda s: tuple(s.sorted_items())))}
         pmf = {index[s]: float(p) for s, p in law.items()}
-        rng = RngStream(seed, 0)
-        got = []
-        for _ in range(draws):
-            tree = build_tree(sample_simply_generated(w, n, rng))
-            got.append(index[tree.degree_statistics()])
+        words = simply_generated_sampler(w, n)(RngStream(seed, 0), draws)
+        validate_words(words)
+        got = [index[DegreeStatistics(Counter(word))] for word in words.tolist()]
         return chi_square_gof(got, pmf)
 
     def test_positive_radius_route_matches_exact_law(self):

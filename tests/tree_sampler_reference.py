@@ -2,8 +2,9 @@
 each draw returned a PlaneTree, kept verbatim as the reference for the
 samplers that return degree words.
 
-Only the tree-building steps, the sum table with its row for n, and the
-list path of `OffspringDistribution.from_masses` (with the two weight laws
+Only the tree-building steps, the word step of uniform trees as a
+`gen.permutation` per row, the sum table with its row for n, and the list
+path of `OffspringDistribution.from_masses` (with the two weight laws
 that called it) are frozen here.  The helpers whose code did not move
 (`_truncated_masses`, `_reachable_sum`, `block_sizes` and the series
 machinery of `arbor.weights`) are imported from the package.  The route of
@@ -104,6 +105,14 @@ def tilted_law(w, t, top):
 def _rotation(d):
     j = int(np.argmin(np.cumsum(d - 1)))
     return np.concatenate([d[j + 1:], d[:j + 1]])
+
+
+def shuffled_words(degrees, counts, n, rng):
+    """`samplers._shuffled_words` as it was, a `gen.permutation` per row."""
+    words = np.empty((len(counts), n), dtype=np.int64)
+    for word, row in zip(words, counts):
+        word[:] = _rotation(rng.gen.permutation(np.repeat(degrees, row)))
+    return words
 
 
 def sample_uniform_tree(stats, rng):
