@@ -858,20 +858,20 @@ def sample_conditioned_bienayme_sequential_batch(
     to P(S_m1 = a) P(S_(m-m1) = t - a) from conditional_sum_table; a block
     of size one is a degree.  The splits multiply to prod mu(d_i) over the
     normaliser, an exchangeable law, so block order does not matter before
-    the rotation.  A level splits every live block of every row in one
-    ragged cumulative sum and one uniform a block, in block order, with
-    the first halves before the second; leaves carry their row id, and a
-    stable sort by it gives each row its degrees in the order a one-row
-    call collects them.  So a word costs O(n log n) however far the total
-    sits in the proposal's tail, and a one-row call is the single draw.
-    The running sum covers all of a chunk's blocks, each of weight one, so
-    a block's cdf is resolved to about (blocks in the chunk) * eps, at most
-    about reps * n * eps in total variation per split.  Rows are split in
-    chunks of _SPLIT_BUDGET // (2n), drawn in order from the one stream.
-    On a 2-vCPU VM, 20 words take 4.7 ms at heavy n = 800, 19 ms at
-    heavy n = 3,200 and 11 ms for the census law at n = 2,000, against
-    10.5, 24 and 17 ms for 20 one-row calls.  Pass a precomputed `table`
-    when drawing many batches at one (mu, n).
+    the rotation.  The block sizes of a level depend on n alone, so every
+    row shares them: a level keeps them as one vector m and the targets as
+    a blocks x rows table t, and splits every live block of every row in
+    one ragged cumulative sum over t in block-major order, one uniform a
+    block, the first halves before the second.  A level's leaves are whole
+    rows of t, so stacking them gives each tree its degrees in the order a
+    one-row call collects them.  So a word costs O(n log n) however far the
+    total sits in the proposal's tail, and a one-row call is the single
+    draw.  The running sum covers all of a chunk's blocks, each of weight
+    one, so a block's cdf is resolved to about (blocks in the chunk) * eps,
+    at most about reps * n * eps in total variation per split.  Rows are
+    split in chunks of _SPLIT_BUDGET // (2n), drawn in order from the one
+    stream.  Pass a precomputed `table` when drawing many batches at one
+    (mu, n).
 
     Raises ZeroPartition when no degree sequence can reach the target sum,
     a case the rejection sampler can only burn attempts on.
@@ -890,29 +890,28 @@ def sample_conditioned_bienayme_sequential_batch(
     words = np.empty((reps, n), dtype=np.int64)
     for first in range(0, reps, chunk):
         rows = min(chunk, reps - first)
-        m = np.full(rows, n)
-        t = np.full(rows, n - 1)
-        row = np.arange(rows)
-        degrees, owners = [], []
+        m = np.array([n])  # the level's block sizes, the same in every row
+        t = np.full((1, rows), n - 1)  # blocks x rows targets
+        leaves = []
         while True:
             leaf = m == 1
-            degrees.append(t[leaf])
-            owners.append(row[leaf])
-            live = ~leaf
-            m, t, row = m[live], t[live], row[live]
+            leaves.append(t[leaf])
+            m, t = m[~leaf], t[~leaf]
             if not m.size:
                 break
             m1 = m // 2
             m2 = m - m1
-            lens = t + 1
+            flat_t = t.ravel()
+            lens = flat_t + 1
             starts = np.cumsum(lens) - lens
             # flat indices of (row m1, k) and (row m2, t - k), k = at - start,
             # built and used in place: a level is a dozen passes over them
             at = np.arange(lens.sum())
-            index = (row_of[m1] * n - starts).repeat(lens)
+            index = ((row_of[m1] * n).repeat(rows) - starts).repeat(lens)
             index += at
             w = flat.take(index)
-            index = (row_of[m2] * n + t + starts).repeat(lens)
+            index = ((row_of[m2] * n).repeat(rows) + flat_t + starts
+                     ).repeat(lens)
             index -= at
             w *= flat.take(index)
             total = np.add.reduceat(w, starts)
@@ -924,25 +923,21 @@ def sample_conditioned_bienayme_sequential_batch(
             cdf = np.cumsum(w, out=w)
             end = cdf[starts + lens - 1]
             begin = np.concatenate([[0.0], end[:-1]])
-            u = begin + gen.random(m.size) * (end - begin)
-            a = np.minimum(np.searchsorted(cdf, u, side="right") - starts, t)
+            u = begin + gen.random(t.size) * (end - begin)
+            a = np.minimum(np.searchsorted(cdf, u, side="right") - starts,
+                           flat_t).reshape(t.shape)
             m = np.concatenate([m1, m2])
             t = np.concatenate([a, t - a])
-            row = np.concatenate([row, row])
-        order = np.argsort(np.concatenate(owners), kind="stable")
-        words[first:first + rows] = np.concatenate(degrees)[order].reshape(
-            rows, n)
+        words[first:first + rows] = np.concatenate(leaves).T
     return _rotation(words)
 
 
 def sample_conditioned_bienayme_sequential(
-        mu: OffspringDistribution, n: int, rng: RngStream,
-        table: np.ndarray | None = None) -> np.ndarray:
+        mu: OffspringDistribution, n: int, rng: RngStream) -> np.ndarray:
     """Same law as sample_conditioned_bienayme, drawn by halving the sum:
     the one-row call of `sample_conditioned_bienayme_sequential_batch`,
     returning the int64 degree word."""
-    return sample_conditioned_bienayme_sequential_batch(mu, n, rng, 1,
-                                                        table)[0]
+    return sample_conditioned_bienayme_sequential_batch(mu, n, rng, 1)[0]
 
 
 # the route rule: a rejection word costs about (predicted proposal rows) x

@@ -29,7 +29,7 @@ from .errors import (Diverged, OutOfDomain, PhiDiverges, RhoUnknown,
                      TooLarge, BadParameters, ZeroPartition)
 from .rng import RngStream
 from .samplers import (OffspringDistribution, _reachable_sum,
-                       conditioned_sampler, sample_uniform_word)
+                       _shuffled_words, conditioned_sampler)
 from .trees import DegreeStatistics
 
 _REL_TOL = 1e-14
@@ -565,10 +565,10 @@ def simply_generated_sampler(w: WeightSequence, n: int):
     Positive radius: tilt the weights into an offspring law (the tilt
     cancels in the conditioned law) and draw by the batch route
     `conditioned_sampler` picks (the k^-3 weights halve from n = 18).
-    Zero radius: no tilt exists, so draw a degree-statistics class from
-    the enumerated `_class_weights`, then a uniform tree in it, a row at a
-    time; TooLarge above ENUMERATION_CAP nodes.  One node and the path
-    repeat their one word.
+    Zero radius: no tilt exists, so each row draws a degree-statistics
+    class from the enumerated `_class_weights`, then a uniform tree in it,
+    by `_sample_class_batch`; TooLarge above ENUMERATION_CAP nodes.  One
+    node and the path repeat their one word.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -583,8 +583,11 @@ def simply_generated_sampler(w: WeightSequence, n: int):
         if n > ENUMERATION_CAP:
             raise TooLarge(f"zero-radius sampling is capped at {ENUMERATION_CAP}")
         table = _class_weights(w, n)
-        return functools.partial(_sample_class_batch, table,
-                                 float(sum(table.values())), n)
+        counts = np.array([[stats.count(c) for c in range(n)]
+                           for stats in table])
+        cum = np.cumsum([float(wt) for wt in table.values()])
+        return functools.partial(_sample_class_batch, counts, cum,
+                                 float(sum(table.values())))
     if max(support) == 1:  # the path is the only tree
         path = np.append(np.ones(n - 1, dtype=np.int64), 0)
         return lambda rng, reps: np.tile(path, (reps, 1))
@@ -611,21 +614,20 @@ def _class_weights(w: WeightSequence, n: int) -> dict:
     return table
 
 
-def _sample_class_batch(table: dict, total: float, n: int, rng: RngStream,
-                        reps: int) -> np.ndarray:
-    """The reps x n words of uniform trees of `_class_weights` classes, a
-    row at a time: each draws its class, then its word; `total` sums the
-    table."""
-    words = np.empty((reps, n), dtype=np.int64)
-    for word in words:
-        u = rng.gen.uniform() * total
-        acc = 0.0
-        for stats, wt in table.items():  # the last class if rounding runs out
-            acc += float(wt)
-            if u < acc:
-                break
-        word[:] = sample_uniform_word(stats, rng)
-    return words
+def _sample_class_batch(counts: np.ndarray, cum: np.ndarray, total: float,
+                        rng: RngStream, reps: int) -> np.ndarray:
+    """The reps x n words of uniform trees of `_class_weights` classes, one
+    batch: `counts` holds the C classes' C x n degree counts, `cum` the
+    left-to-right float sums of their weights and `total` the weights'
+    sum, rounded once.  Each row takes the first class whose running
+    weight exceeds u * total, u one uniform a row (the last class if
+    rounding runs out); then one `_shuffled_words` call draws every row's
+    word, in row order."""
+    u = rng.gen.random(reps) * total
+    pick = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+    n = counts.shape[1]
+    return _shuffled_words(np.arange(n, dtype=np.int64), counts[pick], n,
+                           rng)
 
 
 def exact_tree_law(w: WeightSequence, n: int) -> dict[DegreeStatistics, Fraction]:

@@ -1684,6 +1684,34 @@ class TestBatchedWords:
                                      [keys[k] for k in whole.tolist()]) \
             > P_FLOOR
 
+    HALVING_LAYOUT = {  # case -> (law, n, reps); heavy n = 800 and 3,200
+        # also at reps = chunk and chunk + 1, chunk = 2**16 // (2n)
+        **{f"heavy-n{n}-r{reps}": (_LADDERS["heavy"][0], n, reps)
+           for n in (1, 2, 7, 200, 800, 3200) for reps in (1, 3, 20, 45)},
+        **{f"heavy-n{n}-r{reps}": (_LADDERS["heavy"][0], n, reps)
+           for n, chunk in ((800, 40), (3200, 10))
+           for reps in (chunk, chunk + 1)},
+        **{f"{law}-n2000-r{reps}": (_CLASS_LAWS[law], 2000, reps)
+           for law in ("second-moment", "stretched")
+           for reps in (1, 3, 20, 45)}}
+
+    @pytest.mark.parametrize("case", sorted(HALVING_LAYOUT))
+    def test_halving_layout_is_the_frozen_row_id_batch(self, case):
+        """The shared block layout draws the words of the row-id batch of
+        tests/tree_sampler_reference.py and leaves the stream where it
+        did."""
+        law, n, reps = self.HALVING_LAYOUT[case]
+        mu = law()
+        table = conditional_sum_table(mu, n)
+        for seed in (0, 2024):
+            a, b = RngStream(seed, 4), RngStream(seed, 4)
+            words = sample_conditioned_bienayme_sequential_batch(
+                mu, n, a, reps, table)
+            assert words.dtype == np.int64 and words.shape == (reps, n)
+            assert np.array_equal(
+                words, frozen_trees.sequential_batch(mu, n, b, reps, table))
+            assert a.gen.random() == b.gen.random()
+
     def test_empty_batches(self):
         for sampler in (sample_conditioned_bienayme_batch,
                         sample_conditioned_bienayme_sequential_batch):
@@ -2013,8 +2041,8 @@ class TestConditionalSumTable:
         tracemalloc.start()
         try:
             table = conditional_sum_table(law, n)
-            word = sample_conditioned_bienayme_sequential(
-                law, n, RngStream(23, 0), table)
+            word = sample_conditioned_bienayme_sequential_batch(
+                law, n, RngStream(23, 0), 1, table)[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -666,6 +666,13 @@ class TestSimplyGeneratedSampler:
     def test_zero_radius_route_matches_exact_law(self):
         assert self._class_gof(factorial_squared(), 6, 2000, 22) > 1e-3
 
+    @pytest.mark.parametrize("n, draws, seed", [(8, 4000, 31),
+                                                (12, 4000, 32)])
+    def test_zero_radius_batch_matches_exact_law(self, n, draws, seed):
+        """Multi-row zero-radius batches (15 classes at n = 8, 56 at
+        n = 12) against `exact_tree_law`, at the level of the n = 6 test."""
+        assert self._class_gof(factorial_squared(), n, draws, seed) > 1e-3
+
     def test_path_weights_short_circuit(self):
         w = WeightSequence.from_list([1, 1])
         word = sample_simply_generated(w, 5, RngStream(0, 0))

@@ -3,9 +3,10 @@ each draw returned a PlaneTree, kept verbatim as the reference for the
 samplers that return degree words.
 
 Only the tree-building steps, the word step of uniform trees as a
-`gen.permutation` per row, the sum table with its row for n, and the list
-path of `OffspringDistribution.from_masses` (with the two weight laws
-that called it) are frozen here.  The helpers whose code did not move
+`gen.permutation` per row, the sum table with its row for n, the halving
+batch whose blocks carried row ids, and the list path of
+`OffspringDistribution.from_masses` (with the two weight laws that called
+it) are frozen here.  The helpers whose code did not move
 (`_truncated_masses`, `_reachable_sum`, `block_sizes` and the series
 machinery of `arbor.weights`) are imported from the package.  The route of
 a conditioned draw, rejection or halving, is named by the caller, not picked
@@ -24,6 +25,7 @@ from arbor.enumeration import ENUMERATION_CAP
 from arbor.errors import (AttemptsExhausted, Diverged, InvalidDistribution,
                           InvalidStatistics, OutOfDomain, PhiDiverges,
                           TooLarge, ZeroPartition)
+from arbor import samplers
 from arbor.samplers import (OffspringDistribution, _reachable_sum,
                             _truncated_masses, block_sizes)
 from arbor.trees import DegreeStatistics, _is_integer, build_tree
@@ -200,6 +202,66 @@ def sample_conditioned_bienayme_sequential(mu, n, rng, table=None):
         m = np.concatenate([m1, m2])
         t = np.concatenate([a, t - a])
     return build_tree(_rotation(np.concatenate(degrees)))
+
+
+def sequential_batch(mu, n, rng, reps, table=None):
+    """`samplers.sample_conditioned_bienayme_sequential_batch` as it was
+    when every block carried its row id and a stable sort by owner gave
+    each row its degrees, with its split budget of 2**16; it reads the
+    package's table (no row for n) and its stack rotation."""
+    if n < 1:
+        raise ValueError("need at least one node")
+    if table is None:
+        table = samplers.conditional_sum_table(mu, n)
+    sizes = block_sizes(n)[:-1]
+    row_of = np.zeros(n + 1, dtype=np.int64)
+    row_of[sizes] = np.arange(len(sizes))
+    flat = table.ravel()
+    gen = rng.gen
+    chunk = max(1, 2**16 // (2 * n))
+    words = np.empty((reps, n), dtype=np.int64)
+    for first in range(0, reps, chunk):
+        rows = min(chunk, reps - first)
+        m = np.full(rows, n)
+        t = np.full(rows, n - 1)
+        row = np.arange(rows)
+        degrees, owners = [], []
+        while True:
+            leaf = m == 1
+            degrees.append(t[leaf])
+            owners.append(row[leaf])
+            live = ~leaf
+            m, t, row = m[live], t[live], row[live]
+            if not m.size:
+                break
+            m1 = m // 2
+            m2 = m - m1
+            lens = t + 1
+            starts = np.cumsum(lens) - lens
+            at = np.arange(lens.sum())
+            index = (row_of[m1] * n - starts).repeat(lens)
+            index += at
+            w = flat.take(index)
+            index = (row_of[m2] * n + t + starts).repeat(lens)
+            index -= at
+            w *= flat.take(index)
+            total = np.add.reduceat(w, starts)
+            if not total.all():
+                raise ZeroPartition(
+                    f"sum {n - 1} is unreachable with this offspring law")
+            w /= total.repeat(lens)
+            cdf = np.cumsum(w, out=w)
+            end = cdf[starts + lens - 1]
+            begin = np.concatenate([[0.0], end[:-1]])
+            u = begin + gen.random(m.size) * (end - begin)
+            a = np.minimum(np.searchsorted(cdf, u, side="right") - starts, t)
+            m = np.concatenate([m1, m2])
+            t = np.concatenate([a, t - a])
+            row = np.concatenate([row, row])
+        order = np.argsort(np.concatenate(owners), kind="stable")
+        words[first:first + rows] = np.concatenate(degrees)[order].reshape(
+            rows, n)
+    return samplers._rotation(words)
 
 
 def conditioned_sampler(mu, n, route):
