@@ -38,7 +38,7 @@ from .samplers import (OffspringDistribution, conditioned_sampler,
                        sample_stopping_index_poissonized_batch)
 from .stats import wilson_interval
 from .trees import DegreeStatistics, depth_table, validate_words
-from .weights import (WeightSequence, exact_tree_law, limit_degree_law,
+from .weights import (WeightSequence, exact_tree_law, phi,
                       simply_generated_sampler)
 
 CSV_COLUMNS = ("experiment", "n", "grid_value", "empirical",
@@ -643,12 +643,15 @@ def run_convergence(mu: OffspringDistribution | None = None,
 
 @functools.cache
 def _census_constants() -> tuple[WeightSequence, tuple[float, ...]]:
-    """The census class's k^-3 weights and the boundary law pi(0..3),
-    solved once per process."""
+    """The census class's k^-3 weights and the boundary law
+    pi(k) = float(w_k) rho^k / Phi(rho) for k <= 3, read off the certified
+    Phi(rho) once per process (rho = 1)."""
     weights = WeightSequence.from_generator(
         lambda k: 1.0 if k == 0 else float(k) ** -3.0, rho_hint=1.0)
-    pi = limit_degree_law(weights)
-    return weights, tuple(pi.mass(k) for k in range(4))
+    rho, _ = weights.resolve_rho()
+    total = phi(weights, rho)
+    return weights, tuple(float(weights.weight(k)) * rho ** k / total
+                          for k in range(4))
 
 
 _CLASS_LAWS = {  # default law of each class that takes a mu
@@ -684,12 +687,15 @@ def run_concentration(class_name: str,
           {0: 0.4, 1: 0.2, 2: 0.4} with eps 0.1.
       census: simply generated with w_k = k^(-3); event
           max over k <= 3 of |n(k)/n - pi(k)| < tolerance, pi the boundary
-          degree law.  Trees come from `simply_generated_sampler`, which
-          solves the tilt and builds the route once per call: halving over
-          one `conditional_sum_table` from n = 18 (20 words in about
-          18 ms at n = 2,000 with the table, on a 2-vCPU VM), rejection
-          below it.  pi is solved
-          once per process.
+          degree law pi(k) = w_k / Phi(1), within 1e-13 of
+          w_k / (1 + zeta(3)) and read once per process.  Trees come from
+          `simply_generated_sampler`, which solves the tilt (Psi(1) =
+          0.747, so it saturates at rho = 1) and builds the route once per
+          call: halving over one `conditional_sum_table` from n = 18 (20
+          words in about 18 ms at n = 2,000 with the table, on a 2-vCPU
+          VM), rejection below it.  Phi(1) and sum k w_k stop on certified
+          Euler-Maclaurin tails at K = 128 and 512, so pi and the n = 2,000
+          sampler of a fresh process read about 5,160 weights.
       leaf: factorial-squared weights (zero radius); exact expected leaf
           fraction strictly increasing over n = 6..12.  Deterministic, no
           Monte Carlo; n and replications are ignored.
@@ -728,7 +734,7 @@ def run_concentration(class_name: str,
     cells: list[Cell] = []
     if class_name == "leaf":
         weights = WeightSequence.from_generator(
-            lambda k: Fraction(math.factorial(k)) ** 2, rho_hint=0.0)
+            lambda k: math.factorial(k) ** 2, rho_hint=0.0)
         ladder = tuple(range(6, 13))
         fractions = []
         for size in ladder:

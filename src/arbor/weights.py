@@ -32,7 +32,8 @@ from .samplers import (OffspringDistribution, _reachable_sum,
                        _shuffled_words, conditioned_sampler)
 from .trees import DegreeStatistics
 
-_REL_TOL = 1e-14
+_REL_TOL = 1e-14  # a certified tail error, relative to the sum
+_RISE_TOL = 1e-13  # term ratios this close count as not rising
 _SERIES_CAP = 1_000_000
 _OVERFLOW = 1e300
 _BLOCK = 4096  # most generator terms per numpy block of a series or limit law
@@ -185,19 +186,40 @@ def _series_sum(w: WeightSequence, t, power: int) -> tuple[float, bool]:
     """(sum_k k^power w_k t^k, converged flag).
 
     Explicit sequences are summed completely (flag True, exact arithmetic
-    preserved when possible).  Generator sums stop once five terms in a
-    row (from k = 5 on) drop below 1e-14 of the partial sum.  If the cap
-    is reached first, a power-law fit to the terms estimates the remaining
-    tail; an estimated tail below 1e-10 of the partial sum is folded into
-    the value and counts as converged, anything else is flagged False.
+    preserved when possible).  A generator sum adds its terms until one
+    tail rule certifies the rest, and stops there with the partial sum
+    plus that tail.  Both tails count as certified once their error is
+    below 1e-14 of the sum:
+
+      power law, at each checkpoint K of `_extend_marks`: the slope alpha
+          fitted to the terms at K/2 and K, and the three-term
+          Euler-Maclaurin tail (Graham, Knuth and Patashnik, Concrete
+          Mathematics, 9.5) of t_K (k/K)^-alpha past K,
+              t_K K/(alpha - 1) - t_K/2 + alpha t_K/(12 K).
+          Its error is the drift of alpha against the slope at (K/4, K/2)
+          times the tail's sensitivity to alpha, plus the next
+          Euler-Maclaurin order alpha(alpha+1)(alpha+2) t_K/(720 K^3).  A
+          slope of at most 1.05 certifies nothing.
+      geometric, inside the radius, at any k of a block: t_k r/(1 - r),
+          r < 1 the largest term ratio t_j/t_{j-1} of the block through k.
+          It bounds the tail while no later ratio exceeds r, and is taken
+          for that bound, its own error, once the ratios no longer rise:
+          from the block's second ratio on, the ratio at k is not above
+          the one before it by more than 1e-13 (rounding noise).  Terms
+          like k^-a t^k have rising ratios and never stop here.
+    A sum that reaches the cap uncertified (the cap is a checkpoint too)
+    returns its partial sum, flagged False.  The flag certifies the tail
+    only: the left-to-right partial sum keeps its rounding, which reaches
+    6e-13 of the sum over 10^5 terms (k^-3 at t = 1 - 2^-14).
 
     Generator terms come in blocks of 64 doubling up to _BLOCK (4,096)
     from `_scalar_blocks`.  float(w_k) and t^k are Python scalars, as in a
     term-by-term loop, and numpy multiplies them in that loop's order.
     np.add.accumulate adds the carried total and the terms left to right,
-    so every partial sum, and with it every stop rule, is bit for bit the
-    loop's.  A term whose weight or power raises ends its block there,
-    and the error surfaces only if the sum has not stopped before that k.
+    so every partial sum, tail and stop is bit for bit the loop's.  A term
+    whose weight or power raises ends its block there, and the error
+    surfaces only if the sum has not stopped before that k; so does a
+    total past 1e300 (Diverged).
 
     Generator sums are memoised, so Phi(rho) is summed once per process.
     Explicit sums are short, and (1, 2) equals (1.0, 2.0), so they are not.
@@ -215,47 +237,78 @@ def _series_sum(w: WeightSequence, t, power: int) -> tuple[float, bool]:
 
 @functools.lru_cache(maxsize=256, typed=True)
 def _generator_sum(w: WeightSequence, t, power: int) -> tuple[float, bool]:
-    """`_series_sum` of a generator sequence."""
-    total = 0.0
-    quiet = 0
-    marks: list[tuple[int, float]] = []  # (index, term) checkpoints for the tail fit
+    """`_series_sum` of a generator sequence: the partial sum through the
+    first k where a geometric or power-law tail is certified, plus that
+    tail."""
+    total, last = 0.0, None  # carried partial sum and last term
+    marks: list[tuple[int, float]] = []
     for ks, wks, tks, error in _scalar_blocks(w.generator, float(t), w.cap + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             terms = ks ** power * wks * tks
             totals = np.add.accumulate(np.concatenate(([total], terms)))[1:]
-            calm = ((terms <= _REL_TOL * np.maximum(totals, 1e-300))
-                    & (ks >= 5))
             over = np.flatnonzero((totals > _OVERFLOW) | np.isinf(totals))
-        # length of the run of calm terms ending at each k, carried over
-        last_loud = np.maximum.accumulate(
-            np.where(calm, -1 - quiet, np.arange(ks.size)))
-        run = np.arange(ks.size) - last_loud
-        done = np.flatnonzero(run >= 5)
-        if over.size and (not done.size or over[0] <= done[0]):
+            stop, value = _geometric_stop(terms, totals, last)
+        seen = len(marks)
+        _extend_marks(marks, ks, terms, w.cap)
+        for k, tail, err in _power_tails(marks, seen):
+            i = k - int(ks[0])
+            if stop is not None and stop <= i:
+                break
+            if err < _REL_TOL * (float(totals[i]) + tail):
+                stop, value = i, float(totals[i]) + tail
+                break
+        if over.size and (stop is None or over[0] <= stop):
             raise Diverged("series exceeded overflow threshold at "
                            f"k={ks[over[0]]}")
-        if done.size:
-            return float(totals[done[0]]), True
+        if stop is not None:
+            return value, True
         if error is not None:
             raise error
-        _extend_marks(marks, ks, terms, w.cap)
-        total = float(totals[-1])
-        quiet = int(run[-1])
-    if len(marks) < 3:
-        return total, False
-    # terms look like k^{-alpha}: integral-test tail from the fitted slope,
-    # accepted when the slope is stable and the estimate error (drift plus
-    # next Euler-Maclaurin order) is negligible against the partial sum
-    (k0, t0), (k1, t1), (k2, t2) = marks[-3:]
-    a_prev = math.log(t0 / t1) / math.log(k1 / k0)
-    a_fit = math.log(t1 / t2) / math.log(k2 / k1)
-    if a_fit <= 1.05:
-        return total, False
-    tail = t2 * k2 / (a_fit - 1) + t2 / 2
-    err = tail * (abs(a_fit - a_prev) * math.log(k2) + 1.0 / k2)
-    if err < 1e-10 * max(total, 1e-300):
-        return total + tail, True
+        total, last = float(totals[-1]), float(terms[-1])
     return total, False
+
+
+def _geometric_stop(terms: np.ndarray, totals: np.ndarray,
+                    last: float | None) -> tuple[int | None, float]:
+    """(first index of the block where `_series_sum`'s geometric tail is
+    certified, partial sum plus that tail), or (None, 0.0).  `last` is the
+    term before the block, None for the first block.  The ratio t_k/t_{k-1}
+    is 0 at a zero term and inf at a positive term after a zero; r at k is
+    the largest ratio of the block through k, and k qualifies once its
+    ratio is not above the block's ratio before it."""
+    ext = terms if last is None else np.concatenate(([last], terms))
+    ratios = np.where(ext[1:] == 0, 0.0, ext[1:] / ext[:-1])
+    if ratios.size < 2:
+        return None, 0.0
+    head = terms.size - ratios.size  # k = 0 has no ratio
+    r = np.maximum.accumulate(ratios)
+    tails = terms[head:] * r / (1 - r)
+    ok = (r < 1) & (tails < _REL_TOL * (totals[head:] + tails))
+    ok[0] = False
+    ok[1:] &= ratios[1:] <= ratios[:-1] * (1 + _RISE_TOL)
+    done = np.flatnonzero(ok)
+    if not done.size:
+        return None, 0.0
+    i = int(done[0])
+    return head + i, float(totals[head + i] + tails[i])
+
+
+def _power_tails(marks: list, seen: int):
+    """(K, tail, error) at each checkpoint K from marks[seen] on that has
+    two checkpoints before it, (K/4, t) and (K/2, t), and a slope alpha
+    fitted at (K/2, K) above 1.05: the Euler-Maclaurin tail of `_series_sum`
+    past K and its error."""
+    for j in range(max(seen, 2), len(marks)):
+        (k0, t0), (k1, t1), (k2, t2) = marks[j - 2:j + 1]
+        prev = math.log(t0 / t1) / math.log(k1 / k0)
+        alpha = math.log(t1 / t2) / math.log(k2 / k1)
+        if alpha <= 1.05:
+            continue
+        tail = t2 * k2 / (alpha - 1) - t2 / 2 + alpha * t2 / (12 * k2)
+        sensitivity = abs(t2 / (12 * k2) - t2 * k2 / (alpha - 1) ** 2)
+        err = (abs(alpha - prev) * sensitivity
+               + alpha * (alpha + 1) * (alpha + 2) * t2 / (720 * k2 ** 3))
+        yield k2, tail, err
 
 
 def _scalar_blocks(weight, base: float, end: int):
@@ -297,9 +350,11 @@ def _scalar_blocks(weight, base: float, end: int):
 
 def _extend_marks(marks: list, ks: np.ndarray, terms: np.ndarray,
                   cap: int) -> None:
-    """Append this block's tail-fit checkpoints: the first positive term
-    from k = 1, then each first positive term at twice the last mark's
-    index or beyond, and the term at the cap when positive."""
+    """Append this block's checkpoints of the power-law tail: the first
+    positive term from k = 1, then each first positive term at twice the
+    last mark's index or beyond, and the term at the cap when positive.
+    So K runs 1, 2, 4, ... while the terms stay positive, and each
+    checkpoint (K, t_K) has the two before it near K/2 and K/4."""
     live = np.flatnonzero((terms > 0) & (ks >= 1))
     while True:
         j = np.searchsorted(ks[live], 2 * marks[-1][0] if marks else 1)
@@ -338,10 +393,15 @@ def nu_sigma_sq(w: WeightSequence) -> tuple[float, float]:
 
     nu = 0 exactly when rho = 0.  Finite support gives nu = max supported
     degree (Psi(t) increases to it) and sigma_sq = 0, the limit of
-    t Psi'(t).  At a finite positive rho, nu is Psi(rho) when the series
-    converge there, otherwise the monotone limit of Psi(t) as t increases
-    to rho; sigma_sq is the pi-variance, reported as math.inf when the
-    second-moment series diverges at rho.
+    t Psi'(t).  At a finite positive rho, nu is Psi(rho) when the power-0
+    and power-1 series are certified there (`_series_sum`), and sigma_sq
+    the pi-variance, math.inf when the second-moment series is not
+    certified.  Otherwise nu is chased as the monotone limit of Psi(t) at
+    t = rho (1 - 2^-j), j = 1, 2, ...: it is the first value past j = 5
+    that rose less than 1e-9 from the one before, with sigma_sq = math.inf.
+    A chase that ends unsettled, at a Psi(t) that is not certified or after
+    j = 49, raises Diverged: where sum k w_k rho^k diverges, Psi(t) grows
+    without bound (k^-2 weights at rho = 1).
     """
     rho, _ = w.resolve_rho()
     if rho == 0:
@@ -359,15 +419,14 @@ def nu_sigma_sq(w: WeightSequence) -> tuple[float, float]:
     # boundary divergence: chase the monotone limit from below
     last = 0.0
     for j in range(1, 50):
-        t = rho * (1 - 2.0 ** -j)
         try:
-            value = psi(w, t)
+            value = psi(w, rho * (1 - 2.0 ** -j))
         except Diverged:
             break
         if value - last < 1e-9 and j > 5:
             return float(value), math.inf
         last = value
-    return float(last), math.inf
+    raise Diverged(f"Psi(t) has not settled as t rises to rho = {rho}")
 
 
 def limit_degree_law(w: WeightSequence) -> OffspringDistribution:
@@ -377,12 +436,14 @@ def limit_degree_law(w: WeightSequence) -> OffspringDistribution:
     infinite) and boundary-divergent Phi both raise PhiDiverges; callers
     should tilt below rho instead.
 
-    The masses stop at the first k >= 8 whose partial sum is within 1e-12
-    of one (at the latest at _SERIES_CAP; the remainder is renormalised
-    away).  Like the series of `_series_sum` they come in
-    `_scalar_blocks`, float(w_k) and rho^k as Python scalars, with the
-    partial sums by np.add.accumulate, so the stop and every mass are
-    bit-identical to a term-by-term loop.
+    The masses stop at the first checkpoint K of `_extend_marks` whose
+    certified remaining mass, the power-law tail past K plus its error as
+    `_series_sum` states them, is below 1e-12, or at _SERIES_CAP; the
+    remainder is renormalised away.  A rounded partial sum is no test:
+    against a Phi(rho) correct to 1e-14 it may never come within 1e-12 of
+    one.  Like the series of `_series_sum` the masses come in
+    `_scalar_blocks`, float(w_k) and rho^k as Python scalars, so every
+    mass is bit-identical to a term-by-term loop.
     """
     rho, _ = w.resolve_rho()
     if rho == 0:
@@ -393,20 +454,20 @@ def limit_degree_law(w: WeightSequence) -> OffspringDistribution:
         total = float(phi(w, rho))
     except Diverged as exc:
         raise PhiDiverges(f"Phi diverges at rho={rho}") from exc
-    masses = []
-    partial = 0.0
+    masses, marks = [], []
     for ks, wks, pks, error in _scalar_blocks(w.weight, rho, _SERIES_CAP + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             block = wks * pks / total
-            partials = np.add.accumulate(np.concatenate(([partial], block)))[1:]
-        done = np.flatnonzero((ks >= 8) & (1.0 - partials < 1e-12))
-        if done.size:
-            masses.append(block[:done[0] + 1])
+        seen = len(marks)
+        _extend_marks(marks, ks, block, _SERIES_CAP)
+        done = next((k for k, tail, err in _power_tails(marks, seen)
+                     if tail + err < 1e-12), None)
+        if done is not None:
+            masses.append(block[:done - int(ks[0]) + 1])
             break
         if error is not None:
             raise error
         masses.append(block)
-        partial = float(partials[-1])
     return OffspringDistribution.from_masses(
         np.concatenate(masses), label="limit_law", renormalize=True)
 

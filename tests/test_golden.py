@@ -79,12 +79,15 @@ GOLDEN = {
         "7359d3f666d0393e940117e203c4bb55223617136bf6c0eefe5abade032c7f2e",
     "concentrate-stretched-halving":
         "8610addbf9cd547c508ccdafa9362a7a268161c6c1bf51ebe81c6b893bc07e50",
+    # the census digests read target.pi off the certified Phi(1); they
+    # moved when Phi(1) gained four digits (pi -1.79e-10 relative, the
+    # draws unchanged)
     "concentrate-census-halving":
-        "25a1aea88d400045bc80428b1a1be1ef21b730b7530972dded3283de44de1fce",
+        "d9bd69e3ae817d5c10c6198feb3522fdc55c05685a60fb32e32d4e65f21d5bca",
     "concentrate-branching":
         "3f9d1fab020083e605937459d7a26c23a0feca4534cc3066a57d96306b62fc98",
     "concentrate-census":
-        "25de8f4298b5f7b5f622ea2f1c28603c16c4d097ab0c2e35f3747421fd4f4a08",
+        "059fd6ec40825f96d6cb40285f9bb77872066b536358faabf25636c77441c933",
     "concentrate-leaf":
         "5e34b0473c0489fc2b84e374dca1671f89a0f8c4893b95f9df7788dbb44924af",
     "tails-binary9":

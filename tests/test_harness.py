@@ -31,7 +31,7 @@ from arbor.harness import (_CLASS_LAWS, _LADDERS, CONCENTRATION_CLASSES,
 from arbor.rng import RngStream
 from arbor.samplers import OffspringDistribution, conditional_sum_table
 from arbor.trees import DegreeStatistics, MarkedTree, build_tree, depth_table
-from arbor.weights import (WeightSequence, limit_degree_law,
+from arbor.weights import (WeightSequence, phi,
                            simply_generated_sampler, solve_critical_tilt,
                            tilted_law)
 from polynomial_reference import repeat_time_survivals
@@ -494,6 +494,23 @@ class TestConvergence:
             run_convergence(replications=4, **kwargs)
 
 
+def _count_generator_calls(monkeypatch):
+    """Patch the harness's `WeightSequence.from_generator` so that every
+    weight call of a sequence it builds adds one to calls[0]; return
+    (calls, the counting constructor)."""
+    calls = [0]
+
+    def counting(fn, cap=100_000, rho_hint=None):
+        def weight(k):
+            calls[0] += 1
+            return fn(k)
+        return WeightSequence(generator=weight, cap=cap, rho_hint=rho_hint)
+
+    monkeypatch.setattr(harness.WeightSequence, "from_generator",
+                        staticmethod(counting))
+    return calls, counting
+
+
 class TestConcentration:
     def test_class_list_is_closed(self):
         with pytest.raises(BadParameters):
@@ -567,25 +584,38 @@ class TestConcentration:
         assert harness._census_constants() is first
         weights = WeightSequence.from_generator(
             lambda k: 1.0 if k == 0 else float(k) ** -3.0, rho_hint=1.0)
-        pi = limit_degree_law(weights)
-        assert first[1] == tuple(pi.mass(k) for k in range(4))
+        total = phi(weights, 1.0)
+        assert first[1] == tuple(float(weights.weight(k)) / total
+                                 for k in range(4))
         assert solve_critical_tilt(first[0]) == solve_critical_tilt(weights)
+        # Psi(1) = zeta(2)/(1 + zeta(3)) = 0.747 <= 1: the tilt saturates
+        assert solve_critical_tilt(weights) == 1.0
+
+    def test_census_law_is_the_zeta_law(self):
+        # pi(k) = k^-3/(1 + zeta(3)) with w_0 = 1; Apery's constant zeta(3)
+        # to 22 digits (OEIS A002117).  Read off the renormalised
+        # 36,800-mass limit law, each was 1.79e-10 too large
+        zeta3 = 1.2020569031595942853997
+        _, pis = harness._census_constants()
+        for got, c in zip(pis, (1, 1, 1 / 8, 1 / 27)):
+            assert abs(got - c / (1 + zeta3)) <= 1e-13 * c / (1 + zeta3)
+
+    def test_fresh_census_set_up_reads_few_weights(self, monkeypatch):
+        """The census class's set-up in a fresh process, its constants and
+        its n = 2,000 sampler, calls the k^-3 weight about 5,160 times
+        (177,603 under the five-quiet-terms stop): 3 in the constructor,
+        192 for Phi(1), 960 for sum k w_k, 4 for pi(0..3), and about 2,000
+        each for the sampler's support scan and tilted law."""
+        calls, _ = _count_generator_calls(monkeypatch)
+        weights, _ = harness._census_constants.__wrapped__()
+        simply_generated_sampler(weights, 2000)
+        assert calls[0] <= 6_000
 
     def test_census_constants_sum_phi_at_rho_once(self, monkeypatch):
         """Phi(rho) is summed once per process: once the census law has
         summed it, the tilt's edge probe reads the memoised series, which
         saves a whole power-0 series of generator calls."""
-        calls = [0]
-
-        def counting(fn, cap=100_000, rho_hint=None):
-            def weight(k):
-                calls[0] += 1
-                return fn(k)
-            return WeightSequence(generator=weight, cap=cap,
-                                  rho_hint=rho_hint)
-
-        monkeypatch.setattr(harness.WeightSequence, "from_generator",
-                            staticmethod(counting))
+        calls, counting = _count_generator_calls(monkeypatch)
         shared, _ = harness._census_constants.__wrapped__()
         calls[0] = 0
         tilt = solve_critical_tilt(shared)
@@ -593,7 +623,9 @@ class TestConcentration:
         fresh = counting(lambda k: 1.0 if k == 0 else float(k) ** -3.0,
                          rho_hint=1.0)
         assert solve_critical_tilt(fresh) == tilt
-        assert calls[0] - once > 36_000
+        # the fresh tilt also sums Phi(1): 3 constructor calls and 192
+        # (36,803 under the five-quiet-terms stop)
+        assert 0 < calls[0] - once <= 256
         calls[0] = 0
         assert solve_critical_tilt(shared) == tilt  # every series memoised
         assert calls[0] == 0

@@ -1347,13 +1347,15 @@ class TestFromMassesArrayPath:
 
     def test_weight_laws_equal_the_frozen_list_path(self):
         w = census_weights()
+        limit = limit_degree_law(w)
         for live, frozen in (
-                (limit_degree_law(w), frozen_trees.limit_degree_law(w)),
+                (limit, frozen_trees.limit_degree_law(w)),
                 (tilted_law(w, 1.0, 1999),
                  frozen_trees.tilted_law(w, 1.0, 1999))):
             assert mass_bits(live) == mass_bits(frozen)
             assert live == frozen
-        assert len(limit_degree_law(w).masses) == 35_584
+        # the certified remaining mass falls below 1e-12 at K = 524,288
+        assert len(limit.masses) == 524_289
 
 
 class TestHurwitzZeta:

@@ -37,6 +37,10 @@ from polynomial_reference import poly_mul
 
 BINARY = WeightSequence.from_list([1, 0, 1])
 ALL_ONES = WeightSequence.from_list([1] * 9)
+# Apery's constant zeta(3) to 22 digits (OEIS A002117), and
+# zeta(2) = pi^2/6 (Euler)
+ZETA3 = 1.2020569031595942853997
+ZETA2 = math.pi ** 2 / 6
 
 
 def census_weights():
@@ -150,12 +154,13 @@ class TestSeries:
         assert vals == sorted(vals)
 
     def test_generator_series_converges_at_the_boundary(self):
-        # polynomially decaying terms: plain summation never settles inside
-        # the cap, the tail extrapolation has to close the gap
+        # polynomially decaying terms: the Euler-Maclaurin tail closes the
+        # gap after a few hundred terms (Phi(1) read 1.8e-10 low, and
+        # sum k w_k 6.1e-11 high, under the five-quiet-terms stop)
         w = census_weights()
-        assert phi(w, 1.0) == pytest.approx(1.0 + float(zeta(3, 1)), rel=1e-9)
-        assert psi(w, 1.0) == pytest.approx(
-            float(zeta(2, 1)) / (1.0 + float(zeta(3, 1))), rel=1e-8)
+        assert phi(w, 1.0) == pytest.approx(1.0 + ZETA3, rel=1e-13)
+        assert psi(w, 1.0) == pytest.approx(ZETA2 / (1.0 + ZETA3), rel=1e-13)
+        assert float(zeta(3, 1)) == pytest.approx(ZETA3, rel=1e-15)
 
     def test_diverging_series_raises(self):
         with pytest.raises(Diverged):
@@ -189,7 +194,9 @@ class TestSeries:
 
         w = WeightSequence.from_generator(weight, rho_hint=1.0)
         first = phi(w, 1.0)
-        assert calls[0] > 36_000
+        # 3 for the constructor, 192 for the blocks through the certified
+        # checkpoint K = 128 (36,803 under the five-quiet-terms stop)
+        assert calls[0] <= 256
         calls[0] = 0
         assert phi(w, 1.0) == first and nu_sigma_sq(w)[0] == psi(w, 1.0)
         assert calls[0] > 0  # the power-1 and power-2 series
@@ -224,10 +231,19 @@ class TestCriticality:
 
     def test_subcritical_boundary_census(self):
         nu, sig = nu_sigma_sq(census_weights())
-        assert nu == pytest.approx(float(zeta(2, 1)) / (1 + float(zeta(3, 1))),
-                                   rel=1e-8)
+        assert nu == pytest.approx(ZETA2 / (1 + ZETA3), rel=1e-13)
         assert nu < 1.0
         assert sig == math.inf
+
+    def test_boundary_chase_that_never_settles_is_diverged(self):
+        # k^-2 at rho = 1: Phi(1) = 1 + zeta(2) converges but
+        # sum k w_k = sum 1/k does not, so Psi(t) grows without bound as t
+        # rises to 1; the chase returned nu = 3.1475, Psi at t = 1 - 2^-12
+        w = WeightSequence.from_generator(
+            lambda k: 1.0 if k == 0 else float(k) ** -2.0, rho_hint=1.0)
+        assert phi(w, 1.0) == pytest.approx(1 + ZETA2, rel=1e-13)
+        with pytest.raises(Diverged, match="not settled"):
+            nu_sigma_sq(w)
 
     def test_critical_tilt_binary(self):
         assert solve_critical_tilt(BINARY) == pytest.approx(1.0, abs=1e-12)
@@ -245,12 +261,14 @@ class TestCriticality:
 
 class TestLimitDegreeLaw:
     def test_census_masses(self):
+        # the masses stop at K = 524,288, where the certified remaining
+        # mass K^-2/(2 (1 + zeta(3))) falls below 1e-12, and the rest is
+        # renormalised away; the float sum of 524,289 masses that
+        # renormalises them is good to about 5e-12
         pi = limit_degree_law(census_weights())
-        z3 = float(zeta(3, 1))
-        assert pi.mass(0) == pytest.approx(1 / (1 + z3), abs=1e-6)
-        assert pi.mass(1) == pytest.approx(1 / (1 + z3), abs=1e-6)
-        assert pi.mass(2) == pytest.approx(1 / (8 * (1 + z3)), abs=1e-6)
-        assert pi.mass(3) == pytest.approx(1 / (27 * (1 + z3)), abs=1e-6)
+        assert len(pi.masses) == 524_289
+        for k, c in enumerate((1, 1, 1 / 8, 1 / 27)):
+            assert pi.mass(k) == pytest.approx(c / (1 + ZETA3), rel=1e-11)
 
     def test_zero_radius_degenerates(self):
         pi = limit_degree_law(factorial_squared())
@@ -268,58 +286,94 @@ class TestLimitDegreeLaw:
             tilted_law(BINARY, 0.0, 3)
 
 
-def _loop_series_sum(w, t, power):
-    """The term-by-term generator series that `_series_sum` replaced with
-    numpy blocks, kept verbatim as the reference for bit-identity."""
-    total = 0.0
-    tf = float(t)
-    quiet = 0
-    marks = []
-    for k in range(w.cap + 1):
-        wk = w.generator(k)
+def _loop_tail(marks):
+    """(tail, error) of the power-law rule at the last of three marks,
+    written out as `_series_sum` states it; None at a slope <= 1.05."""
+    (k0, t0), (k1, t1), (k2, t2) = marks
+    prev = math.log(t0 / t1) / math.log(k1 / k0)
+    alpha = math.log(t1 / t2) / math.log(k2 / k1)
+    if alpha <= 1.05:
+        return None
+    tail = t2 * k2 / (alpha - 1) - t2 / 2 + alpha * t2 / (12 * k2)
+    sensitivity = abs(t2 / (12 * k2) - t2 * k2 / (alpha - 1) ** 2)
+    err = (abs(alpha - prev) * sensitivity
+           + alpha * (alpha + 1) * (alpha + 2) * t2 / (720 * k2 ** 3))
+    return tail, err
+
+
+def _loop_block_terms(weight, base, lo, hi, power):
+    """The terms k^power float(w_k) base^k of lo <= k < hi up to the first
+    k whose weight raises or is negative or NaN, and that error (None if
+    none), one Python scalar at a time."""
+    terms = []
+    for k in range(lo, hi):
         try:
-            term = (k ** power if power else 1) * float(wk) * tf ** k
-        except OverflowError:
-            raise Diverged(f"series term overflowed at k={k}")
-        total += term
-        if total > 1e300 or math.isinf(total):
-            raise Diverged(f"series exceeded overflow threshold at k={k}")
-        if term > 0 and k >= 1 and (not marks or k >= marks[-1][0] * 2
-                                    or k == w.cap):
-            marks.append((k, term))
-        if k >= 5:
-            quiet = quiet + 1 if term <= 1e-14 * max(total, 1e-300) else 0
-            if quiet >= 5:
-                return total, True
-    if len(marks) < 3:
-        return total, False
-    (k0, t0), (k1, t1), (k2, t2) = marks[-3:]
-    a_prev = math.log(t0 / t1) / math.log(k1 / k0)
-    a_fit = math.log(t1 / t2) / math.log(k2 / k1)
-    if a_fit <= 1.05:
-        return total, False
-    tail = t2 * k2 / (a_fit - 1) + t2 / 2
-    err = tail * (abs(a_fit - a_prev) * math.log(k2) + 1.0 / k2)
-    if err < 1e-10 * max(total, 1e-300):
-        return total + tail, True
+            wk = weight(k)
+            try:
+                wk, pk = float(wk), base ** k
+            except OverflowError:
+                raise Diverged(f"series term overflowed at k={k}") from None
+        except Exception as exc:
+            return terms, exc
+        if not wk >= 0:
+            return terms, ValueError(f"w_{k} = {wk!r} is not a number >= 0")
+        terms.append((k ** power if power else 1) * wk * pk)
+    return terms, None
+
+
+def _loop_series_sum(w, t, power):
+    """The generator series of `_series_sum` as a term-by-term loop over
+    the same blocks (64 terms doubling to 4,096), the reference the numpy
+    blocks must match bit for bit.  At each k: the overflow test, then the
+    geometric tail (r the largest ratio of the block so far, once the
+    ratio does not rise), then the power-law tail at a checkpoint."""
+    total, last, marks = 0.0, None, []
+    lo, size = 0, 64
+    while lo <= w.cap:
+        terms, error = _loop_block_terms(w.generator, float(t), lo,
+                                         min(lo + size, w.cap + 1), power)
+        r = q_prev = None
+        for k, term in enumerate(terms, start=lo):
+            total += term
+            if total > 1e300 or math.isinf(total):
+                raise Diverged(f"series exceeded overflow threshold at k={k}")
+            if last is not None:
+                q = (0.0 if term == 0 else term / last if last
+                     else math.inf)
+                r = q if r is None else max(r, q)
+                if q_prev is not None and q <= q_prev * (1 + 1e-13) and r < 1:
+                    tail = term * r / (1 - r)
+                    if tail < 1e-14 * (total + tail):
+                        return total + tail, True
+                q_prev = q
+            last = term
+            if term > 0 and k >= 1 and (not marks or k >= 2 * marks[-1][0]
+                                        or k == w.cap):
+                marks.append((k, term))
+                fit = _loop_tail(marks[-3:]) if len(marks) >= 3 else None
+                if fit and fit[1] < 1e-14 * (total + fit[0]):
+                    return total + fit[0], True
+        if error is not None:
+            raise error
+        lo, size = lo + size, min(2 * size, 4096)
     return total, False
 
 
-def _loop_limit_masses(w, top=None):
-    """The term-by-term mass loop of `limit_degree_law`, kept verbatim."""
+def _loop_limit_masses(w):
+    """The masses of `limit_degree_law` as a term-by-term loop, up to the
+    first checkpoint whose power-law tail plus error is below 1e-12."""
     rho, _ = w.resolve_rho()
-    total = phi(w, rho)
-    masses = []
-    partial = 0.0
-    k = 0
-    hi = 1_000_000 if top is None else max(top, 64)
-    while k <= hi:
-        m = float(w.weight(k)) * rho ** k / float(total)
+    total = float(phi(w, rho))
+    masses, marks = [], []
+    for k in range(1_000_001):
+        m = float(w.weight(k)) * rho ** k / total
         masses.append(m)
-        partial += m
-        if (top is None or k >= top) and k >= 8 and 1.0 - partial < 1e-12:
-            break
-        k += 1
+        if m > 0 and k >= 1 and (not marks or k >= 2 * marks[-1][0]
+                                 or k == 1_000_000):
+            marks.append((k, m))
+            fit = _loop_tail(marks[-3:]) if len(marks) >= 3 else None
+            if fit and fit[0] + fit[1] < 1e-12:
+                break
     return masses
 
 
@@ -331,11 +385,15 @@ def _outcome(fn, *args):
 
 
 class TestBlockSeriesMatchesScalarLoop:
-    # (weights, t): the cap with the tail fit accepted; a fit slope at most
-    # 1.05; a quiet streak that ends in a later block; t^k that would
-    # overflow only after the stop, in the stop's block (0.65^k) or beyond
-    # it (1/k!); t^k overflowing while the term is small; the total passing
-    # 1e300; a weight that raises after the stop, and one that raises before
+    # (weights, t): power-law tails certified at a checkpoint (k^-3,
+    # k^-2.5) or not before the cap (a slope at most 1.05; k^-3 log k,
+    # whose fitted slope drifts); a tilted power law whose slope drifts
+    # until the terms are small; geometric tails certified in the first
+    # block, in a later one, or after a ratio of inf (zero terms between
+    # positive ones) or 0 (a dead tail); t^k that would overflow only
+    # after the stop, in the stop's block (0.65^k) or beyond it (1/k!);
+    # t^k overflowing while the term is small; the total passing 1e300; a
+    # weight that raises after the stop, and one that raises before
     CASES = {
         "0.65^k at 1.5": (lambda k: 0.65 ** k, 1.5),
         "0.5^k raising from 60": (lambda k: 0.5 ** k if k < 60 else 1 / 0,
@@ -343,9 +401,16 @@ class TestBlockSeriesMatchesScalarLoop:
         "0.5^k raising from 20": (lambda k: 0.5 ** k if k < 20 else 1 / 0,
                                   1.0),
         "k^-3 at 1": (lambda k: 1.0 if k == 0 else float(k) ** -3.0, 1.0),
+        "k^-2.5 at 1": (lambda k: 1.0 if k == 0 else float(k) ** -2.5, 1.0),
+        "k^-3 log k at 1": (
+            lambda k: 1.0 if k == 0 else math.log(k) * float(k) ** -3.0, 1.0),
+        "k^-3 at 1 - 2^-12": (
+            lambda k: 1.0 if k == 0 else float(k) ** -3.0, 1 - 2.0 ** -12),
         "k^-1.01 at 1": (lambda k: 1.0 if k == 0 else float(k) ** -1.01,
                          1.0),
         "ones at 0.995": (lambda k: 1.0, 0.995),
+        "even 2^-k at 1": (lambda k: 0.0 if k % 2 else 2.0 ** -k, 1.0),
+        "2^-k to k = 9 at 1": (lambda k: 2.0 ** -k if k < 10 else 0.0, 1.0),
         "1/k! at 1.5": (lambda k: 1.0 / math.factorial(k), 1.5),
         "2^-k at 1.99": (lambda k: 2.0 ** -k, 1.99),
         "1e10 at 1.5": (lambda k: 1.0 if k == 0 else 1e10, 1.5),
@@ -362,8 +427,13 @@ class TestBlockSeriesMatchesScalarLoop:
     @pytest.mark.parametrize("case, power, expected", [
         ("k^-3 at 1", 0, ("value", True)),
         ("k^-3 at 1", 1, ("value", True)),
+        ("k^-2.5 at 1", 0, ("value", True)),
+        ("k^-3 log k at 1", 0, ("value", False)),
+        ("k^-3 at 1 - 2^-12", 0, ("value", True)),
         ("k^-1.01 at 1", 0, ("value", False)),
         ("ones at 0.995", 0, ("value", True)),
+        ("even 2^-k at 1", 0, ("value", True)),
+        ("2^-k to k = 9 at 1", 0, ("value", True)),
         ("1/k! at 1.5", 0, ("value", True)),
         ("0.65^k at 1.5", 0, ("value", True)),
         ("0.5^k raising from 60", 0, ("value", True)),
@@ -382,10 +452,23 @@ class TestBlockSeriesMatchesScalarLoop:
         else:
             assert got == expected
 
-    def test_quiet_streak_stops_in_the_second_block(self):
-        w = WeightSequence.from_generator(lambda k: 1.0)
-        assert weights_module._series_sum(w, 0.995, 0) == (
-            199.99999999961176, True)
+    @pytest.mark.parametrize("fn, t, exact, calls", [
+        (lambda k: 1.0, 0.975, 40.0, 1_984),
+        (lambda k: 1.0, 0.995, 200.0, 8_128),
+        (lambda k: 1.0 / math.factorial(k), 1.5, math.exp(1.5), 64)],
+        ids=["0.975^k", "0.995^k", "1.5^k/k!"])
+    def test_closed_form_sums(self, fn, t, exact, calls):
+        # geometric series 1/(1 - t), and e^t; the five-quiet-terms stop
+        # read 199.99999999961176 for the second.  `calls` is the blocks
+        # read through the stop: 0.975^k stops near k = 1,270, 0.995^k near
+        # 6,440, both on the geometric tail, and 1.5^k/k! at K = 32 on
+        # the power-law tail (the first block's ratios reach 1.5)
+        seen = []
+        w = WeightSequence.from_generator(lambda k: seen.append(k) or fn(k))
+        seen.clear()
+        value, ok = weights_module._series_sum(w, t, 0)
+        assert ok and value == pytest.approx(exact, rel=1e-13)
+        assert len(seen) == calls
 
     def test_limit_law_masses_are_the_loops(self):
         w = census_weights()
@@ -393,6 +476,46 @@ class TestBlockSeriesMatchesScalarLoop:
         expected = samplers.OffspringDistribution.from_masses(
             _loop_limit_masses(w), renormalize=True)
         assert law.masses == expected.masses
+
+
+def _fsum_reference(f, tail_integral, n=1_000_000):
+    """(1 + sum_{1 <= k <= n} f(k) by math.fsum, half-width): the rest
+    sum_{k > n} f(k) of a decreasing f lies between the integrals of f
+    from n + 1 and from n, and the midpoint is added."""
+    lo, hi = tail_integral(n + 1), tail_integral(n)
+    head = math.fsum([1.0] + [f(k) for k in range(1, n + 1)])
+    return head + (lo + hi) / 2, (hi - lo) / 2
+
+
+class TestCertifiedTails:
+    """Each certified generator sum is within 1e-13 of its value; one the
+    rules cannot certify is flagged, never silently wrong."""
+
+    @pytest.mark.parametrize("alpha, power, exact", [
+        (3.0, 0, 1 + ZETA3), (3.0, 1, ZETA2), (2.0, 0, 1 + ZETA2)],
+        ids=["k^-3", "k * k^-3", "k^-2"])
+    def test_zeta_values_at_the_boundary(self, alpha, power, exact):
+        w = WeightSequence.from_generator(
+            lambda k: 1.0 if k == 0 else float(k) ** -alpha, rho_hint=1.0)
+        value, ok = weights_module._series_sum(w, 1.0, power)
+        assert ok and abs(value - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("f, tail_integral", [
+        (lambda k: k ** -2.5, lambda x: x ** -1.5 / 1.5),
+        (lambda k: math.log(k) * k ** -3.0,
+         lambda x: (2 * math.log(x) + 1) / (4 * x * x))],
+        ids=["k^-2.5", "k^-3 log k"])
+    def test_drifting_and_clean_slopes_are_right_or_flagged(self, f,
+                                                             tail_integral):
+        w = WeightSequence.from_generator(
+            lambda k: 1.0 if k == 0 else f(k), rho_hint=1.0)
+        value, ok = weights_module._series_sum(w, 1.0, 0)
+        ref, half = _fsum_reference(f, tail_integral)
+        assert half < 1e-15
+        if ok:
+            assert abs(value - ref) <= 1e-13 * ref + half
+        else:  # the partial sum to the cap, short of the whole
+            assert value < ref
 
 
 def _comprehension_tilted_law(w, t, top):

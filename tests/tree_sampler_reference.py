@@ -8,7 +8,8 @@ batch whose blocks carried row ids, and the list path of
 `OffspringDistribution.from_masses` (with the two weight laws that called
 it) are frozen here.  The helpers whose code did not move
 (`_truncated_masses`, `_reachable_sum`, `block_sizes` and the series
-machinery of `arbor.weights`) are imported from the package.  The route of
+machinery of `arbor.weights`, the limit law's checkpoint stop included)
+are imported from the package.  The route of
 a conditioned draw, rejection or halving, is named by the caller, not picked
 by a rule, so a check of the package's route rule against these samplers
 means something.
@@ -29,7 +30,8 @@ from arbor import samplers
 from arbor.samplers import (OffspringDistribution, _reachable_sum,
                             _truncated_masses, block_sizes)
 from arbor.trees import DegreeStatistics, _is_integer, build_tree
-from arbor.weights import (_SERIES_CAP, _class_weights, _scalar_blocks, phi,
+from arbor.weights import (_SERIES_CAP, _class_weights, _extend_marks,
+                           _power_tails, _scalar_blocks, phi,
                            solve_critical_tilt)
 
 
@@ -72,20 +74,20 @@ def limit_degree_law(w):
         total = float(phi(w, rho))
     except Diverged as exc:
         raise PhiDiverges(f"Phi diverges at rho={rho}") from exc
-    masses = []
-    partial = 0.0
+    masses, marks = [], []
     for ks, wks, pks, error in _scalar_blocks(w.weight, rho, _SERIES_CAP + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             block = wks * pks / total
-            partials = np.add.accumulate(np.concatenate(([partial], block)))[1:]
-        done = np.flatnonzero((ks >= 8) & (1.0 - partials < 1e-12))
-        if done.size:
-            masses.extend(block[:done[0] + 1].tolist())
+        seen = len(marks)
+        _extend_marks(marks, ks, block, _SERIES_CAP)
+        done = next((k for k, tail, err in _power_tails(marks, seen)
+                     if tail + err < 1e-12), None)
+        if done is not None:
+            masses.extend(block[:done - int(ks[0]) + 1].tolist())
             break
         if error is not None:
             raise error
         masses.extend(block.tolist())
-        partial = float(partials[-1])
     return from_masses(masses, label="limit_law", renormalize=True)
 
 
