@@ -191,22 +191,25 @@ def _series_sum(w: WeightSequence, t, power: int) -> tuple[float, bool]:
     plus that tail.  Both tails count as certified once their error is
     below 1e-14 of the sum:
 
-      power law, at each checkpoint K of `_extend_marks`: the slope alpha
+      power law, at each checkpoint K of `_Checkpoints`: the slope alpha
           fitted to the terms at K/2 and K, and the three-term
           Euler-Maclaurin tail (Graham, Knuth and Patashnik, Concrete
-          Mathematics, 9.5) of t_K (k/K)^-alpha past K,
-              t_K K/(alpha - 1) - t_K/2 + alpha t_K/(12 K).
-          Its error is the drift of alpha against the slope at (K/4, K/2)
-          times the tail's sensitivity to alpha, plus the next
-          Euler-Maclaurin order alpha(alpha+1)(alpha+2) t_K/(720 K^3).  A
-          slope of at most 1.05 certifies nothing.
+          Mathematics, 9.5) of t_K (k/K)^-alpha at K + d, K + 2d, ...,
+              t_K K/(d (alpha - 1)) - t_K/2 + d alpha t_K/(12 K),
+          d the spacing of the positive terms over (K/2, K].  Its error
+          is the drift of alpha against the slope at (K/4, K/2) times the
+          tail's sensitivity to alpha, plus the next Euler-Maclaurin order
+          d^3 alpha(alpha+1)(alpha+2) t_K/(720 K^3).  A slope of at most
+          1.05, or positive terms at uneven spacings (as on k != 2 mod 3),
+          certifies nothing.
       geometric, inside the radius, at any k of a block: t_k r/(1 - r),
           r < 1 the largest term ratio t_j/t_{j-1} of the block through k.
           It bounds the tail while no later ratio exceeds r, and is taken
           for that bound, its own error, once the ratios no longer rise:
           from the block's second ratio on, the ratio at k is not above
           the one before it by more than 1e-13 (rounding noise).  Terms
-          like k^-a t^k have rising ratios and never stop here.
+          like k^-a t^k have rising ratios and never stop here, and a zero
+          term stops only past the block's last positive one.
     A sum that reaches the cap uncertified (the cap is a checkpoint too)
     returns its partial sum, flagged False.  The flag certifies the tail
     only: the left-to-right partial sum keeps its rounding, which reaches
@@ -241,16 +244,14 @@ def _generator_sum(w: WeightSequence, t, power: int) -> tuple[float, bool]:
     first k where a geometric or power-law tail is certified, plus that
     tail."""
     total, last = 0.0, None  # carried partial sum and last term
-    marks: list[tuple[int, float]] = []
+    marks = _Checkpoints(w.cap)
     for ks, wks, tks, error in _scalar_blocks(w.generator, float(t), w.cap + 1):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             terms = ks ** power * wks * tks
             totals = np.add.accumulate(np.concatenate(([total], terms)))[1:]
             over = np.flatnonzero((totals > _OVERFLOW) | np.isinf(totals))
             stop, value = _geometric_stop(terms, totals, last)
-        seen = len(marks)
-        _extend_marks(marks, ks, terms, w.cap)
-        for k, tail, err in _power_tails(marks, seen):
+        for k, tail, err in marks.add(ks, terms):
             i = k - int(ks[0])
             if stop is not None and stop <= i:
                 break
@@ -275,7 +276,9 @@ def _geometric_stop(terms: np.ndarray, totals: np.ndarray,
     term before the block, None for the first block.  The ratio t_k/t_{k-1}
     is 0 at a zero term and inf at a positive term after a zero; r at k is
     the largest ratio of the block through k, and k qualifies once its
-    ratio is not above the block's ratio before it."""
+    ratio is not above the block's ratio before it.  A zero term, whose
+    tail would read 0, qualifies only past the block's last positive term:
+    between the positive terms of a periodic support it bounds nothing."""
     ext = terms if last is None else np.concatenate(([last], terms))
     ratios = np.where(ext[1:] == 0, 0.0, ext[1:] / ext[:-1])
     if ratios.size < 2:
@@ -286,29 +289,14 @@ def _geometric_stop(terms: np.ndarray, totals: np.ndarray,
     ok = (r < 1) & (tails < _REL_TOL * (totals[head:] + tails))
     ok[0] = False
     ok[1:] &= ratios[1:] <= ratios[:-1] * (1 + _RISE_TOL)
+    live = np.flatnonzero(terms > 0)
+    if live.size:  # no zero term stops before the block's last positive one
+        ok[:live[-1] + 1 - head] &= terms[head:live[-1] + 1] > 0
     done = np.flatnonzero(ok)
     if not done.size:
         return None, 0.0
     i = int(done[0])
     return head + i, float(totals[head + i] + tails[i])
-
-
-def _power_tails(marks: list, seen: int):
-    """(K, tail, error) at each checkpoint K from marks[seen] on that has
-    two checkpoints before it, (K/4, t) and (K/2, t), and a slope alpha
-    fitted at (K/2, K) above 1.05: the Euler-Maclaurin tail of `_series_sum`
-    past K and its error."""
-    for j in range(max(seen, 2), len(marks)):
-        (k0, t0), (k1, t1), (k2, t2) = marks[j - 2:j + 1]
-        prev = math.log(t0 / t1) / math.log(k1 / k0)
-        alpha = math.log(t1 / t2) / math.log(k2 / k1)
-        if alpha <= 1.05:
-            continue
-        tail = t2 * k2 / (alpha - 1) - t2 / 2 + alpha * t2 / (12 * k2)
-        sensitivity = abs(t2 / (12 * k2) - t2 * k2 / (alpha - 1) ** 2)
-        err = (abs(alpha - prev) * sensitivity
-               + alpha * (alpha + 1) * (alpha + 2) * t2 / (720 * k2 ** 3))
-        yield k2, tail, err
 
 
 def _scalar_blocks(weight, base: float, end: int):
@@ -348,22 +336,67 @@ def _scalar_blocks(weight, base: float, end: int):
         lo, size = lo + size, min(2 * size, _BLOCK)
 
 
-def _extend_marks(marks: list, ks: np.ndarray, terms: np.ndarray,
-                  cap: int) -> None:
-    """Append this block's checkpoints of the power-law tail: the first
-    positive term from k = 1, then each first positive term at twice the
-    last mark's index or beyond, and the term at the cap when positive.
-    So K runs 1, 2, 4, ... while the terms stay positive, and each
-    checkpoint (K, t_K) has the two before it near K/2 and K/4."""
-    live = np.flatnonzero((terms > 0) & (ks >= 1))
-    while True:
-        j = np.searchsorted(ks[live], 2 * marks[-1][0] if marks else 1)
-        if j == live.size:
-            break
-        i = live[j]
-        marks.append((int(ks[i]), float(terms[i])))
-    if live.size and ks[live[-1]] == cap and marks[-1][0] != cap:
-        marks.append((cap, float(terms[live[-1]])))
+class _Checkpoints:
+    """The checkpoints (K, t_K, d) of one series' power-law tail, taken a
+    block of terms at a time: the first positive term from k = 1, then each
+    first positive term at twice the last checkpoint's index or beyond,
+    and the term at the cap when positive.  So K runs 1, 2, 4, ... while
+    the terms stay positive.  d is the spacing of the positive terms over
+    (previous K, K] when it is the same throughout, else 0: 1 on a full
+    support, 2 on even degrees only."""
+
+    def __init__(self, cap: int):
+        self.cap, self.marks = cap, []
+        self.last = None  # k of the last positive term from k = 1
+        self.run = None  # the spacing since the last checkpoint, 0 if uneven
+
+    def add(self, ks: np.ndarray, terms: np.ndarray) -> list:
+        """Take the next block; (K, tail, error) at each of its checkpoints
+        that has two before it, (K/4, t) and (K/2, t), one spacing d over
+        (K/2, K], and a slope alpha fitted at (K/2, K) above 1.05: the
+        Euler-Maclaurin tail of `_series_sum` past K and its error."""
+        live = np.flatnonzero((terms > 0) & (ks >= 1))
+        at = ks[live]
+        gaps = np.diff(at, prepend=at[:1] if self.last is None else self.last)
+        seen, done = len(self.marks), 0
+        while True:
+            j = np.searchsorted(at, 2 * self.marks[-1][0] if self.marks else 1)
+            if j == at.size:
+                if not at.size or at[-1] != self.cap or (
+                        self.marks[-1][0] == self.cap):
+                    break
+                j -= 1
+            self._fold(gaps[done:j + 1])
+            self.marks.append((int(at[j]), float(terms[live[j]]), self.run))
+            self.run, done = None, j + 1
+        self._fold(gaps[done:])
+        if at.size:
+            self.last = int(at[-1])
+        return [fit for j in range(max(seen, 2), len(self.marks))
+                if (fit := self._tail(*self.marks[j - 2:j + 1]))]
+
+    def _fold(self, gaps: np.ndarray) -> None:
+        if gaps.size:
+            d = int(gaps[0])
+            even = d > 0 and self.run in (None, d) and (gaps == d).all()
+            self.run = d if even else 0
+
+    @staticmethod
+    def _tail(mark0, mark1, mark2):
+        (k0, t0, _), (k1, t1, _), (k2, t2, d) = mark0, mark1, mark2
+        if not d:
+            return None
+        prev = math.log(t0 / t1) / math.log(k1 / k0)
+        alpha = math.log(t1 / t2) / math.log(k2 / k1)
+        if alpha <= 1.05:
+            return None
+        tail = (t2 * k2 / (d * (alpha - 1)) - t2 / 2
+                + d * alpha * t2 / (12 * k2))
+        sensitivity = abs(d * t2 / (12 * k2)
+                          - t2 * k2 / (d * (alpha - 1) ** 2))
+        err = (abs(alpha - prev) * sensitivity + d ** 3 * alpha * (alpha + 1)
+               * (alpha + 2) * t2 / (720 * k2 ** 3))
+        return k2, tail, err
 
 
 def phi(w: WeightSequence, t):
@@ -436,7 +469,7 @@ def limit_degree_law(w: WeightSequence) -> OffspringDistribution:
     infinite) and boundary-divergent Phi both raise PhiDiverges; callers
     should tilt below rho instead.
 
-    The masses stop at the first checkpoint K of `_extend_marks` whose
+    The masses stop at the first checkpoint K of `_Checkpoints` whose
     certified remaining mass, the power-law tail past K plus its error as
     `_series_sum` states them, is below 1e-12, or at _SERIES_CAP; the
     remainder is renormalised away.  A rounded partial sum is no test:
@@ -454,13 +487,11 @@ def limit_degree_law(w: WeightSequence) -> OffspringDistribution:
         total = float(phi(w, rho))
     except Diverged as exc:
         raise PhiDiverges(f"Phi diverges at rho={rho}") from exc
-    masses, marks = [], []
+    masses, marks = [], _Checkpoints(_SERIES_CAP)
     for ks, wks, pks, error in _scalar_blocks(w.weight, rho, _SERIES_CAP + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             block = wks * pks / total
-        seen = len(marks)
-        _extend_marks(marks, ks, block, _SERIES_CAP)
-        done = next((k for k, tail, err in _power_tails(marks, seen)
+        done = next((k for k, tail, err in marks.add(ks, block)
                      if tail + err < 1e-12), None)
         if done is not None:
             masses.append(block[:done - int(ks[0]) + 1])
@@ -590,11 +621,10 @@ def solve_critical_tilt(w: WeightSequence) -> float:
                 return hi  # support in {0, 1}: Psi < 1 everywhere
         lo = 0.0
     else:
-        # Probe the boundary itself: at t slightly below rho the terms decay
-        # polynomially times an imperceptibly subgeometric factor, which is
-        # the one regime the series accelerator cannot certify.  At t = rho
-        # the terms are cleanly polynomial and extrapolation either converges
-        # or raises honestly.
+        # Probe the boundary itself: where Psi(rho) <= 1 (k^-3 weights at
+        # rho = 1 give 0.747) no t below rho reaches 1, the tilt saturates
+        # at rho and no bisection runs.  A Psi(rho) whose series is not
+        # certified counts as above 1.
         edge = _psi_or_inf(w, rho)
         if edge <= 1.0:
             return float(rho)

@@ -79,9 +79,7 @@ GOLDEN = {
         "7359d3f666d0393e940117e203c4bb55223617136bf6c0eefe5abade032c7f2e",
     "concentrate-stretched-halving":
         "8610addbf9cd547c508ccdafa9362a7a268161c6c1bf51ebe81c6b893bc07e50",
-    # the census digests read target.pi off the certified Phi(1); they
-    # moved when Phi(1) gained four digits (pi -1.79e-10 relative, the
-    # draws unchanged)
+    # the census digests read target.pi off the certified Phi(1)
     "concentrate-census-halving":
         "d9bd69e3ae817d5c10c6198feb3522fdc55c05685a60fb32e32d4e65f21d5bca",
     "concentrate-branching":

@@ -593,8 +593,7 @@ class TestConcentration:
 
     def test_census_law_is_the_zeta_law(self):
         # pi(k) = k^-3/(1 + zeta(3)) with w_0 = 1; Apery's constant zeta(3)
-        # to 22 digits (OEIS A002117).  Read off the renormalised
-        # 36,800-mass limit law, each was 1.79e-10 too large
+        # to 22 digits (OEIS A002117)
         zeta3 = 1.2020569031595942853997
         _, pis = harness._census_constants()
         for got, c in zip(pis, (1, 1, 1 / 8, 1 / 27)):
@@ -602,10 +601,10 @@ class TestConcentration:
 
     def test_fresh_census_set_up_reads_few_weights(self, monkeypatch):
         """The census class's set-up in a fresh process, its constants and
-        its n = 2,000 sampler, calls the k^-3 weight about 5,160 times
-        (177,603 under the five-quiet-terms stop): 3 in the constructor,
-        192 for Phi(1), 960 for sum k w_k, 4 for pi(0..3), and about 2,000
-        each for the sampler's support scan and tilted law."""
+        its n = 2,000 sampler, calls the k^-3 weight about 5,160 times: 3
+        in the constructor, 192 for Phi(1), 960 for sum k w_k, 4 for
+        pi(0..3), and about 2,000 each for the sampler's support scan and
+        tilted law."""
         calls, _ = _count_generator_calls(monkeypatch)
         weights, _ = harness._census_constants.__wrapped__()
         simply_generated_sampler(weights, 2000)
@@ -624,7 +623,6 @@ class TestConcentration:
                          rho_hint=1.0)
         assert solve_critical_tilt(fresh) == tilt
         # the fresh tilt also sums Phi(1): 3 constructor calls and 192
-        # (36,803 under the five-quiet-terms stop)
         assert 0 < calls[0] - once <= 256
         calls[0] = 0
         assert solve_critical_tilt(shared) == tilt  # every series memoised

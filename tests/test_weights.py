@@ -155,8 +155,7 @@ class TestSeries:
 
     def test_generator_series_converges_at_the_boundary(self):
         # polynomially decaying terms: the Euler-Maclaurin tail closes the
-        # gap after a few hundred terms (Phi(1) read 1.8e-10 low, and
-        # sum k w_k 6.1e-11 high, under the five-quiet-terms stop)
+        # gap after a few hundred terms
         w = census_weights()
         assert phi(w, 1.0) == pytest.approx(1.0 + ZETA3, rel=1e-13)
         assert psi(w, 1.0) == pytest.approx(ZETA2 / (1.0 + ZETA3), rel=1e-13)
@@ -195,7 +194,7 @@ class TestSeries:
         w = WeightSequence.from_generator(weight, rho_hint=1.0)
         first = phi(w, 1.0)
         # 3 for the constructor, 192 for the blocks through the certified
-        # checkpoint K = 128 (36,803 under the five-quiet-terms stop)
+        # checkpoint K = 128
         assert calls[0] <= 256
         calls[0] = 0
         assert phi(w, 1.0) == first and nu_sigma_sq(w)[0] == psi(w, 1.0)
@@ -238,7 +237,7 @@ class TestCriticality:
     def test_boundary_chase_that_never_settles_is_diverged(self):
         # k^-2 at rho = 1: Phi(1) = 1 + zeta(2) converges but
         # sum k w_k = sum 1/k does not, so Psi(t) grows without bound as t
-        # rises to 1; the chase returned nu = 3.1475, Psi at t = 1 - 2^-12
+        # rises to 1
         w = WeightSequence.from_generator(
             lambda k: 1.0 if k == 0 else float(k) ** -2.0, rho_hint=1.0)
         assert phi(w, 1.0) == pytest.approx(1 + ZETA2, rel=1e-13)
@@ -287,18 +286,40 @@ class TestLimitDegreeLaw:
 
 
 def _loop_tail(marks):
-    """(tail, error) of the power-law rule at the last of three marks,
-    written out as `_series_sum` states it; None at a slope <= 1.05."""
-    (k0, t0), (k1, t1), (k2, t2) = marks
+    """(tail, error) of the power-law rule at the last of three marks
+    (K, t_K, d), written out as `_series_sum` states it; None at a slope
+    <= 1.05 or without one spacing d of the positive terms since the mark
+    before."""
+    (k0, t0, _), (k1, t1, _), (k2, t2, d) = marks
+    if not d:
+        return None
     prev = math.log(t0 / t1) / math.log(k1 / k0)
     alpha = math.log(t1 / t2) / math.log(k2 / k1)
     if alpha <= 1.05:
         return None
-    tail = t2 * k2 / (alpha - 1) - t2 / 2 + alpha * t2 / (12 * k2)
-    sensitivity = abs(t2 / (12 * k2) - t2 * k2 / (alpha - 1) ** 2)
+    tail = t2 * k2 / (d * (alpha - 1)) - t2 / 2 + d * alpha * t2 / (12 * k2)
+    sensitivity = abs(d * t2 / (12 * k2) - t2 * k2 / (d * (alpha - 1) ** 2))
     err = (abs(alpha - prev) * sensitivity
-           + alpha * (alpha + 1) * (alpha + 2) * t2 / (720 * k2 ** 3))
+           + d ** 3 * alpha * (alpha + 1) * (alpha + 2) * t2 / (720 * k2 ** 3))
     return tail, err
+
+
+def _loop_mark(marks, spacing, k, term, cap):
+    """Track the spacing of the positive terms from k = 1 through `term`
+    at k, `spacing` = [last positive k, common spacing since the last
+    mark or 0 if uneven], and append (k, term, spacing) when k is a mark:
+    the first positive term, the first at twice the last mark or beyond,
+    or the cap.  True when it appended one."""
+    if not (term > 0 and k >= 1):
+        return False
+    last, run = spacing
+    gap = 0 if last is None else k - last
+    spacing[:] = k, gap if run in (None, gap) else 0
+    if marks and k < 2 * marks[-1][0] and k != cap:
+        return False
+    marks.append((k, term, spacing[1]))
+    spacing[1] = None
+    return True
 
 
 def _loop_block_terms(weight, base, lo, hi, power):
@@ -326,12 +347,15 @@ def _loop_series_sum(w, t, power):
     the same blocks (64 terms doubling to 4,096), the reference the numpy
     blocks must match bit for bit.  At each k: the overflow test, then the
     geometric tail (r the largest ratio of the block so far, once the
-    ratio does not rise), then the power-law tail at a checkpoint."""
-    total, last, marks = 0.0, None, []
+    ratio does not rise, at a zero term only past the block's last positive
+    one), then the power-law tail at a checkpoint."""
+    total, last, marks, spacing = 0.0, None, [], [None, None]
     lo, size = 0, 64
     while lo <= w.cap:
         terms, error = _loop_block_terms(w.generator, float(t), lo,
                                          min(lo + size, w.cap + 1), power)
+        final = max((k for k, term in enumerate(terms, start=lo) if term > 0),
+                    default=-1)
         r = q_prev = None
         for k, term in enumerate(terms, start=lo):
             total += term
@@ -341,15 +365,14 @@ def _loop_series_sum(w, t, power):
                 q = (0.0 if term == 0 else term / last if last
                      else math.inf)
                 r = q if r is None else max(r, q)
-                if q_prev is not None and q <= q_prev * (1 + 1e-13) and r < 1:
+                if (q_prev is not None and q <= q_prev * (1 + 1e-13) and r < 1
+                        and (term > 0 or k > final)):
                     tail = term * r / (1 - r)
                     if tail < 1e-14 * (total + tail):
                         return total + tail, True
                 q_prev = q
             last = term
-            if term > 0 and k >= 1 and (not marks or k >= 2 * marks[-1][0]
-                                        or k == w.cap):
-                marks.append((k, term))
+            if _loop_mark(marks, spacing, k, term, w.cap):
                 fit = _loop_tail(marks[-3:]) if len(marks) >= 3 else None
                 if fit and fit[1] < 1e-14 * (total + fit[0]):
                     return total + fit[0], True
@@ -364,13 +387,11 @@ def _loop_limit_masses(w):
     first checkpoint whose power-law tail plus error is below 1e-12."""
     rho, _ = w.resolve_rho()
     total = float(phi(w, rho))
-    masses, marks = [], []
+    masses, marks, spacing = [], [], [None, None]
     for k in range(1_000_001):
         m = float(w.weight(k)) * rho ** k / total
         masses.append(m)
-        if m > 0 and k >= 1 and (not marks or k >= 2 * marks[-1][0]
-                                 or k == 1_000_000):
-            marks.append((k, m))
+        if _loop_mark(marks, spacing, k, m, 1_000_000):
             fit = _loop_tail(marks[-3:]) if len(marks) >= 3 else None
             if fit and fit[0] + fit[1] < 1e-12:
                 break
@@ -386,11 +407,13 @@ def _outcome(fn, *args):
 
 class TestBlockSeriesMatchesScalarLoop:
     # (weights, t): power-law tails certified at a checkpoint (k^-3,
-    # k^-2.5) or not before the cap (a slope at most 1.05; k^-3 log k,
-    # whose fitted slope drifts); a tilted power law whose slope drifts
-    # until the terms are small; geometric tails certified in the first
-    # block, in a later one, or after a ratio of inf (zero terms between
-    # positive ones) or 0 (a dead tail); t^k that would overflow only
+    # k^-2.5, k^-3 on even k at spacing 2) or not before the cap (a slope
+    # at most 1.05; k^-3 log k, whose fitted slope drifts; positive terms
+    # at uneven spacings); a tilted power law whose slope drifts until the
+    # terms are small; geometric tails certified in the first block, in a
+    # later one, after a ratio of inf (zero terms between positive ones)
+    # or 0 (a dead tail, from k = 10 or k = 1), or past zero terms that
+    # end nothing (2^-k off k = 2 mod 3); t^k that would overflow only
     # after the stop, in the stop's block (0.65^k) or beyond it (1/k!);
     # t^k overflowing while the term is small; the total passing 1e300; a
     # weight that raises after the stop, and one that raises before
@@ -410,7 +433,16 @@ class TestBlockSeriesMatchesScalarLoop:
                          1.0),
         "ones at 0.995": (lambda k: 1.0, 0.995),
         "even 2^-k at 1": (lambda k: 0.0 if k % 2 else 2.0 ** -k, 1.0),
+        "even k^-3 at 1": (
+            lambda k: 1.0 if k == 0 else 0.0 if k % 2 else float(k) ** -3.0,
+            1.0),
+        "k^-3 off k = 2 mod 3 at 1": (
+            lambda k: 1.0 if k == 0 else 0.0 if k % 3 == 2
+            else float(k) ** -3.0, 1.0),
+        "2^-k off k = 2 mod 3 at 1": (
+            lambda k: 0.0 if k % 3 == 2 else 2.0 ** -k, 1.0),
         "2^-k to k = 9 at 1": (lambda k: 2.0 ** -k if k < 10 else 0.0, 1.0),
+        "w_0 alone at 1": (lambda k: 0.0 if k else 1.0, 1.0),
         "1/k! at 1.5": (lambda k: 1.0 / math.factorial(k), 1.5),
         "2^-k at 1.99": (lambda k: 2.0 ** -k, 1.99),
         "1e10 at 1.5": (lambda k: 1.0 if k == 0 else 1e10, 1.5),
@@ -433,7 +465,11 @@ class TestBlockSeriesMatchesScalarLoop:
         ("k^-1.01 at 1", 0, ("value", False)),
         ("ones at 0.995", 0, ("value", True)),
         ("even 2^-k at 1", 0, ("value", True)),
+        ("even k^-3 at 1", 0, ("value", True)),
+        ("k^-3 off k = 2 mod 3 at 1", 0, ("value", False)),
+        ("2^-k off k = 2 mod 3 at 1", 0, ("value", True)),
         ("2^-k to k = 9 at 1", 0, ("value", True)),
+        ("w_0 alone at 1", 0, ("value", True)),
         ("1/k! at 1.5", 0, ("value", True)),
         ("0.65^k at 1.5", 0, ("value", True)),
         ("0.5^k raising from 60", 0, ("value", True)),
@@ -458,8 +494,7 @@ class TestBlockSeriesMatchesScalarLoop:
         (lambda k: 1.0 / math.factorial(k), 1.5, math.exp(1.5), 64)],
         ids=["0.975^k", "0.995^k", "1.5^k/k!"])
     def test_closed_form_sums(self, fn, t, exact, calls):
-        # geometric series 1/(1 - t), and e^t; the five-quiet-terms stop
-        # read 199.99999999961176 for the second.  `calls` is the blocks
+        # geometric series 1/(1 - t), and e^t.  `calls` is the blocks
         # read through the stop: 0.975^k stops near k = 1,270, 0.995^k near
         # 6,440, both on the geometric tail, and 1.5^k/k! at K = 32 on
         # the power-law tail (the first block's ratios reach 1.5)
@@ -478,11 +513,12 @@ class TestBlockSeriesMatchesScalarLoop:
         assert law.masses == expected.masses
 
 
-def _fsum_reference(f, tail_integral, n=1_000_000):
+def _fsum_reference(f, tail_integral, n=20_000):
     """(1 + sum_{1 <= k <= n} f(k) by math.fsum, half-width): the rest
-    sum_{k > n} f(k) of a decreasing f lies between the integrals of f
-    from n + 1 and from n, and the midpoint is added."""
-    lo, hi = tail_integral(n + 1), tail_integral(n)
+    sum_{k > n} f(k) of an f convex past n lies between the trapezoid
+    bound I(n) - f(n)/2 and the midpoint bound I(n + 1/2), I(x) the
+    integral of f from x on, and the middle of the two is added."""
+    lo, hi = tail_integral(n) - f(n) / 2, tail_integral(n + 0.5)
     head = math.fsum([1.0] + [f(k) for k in range(1, n + 1)])
     return head + (lo + hi) / 2, (hi - lo) / 2
 
@@ -500,15 +536,33 @@ class TestCertifiedTails:
         value, ok = weights_module._series_sum(w, 1.0, power)
         assert ok and abs(value - exact) <= 1e-13 * exact
 
-    @pytest.mark.parametrize("f, tail_integral", [
-        (lambda k: k ** -2.5, lambda x: x ** -1.5 / 1.5),
-        (lambda k: math.log(k) * k ** -3.0,
-         lambda x: (2 * math.log(x) + 1) / (4 * x * x))],
-        ids=["k^-2.5", "k^-3 log k"])
-    def test_drifting_and_clean_slopes_are_right_or_flagged(self, f,
-                                                             tail_integral):
+    @pytest.mark.parametrize("fn, exact", [
+        (lambda k: 1.0 if k == 0 else 0.0 if k % 2 else float(k) ** -3.0,
+         1 + ZETA3 / 8),
+        (lambda k: 1.0 if k == 0 else float(k % 2) * float(k) ** -3.0,
+         1 + 7 * ZETA3 / 8),
+        (lambda k: 0.0 if k % 3 == 2 else 2.0 ** -k, 12 / 7)],
+        ids=["even k^-3", "odd k^-3", "2^-k off k = 2 mod 3"])
+    def test_periodic_supports(self, fn, exact):
+        # the even k of k^-3 sum to zeta(3)/8 and the odd ones to
+        # 7 zeta(3)/8; 2^-k summed over k != 2 mod 3 is 2 - (1/4)/(1 - 1/8)
+        w = WeightSequence.from_generator(fn, rho_hint=1.0)
+        value, ok = weights_module._series_sum(w, 1.0, 0)
+        assert ok and abs(value - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("f, weight, tail_integral", [
+        (lambda k: k ** -2.5, None, lambda x: x ** -1.5 / 1.5),
+        (lambda k: math.log(k) * k ** -3.0, None,
+         lambda x: (2 * math.log(x) + 1) / (4 * x * x)),
+        # the terms of k = 3m - 2 and 3m, m >= 1: k^-3 off k = 2 mod 3
+        (lambda m: (3 * m - 2) ** -3.0 + (3 * m) ** -3.0,
+         lambda k: 0.0 if k % 3 == 2 else float(k) ** -3.0,
+         lambda x: ((3 * x - 2) ** -2.0 + (3 * x) ** -2.0) / 6)],
+        ids=["k^-2.5", "k^-3 log k", "k^-3 off k = 2 mod 3"])
+    def test_drifting_and_clean_slopes_are_right_or_flagged(
+            self, f, weight, tail_integral):
         w = WeightSequence.from_generator(
-            lambda k: 1.0 if k == 0 else f(k), rho_hint=1.0)
+            lambda k: 1.0 if k == 0 else (weight or f)(k), rho_hint=1.0)
         value, ok = weights_module._series_sum(w, 1.0, 0)
         ref, half = _fsum_reference(f, tail_integral)
         assert half < 1e-15

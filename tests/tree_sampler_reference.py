@@ -30,9 +30,8 @@ from arbor import samplers
 from arbor.samplers import (OffspringDistribution, _reachable_sum,
                             _truncated_masses, block_sizes)
 from arbor.trees import DegreeStatistics, _is_integer, build_tree
-from arbor.weights import (_SERIES_CAP, _class_weights, _extend_marks,
-                           _power_tails, _scalar_blocks, phi,
-                           solve_critical_tilt)
+from arbor.weights import (_SERIES_CAP, _Checkpoints, _class_weights,
+                           _scalar_blocks, phi, solve_critical_tilt)
 
 
 def from_masses(masses, label="explicit", renormalize=False):
@@ -74,13 +73,11 @@ def limit_degree_law(w):
         total = float(phi(w, rho))
     except Diverged as exc:
         raise PhiDiverges(f"Phi diverges at rho={rho}") from exc
-    masses, marks = [], []
+    masses, marks = [], _Checkpoints(_SERIES_CAP)
     for ks, wks, pks, error in _scalar_blocks(w.weight, rho, _SERIES_CAP + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             block = wks * pks / total
-        seen = len(marks)
-        _extend_marks(marks, ks, block, _SERIES_CAP)
-        done = next((k for k, tail, err in _power_tails(marks, seen)
+        done = next((k for k, tail, err in marks.add(ks, block)
                      if tail + err < 1e-12), None)
         if done is not None:
             masses.extend(block[:done - int(ks[0]) + 1].tolist())
